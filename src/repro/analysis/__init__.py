@@ -3,8 +3,8 @@
 :mod:`repro.analysis.sanitizer` shadows the lock manager, buffer pool,
 simulated disk and scheduler with protocol checks.  Nothing here is
 imported by the engine itself — enabling the sanitizer is always an
-explicit act (``TreeConfig(sanitizer=True)`` or the ``REPRO_SANITIZER=1``
-pytest fixture), so the production path pays zero cost.
+explicit act (``sanitizer.install()`` or the ``REPRO_SANITIZER=1`` pytest
+fixture), so the production path pays zero cost.
 """
 
 from repro.analysis.sanitizer import (  # noqa: F401

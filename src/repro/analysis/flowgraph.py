@@ -348,6 +348,9 @@ class Program:
         self._by_name: dict[str, list[FuncInfo]] = {}
         self._meth: dict[tuple[str, str, str], FuncInfo] = {}
         self._meth_by_name: dict[str, list[FuncInfo]] = {}
+        #: base class name -> (module, class) of the classes that list it
+        #: as a base, so ``self.m()`` also reaches overrides of ``m``.
+        self._subclasses: dict[str, list[tuple[str, str]]] = {}
         self._events: dict[int, list[Event]] = {}
         self._resolved: dict[int, tuple[FuncInfo, ...]] = {}
         self._subst: dict[tuple[int, str], list[tuple[re.Pattern, str]]] = {}
@@ -400,6 +403,11 @@ class Program:
                 # nested defs are separate functions
                 self._collect(stmt.body, module, rel, qual, cls=None, top=False)
             elif isinstance(stmt, ast.ClassDef):
+                for base in stmt.bases:
+                    base_name = ast.unparse(base).rpartition(".")[2]
+                    self._subclasses.setdefault(base_name, []).append(
+                        (module, stmt.name)
+                    )
                 self._collect(
                     stmt.body, module, rel, f"{prefix}.{stmt.name}",
                     cls=stmt.name, top=False,
@@ -607,7 +615,7 @@ class Program:
             ):
                 hit = self._meth.get((caller.module, caller.cls, name))
                 if hit is not None:
-                    return (hit,)
+                    return (hit, *self._overrides(caller.cls, name))
             cands = self._meth_by_name.get(name, [])
             if not cands:
                 top = self._by_name.get(name, [])
@@ -616,6 +624,22 @@ class Program:
                 return ()
             return tuple(cands)
         return ()
+
+    def _overrides(self, cls: str, name: str) -> list[FuncInfo]:
+        """Definitions of method ``name`` in (transitive) subclasses of
+        ``cls``: a ``self.name()`` call in ``cls`` dispatches to them too."""
+        found: list[FuncInfo] = []
+        pending, seen = [cls], {cls}
+        while pending:
+            for module, sub in self._subclasses.get(pending.pop(), ()):
+                if sub in seen:
+                    continue
+                seen.add(sub)
+                pending.append(sub)
+                hit = self._meth.get((module, sub, name))
+                if hit is not None:
+                    found.append(hit)
+        return found
 
     def substitution(
         self, call: ast.Call, cand: FuncInfo

@@ -47,7 +47,7 @@ vector-clock evidence.
 Like the sanitizer, every patch is class-level and opt-in: when not
 installed the hot paths are byte-for-byte the original functions (enforced
 by ``benchmarks/test_bench_race_overhead.py``).  Enable via
-``TreeConfig(race_detector=True)``, the ``REPRO_RACE=1`` pytest fixture,
+:func:`install`, the ``REPRO_RACE=1`` pytest fixture,
 or ``python -m reprorace`` (which race-checks every schedule reprocheck
 explores).  Install *before* building the database: the optimistic-window
 hook rides on the instance-bound ``version_of`` shortcut that

@@ -46,8 +46,7 @@ Usage::
     with san.suspended():               # e.g. around crash simulation
         ...
 
-or via ``TreeConfig(sanitizer=True)`` / the ``REPRO_SANITIZER=1`` pytest
-fixture (see ``tests/conftest.py``).
+or via the ``REPRO_SANITIZER=1`` pytest fixture (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations

@@ -80,10 +80,6 @@ class TreeConfig:
             (paper section 5, citing [LT95]).
         seek_cost: simulated cost of a non-sequential page read, used by the
             range-scan cost model.  A sequential read costs 1.0.
-        sanitizer: install the runtime lock/WAL sanitizer
-            (:mod:`repro.analysis.sanitizer`) when the database is built.
-            The patches are process-wide and strict (violations raise);
-            leave False outside tests — the off path costs nothing.
         group_commit_window: group-commit absorb window of the log manager,
             in LSNs.  A flush request for LSN L makes records up to
             L + window stable in one boundary advance, so nearby flush
@@ -124,11 +120,6 @@ class TreeConfig:
             where readers and the reorganizer actually collide.  Updaters
             and the reorganizer are unaffected.  Off, the read path is
             byte-identical to the historical locked protocol.
-        race_detector: install the hybrid lockset + happens-before data-race
-            detector (:mod:`repro.analysis.racedetect`) when the database is
-            built.  Non-strict: races are recorded on the active detector's
-            ``reports``, not raised.  Like the sanitizer, patches are
-            class-level and the off path is byte-identical.
         placement_policy: which :class:`PlacementPolicyKind` passes 2 and 3
             use to choose target page ids.  ``KEY_ORDER`` (the default) is
             byte-identical to the historical behaviour.
@@ -154,7 +145,6 @@ class TreeConfig:
     buffer_pool_pages: int = 256
     careful_writing: bool = True
     seek_cost: float = 10.0
-    sanitizer: bool = False
     group_commit_window: int = 0
     elevator_writeback: bool = False
     writeback_batch: int = 8
@@ -162,7 +152,6 @@ class TreeConfig:
     seek_aware_pass2: bool = False
     reorg_chain_cache: bool = False
     optimistic_reads: bool = False
-    race_detector: bool = False
     placement_policy: PlacementPolicyKind = PlacementPolicyKind.KEY_ORDER
     leaf_gap_fraction: float = 0.0
 

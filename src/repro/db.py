@@ -51,19 +51,6 @@ class Database:
 
     def __init__(self, config: TreeConfig | None = None):
         self.config = config or TreeConfig()
-        if self.config.sanitizer:
-            # Opt-in runtime protocol checks; patches are class-level, so
-            # installing before building the store shadows it from birth.
-            from repro.analysis.sanitizer import install
-
-            install()
-        if self.config.race_detector:
-            # Must also precede the store build: the optimistic-window
-            # hook wraps the instance-bound version_of shortcut that
-            # StorageManager.__init__ creates.
-            from repro.analysis.racedetect import install as install_race
-
-            install_race()
         self.store = StorageManager(self.config)
         self.log = LogManager(
             group_commit_window=self.config.group_commit_window

@@ -8,7 +8,8 @@ Implements the paper's locking machinery (section 4):
   lock is not enqueued; the requester is told to forgo it
   (:class:`~repro.errors.RXConflictError`), so it can run the paper's
   back-off protocol: release the base-page lock and wait via an
-  unconditional instant-duration RS lock;
+  unconditional instant-duration RS lock (a requester that is itself a
+  reorganizer has no such back-off and simply waits);
 * **instant-duration requests** — "the lock is not to be actually granted,
   but the lock manager has to delay returning the lock call with the
   success status until the lock becomes grantable" ([Moh90]);
@@ -233,9 +234,15 @@ class LockManager:
         conflict_holder = self._first_conflicting_holder(owner, resource, mode)
         if conflict_holder is not None:
             holder_owner, holder_mode = conflict_holder
-            if holder_mode is LockMode.RX:
+            if holder_mode is LockMode.RX and not getattr(
+                owner, "is_reorganizer", False
+            ):
                 # Paper: "a conflicting request causes the requester to
-                # forgo the conflicting request".
+                # forgo the conflicting request".  That is the user
+                # transactions' back-off; a parallel reorganizer worker
+                # meeting another worker's RX (a section 4.3 neighbour lock
+                # at a partition boundary) waits as it would on X, and a
+                # cycle goes to the deadlock detector.
                 self.stats.rx_rejections += 1
                 raise RXConflictError(
                     f"{mode.value} request on {resource!r} conflicts with "

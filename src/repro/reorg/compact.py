@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from repro.btree.tree import BPlusTree
 from repro.config import ReorgConfig
 from repro.db import Database
-from repro.errors import ReorgError
 from repro.reorg.freespace import find_free_page
 from repro.reorg.placement import gapped_leaf_fill_count, make_policy
 from repro.reorg.unit import UnitEngine, UnitResult
@@ -115,24 +114,18 @@ class LeafCompactor:
 
     def _compact_base_page(self, base_id: PageId, stats: Pass1Stats) -> None:
         target = self._target_records_per_page()
-        groups = self._plan_groups(base_id, target)
-        for group in groups:
-            if len(group) < 2:
-                # Nothing to compact; the leaf still counts as finished so
-                # later placements stay in relative disk order.
-                if group:
-                    self.largest_finished = max(self.largest_finished, group[0])
+        for group in self._plan_groups(base_id, target):
+            results = self._compact_group(base_id, group, target)
+            if not results:
                 stats.groups_skipped += 1
-                continue
-            result = self._compact_group(base_id, group)
-            stats.units += 1
-            stats.records_moved += result.records_moved
-            if result.dest_page in group:
-                stats.in_place_units += 1
-            else:
-                stats.new_place_units += 1
-            stats.results.append(result)
-            self.largest_finished = max(self.largest_finished, result.dest_page)
+            for result in results:
+                stats.units += 1
+                stats.records_moved += result.records_moved
+                if result.dest_page in group:
+                    stats.in_place_units += 1
+                else:
+                    stats.new_place_units += 1
+                stats.results.append(result)
 
     def _target_records_per_page(self) -> int:
         # Gap-aware: rebuilt leaves keep the configured slack free even
@@ -153,39 +146,59 @@ class LeafCompactor:
         # Readahead: the whole pass will read every child of this base
         # page (sizing here, compacting just after) — fetch the absent
         # ones as one sweep instead of a seek each.
-        self.db.store.prefetch(base.children())
-        groups: list[list[PageId]] = []
-        current: list[PageId] = []
-        count = 0
-        for _key, child in base.entries:
-            n = self.db.store.get_leaf(child).num_items
-            if current and count + n > limit:
-                groups.append(current)
-                current, count = [], 0
-            current.append(child)
-            count += n
-        if current:
-            groups.append(current)
-        return groups
+        children = base.children()
+        self.db.store.prefetch(children)
+        return self.chunk_by_records(children, limit)
 
-    def _compact_group(self, base_id: PageId, group: list[PageId]) -> UnitResult:
+    def _compact_group(
+        self, base_id: PageId, group: list[PageId], target: int
+    ) -> list[UnitResult]:
         """Figure 2's decision for one group of same-parent leaves."""
-        target = self._target_records_per_page()
-        total = sum(self.db.store.get_leaf(p).num_items for p in group)
-        needed = max(1, -(-total // target))
+        if len(group) < 2:
+            # Nothing to compact; the leaf still counts as finished so
+            # later placements stay in relative disk order.
+            self.mark_finished(group[0])
+            return []
+        needed = self.outputs_needed(group, target)
         if needed > 1:
             dests = self._pick_free_run(needed, current=min(group))
-            if dests is not None:
-                result = self.engine.compact_unit_multi(
-                    base_id, group, dests, target_per_page=target
-                )
-                self.largest_finished = max(self.largest_finished, max(dests))
-                return result
-            # Not enough well-placed free pages for a multi-output unit:
-            # split the group and fall through page by page.
-            return self._compact_group_split(base_id, group, target)
+            if dests is None:
+                # Not enough well-placed free pages for a multi-output
+                # unit: fall back to one-output-page units over the group.
+                return [
+                    result
+                    for sub in self.chunk_by_records(group, target)
+                    for result in self._compact_group(base_id, sub, target)
+                ]
+            result = self.engine.compact_unit_multi(
+                base_id, group, dests, target_per_page=target
+            )
+            self.mark_finished(max(dests))
+            return [result]
+        dest, dest_is_new = self.choose_dest(group, self.find_free_space(group))
+        result = self.engine.compact_unit(
+            base_id, group, dest, dest_is_new=dest_is_new
+        )
+        self.mark_finished(result.dest_page)
+        return [result]
+
+    def mark_finished(self, page_id: PageId) -> None:
+        """Advance L, "the largest finished leaf page ID"."""
+        self.largest_finished = max(self.largest_finished, page_id)
+
+    def outputs_needed(self, group: list[PageId], target: int) -> int:
+        """How many pages at the target fill the group's records take."""
+        total = sum(
+            self.db.store.get_leaf(p).num_items
+            for p in group
+            if not self.db.store.free_map.is_free(p)
+        )
+        return max(1, -(-total // target))
+
+    def find_free_space(self, group: list[PageId]) -> PageId | None:
+        """Figure 2's Find-Free-Space for the group (section 6.1)."""
         current = min(group)
-        empty = find_free_page(
+        return find_free_page(
             self.db.store,
             self.config.free_space_policy,
             largest_finished=self.largest_finished,
@@ -194,17 +207,22 @@ class LeafCompactor:
                 largest_finished=self.largest_finished, current=current
             ),
         )
+
+    def choose_dest(
+        self, group: list[PageId], empty: PageId | None
+    ) -> tuple[PageId, bool]:
+        """Figure 2's destination given Find-Free-Space's answer ``empty``:
+        ``(page, dest_is_new)``.
+
+        Copying-Switching builds the new leaf in the empty page.  Without
+        one, In-Place-Reorg compacts into one of the group's own pages —
+        the smallest page id beyond L (keeps ascending order when
+        possible), else the smallest page id of the group.
+        """
         if empty is not None:
-            # Copying-Switching: build the new leaf in the chosen page.
-            return self.engine.compact_unit(
-                base_id, group, empty, dest_is_new=True
-            )
-        # In-Place-Reorg: compact into one of the group's own pages —
-        # prefer the smallest page id beyond L (keeps ascending order when
-        # possible), else the smallest page id of the group.
+            return empty, True
         beyond = [pid for pid in group if pid > self.largest_finished]
-        dest = min(beyond) if beyond else min(group)
-        return self.engine.compact_unit(base_id, group, dest, dest_is_new=False)
+        return (min(beyond) if beyond else min(group)), False
 
     def _pick_free_run(self, needed: int, current: PageId) -> list[PageId] | None:
         """``needed`` ascending free pages, each between the previous pick
@@ -224,45 +242,28 @@ class LeafCompactor:
             floor = page
         return picks
 
-    def _compact_group_split(
-        self, base_id: PageId, group: list[PageId], target: int
-    ) -> UnitResult:
-        """Fall back to one-output-page units over the oversized group."""
-        sub: list[PageId] = []
-        count = 0
-        last_result: UnitResult | None = None
-        for child in group:
-            n = self.db.store.get_leaf(child).num_items
-            if sub and count + n > target:
-                last_result = self._single_output_unit(base_id, sub)
-                sub, count = [], 0
-            sub.append(child)
-            count += n
-        if sub:
-            if len(sub) >= 2:
-                last_result = self._single_output_unit(base_id, sub)
-            elif last_result is None:
-                # A degenerate one-leaf remainder with no earlier unit.
-                self.largest_finished = max(self.largest_finished, sub[0])
-                raise ReorgError("group degenerated to a single leaf")
-        assert last_result is not None
-        return last_result
+    def chunk_by_records(
+        self, leaves: list[PageId], limit: int
+    ) -> list[list[PageId]]:
+        """Greedy runs of consecutive ``leaves`` holding at most ``limit``
+        records each (a single fuller leaf is a run of its own).
 
-    def _single_output_unit(self, base_id: PageId, sub: list[PageId]) -> UnitResult:
-        empty = find_free_page(
-            self.db.store,
-            self.config.free_space_policy,
-            largest_finished=self.largest_finished,
-            current=min(sub),
-            preference=self.placement.pass1_preference(
-                largest_finished=self.largest_finished, current=min(sub)
-            ),
-        )
-        if empty is not None:
-            result = self.engine.compact_unit(base_id, sub, empty, dest_is_new=True)
-        else:
-            beyond = [pid for pid in sub if pid > self.largest_finished]
-            dest = min(beyond) if beyond else min(sub)
-            result = self.engine.compact_unit(base_id, sub, dest, dest_is_new=False)
-        self.largest_finished = max(self.largest_finished, result.dest_page)
-        return result
+        With ``limit`` one page's worth this also splits an oversized group
+        into single-output units — the engine cannot overfill one
+        destination page.  Leaves freed since planning are skipped.
+        """
+        chunks: list[list[PageId]] = []
+        current: list[PageId] = []
+        count = 0
+        for leaf in leaves:
+            if self.db.store.free_map.is_free(leaf):
+                continue
+            n = self.db.store.get_leaf(leaf).num_items
+            if current and count + n > limit:
+                chunks.append(current)
+                current, count = [], 0
+            current.append(leaf)
+            count += n
+        if current:
+            chunks.append(current)
+        return chunks

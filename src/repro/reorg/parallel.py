@@ -7,7 +7,11 @@ compacting a *disjoint, contiguous range of base pages*.  Disjointness is
 what makes it safe under the paper's own machinery:
 
 * units never span base pages (section 3), so two workers never lock the
-  same base page or the same leaves;
+  same base page or reorganize the same leaves.  The one place their lock
+  sets meet is a partition boundary of a tree with side pointers: a unit's
+  section 4.3 X lock on its chain neighbour may fall on the other worker's
+  edge leaf.  The workers then wait for each other like any two lock
+  holders, and a cycle is broken by the protocol's give-up-and-retry arm;
 * the progress table already generalizes to one (begin LSN, recent LSN)
   row per in-flight unit — "whenever a new reorganization unit starts, it
   puts the LSN of its BEGIN log record into this table" (section 5) —
@@ -27,14 +31,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Generator
 
 from repro.config import ReorgConfig
 from repro.db import Database
 from repro.reorg.compact import LeafCompactor
 from repro.reorg.protocols import ReorgProtocol
-from repro.storage.page import LeafPage, PageId
-from repro.wal.records import AllocRecord, LeafFormatRecord
+from repro.storage.page import PageId
+from repro.txn.ops import Call
 
 
 @dataclass
@@ -65,162 +68,31 @@ class ParallelReorgProtocol(ReorgProtocol):
         self.base_partition = base_partition
         self.engine._unit_ids = shared_ids
 
-    def pass1(self) -> Generator[Any, Any, dict]:
-        """Pass 1 restricted to this worker's base pages.
+    def _pass1_base_pages(self, compactor: LeafCompactor) -> list[PageId]:
+        return self.base_partition
 
-        Identical locking to the single-process protocol; new-place
-        destinations are reserved atomically at selection time so workers
-        never race for the same empty page.
-        """
-        from repro.locks.modes import LockMode
-        from repro.locks.resources import tree_lock
-        from repro.txn.ops import Acquire, Call, ReleaseAll, Think
-
-        yield Acquire(tree_lock(self._lock_name()), LockMode.IX)
-        compactor = LeafCompactor(self.db, self.tree, self.config, self.engine)
-        stats = {"units": 0, "retries": 0, "undone": 0, "stale_groups": 0}
-        for base_id in self.base_partition:
-            target = compactor._target_records_per_page()
-            groups = yield Call(
-                lambda b=base_id, t=target: compactor._plan_groups(b, t)
-            )
-            for group in groups:
-                if len(group) < 2:
-                    if group:
-                        compactor.largest_finished = max(
-                            compactor.largest_finished, group[0]
-                        )
-                    continue
-                done = yield from self._compact_unit_protocol(
-                    compactor, base_id, group, stats
-                )
-                if done:
-                    stats["units"] += 1
-                if self.unit_pause:
-                    yield Think(self.unit_pause)
-        yield ReleaseAll()
-        return stats
-
-    def _compact_unit_protocol(self, compactor, base_id, group, stats):
+    def _single_output_unit(self, compactor, group, stats):
         """As in the base class, but the new-place destination is reserved
-        (allocated + formatted) inside the same atomic Call that picks it."""
-        from repro.config import FreeSpacePolicy
-        from repro.reorg.freespace import find_free_page
-        from repro.txn.ops import Call
+        (allocated + formatted) inside the same atomic Call that picks it,
+        so workers never race for the same empty page."""
 
         def pick_and_reserve():
-            empty = find_free_page(
-                self.db.store,
-                self.config.free_space_policy,
-                largest_finished=compactor.largest_finished,
-                current=min(group),
-            )
-            if empty is None:
-                return None
-            self.db.store.free_map.allocate(
-                self.db.store.free_map.extent_for(empty), empty
-            )
-            self.db.store.buffer.put_new(
-                LeafPage(empty, self.db.store.config.leaf_capacity)
-            )
-            self.db.log.append(AllocRecord(page_id=empty, kind="leaf"))
-            record = LeafFormatRecord(page_id=empty, records=())
-            self.db.log.append(record)
-            from repro.wal.apply import apply_record
-
-            apply_record(self.db.store, record)
+            empty = compactor.find_free_space(group)
+            if empty is not None:
+                self.engine._materialize_dest(empty)
             return empty
 
         reserved = yield Call(pick_and_reserve)
-        done = yield from self._locked_compact(
-            compactor, base_id, group, reserved, stats
+        done = yield from self._run_unit(
+            lambda: self._compact_unit(
+                compactor, group, *compactor.choose_dest(group, reserved)
+            ),
+            stats,
         )
         if not done and reserved is not None:
             # The group went stale before we could use the page; return it.
-            yield Call(lambda: self._release_reserved(reserved))
+            yield Call(lambda: self.engine._free_if_empty(reserved))
         return done
-
-    def _release_reserved(self, page_id: PageId) -> None:
-        from repro.wal.records import FreeRecord
-
-        if not self.db.store.free_map.is_free(page_id):
-            self.db.log.append(FreeRecord(page_id=page_id))
-            self.db.store.deallocate(page_id)
-
-    def _locked_compact(self, compactor, base_id, group, reserved, stats):
-        """The base-class unit body, with the destination fixed upfront."""
-        from repro.errors import DeadlockError, ReorgError
-        from repro.locks.modes import LockMode
-        from repro.locks.resources import page_lock, tree_lock
-        from repro.txn.ops import (
-            Acquire, Call, Convert, Release, ReleaseAll, Think,
-        )
-
-        R, RX, S, X = LockMode.R, LockMode.RX, LockMode.S, LockMode.X
-        for _attempt in range(50):
-            if reserved is not None:
-                dest, dest_is_new = reserved, True
-            else:
-                beyond = [p for p in group if p > compactor.largest_finished]
-                dest = min(beyond) if beyond else min(group)
-                dest_is_new = False
-            unit_id = None
-            try:
-                probe_key = yield Call(
-                    lambda g=group: self.db.store.get_leaf(g[0]).min_key()
-                    if not self.db.store.free_map.is_free(g[0])
-                    and not self.db.store.get_leaf(g[0]).is_empty
-                    else None
-                )
-                if probe_key is None:
-                    return False
-                base_held = yield from self._s_couple_to_base(probe_key)
-                if base_held is None:
-                    return False
-                yield Acquire(page_lock(base_held), R)
-                yield Release(page_lock(base_held), S)
-                valid = yield Call(
-                    lambda: self._group_still_valid(base_held, group)
-                )
-                if not valid:
-                    stats["stale_groups"] += 1
-                    yield Release(page_lock(base_held), R)
-                    return False
-                for leaf in group:
-                    yield Acquire(page_lock(leaf), RX)
-                if dest_is_new:
-                    yield Acquire(page_lock(dest), RX)
-                unit_id = yield Call(
-                    lambda bh=base_held: self.engine.begin_compact(
-                        bh, group, dest, dest_is_new=dest_is_new
-                    )
-                )
-                if self.op_duration:
-                    yield Think(self.op_duration)
-                yield Convert(page_lock(base_held), X)
-                result = yield Call(
-                    lambda bh=base_held: self.engine.complete_compact(
-                        unit_id, bh, group, dest, dest_is_new=dest_is_new
-                    )
-                )
-                compactor.largest_finished = max(
-                    compactor.largest_finished, result.dest_page
-                )
-                yield Release(page_lock(base_held), X)
-                for leaf in group:
-                    yield Release(page_lock(leaf), RX)
-                if dest_is_new:
-                    yield Release(page_lock(dest), RX)
-                return True
-            except DeadlockError:
-                stats["retries"] += 1
-                if unit_id is not None:
-                    stats["undone"] += 1
-                    yield Call(lambda u=unit_id: self.engine.undo_unit(u))
-                yield ReleaseAll()
-                yield Think(0.5)
-                yield Acquire(tree_lock(self._lock_name()), LockMode.IX)
-        raise ReorgError(f"unit on base {base_id} starved after retries")
 
 
 def partition_base_pages(

@@ -12,6 +12,11 @@ explicit (section 4.1.1)::
     Modify necessary keys and pointers in the base pages.
     Release locks.
 
+That choreography is written once, in :meth:`ReorgProtocol._run_unit`;
+compaction, multi-output compaction, pass-2 moves and swaps (and the
+parallel workers of :mod:`repro.reorg.parallel`) each hand it a
+:class:`_Unit` naming their pages and their two :class:`UnitEngine` calls.
+
 Deadlock handling follows the paper's policy: "Whenever the reorganizer
 gets in a deadlock, we always force the reorganizer to give up its lock" —
 a :class:`~repro.errors.DeadlockError` thrown in at any lock yield makes
@@ -29,16 +34,17 @@ an ``abort_hook`` the simulation driver arms.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
+from repro.btree.protocols import _s_couple_to_base
 from repro.btree.tree import BPlusTree
-from repro.config import ReorgConfig
+from repro.config import ReorgConfig, SidePointerKind
 from repro.db import Database
 from repro.errors import DeadlockError, ReorgError, SwitchTimeoutError
 from repro.locks.modes import LockMode
 from repro.locks.resources import page_lock, sidefile_lock, tree_lock
 from repro.reorg.compact import LeafCompactor
-from repro.reorg.freespace import find_free_page
 from repro.reorg.placement import make_policy
 from repro.reorg.shrink import SCAN_DONE_KEY, TreeShrinker
 from repro.reorg.switch import Switcher, _bump_lock_name, current_lock_name
@@ -53,6 +59,32 @@ IX, S, X, R, RX = LockMode.IX, LockMode.S, LockMode.X, LockMode.R, LockMode.RX
 #: Pause before retrying a unit whose locks were given up at a deadlock.
 _RETRY_PAUSE = 0.5
 _MAX_UNIT_RETRIES = 50
+
+
+@dataclass(frozen=True)
+class _Unit:
+    """What one kind of reorganization unit (compact, multi-output compact,
+    move, swap) supplies to :meth:`ReorgProtocol._run_unit`: its page lists
+    and the two :class:`UnitEngine` calls around the R->X conversion."""
+
+    #: The leaves being reorganized (RX locked).  The S-coupling descends
+    #: by the first one's smallest key.
+    leaves: list[PageId]
+    #: Free pages the unit builds into (RX locked with the leaves); their
+    #: number is the unit's output size.
+    new_pages: list[PageId]
+    #: ``begin(bases) -> unit id``: BEGIN plus the record movement, run
+    #: under R on the base pages.
+    begin: Callable[[list[PageId]], int]
+    #: ``complete(unit_id, bases)``: the MODIFYs through END, run under X
+    #: on the base pages.
+    complete: Callable[[int, list[PageId]], Any]
+    #: Pass 1 plans its groups before locking: under R, re-check that the
+    #: leaves are still children of the base page, else skip the unit.
+    planned_ahead: bool = False
+    #: A swap's two leaves may sit under two base pages: lock each leaf's
+    #: own parent rather than only the base page the S-coupling reached.
+    own_parents: bool = False
 
 
 class ReorgProtocol:
@@ -104,198 +136,76 @@ class ReorgProtocol:
     def _lock_name(self) -> str:
         return current_lock_name(self.db, self.tree_name)
 
-    def _s_couple_to_base(self, key: int):
-        """S lock-couple from the root to the base page for ``key``;
-        returns the base page id, S held on it (None for a leaf root)."""
-        root_id = self.tree.root_id
-        page = self.db.store.get(root_id)
-        if page.kind is PageKind.LEAF:
-            return None
-        yield Acquire(page_lock(root_id), S)
-        held = root_id
-        while page.level > 1:  # type: ignore[union-attr]
-            child = page.child_for(key)  # type: ignore[union-attr]
-            yield Acquire(page_lock(child), S)
-            yield Release(page_lock(held), S)
-            held = child
-            page = self.db.store.get(child)
-        return held
+    # -- the reorganization unit (sections 4.1.1, 4.3, 5.2) -----------------------
 
-    # -- pass 1 ------------------------------------------------------------------
+    def _run_unit(
+        self, describe: Callable[[], _Unit], stats: dict
+    ) -> Generator[Any, Any, bool]:
+        """One reorganization unit with full locking; True when executed.
 
-    def pass1(self) -> Generator[Any, Any, dict]:
-        """Compaction under the section 4.1.1 unit protocol."""
-        yield Acquire(tree_lock(self._lock_name()), IX)
-        compactor = LeafCompactor(self.db, self.tree, self.config, self.engine)
-        stats = {"units": 0, "retries": 0, "undone": 0, "stale_groups": 0}
-        for base_id in compactor._base_page_ids_in_key_order():
-            target = compactor._target_records_per_page()
-            groups = yield Call(
-                lambda b=base_id, t=target: compactor._plan_groups(b, t)
-            )
-            for group in groups:
-                if len(group) < 2:
-                    if group:
-                        compactor.largest_finished = max(
-                            compactor.largest_finished, group[0]
-                        )
-                    continue
-                done = yield from self._compact_unit_protocol(
-                    compactor, base_id, group, stats
-                )
-                if done:
-                    stats["units"] += 1
-                if self.unit_pause:
-                    yield Think(self.unit_pause)
-        yield ReleaseAll()
-        return stats
-
-    def _side_pointer_neighbours(self, group: list[PageId]) -> list[PageId]:
-        """Leaves outside the unit whose side pointers the unit will edit.
-
-        Section 4.3: "the reorganizer has to RX lock some number of leaf
-        pages (X lock for those leaf pages that are not children of the
-        same base page as the leaf pages being reorganized) to make the
-        side-pointer changes ... the reorganizer [must] acquire all the
-        necessary locks before it starts moving records."
+        The choreography is the same for every kind of unit and is stated
+        only here; ``describe`` supplies the pages and the engine calls,
+        and is asked afresh on every attempt (a retried compaction re-runs
+        Find-Free-Space).
         """
-        from repro.config import SidePointerKind
-
-        if self.tree.side_pointers is SidePointerKind.NONE:
-            return []
-        chain = self.tree.leaf_ids_in_key_order()
-        positions = [chain.index(p) for p in group if p in chain]
-        if not positions:
-            return []
-        first, last = min(positions), max(positions)
-        neighbours = []
-        if first > 0:
-            neighbours.append(chain[first - 1])
-        if last + 1 < len(chain):
-            neighbours.append(chain[last + 1])
-        return [n for n in neighbours if n not in group]
-
-    def _group_still_valid(self, base_id: PageId, group: list[PageId]) -> bool:
-        """Concurrent splits may have moved children to a sibling base
-        page between planning and locking; such groups are skipped (the
-        paper likewise leaves split-created disorder for a later pass)."""
-        if self.db.store.free_map.is_free(base_id):
-            return False
-        base = self.db.store.get_internal(base_id)
-        children = set(base.children())
-        return all(leaf in children for leaf in group)
-
-    def _compact_unit_protocol(self, compactor, base_id, group, stats):
-        """One reorganization unit with full locking; True when executed."""
-        target = compactor._target_records_per_page()
-        total = sum(
-            self.db.store.get_leaf(p).num_items
-            for p in group
-            if not self.db.store.free_map.is_free(p)
-        )
-        needed = max(1, -(-total // target))
-        if needed > 1 and self.config.max_unit_output_pages > 1:
-            dests = yield Call(
-                lambda: compactor._pick_free_run(needed, current=min(group))
-            )
-            if dests is not None:
-                done = yield from self._multi_unit_protocol(
-                    compactor, base_id, group, dests, target, stats
-                )
-                return done
-            # No usable free run: split into single-output sub-groups and
-            # run each under its own unit (the engine cannot overfill one
-            # destination page).
-            any_done = False
-            for sub in self._split_group(group, target):
-                if len(sub) < 2:
-                    if sub:
-                        compactor.largest_finished = max(
-                            compactor.largest_finished, sub[0]
-                        )
-                    continue
-                done = yield from self._compact_unit_protocol(
-                    compactor, base_id, sub, stats
-                )
-                any_done = any_done or done
-            return any_done
         for _attempt in range(_MAX_UNIT_RETRIES):
-            current = min(group)
-            empty = find_free_page(
-                self.db.store,
-                self.config.free_space_policy,
-                largest_finished=compactor.largest_finished,
-                current=current,
-                preference=self.placement.pass1_preference(
-                    largest_finished=compactor.largest_finished, current=current
-                ),
-            )
-            if empty is not None:
-                dest, dest_is_new = empty, True
-            else:
-                beyond = [p for p in group if p > compactor.largest_finished]
-                dest = min(beyond) if beyond else min(group)
-                dest_is_new = False
+            unit = describe()
             unit_id = None
             try:
-                probe_key = yield Call(
-                    lambda g=group: self.db.store.get_leaf(g[0]).min_key()
-                    if not self.db.store.free_map.is_free(g[0])
-                    and not self.db.store.get_leaf(g[0]).is_empty
-                    else None
-                )
+                parents = []
+                if unit.own_parents:
+                    for leaf in unit.leaves:
+                        parent = yield Call(lambda lf=leaf: self._parent_of(lf))
+                        parents.append(parent)
+                probe_key = yield Call(lambda: self._probe_key(unit))
                 if probe_key is None:
                     return False
-                base_held = yield from self._s_couple_to_base(probe_key)
-                if base_held is None:
-                    return False  # tree shrank to a leaf root meanwhile
-                # R lock the base page (S from coupling is then released).
-                yield Acquire(page_lock(base_held), R)
-                yield Release(page_lock(base_held), S)
-                valid = yield Call(
-                    lambda: self._group_still_valid(base_held, group)
+                held, _leaf = yield from _s_couple_to_base(
+                    self.db, self.tree, probe_key
                 )
-                if not valid:
-                    stats["stale_groups"] += 1
-                    yield Release(page_lock(base_held), R)
-                    return False
-                # RX lock every leaf in the unit (and a new dest page),
-                # plus X on side-pointer neighbours outside the unit's
-                # base page (section 4.3) — all before any record moves.
-                for leaf in group:
-                    yield Acquire(page_lock(leaf), RX)
-                if dest_is_new:
-                    yield Acquire(page_lock(dest), RX)
+                if held is None:
+                    return False  # tree shrank to a leaf root meanwhile
+                bases = list(dict.fromkeys(parents)) or [held]
+                # R lock the base page(s) (S from coupling is then released).
+                yield Acquire(page_lock(bases[0]), R)
+                yield Release(page_lock(held), S)
+                for base in bases[1:]:
+                    yield Acquire(page_lock(base), R)
+                if unit.planned_ahead:
+                    valid = yield Call(
+                        lambda: self._group_still_valid(held, unit.leaves)
+                    )
+                    if not valid:
+                        stats["stale_groups"] += 1
+                        yield Release(page_lock(held), R)
+                        return False
+                # RX lock every leaf in the unit (and its new pages), plus X
+                # on side-pointer neighbours outside the unit (section 4.3)
+                # — all before any record moves.
+                rx_pages = unit.leaves + unit.new_pages
+                for page in rx_pages:
+                    yield Acquire(page_lock(page), RX)
                 neighbours = yield Call(
-                    lambda: self._side_pointer_neighbours(group)
+                    lambda: self._side_pointer_neighbours(unit.leaves)
                 )
                 for neighbour in neighbours:
                     yield Acquire(page_lock(neighbour), X)
                 # Move records between leaf pages.
-                unit_id = yield Call(
-                    lambda bh=base_held: self.engine.begin_compact(
-                        bh, group, dest, dest_is_new=dest_is_new
-                    )
-                )
+                unit_id = yield Call(lambda: unit.begin(bases))
                 if self.op_duration:
-                    yield Think(self.op_duration)
-                # Upgrade the base-page lock to X mode (short window).
-                yield Convert(page_lock(base_held), X)
-                # Modify keys and pointers in the base page.
-                result = yield Call(
-                    lambda bh=base_held: self.engine.complete_compact(
-                        unit_id, bh, group, dest, dest_is_new=dest_is_new
-                    )
-                )
-                compactor.largest_finished = max(
-                    compactor.largest_finished, result.dest_page
-                )
+                    # Movement time scales with the unit's output size
+                    # (section 6: more pages built, locks held longer).
+                    yield Think(self.op_duration * max(1, len(unit.new_pages)))
+                # Upgrade the base-page lock(s) to X mode (short window).
+                for base in bases:
+                    yield Convert(page_lock(base), X)
+                # Modify keys and pointers in the base page(s).
+                yield Call(lambda: unit.complete(unit_id, bases))
                 # Release locks.
-                yield Release(page_lock(base_held), X)
-                for leaf in group:
-                    yield Release(page_lock(leaf), RX)
-                if dest_is_new:
-                    yield Release(page_lock(dest), RX)
+                for base in bases:
+                    yield Release(page_lock(base), X)
+                for page in rx_pages:
+                    yield Release(page_lock(page), RX)
                 for neighbour in neighbours:
                     yield Release(page_lock(neighbour), X)
                 return True
@@ -309,94 +219,161 @@ class ReorgProtocol:
                 yield ReleaseAll()
                 yield Think(_RETRY_PAUSE)
                 yield Acquire(tree_lock(self._lock_name()), IX)
-        raise ReorgError(f"unit on base {base_id} starved after retries")
+        raise ReorgError(f"unit over leaves {unit.leaves} starved after retries")
 
-    def _split_group(self, group, target):
-        """Chunk an oversized group into <= one output page each."""
-        chunks, current, count = [], [], 0
-        for leaf in group:
-            if self.db.store.free_map.is_free(leaf):
+    def _probe_key(self, unit: _Unit) -> int | None:
+        """A key to S-couple down by: the smallest of the unit's first
+        leaf.  None when a group planned ahead has lost that leaf since."""
+        store, first = self.db.store, unit.leaves[0]
+        if unit.planned_ahead and (
+            store.free_map.is_free(first) or store.get_leaf(first).is_empty
+        ):
+            return None
+        return store.get_leaf(first).min_key()
+
+    def _side_pointer_neighbours(self, leaves: list[PageId]) -> list[PageId]:
+        """Leaves outside the unit whose side pointers the unit will edit,
+        in key order.
+
+        Section 4.3: "the reorganizer has to RX lock some number of leaf
+        pages (X lock for those leaf pages that are not children of the
+        same base page as the leaf pages being reorganized) to make the
+        side-pointer changes ... the reorganizer [must] acquire all the
+        necessary locks before it starts moving records."
+        """
+        if self.tree.side_pointers is SidePointerKind.NONE:
+            return []
+        chain = self.tree.leaf_ids_in_key_order()
+        rank = {leaf: i for i, leaf in enumerate(chain)}
+        around = {
+            j
+            for leaf in leaves
+            if leaf in rank
+            for j in (rank[leaf] - 1, rank[leaf] + 1)
+            if 0 <= j < len(chain)
+        }
+        return [chain[j] for j in sorted(around) if chain[j] not in leaves]
+
+    def _group_still_valid(self, base_id: PageId, group: list[PageId]) -> bool:
+        """Concurrent splits may have moved children to a sibling base
+        page between planning and locking; such groups are skipped (the
+        paper likewise leaves split-created disorder for a later pass)."""
+        if self.db.store.free_map.is_free(base_id):
+            return False
+        base = self.db.store.get_internal(base_id)
+        children = set(base.children())
+        return all(leaf in children for leaf in group)
+
+    def _parent_of(self, leaf_id: PageId) -> PageId:
+        leaf = self.db.store.get_leaf(leaf_id)
+        base = self.tree.base_page_for(leaf.min_key())
+        if base is None or base.index_of_child(leaf_id) < 0:
+            raise ReorgError(f"leaf {leaf_id} has no parent")
+        return base.page_id
+
+    # -- pass 1 ------------------------------------------------------------------
+
+    def pass1(self) -> Generator[Any, Any, dict]:
+        """Compaction under the section 4.1.1 unit protocol."""
+        yield Acquire(tree_lock(self._lock_name()), IX)
+        compactor = LeafCompactor(self.db, self.tree, self.config, self.engine)
+        stats = {"units": 0, "retries": 0, "undone": 0, "stale_groups": 0}
+        for base_id in self._pass1_base_pages(compactor):
+            target = compactor._target_records_per_page()
+            groups = yield Call(
+                lambda b=base_id, t=target: compactor._plan_groups(b, t)
+            )
+            for group in groups:
+                if len(group) < 2:
+                    compactor.mark_finished(group[0])
+                    continue
+                done = yield from self._compact_group(
+                    compactor, group, target, stats
+                )
+                if done:
+                    stats["units"] += 1
+                if self.unit_pause:
+                    yield Think(self.unit_pause)
+        yield ReleaseAll()
+        return stats
+
+    def _pass1_base_pages(self, compactor: LeafCompactor) -> list[PageId]:
+        return compactor._base_page_ids_in_key_order()
+
+    def _compact_group(self, compactor, group, target, stats):
+        """Figure 2 for one planned group; True when a unit executed."""
+        needed = compactor.outputs_needed(group, target)
+        if needed <= 1 or self.config.max_unit_output_pages <= 1:
+            return (yield from self._single_output_unit(compactor, group, stats))
+        dests = yield Call(
+            lambda: compactor._pick_free_run(needed, current=min(group))
+        )
+        if dests is not None:
+            # Section 6's trade-off: one unit, several new leaves, locks
+            # held that much longer.
+            return (
+                yield from self._run_unit(
+                    lambda: self._multi_unit(compactor, group, dests, target),
+                    stats,
+                )
+            )
+        # No usable free run: one single-output unit per chunk.
+        any_done = False
+        for sub in compactor.chunk_by_records(group, target):
+            if len(sub) < 2:
+                compactor.mark_finished(sub[0])
                 continue
-            n = self.db.store.get_leaf(leaf).num_items
-            if current and count + n > target:
-                chunks.append(current)
-                current, count = [], 0
-            current.append(leaf)
-            count += n
-        if current:
-            chunks.append(current)
-        return chunks
+            done = yield from self._single_output_unit(compactor, sub, stats)
+            any_done = any_done or done
+        return any_done
 
-    def _multi_unit_protocol(self, compactor, base_id, group, dests, target, stats):
-        """A multi-output unit: same choreography, k destinations, and the
-        locks held ~k times longer (section 6's stated trade-off)."""
-        for _attempt in range(_MAX_UNIT_RETRIES):
-            unit_id = None
-            try:
-                probe_key = yield Call(
-                    lambda g=group: self.db.store.get_leaf(g[0]).min_key()
-                    if not self.db.store.free_map.is_free(g[0])
-                    and not self.db.store.get_leaf(g[0]).is_empty
-                    else None
-                )
-                if probe_key is None:
-                    return False
-                base_held = yield from self._s_couple_to_base(probe_key)
-                if base_held is None:
-                    return False
-                yield Acquire(page_lock(base_held), R)
-                yield Release(page_lock(base_held), S)
-                valid = yield Call(
-                    lambda: self._group_still_valid(base_held, group)
-                )
-                if not valid:
-                    stats["stale_groups"] += 1
-                    yield Release(page_lock(base_held), R)
-                    return False
-                for leaf in group:
-                    yield Acquire(page_lock(leaf), RX)
-                for dest in dests:
-                    yield Acquire(page_lock(dest), RX)
-                unit_id = yield Call(
-                    lambda bh=base_held: self.engine.begin_compact_multi(
-                        bh, group, dests, target
-                    )
-                )
-                if self.op_duration:
-                    # Movement time scales with the unit's output size.
-                    yield Think(self.op_duration * len(dests))
-                yield Convert(page_lock(base_held), X)
-                result = yield Call(
-                    lambda bh=base_held: self.engine.complete_compact_multi(
-                        unit_id, bh, group, dests
-                    )
-                )
-                compactor.largest_finished = max(
-                    compactor.largest_finished, max(dests)
-                )
-                del result
-                yield Release(page_lock(base_held), X)
-                for leaf in group:
-                    yield Release(page_lock(leaf), RX)
-                for dest in dests:
-                    yield Release(page_lock(dest), RX)
-                return True
-            except DeadlockError:
-                stats["retries"] += 1
-                if unit_id is not None:
-                    stats["undone"] += 1
-                    yield Call(lambda u=unit_id: self.engine.undo_unit(u))
-                yield ReleaseAll()
-                yield Think(_RETRY_PAUSE)
-                yield Acquire(tree_lock(self._lock_name()), IX)
-        raise ReorgError(f"multi unit on base {base_id} starved")
+    def _single_output_unit(self, compactor, group, stats):
+        def describe():
+            empty = compactor.find_free_space(group)
+            return self._compact_unit(
+                compactor, group, *compactor.choose_dest(group, empty)
+            )
+
+        return (yield from self._run_unit(describe, stats))
+
+    def _compact_unit(self, compactor, group, dest, dest_is_new) -> _Unit:
+        def complete(unit_id, bases):
+            self.engine.complete_compact(
+                unit_id, bases[0], group, dest, dest_is_new=dest_is_new
+            )
+            compactor.mark_finished(dest)
+
+        return _Unit(
+            leaves=group,
+            new_pages=[dest] if dest_is_new else [],
+            begin=lambda bases: self.engine.begin_compact(
+                bases[0], group, dest, dest_is_new=dest_is_new
+            ),
+            complete=complete,
+            planned_ahead=True,
+        )
+
+    def _multi_unit(self, compactor, group, dests, target) -> _Unit:
+        def complete(unit_id, bases):
+            self.engine.complete_compact_multi(unit_id, bases[0], group, dests)
+            compactor.mark_finished(max(dests))
+
+        return _Unit(
+            leaves=group,
+            new_pages=dests,
+            begin=lambda bases: self.engine.begin_compact_multi(
+                bases[0], group, dests, target
+            ),
+            complete=complete,
+            planned_ahead=True,
+        )
 
     # -- pass 2 ------------------------------------------------------------------
 
     def pass2(self) -> Generator[Any, Any, dict]:
         """Swap/move under unit locking; section 4.1 + section 6."""
         yield Acquire(tree_lock(self._lock_name()), IX)
-        stats = {"swaps": 0, "moves": 0, "retries": 0}
+        stats = {"swaps": 0, "moves": 0, "retries": 0, "undone": 0}
         if not self.placement.places_leaves:
             yield ReleaseAll()
             return stats
@@ -411,14 +388,13 @@ class ReorgProtocol:
             if plan is None:
                 break
             current, target, occupied = plan
-            if not occupied:
-                done = yield from self._move_unit_protocol(current, target, stats)
-                if done:
-                    stats["moves"] += 1
+            if occupied:
+                kind, unit = "swaps", self._swap_unit(current, target)
             else:
-                done = yield from self._swap_unit_protocol(current, target, stats)
-                if done:
-                    stats["swaps"] += 1
+                kind, unit = "moves", self._move_unit(current, target)
+            done = yield from self._run_unit(lambda: unit, stats)
+            if done:
+                stats[kind] += 1
             if self.unit_pause:
                 yield Think(self.unit_pause)
         yield ReleaseAll()
@@ -434,128 +410,47 @@ class ReorgProtocol:
         slots = self.placement.leaf_slots(len(chain), start)
         if slots is None:
             return None
+        rank: dict[PageId, int] = {}
         for index, leaf in enumerate(chain):
             target = slots[index]
             if leaf == target:
                 continue
             occupied = not self.db.store.free_map.is_free(target)
-            if occupied and target not in chain[index + 1 :]:
+            if occupied and not rank:
+                # Built at most once per call, and only when a slot is
+                # occupied: most steps stop at a move to a free slot.
+                rank = {page: position for position, page in enumerate(chain)}
+            if occupied and rank.get(target, -1) <= index:
                 # The slot holds a page that is not a later leaf of this
                 # tree (a fresh split landed there): leave it in place.
                 continue
             return leaf, target, occupied
         return None
 
-    def _parent_of(self, leaf_id: PageId) -> PageId:
-        leaf = self.db.store.get_leaf(leaf_id)
-        base = self.tree.base_page_for(leaf.min_key())
-        if base is None or base.index_of_child(leaf_id) < 0:
-            raise ReorgError(f"leaf {leaf_id} has no parent")
-        return base.page_id
+    def _move_unit(self, source, target) -> _Unit:
+        return _Unit(
+            leaves=[source],
+            new_pages=[target],
+            begin=lambda bases: self.engine.begin_compact(
+                bases[0], [source], target, dest_is_new=True
+            ),
+            complete=lambda unit_id, bases: self.engine.complete_compact(
+                unit_id, bases[0], [source], target, dest_is_new=True
+            ),
+        )
 
-    def _move_unit_protocol(self, source, target, stats):
-        for _attempt in range(_MAX_UNIT_RETRIES):
-            unit_id = None
-            try:
-                probe_key = yield Call(
-                    lambda: self.db.store.get_leaf(source).min_key()
-                )
-                base_held = yield from self._s_couple_to_base(probe_key)
-                if base_held is None:
-                    return False
-                yield Acquire(page_lock(base_held), R)
-                yield Release(page_lock(base_held), S)
-                yield Acquire(page_lock(source), RX)
-                yield Acquire(page_lock(target), RX)
-                neighbours = yield Call(
-                    lambda: self._side_pointer_neighbours([source])
-                )
-                for neighbour in neighbours:
-                    yield Acquire(page_lock(neighbour), X)
-                unit_id = yield Call(
-                    lambda bh=base_held: self.engine.begin_compact(
-                        bh, [source], target, dest_is_new=True,
-                    )
-                )
-                if self.op_duration:
-                    yield Think(self.op_duration)
-                yield Convert(page_lock(base_held), X)
-                yield Call(
-                    lambda bh=base_held: self.engine.complete_compact(
-                        unit_id, bh, [source], target, dest_is_new=True
-                    )
-                )
-                yield Release(page_lock(base_held), X)
-                yield Release(page_lock(source), RX)
-                yield Release(page_lock(target), RX)
-                for neighbour in neighbours:
-                    yield Release(page_lock(neighbour), X)
-                return True
-            except DeadlockError:
-                stats["retries"] += 1
-                if unit_id is not None:
-                    yield Call(lambda u=unit_id: self.engine.undo_unit(u))
-                yield ReleaseAll()
-                yield Think(_RETRY_PAUSE)
-                yield Acquire(tree_lock(self._lock_name()), IX)
-        raise ReorgError(f"move of {source} starved")
-
-    def _swap_unit_protocol(self, leaf_a, leaf_b, stats):
-        for _attempt in range(_MAX_UNIT_RETRIES):
-            unit_id = None
-            try:
-                base_a = yield Call(lambda: self._parent_of(leaf_a))
-                base_b = yield Call(lambda: self._parent_of(leaf_b))
-                probe_key = yield Call(
-                    lambda: self.db.store.get_leaf(leaf_a).min_key()
-                )
-                held = yield from self._s_couple_to_base(probe_key)
-                if held is None:
-                    return False
-                yield Acquire(page_lock(base_a), R)
-                yield Release(page_lock(held), S)
-                if base_b != base_a:
-                    yield Acquire(page_lock(base_b), R)
-                yield Acquire(page_lock(leaf_a), RX)
-                yield Acquire(page_lock(leaf_b), RX)
-                neighbours = yield Call(
-                    lambda: sorted(
-                        set(self._side_pointer_neighbours([leaf_a]))
-                        | set(self._side_pointer_neighbours([leaf_b]))
-                        - {leaf_a, leaf_b}
-                    )
-                )
-                for neighbour in neighbours:
-                    yield Acquire(page_lock(neighbour), X)
-                unit_id = yield Call(
-                    lambda: self.engine.begin_swap(base_a, leaf_a, base_b, leaf_b)
-                )
-                if self.op_duration:
-                    yield Think(self.op_duration)
-                yield Convert(page_lock(base_a), X)
-                if base_b != base_a:
-                    yield Convert(page_lock(base_b), X)
-                yield Call(
-                    lambda: self.engine.complete_swap(
-                        unit_id, base_a, leaf_a, base_b, leaf_b
-                    )
-                )
-                yield Release(page_lock(base_a), X)
-                if base_b != base_a:
-                    yield Release(page_lock(base_b), X)
-                yield Release(page_lock(leaf_a), RX)
-                yield Release(page_lock(leaf_b), RX)
-                for neighbour in neighbours:
-                    yield Release(page_lock(neighbour), X)
-                return True
-            except DeadlockError:
-                stats["retries"] += 1
-                if unit_id is not None:
-                    yield Call(lambda u=unit_id: self.engine.undo_unit(u))
-                yield ReleaseAll()
-                yield Think(_RETRY_PAUSE)
-                yield Acquire(tree_lock(self._lock_name()), IX)
-        raise ReorgError(f"swap of {leaf_a}/{leaf_b} starved")
+    def _swap_unit(self, leaf_a, leaf_b) -> _Unit:
+        return _Unit(
+            leaves=[leaf_a, leaf_b],
+            new_pages=[],
+            begin=lambda bases: self.engine.begin_swap(
+                bases[0], leaf_a, bases[-1], leaf_b
+            ),
+            complete=lambda unit_id, bases: self.engine.complete_swap(
+                unit_id, bases[0], leaf_a, bases[-1], leaf_b
+            ),
+            own_parents=True,
+        )
 
     # -- pass 3 ------------------------------------------------------------------
 

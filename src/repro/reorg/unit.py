@@ -378,6 +378,7 @@ class UnitEngine:
                     for r in self.store.get_leaf(source).records[:room]
                 )
                 self._move_some_records(unit_id, source, dest, keys)
+
     def _multi_finish_phase(
         self,
         unit_id: int,
@@ -392,32 +393,31 @@ class UnitEngine:
         self._chain_splice(set(sources), used_dests)
         self._fix_side_pointers_around(*dests)
         for source in sources:
-            if self.store.free_map.is_free(source):
-                continue
-            leaf = self.store.get_leaf(source)
-            if leaf.num_items == 0:
-                self._log_structural(FreeRecord(page_id=source))
-                self.store.deallocate(source)
+            self._free_if_empty(source)
 
     def _move_some_records(
         self, unit_id: int, source: PageId, dest: PageId, keys: tuple[int, ...]
     ) -> None:
-        """A MOVE pair for a key subset of the source page."""
-        source_leaf = self.store.get_leaf(source)
-        records = tuple(source_leaf.get(k) for k in keys)
+        """One MOVE pair for ``keys`` of the source page: org-page half
+        first, then dest-page half."""
         careful = self.store.buffer.careful_writing
         if careful:
+            # Source must not reach disk (or be freed) before dest does;
+            # the MOVE records then carry keys only.
             self.store.buffer.add_write_dependency(source=source, dest=dest)
+            records: tuple[Record, ...] = ()
+        else:
+            source_leaf = self.store.get_leaf(source)
+            records = tuple(source_leaf.get(k) for k in keys)
         out = ReorgMoveOutRecord(
             unit_id=unit_id, org_page=source, dest_page=dest,
-            keys=keys, records=() if careful else records,
+            keys=keys, records=records,
         )
         self._log_unit(out)
         apply_record(self.store, out, stash=self._stash)
         into = ReorgMoveInRecord(
             unit_id=unit_id, org_page=source, dest_page=dest,
-            keys=keys, records=() if careful else records,
-            move_out_lsn=out.lsn,
+            keys=keys, records=records, move_out_lsn=out.lsn,
         )
         self._log_unit(into)
         apply_record(self.store, into, stash=self._stash)
@@ -513,7 +513,9 @@ class UnitEngine:
             key=lambda pid: self.store.get_leaf(pid).min_key()
         )
         for source in pending:
-            self._move_records(unit_id, source, dest)
+            self._move_some_records(
+                unit_id, source, dest, tuple(self.store.get_leaf(source).keys())
+            )
 
     def _finish_phase(
         self,
@@ -531,12 +533,16 @@ class UnitEngine:
         self._chain_splice(set(sources), [dest])
         self._fix_side_pointers_around(dest)
         for source in sources:
-            if source == dest or self.store.free_map.is_free(source):
-                continue
-            leaf = self.store.get_leaf(source)
-            if leaf.num_items == 0:
-                self._log_structural(FreeRecord(page_id=source))
-                self.store.deallocate(source)
+            if source != dest:
+                self._free_if_empty(source)
+
+    def _free_if_empty(self, page_id: PageId) -> None:
+        """Return a drained (or never filled) leaf page to the free pool."""
+        if self.store.free_map.is_free(page_id):
+            return
+        if self.store.get_leaf(page_id).is_empty:
+            self._log_structural(FreeRecord(page_id=page_id))
+            self.store.deallocate(page_id)
 
     def _materialize_dest(self, dest: PageId) -> None:
         """Ensure a new-place destination page exists and is formatted.
@@ -562,35 +568,6 @@ class UnitEngine:
                 LeafPage(dest, self.store.config.leaf_capacity)
             )
             self._log_structural(LeafFormatRecord(page_id=dest, records=()))
-
-    def _move_records(self, unit_id: int, source: PageId, dest: PageId) -> None:
-        """One MOVE pair: org-page half first, then dest-page half."""
-        source_leaf = self.store.get_leaf(source)
-        records = tuple(source_leaf.records)
-        keys = tuple(r.key for r in records)
-        careful = self.store.buffer.careful_writing
-        if careful:
-            # Source must not reach disk (or be freed) before dest does.
-            self.store.buffer.add_write_dependency(source=source, dest=dest)
-        out = ReorgMoveOutRecord(
-            unit_id=unit_id,
-            org_page=source,
-            dest_page=dest,
-            keys=keys,
-            records=() if careful else records,
-        )
-        self._log_unit(out)
-        apply_record(self.store, out, stash=self._stash)
-        into = ReorgMoveInRecord(
-            unit_id=unit_id,
-            org_page=source,
-            dest_page=dest,
-            keys=keys,
-            records=() if careful else records,
-            move_out_lsn=out.lsn,
-        )
-        self._log_unit(into)
-        apply_record(self.store, into, stash=self._stash)
 
     def _fix_base_after_compact(
         self,
@@ -981,12 +958,7 @@ class UnitEngine:
                 # A swap is its own inverse.
                 self._swap_contents(unit_id, record.page_a, record.page_b)
         if pending.dest_page not in pending.leaf_pages:
-            dest = pending.dest_page
-            if not self.store.free_map.is_free(dest):
-                leaf = self.store.get_leaf(dest)
-                if leaf.is_empty:
-                    self._log_structural(FreeRecord(page_id=dest))
-                    self.store.deallocate(dest)
+            self._free_if_empty(pending.dest_page)
         # Mark the unit closed in the log without advancing LK.
         self._log_unit(
             ReorgEndRecord(unit_id=unit_id, largest_key=NO_KEY_YET)
@@ -1019,12 +991,7 @@ class UnitEngine:
         # A new-place unit may have allocated a fresh dest page before the
         # deadlock; once drained it is returned to the free pool.
         if begin is not None and begin.dest_page not in begin.leaf_pages:
-            dest = begin.dest_page
-            if not self.store.free_map.is_free(dest):
-                leaf = self.store.get_leaf(dest)
-                if leaf.is_empty:
-                    self._log_structural(FreeRecord(page_id=dest))
-                    self.store.deallocate(dest)
+            self._free_if_empty(begin.dest_page)
         self.db.progress.unit_aborted(unit_id=unit_id)
 
     def _move_back(

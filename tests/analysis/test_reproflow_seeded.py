@@ -92,6 +92,25 @@ def also_forward(lm, o):
     lm.release_all(o)
 '''
 
+OVERRIDE_BASE = '''\
+class Base:
+    def run(self, lm, owner):
+        self.step(lm, owner)
+        lm.release_all(owner)
+
+    def leaky_run(self, lm, owner):
+        self.step(lm, owner)
+
+    def step(self, lm, owner):
+        compute()
+'''
+
+OVERRIDE_SUB = '''\
+class Worker(Base):
+    def step(self, lm, owner):
+        lm.request(owner, tree_lock("t"), X)
+'''
+
 
 def _analyze(sources):
     files = [(rel, ast.parse(src)) for rel, src in sources.items()]
@@ -173,3 +192,18 @@ def test_clean_controls_stay_clean_alongside_seeded_bugs():
     report = _one_run()
     noise = [f for f in report.findings if "clean" in f.path]
     assert noise == [], [str(f) for f in noise]
+
+
+def test_self_call_reaches_subclass_override():
+    # Base.run() releases what Worker.step() acquired: the override is
+    # reached through ``self.step()``, so it is not a root of its own and
+    # only the run that never releases is reported.
+    report = _analyze({
+        "fix/override_base.py": OVERRIDE_BASE,
+        "fix/override_sub.py": OVERRIDE_SUB,
+    })
+    assert len(report.findings) == 1, [str(f) for f in report.findings]
+    (finding,) = report.findings
+    assert finding.analysis == "lock-pairing"
+    assert (finding.path, finding.line) == ("fix/override_sub.py", 3)
+    assert "leaky_run()" in finding.message

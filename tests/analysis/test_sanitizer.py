@@ -290,13 +290,3 @@ class TestLifecycle:
         assert BufferPool.fetch is fetch_before
         assert Scheduler._step is step_before
         assert LockManager.request is request_before
-
-    def test_config_flag_installs(self):
-        pre = sanitizer.active()
-        db = Database(TreeConfig(sanitizer=True))
-        try:
-            assert sanitizer.active() is not None
-            db.create_tree().insert(Record(1, "x"))
-        finally:
-            if pre is None:
-                sanitizer.uninstall()

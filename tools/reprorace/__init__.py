@@ -1,7 +1,7 @@
 """reprorace: race-check reprocheck scenarios on every explored schedule.
 
 The detector itself lives in the library (:mod:`repro.analysis.racedetect`)
-so ``REPRO_RACE=1`` test runs and ``race_detector=True`` databases can use
+so ``REPRO_RACE=1`` test runs can use
 it without the tools path; this package is the command-line front end.
 """
 
