@@ -100,7 +100,6 @@ BATCHED_FLAGS = dict(
     writeback_batch=8,
     readahead_pages=16,
     seek_aware_pass2=True,
-    reorg_chain_cache=True,
 )
 
 

@@ -10,8 +10,9 @@ Two kinds of evidence, both anchored to the committed BENCH files:
   keeps the file honest.
 * **Live run** — the same workloads re-run here must reproduce the
   committed deterministic checks exactly (cost-model units are
-  machine-independent), and the batched reorg must beat the flags-off
-  reorg on this machine by a conservative margin.
+  machine-independent).  There is no live wall-clock comparison any more:
+  most of the batched reorg's margin was the maintained leaf chain, which
+  the flags-off reorg now has too.
 """
 
 import json
@@ -92,11 +93,3 @@ def test_live_checks_match_bench2(live_results, workload):
     expected = BENCH_2["workloads"][workload]["checks"]
     assert live_results[workload]["checks"] == expected
 
-
-def test_live_batched_reorg_is_faster(live_results):
-    base = live_results["reorg_20k"]["wall_s"]
-    batched = live_results["reorg_20k_batched"]["wall_s"]
-    banner("Live batched reorg speedup")
-    print(f"  flags-off {base:.4f}s   batched {batched:.4f}s   {base / batched:.2f}x")
-    # Committed speedup is ~2x; 1.2x leaves room for machine noise.
-    assert base / batched >= 1.2

@@ -307,8 +307,7 @@ class BPlusTree:
 
         Only internal pages are fetched: base pages (level 1) list their
         leaf children directly, so the walk costs O(#internal) page reads
-        instead of O(#leaves) — the reorganizer calls this around every
-        unit, which made leaf fetches the dominant reorganization cost.
+        instead of O(#leaves).
         """
         root = self.store.get(self.root_id)
         if root.kind is PageKind.LEAF:

@@ -104,11 +104,6 @@ class TreeConfig:
             leaves) instead of key order, minimising simulated head
             movement.  The resulting tree is identical; only the order of
             units — and hence the I/O pattern — changes.
-        reorg_chain_cache: maintain the key-order leaf chain incrementally
-            across reorganization units instead of re-sweeping the internal
-            level once per unit — the CPU-side analogue of the batched disk
-            sweeps, and the main wall-clock lever of the batched-I/O
-            configuration.  Only the synchronous pass drivers enable it.
         optimistic_reads: route DES point reads and range scans through the
             latch-free optimistic protocol (:mod:`repro.btree.protocols`):
             readers descend without locks, validating the buffer pool's
@@ -150,7 +145,6 @@ class TreeConfig:
     writeback_batch: int = 8
     readahead_pages: int = 0
     seek_aware_pass2: bool = False
-    reorg_chain_cache: bool = False
     optimistic_reads: bool = False
     placement_policy: PlacementPolicyKind = PlacementPolicyKind.KEY_ORDER
     leaf_gap_fraction: float = 0.0

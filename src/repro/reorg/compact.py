@@ -74,20 +74,11 @@ class LeafCompactor:
 
     def run(self) -> Pass1Stats:
         stats = Pass1Stats()
-        # The synchronous pass owns the tree for its duration, so the
-        # engine may maintain the key-order leaf chain incrementally
-        # instead of re-sweeping the internal level around every unit.
-        use_cache = self.db.config.reorg_chain_cache
-        if use_cache:
-            self.engine.enable_chain_cache()
-        try:
-            stats.leaves_before = len(self.engine.leaf_chain())
+        with self.engine.owning_tree() as chain:
+            stats.leaves_before = len(chain)
             for base_id in self._base_page_ids_in_key_order():
                 self._compact_base_page(base_id, stats)
-            stats.leaves_after = len(self.engine.leaf_chain())
-        finally:
-            if use_cache:
-                self.engine.disable_chain_cache()
+            stats.leaves_after = len(chain)
         return stats
 
     # -- iteration ----------------------------------------------------------------

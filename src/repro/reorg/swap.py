@@ -33,8 +33,8 @@ from repro.btree.tree import BPlusTree
 from repro.db import Database
 from repro.errors import ReorgError
 from repro.reorg.placement import make_policy
-from repro.reorg.unit import UnitEngine
-from repro.storage.page import PageId, PageKind
+from repro.reorg.unit import LeafChain, UnitEngine
+from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
 
 
@@ -91,50 +91,36 @@ class SwapMovePass:
         root = self.db.store.get(self.tree.root_id)
         if root.kind is PageKind.LEAF:
             return stats  # a single-leaf tree is trivially in order
-        use_cache = self.db.config.reorg_chain_cache
-        if use_cache:
-            self.engine.enable_chain_cache()
-        try:
+        with self.engine.owning_tree() as chain:
             if self.db.config.seek_aware_pass2:
-                self._run_seek_aware(stats)
+                self._run_seek_aware(chain, stats)
             else:
-                self._run_key_order(stats)
-        finally:
-            if use_cache:
-                self.engine.disable_chain_cache()
+                self._run_key_order(chain, stats)
         return stats
 
-    def _run_key_order(self, stats: Pass2Stats) -> None:
+    def _run_key_order(self, chain: LeafChain, stats: Pass2Stats) -> None:
         """The paper's ordering: drive leaf i to slot i, for i ascending."""
-        chain = self.engine.leaf_chain()
-        slots = self._leaf_slots(len(chain))
-        position = {pid: i for i, pid in enumerate(chain)}
-        for index in range(len(chain)):
-            current = chain[index]
-            target = slots[index]
+        placed = NO_PAGE  # page now holding the previous rank's leaf
+        for target in self._leaf_slots(len(chain)):
+            _, current = chain.neighbours(placed)
             if current == target:
                 stats.already_placed += 1
-                continue
-            if self.db.store.free_map.is_free(target):
+            elif self.db.store.free_map.is_free(target):
                 self._move(current, target)
-                chain[index] = target
-                position.pop(current, None)
-                position[target] = index
                 stats.moves += 1
-            else:
-                occupant_index = position.get(target)
-                if occupant_index is None or occupant_index <= index:
-                    raise ReorgError(
-                        f"page {target} is allocated but not a later leaf "
-                        f"of this tree; cannot place leaf {current}"
-                    )
+            elif target in chain:
+                # Slots are distinct and every earlier one is filled, so a
+                # chained occupant is a later leaf.
                 self._swap(current, target)
-                chain[index], chain[occupant_index] = target, current
-                position[target] = index
-                position[current] = occupant_index
                 stats.swaps += 1
+            else:
+                raise ReorgError(
+                    f"page {target} is allocated but not a later leaf "
+                    f"of this tree; cannot place leaf {current}"
+                )
+            placed = target
 
-    def _run_seek_aware(self, stats: Pass2Stats) -> None:
+    def _run_seek_aware(self, chain: LeafChain, stats: Pass2Stats) -> None:
         """Seek-minimizing ordering: the same moves/swaps, elevator-style.
 
         The key-order schedule jumps the disk head around — leaf ``i`` may
@@ -155,51 +141,43 @@ class SwapMovePass:
         Every step places at least one leaf, so the pass terminates with
         exactly the same final layout as the key-order schedule.
         """
-        chain = self.engine.leaf_chain()
         slots = self._leaf_slots(len(chain))
-        cur = list(chain)  # cur[i]: page currently holding leaf i
-        page_to_index = {pid: i for i, pid in enumerate(cur)}
-        pending = {i for i, pid in enumerate(cur) if pid != slots[i]}
-        stats.already_placed += len(cur) - len(pending)
+        #: page holding a misplaced leaf -> (the leaf's rank, its target).
+        pending = {
+            pid: (rank, slot)
+            for rank, (pid, slot) in enumerate(zip(chain, slots))
+            if pid != slot
+        }
+        stats.already_placed += len(chain) - len(pending)
         while pending:
             # 1. Elevator sweeps of MOVEs, ascending source page id.
             progressed = True
             while progressed and pending:
                 progressed = False
-                for index in sorted(pending, key=lambda i: cur[i]):
-                    target = slots[index]
+                for source in sorted(pending):
+                    target = pending[source][1]
                     if not self.db.store.free_map.is_free(target):
                         continue
-                    source = cur[index]
                     self._move(source, target)
-                    page_to_index.pop(source, None)
-                    page_to_index[target] = index
-                    cur[index] = target
-                    pending.discard(index)
+                    del pending[source]
                     stats.moves += 1
                     progressed = True
             if not pending:
                 break
             # 2. All remaining targets are occupied by pending leaves:
             # break a cycle with one swap at the smallest pending index.
-            index = min(pending)
-            target = slots[index]
-            occupant = page_to_index.get(target)
-            if occupant is None or occupant not in pending:
+            source = min(pending, key=pending.__getitem__)
+            target = pending.pop(source)[1]
+            occupant = pending.pop(target, None)
+            if occupant is None:
                 raise ReorgError(
                     f"page {target} is allocated but not a misplaced leaf "
-                    f"of this tree; cannot place leaf {cur[index]}"
+                    f"of this tree; cannot place leaf {source}"
                 )
-            source = cur[index]
             self._swap(source, target)
-            cur[index], cur[occupant] = target, source
-            page_to_index[target] = index
-            page_to_index[source] = occupant
-            pending.discard(index)
-            if cur[occupant] == slots[occupant]:
-                # Leaf ``index`` was sitting on the occupant's own target,
-                # so the swap placed both ends of a 2-cycle.
-                pending.discard(occupant)
+            if occupant[1] != source:
+                # No 2-cycle closed: the occupant's leaf now waits in ``source``.
+                pending[source] = occupant
             stats.swaps += 1
 
     def _parent_of(self, leaf_id: PageId) -> PageId:

@@ -31,7 +31,9 @@ deadlocks after data movement (e.g. while upgrading R to X).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from repro.config import SidePointerKind
 from repro.db import Database
@@ -69,6 +71,74 @@ class UnitResult:
     records_moved: int
 
 
+class LeafChain:
+    """The key-order leaf chain as a doubly linked ring of page ids.
+
+    A unit changes the chain by one local splice or swap, so a pass that
+    owns the tree seeds this from one ``walk()`` and keeps it current in
+    O(unit) per unit.  An edit that does not fit means page state disagrees
+    with the chain, which then re-seeds itself rather than serve a wrong
+    one.  ``NO_PAGE`` closes the ring, between the last leaf and the first.
+    """
+
+    def __init__(self, walk: Callable[[], list[PageId]]):
+        self._walk = walk
+        self._seed()
+
+    def _seed(self) -> None:
+        ring = [NO_PAGE, *self._walk(), NO_PAGE]
+        self._next = dict(zip(ring, ring[1:]))
+        self._prev = dict(zip(ring[1:], ring))
+
+    def __len__(self) -> int:
+        return len(self._next) - 1
+
+    def __contains__(self, page_id: PageId) -> bool:
+        return page_id != NO_PAGE and page_id in self._next
+
+    def __iter__(self) -> Iterator[PageId]:
+        page_id = self._next[NO_PAGE]
+        while page_id != NO_PAGE:
+            yield page_id
+            page_id = self._next[page_id]
+
+    def neighbours(self, page_id: PageId) -> tuple[PageId, PageId]:
+        """``(previous, next)`` leaf of ``page_id``; ``NO_PAGE`` at the ends."""
+        return self._prev[page_id], self._next[page_id]
+
+    def splice(self, removed: list[PageId], inserted: list[PageId]) -> None:
+        """Replace the run made of exactly ``removed`` with ``inserted``
+        (a compaction group is consecutive children of one base page, hence
+        one run; ``inserted`` are new pages or some of the removed ones)."""
+        nxt, prv = self._next, self._prev
+        members = set(removed)
+        if NO_PAGE in members or not members <= nxt.keys():
+            return self._seed()
+        firsts = [pid for pid in members if prv[pid] not in members]
+        lasts = [pid for pid in members if nxt[pid] not in members]
+        if len(firsts) != 1 or any(
+            pid in nxt and pid not in members for pid in inserted
+        ):
+            return self._seed()
+        run = [prv[firsts[0]], *inserted, nxt[lasts[0]]]
+        for pid in members:
+            del nxt[pid], prv[pid]
+        for left, right in zip(run, run[1:]):
+            nxt[left], prv[right] = right, left
+
+    def swap(self, leaf_a: PageId, leaf_b: PageId) -> None:
+        """Exchange the positions of two chained pages."""
+        nxt, prv = self._next, self._prev
+        if leaf_a == leaf_b or leaf_a not in self or leaf_b not in self:
+            return self._seed()
+        # Every link that names one of the two pages now names the other.
+        other = {leaf_a: leaf_b, leaf_b: leaf_a}
+        links = [(prv[pid], pid) for pid in other] + [(pid, nxt[pid]) for pid in other]
+        for left, right in links:
+            left, right = other.get(left, left), other.get(right, right)
+            nxt[left], prv[right] = right, left
+
+
 class UnitEngine:
     """Executes reorganization units against one tree."""
 
@@ -80,68 +150,44 @@ class UnitEngine:
         self._unit_ids = itertools.count(1)
         #: Stash for keys-only MOVE records within the current unit.
         self._stash: MoveStash = {}
-        #: Incrementally maintained key-order leaf chain (None = off).
-        #: Enabled only by the synchronous pass drivers (TreeConfig
-        #: ``reorg_chain_cache``): side-pointer maintenance needs the chain
-        #: once per unit, and each unit changes it by one local splice or
-        #: swap, so re-sweeping the internal level every time is pure
-        #: overhead.  Recovery/undo paths invalidate it instead of
-        #: patching, and the DES protocols never enable it (concurrent
-        #: user transactions would mutate the chain underneath it).
-        self._chain: list[PageId] | None = None
+        #: The chain of the synchronous pass that owns the tree, else None:
+        #: beside user transactions, whose splits change the chain, and in
+        #: recovery/undo, which trust only pages, each unit walks the tree.
+        self._chain: LeafChain | None = None
 
-    # -- leaf-chain cache -----------------------------------------------------
+    @contextmanager
+    def owning_tree(self) -> Iterator[LeafChain]:
+        """Scope of one synchronous pass (1 or 2), which owns the tree.
 
-    def enable_chain_cache(self) -> None:
-        """Seed the cached chain from a full tree walk (pass drivers only)."""
-        self._chain = self.tree.leaf_ids_in_key_order()
-
-    def disable_chain_cache(self) -> None:
-        self._chain = None
-
-    def leaf_chain(self) -> list[PageId]:
-        """The key-order leaf chain — cached when enabled, walked otherwise.
-
-        Always a fresh list: units executed through this engine splice the
-        cache in place, so callers must not alias it.
+        Yields the leaf chain, which the units run inside keep current, and
+        keeps the index resident: every unit reads its base page(s) and
+        pass 2 descends from the root, so otherwise the leaf traffic of a
+        few units evicts internal pages the next ones re-read.  They are
+        pinned root-down, level by level, while the pool keeps the frames a
+        unit needs for itself — its group (at most one base page's
+        children), as many destinations, two base pages, two side-pointer
+        neighbours — and on exit left most recently used, base level last
+        in key order: pass 3 starts by scanning exactly those pages.
         """
-        if self._chain is not None:
-            return list(self._chain)
-        return self.tree.leaf_ids_in_key_order()
-
-    def _chain_splice(self, removed: set[PageId], inserted: list[PageId]) -> None:
-        """Replace the contiguous run of ``removed`` chain pages with
-        ``inserted`` (no-op with the cache off).
-
-        Compaction groups are consecutive children of one base page, hence
-        contiguous in the chain; if page state ever disagrees, fall back to
-        a full rebuild rather than serve a wrong chain.
-        """
-        chain = self._chain
-        if chain is None:
-            return
-        positions = [i for i, pid in enumerate(chain) if pid in removed]
-        if not positions:
-            self._chain = self.tree.leaf_ids_in_key_order()
-            return
-        lo, hi = positions[0], positions[-1]
-        if hi - lo + 1 != len(positions):
-            self._chain = self.tree.leaf_ids_in_key_order()
-            return
-        chain[lo : hi + 1] = inserted
-
-    def _chain_swap(self, leaf_a: PageId, leaf_b: PageId) -> None:
-        """Exchange two pages' chain positions (no-op with the cache off)."""
-        chain = self._chain
-        if chain is None:
-            return
+        buffer, config = self.store.buffer, self.store.config
+        budget = config.buffer_pool_pages - 2 * config.internal_capacity - 4
+        self._chain = chain = LeafChain(self.tree.leaf_ids_in_key_order)
+        held: list[PageId] = []
         try:
-            index_a = chain.index(leaf_a)
-            index_b = chain.index(leaf_b)
-        except ValueError:
-            self._chain = self.tree.leaf_ids_in_key_order()
-            return
-        chain[index_a], chain[index_b] = leaf_b, leaf_a
+            # Breadth-first (the queue grows as it is read); no index to
+            # hold when the root is itself the one leaf.
+            queue = [] if self.tree.root_id in chain else [self.tree.root_id]
+            for pid in itertools.islice(queue, max(0, budget)):
+                page = buffer.fetch(pid, pin=True)
+                held.append(pid)
+                if page.level > 1:  # type: ignore[union-attr]
+                    queue.extend(page.children())  # type: ignore[union-attr]
+            yield chain
+        finally:
+            self._chain = None
+            for pid in held:
+                buffer.unpin(pid)
+                buffer.fetch(pid)
 
     # -- logging plumbing -----------------------------------------------------
 
@@ -387,10 +433,9 @@ class UnitEngine:
         dests: list[PageId],
     ) -> None:
         self._fix_base_multi(unit_id, base_page, sources, dests)
-        used_dests = [
-            d for d in dests if not self.store.free_map.is_free(d)
-        ]
-        self._chain_splice(set(sources), used_dests)
+        if self._chain is not None:
+            is_free = self.store.free_map.is_free
+            self._chain.splice(sources, [d for d in dests if not is_free(d)])
         self._fix_side_pointers_around(*dests)
         for source in sources:
             self._free_if_empty(source)
@@ -528,9 +573,9 @@ class UnitEngine:
         """Post the moves in the base page, fix pointers, free sources."""
         self._fix_base_after_compact(unit_id, base_page, sources, dest, dest_is_new)
         # The base now maps the group's key range to dest alone; mirror
-        # that one splice in the cached chain before the side-pointer fix
-        # reads it.
-        self._chain_splice(set(sources), [dest])
+        # that one splice in the chain before the side-pointer fix reads it.
+        if self._chain is not None:
+            self._chain.splice(sources, [dest])
         self._fix_side_pointers_around(dest)
         for source in sources:
             if source != dest:
@@ -640,27 +685,18 @@ class UnitEngine:
         kind = self.tree.side_pointers
         if kind is SidePointerKind.NONE:
             return
-        two_way = kind is SidePointerKind.TWO_WAY
-        chain = (
-            self._chain
-            if self._chain is not None
-            else self.tree.leaf_ids_in_key_order()
-        )
-        position = {pid: i for i, pid in enumerate(chain)}
+        chain = self._chain
+        if chain is None:
+            chain = LeafChain(self.tree.leaf_ids_in_key_order)
         affected: set[PageId] = set()
         for pid in leaves:
-            i = position.get(pid)
-            if i is None:
-                continue
-            affected.add(pid)
-            if i > 0:
-                affected.add(chain[i - 1])
-            if i + 1 < len(chain):
-                affected.add(chain[i + 1])
+            if pid in chain:
+                affected.update((pid, *chain.neighbours(pid)))
+        affected.discard(NO_PAGE)
         for pid in sorted(affected):
-            i = position[pid]
-            next_leaf = chain[i + 1] if i + 1 < len(chain) else NO_PAGE
-            prev_leaf = chain[i - 1] if (two_way and i > 0) else NO_PAGE
+            prev_leaf, next_leaf = chain.neighbours(pid)
+            if kind is not SidePointerKind.TWO_WAY:
+                prev_leaf = NO_PAGE
             self._set_pointers(pid, next_leaf=next_leaf, prev_leaf=prev_leaf)
 
     def _set_pointers(self, page_id: PageId, *, next_leaf: PageId, prev_leaf: PageId) -> None:
@@ -714,7 +750,8 @@ class UnitEngine:
     ) -> UnitResult:
         """Base MODIFYs (under X on both parents), side pointers, END."""
         self._fix_bases_after_swap(unit_id, base_a, leaf_a, base_b, leaf_b)
-        self._chain_swap(leaf_a, leaf_b)
+        if self._chain is not None:
+            self._chain.swap(leaf_a, leaf_b)
         self._fix_side_pointers_around(leaf_a, leaf_b)
         largest = max(
             self._largest_key_of(leaf_a), self._largest_key_of(leaf_b)
@@ -838,7 +875,7 @@ class UnitEngine:
         state before acting), so re-running the remainder after redo has
         installed the logged prefix completes the unit exactly once.
         """
-        self.disable_chain_cache()  # derive from pages, not a stale cache
+        self._chain = None  # derive from pages, not a stale chain
         self.resume_unit_ids_after(pending.unit_id)
         unit_id = pending.unit_id
         dest_pages = pending.dest_pages or (pending.dest_page,)
@@ -931,7 +968,7 @@ class UnitEngine:
         if freed_any:
             self.finish_unit(pending)
             return False
-        self.disable_chain_cache()
+        self._chain = None
         self.resume_unit_ids_after(pending.unit_id)
         unit_id = pending.unit_id
         for record in reversed(pending.records):
@@ -972,7 +1009,7 @@ class UnitEngine:
         Only MOVE halves need inverting — a deadlock can only strike before
         the base page was X-locked, hence before any MODIFY was logged.
         """
-        self.disable_chain_cache()
+        self._chain = None
         cursor = self.db.progress.recent_lsn_of(unit_id)
         inversions: list[tuple[PageId, PageId, tuple[int, ...]]] = []
         begin: ReorgBeginRecord | None = None
