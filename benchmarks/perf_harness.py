@@ -94,13 +94,28 @@ except ImportError:  # pragma: no cover - seed-baseline capture only
 
 #: The batched-I/O configuration exercised by the ``*_batched`` workloads.
 #: Every flag defaults off in TreeConfig; this is the "all on" profile.
+#: (Ascending-page-id write-back, part of this profile when BENCH_2 was
+#: recorded, is now simply how the buffer pool writes.)
 BATCHED_FLAGS = dict(
     group_commit_window=64,
-    elevator_writeback=True,
-    writeback_batch=8,
     readahead_pages=16,
     seek_aware_pass2=True,
 )
+
+
+#: Workloads whose pool is smaller than their tree, so evictions write
+#: dirty pages back.  BENCH_1…6 recorded them when an eviction wrote one
+#: page; it now writes an ascending sweep of up to 8, which moves
+#: ``wal_flush_skips`` (one per page written whose log is already stable)
+#: and nothing else in their counters.
+WRITEBACK_BOUND = frozenset({"bulk_insert", "range_scan_e6"})
+
+
+def recorded_counters(workload: str, counters: dict) -> dict:
+    """The counters of ``workload`` that BENCH_1…6 still pin."""
+    if workload not in WRITEBACK_BOUND:
+        return counters
+    return {k: v for k, v in counters.items() if k != "wal_flush_skips"}
 
 
 def run_bulk_insert(n_records: int = 20_000) -> dict:

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from conftest import banner
-from perf_harness import run_suite
+from perf_harness import recorded_counters, run_suite
 
 pytestmark = pytest.mark.bench
 
@@ -63,7 +63,9 @@ def test_import_does_not_patch():
 def test_counters_identical_to_bench1(bulk_insert_off):
     """The deterministic signature of the hot paths is unchanged."""
     expected = BENCH_1["workloads"]["bulk_insert"]["counters"]
-    assert bulk_insert_off["counters"] == expected
+    assert recorded_counters(
+        "bulk_insert", bulk_insert_off["counters"]
+    ) == recorded_counters("bulk_insert", expected)
 
 
 def test_checks_identical_to_bench1(bulk_insert_off):

@@ -86,14 +86,6 @@ class TreeConfig:
             requests are absorbed by the group instead of each paying a
             device flush.  0 disables group commit (every flush advances
             exactly to its requested LSN — the historical behaviour).
-        elevator_writeback: drain dirty frames in ascending page-id sweep
-            order during ``flush_all``/checkpoint and under eviction
-            pressure, so bulk write-back pays mostly sequential write cost.
-            Careful-writing dest-before-source edges and the WAL rule are
-            still honoured inside the sweep.  False keeps the historical
-            LRU/insertion-order write-back.
-        writeback_batch: how many dirty frames one eviction-pressure sweep
-            drains when ``elevator_writeback`` is on.  Ignored otherwise.
         readahead_pages: maximum pages per multi-page batch read
             (``SimulatedDisk.read_batch``).  Range scans and the reorg
             passes prefetch upcoming pages in batches of at most this many;
@@ -102,8 +94,12 @@ class TreeConfig:
         seek_aware_pass2: schedule pass-2 moves/swaps in ascending
             source-page sweep order (an elevator pass over the pending
             leaves) instead of key order, minimising simulated head
-            movement.  The resulting tree is identical; only the order of
-            units — and hence the I/O pattern — changes.
+            movement.  The final leaf layout is identical, but the units are
+            not: a leaf moved early vacates the slot a later leaf would
+            otherwise have had to swap into, so swaps turn into moves and
+            the log volume changes along with the I/O pattern.  Key order
+            stays the default: the paper's §6.1 claim (the pass-1 free-page
+            heuristic saves pass-2 swaps, E1) is about that schedule.
         optimistic_reads: route DES point reads and range scans through the
             latch-free optimistic protocol (:mod:`repro.btree.protocols`):
             readers descend without locks, validating the buffer pool's
@@ -141,8 +137,6 @@ class TreeConfig:
     careful_writing: bool = True
     seek_cost: float = 10.0
     group_commit_window: int = 0
-    elevator_writeback: bool = False
-    writeback_batch: int = 8
     readahead_pages: int = 0
     seek_aware_pass2: bool = False
     optimistic_reads: bool = False
@@ -165,8 +159,6 @@ class TreeConfig:
             raise ValueError("seek_cost must be >= 1.0 (sequential cost is 1.0)")
         if self.group_commit_window < 0:
             raise ValueError("group_commit_window must be >= 0 (0 disables)")
-        if self.writeback_batch < 1:
-            raise ValueError("writeback_batch must be >= 1")
         if self.readahead_pages < 0:
             raise ValueError("readahead_pages must be >= 0 (0 disables)")
         if not 0.0 <= self.leaf_gap_fraction < 1.0:

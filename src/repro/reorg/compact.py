@@ -27,7 +27,7 @@ from repro.db import Database
 from repro.reorg.freespace import find_free_page
 from repro.reorg.placement import gapped_leaf_fill_count, make_policy
 from repro.reorg.unit import UnitEngine, UnitResult
-from repro.storage.page import PageId, PageKind
+from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
 
 
@@ -216,21 +216,21 @@ class LeafCompactor:
         return (min(beyond) if beyond else min(group)), False
 
     def _pick_free_run(self, needed: int, current: PageId) -> list[PageId] | None:
-        """``needed`` ascending free pages, each between the previous pick
-        (initially L) and C — the section 6.1 heuristic applied per page."""
+        """``needed`` distinct ascending free pages, each chosen by the
+        configured policy above the previous pick — under the section 6.1
+        heuristic that is "between the previous pick (initially L) and C"."""
         picks: list[PageId] = []
-        floor = self.largest_finished
         for _ in range(needed):
             page = find_free_page(
                 self.db.store,
                 self.config.free_space_policy,
-                largest_finished=floor,
+                largest_finished=self.largest_finished,
                 current=current,
+                above=max(picks, default=NO_PAGE),
             )
             if page is None:
                 return None
             picks.append(page)
-            floor = page
         return picks
 
     def chunk_by_records(

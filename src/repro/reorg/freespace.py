@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.config import FreeSpacePolicy
 from repro.storage.allocator import ExtentLease, FreeSpaceMap
-from repro.storage.page import PageId
+from repro.storage.page import NO_PAGE, PageId
 from repro.storage.store import LEAF_EXTENT, StorageManager
 
 
@@ -52,6 +52,7 @@ def find_free_page(
     largest_finished: PageId,
     current: PageId,
     preference: PageId | None = None,
+    above: PageId = NO_PAGE,
 ) -> PageId | None:
     """Pick an empty leaf-extent page for a new-place operation, or None.
 
@@ -66,6 +67,9 @@ def find_free_page(
             free, else the nearest free in-lease page.  All built-in
             placement policies pass None, which preserves the historical
             selection byte for byte.
+        above: the previous destination picked for the same multi-output
+            unit.  Only larger page ids qualify, under every policy, so a
+            unit's destinations are distinct and ascending.
 
     Returns None when the policy finds no suitable page, in which case the
     caller falls back to In-Place-Reorg (Figure 2).
@@ -82,11 +86,13 @@ def find_free_page(
     if policy is FreeSpacePolicy.NONE:
         return None
     if policy is FreeSpacePolicy.FIRST_FIT:
-        if lease is not None:
-            return store.free_map.first_free_in_lease(lease)
-        return store.free_map.first_free(LEAF_EXTENT)
+        # First fit ignores L and C, but not the unit's own earlier picks.
+        bounds = lease if lease is not None else store.disk.extent(LEAF_EXTENT)
+        return store.free_map.first_free_in_range(
+            LEAF_EXTENT, max(above, bounds.start - 1), bounds.end
+        )
     if policy is FreeSpacePolicy.PAPER:
-        after, before = largest_finished, current
+        after, before = max(largest_finished, above), current
         if lease is not None:
             # Clamp L and C to the shard's leased slice: targets outside it
             # belong to other shards and must never be chosen.

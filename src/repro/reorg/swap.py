@@ -121,7 +121,7 @@ class SwapMovePass:
             placed = target
 
     def _run_seek_aware(self, chain: LeafChain, stats: Pass2Stats) -> None:
-        """Seek-minimizing ordering: the same moves/swaps, elevator-style.
+        """Seek-minimizing ordering: the same placement, elevator-style.
 
         The key-order schedule jumps the disk head around — leaf ``i`` may
         live anywhere in the extent, so consecutive units touch distant
@@ -139,7 +139,10 @@ class SwapMovePass:
            back to sweeping.
 
         Every step places at least one leaf, so the pass terminates with
-        exactly the same final layout as the key-order schedule.
+        exactly the same final layout as the key-order schedule — but not
+        the same units: moving first empties slots key order would have
+        swapped into, so swaps remain only for true cycles and the log
+        volume changes with the mix.
         """
         slots = self._leaf_slots(len(chain))
         #: page holding a misplaced leaf -> (the leaf's rank, its target).

@@ -21,28 +21,29 @@ Eviction is LRU over unpinned frames.  Evicting a dirty frame performs a
 (dependency- and WAL-respecting) write first, so callers never observe lost
 updates.
 
-Two batched-I/O features are opt-in (``TreeConfig`` flags, default off):
+**Write-back order** is the pool's business and there is one: ascending
+page id.  ``flush_all``/``force`` drain dirty frames in one sweep of the
+head, and eviction pressure writes back a short sweep (the victim plus its
+unpinned dirty followers in page-id order, :data:`WRITEBACK_BATCH` at most)
+instead of a single page, so bulk write-back pays mostly sequential write
+cost.  A sorted index of the dirty page ids makes that sweep a ``bisect``
+plus the batch rather than a scan of the pool.  Careful-writing edges still
+flush destinations first *within* the sweep — a dependency pointing against
+the sweep direction simply costs the extra head movement it implies.
 
-* **Elevator write-back**: ``flush_all``/``force`` drain dirty frames in
-  ascending page-id order, and eviction pressure writes back a short sweep
-  of dirty frames (the victim plus its followers in page-id order) instead
-  of a single page, so bulk write-back pays mostly sequential write cost.
-  Careful-writing edges still flush destinations first *within* the sweep
-  — a dependency pointing against the sweep direction simply costs the
-  extra head movement it implies.
-
-* **Prefetch frames**: :meth:`BufferPool.prefetch` admits upcoming pages
-  via :meth:`~repro.storage.disk.SimulatedDisk.read_batch` before they are
-  demanded.  This is safe because a non-resident page's latest contents
-  are always its stable image (eviction writes dirty frames back), and
-  resident pages are skipped.  Hit/waste counters record whether the
-  gamble paid off.
+**Prefetch frames** (``TreeConfig.readahead_pages``, default off):
+:meth:`BufferPool.prefetch` admits upcoming pages via
+:meth:`~repro.storage.disk.SimulatedDisk.read_batch` before they are
+demanded.  This is safe because a non-resident page's latest contents are
+always its stable image (eviction writes dirty frames back), and resident
+pages are skipped.  Hit/waste counters record whether the gamble paid off.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from repro.errors import (
     BufferPoolError,
@@ -56,6 +57,9 @@ from repro.storage.page import Page, PageId
 #: Module-level alias: PERF.reset() clears counters in place, so the bound
 #: object stays valid and the hot paths save an attribute load per event.
 _COUNTERS = PERF.counters
+
+#: Most frames one eviction-pressure sweep writes back, victim included.
+WRITEBACK_BATCH = 8
 
 
 class WALHook(Protocol):
@@ -99,22 +103,20 @@ class BufferPool:
         *,
         wal: WALHook | None = None,
         careful_writing: bool = True,
-        elevator: bool = False,
-        writeback_batch: int = 8,
     ):
         if capacity < 1:
             raise BufferPoolError("buffer pool capacity must be positive")
-        if writeback_batch < 1:
-            raise BufferPoolError("writeback_batch must be >= 1")
         self._disk = disk
         self._capacity = capacity
         self._wal: WALHook = wal if wal is not None else _NullWAL()
         self._wal_absorbs = bool(getattr(self._wal, "absorbs_flushes", False))
         self._careful_writing = careful_writing
-        self._elevator = elevator
-        self._writeback_batch = writeback_batch
         #: LRU order: oldest first.  Maps page id -> frame.
         self._frames: OrderedDict[PageId, _Frame] = OrderedDict()
+        #: Ids of the dirty frames, ascending: the write-back sweep order.
+        #: Maintained at the clean<->dirty edges only (`put_new`,
+        #: `mark_dirty`, `_flush_page`, `drop`, `crash`).
+        self._dirty_ids: list[PageId] = []
         #: Invariant: either None or the key currently last in ``_frames``.
         #: Lets repeat fetches of the hottest page skip ``move_to_end``.
         self._mru_id: PageId | None = None
@@ -144,7 +146,7 @@ class BufferPool:
         self.page_writes = 0
         #: Prefetch accounting: batches issued, pages admitted, pages later
         #: demanded by a fetch (hits), pages evicted/dropped undemanded
-        #: (waste), and eviction-pressure elevator sweeps performed.
+        #: (waste), and eviction-pressure write-back sweeps performed.
         self.prefetch_batches = 0
         self.prefetched_pages = 0
         self.prefetch_hits = 0
@@ -161,10 +163,6 @@ class BufferPool:
     @property
     def careful_writing(self) -> bool:
         return self._careful_writing
-
-    @property
-    def elevator(self) -> bool:
-        return self._elevator
 
     # -- core access --------------------------------------------------------
 
@@ -198,6 +196,7 @@ class BufferPool:
             raise BufferPoolError(f"page {page.page_id} already buffered")
         frame = self._admit(page)
         frame.dirty = True
+        insort(self._dirty_ids, page.page_id)
         self._versions[page.page_id] = self._versions_get(page.page_id, 0) + 1
         if pin:
             frame.pins += 1
@@ -257,7 +256,9 @@ class BufferPool:
         frame = self._frames_get(page_id)
         if frame is None:
             raise BufferPoolError(f"page {page_id} is not buffered")
-        frame.dirty = True
+        if not frame.dirty:
+            frame.dirty = True
+            insort(self._dirty_ids, page_id)
         self._versions[page_id] = self._versions_get(page_id, 0) + 1
         if lsn is not None:
             frame.page.page_lsn = lsn
@@ -377,27 +378,19 @@ class BufferPool:
             self._wal.flush(frame.page.page_lsn)
         self._disk.write(frame.page)
         frame.dirty = False
+        self._forget_dirty(page_id)
         self.page_writes += 1
         self._clear_dependencies_on(page_id)
 
     def flush_all(self) -> None:
-        """Write every dirty page (checkpoint / shutdown helper).
+        """Write every dirty page (checkpoint / shutdown helper), in
+        ascending page-id order — one sweep of the head."""
+        self.force(self._frames)
 
-        With elevator write-back on, frames drain in ascending page-id
-        order — one sweep of the head — instead of pool insertion order.
-        """
-        page_ids = list(self._frames)
-        if self._elevator:
-            page_ids.sort()
-        for page_id in page_ids:
-            self.flush_page(page_id)
-
-    def force(self, page_ids: list[PageId]) -> None:
+    def force(self, page_ids: Iterable[PageId]) -> None:
         """Force-write specific pages now (pass 3 stable points, §7.3)."""
-        if self._elevator:
-            page_ids = sorted(page_ids)
-        for page_id in page_ids:
-            self.flush_page(page_id)
+        for page_id in sorted(page_ids):
+            self._flush_page(page_id)
 
     # -- deallocation -------------------------------------------------------------
 
@@ -417,11 +410,7 @@ class BufferPool:
         if frame is not None:
             if frame.pins > 0:
                 raise PagePinnedError(f"cannot drop pinned page {page_id}")
-            if frame.prefetched:
-                self.prefetch_wasted += 1
-            del self._frames[page_id]
-            if page_id == self._mru_id:
-                self._mru_id = None
+            self._remove_frame(page_id, frame)
         # Deallocation is a mutation from a reader's point of view: any
         # optimistic validation spanning it must fail (and the bumped-not-
         # deleted entry makes a later reallocation of this id visible too).
@@ -432,6 +421,7 @@ class BufferPool:
     def crash(self) -> None:
         """Discard all volatile state (buffered pages, dependency edges)."""
         self._frames.clear()
+        self._dirty_ids.clear()
         self._mru_id = None
         self._write_before.clear()
 
@@ -455,21 +445,28 @@ class BufferPool:
         for page_id, frame in self._frames.items():
             if frame.pins == 0:
                 if frame.dirty:
-                    if self._elevator:
-                        self._writeback_sweep(page_id)
-                    else:
-                        self._flush_page(page_id)
-                if frame.prefetched:
-                    self.prefetch_wasted += 1
-                del self._frames[page_id]
-                if page_id == self._mru_id:
-                    self._mru_id = None
+                    self._writeback_sweep(page_id)
+                self._remove_frame(page_id, frame)
                 self.evictions += 1
                 return
         raise BufferPoolError("all buffer frames are pinned; cannot evict")
 
+    def _remove_frame(self, page_id: PageId, frame: _Frame) -> None:
+        """The frame leaves the pool: evicted (clean by now) or dropped."""
+        if frame.prefetched:
+            self.prefetch_wasted += 1
+        if frame.dirty:
+            self._forget_dirty(page_id)
+        del self._frames[page_id]
+        if page_id == self._mru_id:
+            self._mru_id = None
+
+    def _forget_dirty(self, page_id: PageId) -> None:
+        """A dirty frame became clean or left the pool."""
+        del self._dirty_ids[bisect_left(self._dirty_ids, page_id)]
+
     def _writeback_sweep(self, victim_id: PageId) -> None:
-        """Eviction-pressure elevator: write back a short run of dirty
+        """Eviction-pressure write-back: a short run of unpinned dirty
         frames in ascending page-id order, starting at the eviction victim.
 
         One dirty victim usually means many dirty frames are queued behind
@@ -477,12 +474,16 @@ class BufferPool:
         single-page seeks into one mostly-sequential pass, and leaves clean
         frames for the next few evictions.
         """
-        dirty = sorted(
-            pid
-            for pid, frame in self._frames.items()
-            if frame.dirty and frame.pins == 0
-        )
-        start = dirty.index(victim_id)
-        for page_id in dirty[start : start + self._writeback_batch]:
+        # Choose the batch before writing: a flush removes ids from the
+        # index, and a careful-writing dependency may clean a later member
+        # early (its turn is then a no-op).
+        dirty_ids = self._dirty_ids
+        batch: list[PageId] = []
+        i = bisect_left(dirty_ids, victim_id)
+        while i < len(dirty_ids) and len(batch) < WRITEBACK_BATCH:
+            if self._frames[dirty_ids[i]].pins == 0:
+                batch.append(dirty_ids[i])
+            i += 1
+        for page_id in batch:
             self._flush_page(page_id)
         self.writeback_sweeps += 1

@@ -40,8 +40,6 @@ class StorageManager:
             self.disk,
             self.config.buffer_pool_pages,
             careful_writing=self.config.careful_writing,
-            elevator=self.config.elevator_writeback,
-            writeback_batch=self.config.writeback_batch,
         )
         # Shadow the `get` and `mark_dirty` methods with the pool's bound
         # equivalents: they are the hottest calls in every workload (one

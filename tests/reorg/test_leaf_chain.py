@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.btree.tree import BPlusTree
@@ -178,9 +178,6 @@ def test_chain_equals_walk_after_every_unit(cell, kind):
 def test_chain_equals_walk_on_random_trees(
     keys, delete_fraction, kind, policy, outputs, seek_aware, seed
 ):
-    # Known defect, not this test's subject: first-fit hands a multi-output
-    # unit the same free page twice ("destinations full with records left").
-    assume(outputs == 1 or policy is not FreeSpacePolicy.FIRST_FIT)
     db = Database(
         TreeConfig(
             leaf_capacity=4,
@@ -220,6 +217,52 @@ def test_seek_aware_pass2_reaches_the_key_order_layout():
         assert reorg.run_pass2().swaps
         layouts.append(tree.leaf_ids_in_key_order())
     assert layouts[0] == layouts[1] == sorted(layouts[0])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seek_aware_pass2_trades_swaps_for_moves(seed):
+    """On a tree grown by shuffled inserts the two schedules end at one
+    layout, but not through the same units: sweeping moves first leaves
+    swaps only for true cycles, so the mix — and with it the log volume,
+    in either direction — differs."""
+    runs = {}
+    for seek_aware in (False, True):
+        db = Database(
+            TreeConfig(
+                leaf_capacity=8,
+                internal_capacity=8,
+                leaf_extent_pages=1024,
+                internal_extent_pages=512,
+                buffer_pool_pages=128,
+                side_pointers=SidePointerKind.ONE_WAY,
+                seek_aware_pass2=seek_aware,
+            )
+        )
+        tree = db.create_tree()
+        rng = random.Random(seed)
+        keys = list(range(2000))
+        rng.shuffle(keys)
+        for key in keys:
+            tree.insert(Record(key, "v"))
+        for key in rng.sample(keys, 1400):
+            tree.delete(key)
+        reorg = Reorganizer(db, tree, ReorgConfig())
+        reorg.run_pass1()
+        logged = db.log.stats.bytes_appended
+        stats = reorg.run_pass2()
+        tree.validate()
+        runs[seek_aware] = (
+            stats,
+            tree.leaf_ids_in_key_order(),
+            db.log.stats.bytes_appended - logged,
+        )
+    (key_order, layout, key_order_log), (seek, seek_layout, seek_log) = (
+        runs[False], runs[True]
+    )
+    assert seek_layout == layout == sorted(layout)
+    assert key_order.swaps > 0, "the fixture must make key order swap"
+    assert seek.swaps <= key_order.swaps
+    assert (seek.swaps < key_order.swaps) == (seek_log != key_order_log)
 
 
 # -- the rebuild fallback, and how often the tree is walked ----------------------------

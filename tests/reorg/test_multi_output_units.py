@@ -10,14 +10,16 @@ that trade-off can be measured (ablation A3).
 import pytest
 
 from repro.btree.stats import collect_stats
-from repro.config import ReorgConfig, TreeConfig
+from repro.config import FreeSpacePolicy, ReorgConfig, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint
 from repro.reorg.compact import LeafCompactor
+from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.unit import UnitEngine
 from repro.sim.crash import LogCrashInjector, crash_recover
 from repro.storage.page import Record
+from repro.txn.scheduler import Scheduler
 from repro.wal.records import ReorgBeginRecord
 
 
@@ -173,3 +175,45 @@ class TestCompactorWithMultiOutput:
         tree = db.tree()
         tree.validate()
         assert sorted(r.key for r in tree.items()) == expected
+
+
+class TestFirstFitMultiOutput:
+    """Regression: first fit ignores the L/C bounds, so asking it
+    ``needed`` times used to return the same free page ``needed`` times
+    and the unit died with "destinations full with records left"."""
+
+    CONFIG = ReorgConfig(
+        free_space_policy=FreeSpacePolicy.FIRST_FIT, max_unit_output_pages=3
+    )
+
+    def multi_dests(self, db):
+        return [
+            r.dest_pages
+            for r in db.log.records_from(1)
+            if isinstance(r, ReorgBeginRecord) and len(r.dest_pages) > 1
+        ]
+
+    def check(self, db, expected):
+        tree = db.tree()
+        tree.validate()
+        assert sorted(r.key for r in tree.items()) == expected
+        dests = self.multi_dests(db)
+        assert dests, "the fixture must exercise multi-output units"
+        for pages in dests:
+            assert list(pages) == sorted(set(pages))  # distinct, ascending
+
+    def test_sync(self):
+        db, tree = sparse_db()
+        expected = sorted(r.key for r in tree.items())
+        Reorganizer(db, tree, self.CONFIG).run()
+        self.check(db, expected)
+
+    def test_des(self):
+        db, tree = sparse_db()
+        expected = sorted(r.key for r in tree.items())
+        sched = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.02)
+        protocol = ReorgProtocol(db, "primary", self.CONFIG, op_duration=0.05)
+        sched.spawn(full_reorganization(protocol), name="reorg", is_reorganizer=True)
+        sched.run()
+        assert sched.failed == []
+        self.check(db, expected)

@@ -1,6 +1,6 @@
-"""Elevator write-back and prefetch vs the careful-writing order.
+"""Write-back order and prefetch vs the careful-writing order.
 
-The elevator reorders page write-back into ascending page-id sweeps; the
+The pool writes back in ascending page-id sweeps (its one order); the
 careful-writing protocol demands each copy destination be durable before
 its source.  These tests pin down the composition: the sweep chooses who
 drains *next*, but every drain still runs the recursive dest-before-source
@@ -12,22 +12,15 @@ when evicted.
 
 import pytest
 
-from repro.errors import BufferPoolError, StorageError
-from repro.storage.buffer import BufferPool
+from repro.errors import StorageError
+from repro.storage.buffer import WRITEBACK_BATCH, BufferPool
 from repro.storage.disk import Extent, SimulatedDisk
 from repro.storage.page import LeafPage, Record
 
 
-def make_pool(capacity=8, *, elevator=True, writeback_batch=8, wal=None):
+def make_pool(capacity=8, *, wal=None):
     disk = SimulatedDisk([Extent("leaf", 0, 64)])
-    pool = BufferPool(
-        disk,
-        capacity,
-        wal=wal,
-        careful_writing=True,
-        elevator=elevator,
-        writeback_batch=writeback_batch,
-    )
+    pool = BufferPool(disk, capacity, wal=wal, careful_writing=True)
     return disk, pool
 
 
@@ -60,14 +53,6 @@ class TestElevatorOrder:
         pool.flush_all()
         assert order == [1, 3, 5]
 
-    def test_flush_all_without_elevator_keeps_pool_order(self):
-        disk, pool = make_pool(elevator=False)
-        for pid in (5, 1, 3):
-            new_leaf(pool, pid, [pid])
-        order = spy_writes(disk)
-        pool.flush_all()
-        assert order == [5, 1, 3]
-
     def test_force_sweeps_ascending(self):
         disk, pool = make_pool()
         for pid in (6, 2, 4):
@@ -75,11 +60,6 @@ class TestElevatorOrder:
         order = spy_writes(disk)
         pool.force([6, 2, 4])
         assert order == [2, 4, 6]
-
-    def test_writeback_batch_must_be_positive(self):
-        disk = SimulatedDisk([Extent("leaf", 0, 8)])
-        with pytest.raises(BufferPoolError):
-            BufferPool(disk, 4, writeback_batch=0)
 
 
 class TestElevatorVsCarefulWriting:
@@ -108,7 +88,7 @@ class TestElevatorVsCarefulWriting:
 
     def test_eviction_sweep_honours_dependencies(self):
         """The eviction-pressure sweep is still a careful-writing flush."""
-        disk, pool = make_pool(capacity=3, writeback_batch=4)
+        disk, pool = make_pool(capacity=3)
         new_leaf(pool, 1, [1])
         new_leaf(pool, 2, [2])
         new_leaf(pool, 3, [3])
@@ -120,13 +100,25 @@ class TestElevatorVsCarefulWriting:
         assert not pool.is_dirty(2)  # swept along with the victim
 
     def test_eviction_sweep_respects_batch_limit(self):
-        disk, pool = make_pool(capacity=3, writeback_batch=2)
-        for pid in (1, 2, 3):
+        pids = list(range(1, WRITEBACK_BATCH + 3))
+        disk, pool = make_pool(capacity=len(pids))
+        for pid in pids:  # LRU victim is page 1
             new_leaf(pool, pid, [pid])
         order = spy_writes(disk)
-        new_leaf(pool, 4, [4])
-        assert order == [1, 2]  # victim + one follower, not the whole pool
-        assert pool.is_dirty(3)
+        new_leaf(pool, 40, [40])
+        # Victim + its followers up to the batch, not the whole pool.
+        assert order == pids[:WRITEBACK_BATCH]
+        assert all(pool.is_dirty(pid) for pid in pids[WRITEBACK_BATCH:])
+
+    def test_eviction_sweep_skips_pinned_and_starts_at_the_victim(self):
+        disk, pool = make_pool(capacity=5)
+        for pid in (4, 2, 9, 6, 7):  # LRU victim is 4
+            new_leaf(pool, pid, [pid])
+        pool.pin(6)
+        order = spy_writes(disk)
+        new_leaf(pool, 11, [11])
+        assert order == [4, 7, 9]  # not 2 (below the victim), not pinned 6
+        assert pool.is_dirty(2) and pool.is_dirty(6)
 
 
 class TestPrefetch:
@@ -175,7 +167,7 @@ class TestPrefetch:
     def test_dirty_prefetched_frame_evicts_legally(self):
         """Dirtying a prefetched frame makes it a normal citizen: its WAL
         and careful-writing obligations hold when eviction pressure hits."""
-        disk, pool = make_pool(capacity=2, writeback_batch=8)
+        disk, pool = make_pool(capacity=2)
         self._seed_disk(disk, [2, 4])
         pool.prefetch([2, 4])
         pool.fetch(2)

@@ -3,14 +3,16 @@
 Invariant under any interleaving of page updates, flushes, evictions and
 crashes: the stable image of a page is always some *prefix* of its logged
 update history (never a torn or reordered state), and careful-writing
-dependencies are never violated on disk.
+dependencies are never violated on disk.  The pool's one write-back order
+(ascending page id, a bounded sweep under eviction pressure) is held to a
+scan-and-sort reference after every step.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import WRITEBACK_BATCH, BufferPool
 from repro.storage.disk import Extent, SimulatedDisk
 from repro.storage.page import LeafPage, Record
 
@@ -120,3 +122,123 @@ def test_careful_writing_chain_order_always_respected(chain):
     positions = {pid: i for i, pid in enumerate(writes)}
     for earlier, later in zip(chain, chain[1:]):
         assert positions[earlier] < positions[later]
+
+
+POOL_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            # "write" is listed thrice so the pool fills with dirty frames.
+            ["write", "write", "write", "fetch", "pin", "unpin", "flush",
+             "drop", "depend", "crash"]
+        ),
+        st.integers(min_value=0, max_value=19),  # page id
+        st.integers(min_value=0, max_value=19),  # dependency destination
+    ),
+    min_size=10,
+    max_size=120,
+)
+
+
+def reference_sweep(victim, dirty, pinned, edges):
+    """The write order of one eviction sweep, from a scan and a sort: the
+    victim and its unpinned dirty followers in page-id order, at most
+    WRITEBACK_BATCH, each preceded by its still-dirty destinations."""
+    written = []
+
+    def flush(pid):
+        if pid in dirty and pid not in written:
+            for dest in sorted(edges.get(pid, ())):
+                flush(dest)
+            written.append(pid)
+
+    batch = [pid for pid in sorted(dirty) if pid >= victim and pid not in pinned]
+    for pid in batch[:WRITEBACK_BATCH]:
+        flush(pid)
+    return written
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    steps=POOL_STEPS,
+    capacity=st.integers(min_value=3, max_value=12),
+    first=st.permutations(range(20)),
+)
+def test_dirty_index_and_sweep_match_a_scan_and_sort(steps, capacity, first):
+    disk = SimulatedDisk([Extent("leaf", 0, 20)])
+    pool = BufferPool(disk, capacity, careful_writing=True)
+    frames = pool._frames
+    writes = []
+    disk_write = disk.write
+
+    def spy_write(page):
+        writes.append(page.page_id)
+        disk_write(page)
+
+    disk.write = spy_write
+    real_sweep = pool._writeback_sweep
+
+    def checked_sweep(victim):
+        dirty = {pid for pid, frame in frames.items() if frame.dirty}
+        pinned = {pid for pid, frame in frames.items() if frame.pins}
+        edges = {src: set(dests) for src, dests in pool._write_before.items()}
+        start = len(writes)
+        real_sweep(victim)
+        order = writes[start:]
+        assert order == reference_sweep(victim, dirty, pinned, edges)
+        # Stated on its own, not only through the reference: careful writing.
+        for src, dests in edges.items():
+            for dest in dests & dirty:
+                if src in order:
+                    assert order.index(dest) < order.index(src)
+        event(f"sweep of {len(order)}")
+
+    pool._writeback_sweep = checked_sweep
+
+    def reaches(start, goal):
+        stack, seen = [start], set()
+        while stack:
+            pid = stack.pop()
+            if pid == goal:
+                return True
+            if pid not in seen:
+                seen.add(pid)
+                stack.extend(pool._write_before.get(pid, ()))
+        return False
+
+    def all_pinned_but_one():
+        return sum(1 for f in frames.values() if f.pins) >= capacity - 1
+
+    # Start full of dirty frames, so the first admission already sweeps.
+    steps = [("write", pid, 0) for pid in first[:capacity]] + steps
+    for action, pid, other in steps:
+        resident = pid in frames
+        if action == "write":
+            if not resident and not disk.has_image(pid):
+                pool.put_new(LeafPage(pid, 4))
+            else:
+                pool.fetch(pid)
+                pool.mark_dirty(pid)
+        elif action == "pin":
+            if resident and not frames[pid].pins and not all_pinned_but_one():
+                pool.pin(pid)
+        elif action == "unpin":
+            if resident and frames[pid].pins:
+                pool.unpin(pid)
+        elif action == "flush":
+            pool.flush_page(pid)
+        elif action == "drop":
+            if not (resident and frames[pid].pins):
+                pool.drop(pid)
+        elif action == "fetch":
+            if resident or disk.has_image(pid):
+                pool.fetch(pid)
+        elif action == "depend":
+            if (resident and other in frames and pid != other
+                    and not reaches(other, pid)):
+                pool.add_write_dependency(source=pid, dest=other)
+        elif action == "crash":
+            pool.crash()
+        assert pool._dirty_ids == sorted(
+            pid for pid, frame in frames.items() if frame.dirty
+        )

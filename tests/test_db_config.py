@@ -1,5 +1,7 @@
 """Tests for the Database facade, configuration validation and errors."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
@@ -46,6 +48,15 @@ class TestTreeConfigValidation:
         config = TreeConfig()
         with pytest.raises(AttributeError):
             config.leaf_capacity = 99
+
+    def test_tree_config_does_not_grow_knobs(self):
+        names = [field.name for field in dataclasses.fields(TreeConfig)]
+        assert len(names) <= 14, (
+            f"TreeConfig has {len(names)} fields ({', '.join(names)}); "
+            "ROADMAP aim 2 caps it at 14: every on/off knob doubles the "
+            "configurations to test, so make the new behaviour the default "
+            "or a constant, or delete a knob in the same change"
+        )
 
     def test_enums_round_trip(self):
         assert FreeSpacePolicy("paper") is FreeSpacePolicy.PAPER
