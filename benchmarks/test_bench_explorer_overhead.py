@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from conftest import banner
-from perf_harness import recorded_counters, run_suite
+from perf_harness import assert_counters_as_recorded, run_suite
 
 pytestmark = pytest.mark.bench
 
@@ -57,9 +57,9 @@ def test_import_leaves_hooks_detached():
 def test_counters_identical_to_bench1(detached_results, workload):
     """The deterministic signature of the hot paths is unchanged."""
     expected = BENCH_1["workloads"][workload]["counters"]
-    assert recorded_counters(
-        workload, detached_results[workload]["counters"]
-    ) == recorded_counters(workload, expected)
+    assert_counters_as_recorded(
+        workload, detached_results[workload]["counters"], expected
+    )
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from conftest import banner
-from perf_harness import recorded_counters, run_suite
+from perf_harness import assert_counters_as_recorded, run_suite
 
 pytestmark = pytest.mark.bench
 
@@ -50,9 +50,9 @@ def flags_off_results():
 def test_counters_identical_to_bench5(flags_off_results, workload):
     """The deterministic signature of the default paths is unchanged."""
     expected = BENCH_5["workloads"][workload]["counters"]
-    assert recorded_counters(
-        workload, flags_off_results[workload]["counters"]
-    ) == recorded_counters(workload, expected)
+    assert_counters_as_recorded(
+        workload, flags_off_results[workload]["counters"], expected
+    )
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

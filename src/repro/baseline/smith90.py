@@ -129,9 +129,7 @@ class Smith90Reorganizer:
 
     def block_merge(self, base: PageId, left: PageId, right: PageId) -> UnitResult:
         """Merge the contents of two leaf pages into the left one."""
-        result = self.engine.compact_unit(
-            base, [left, right], left, dest_is_new=False
-        )
+        result = self.engine.compact_unit(base, [left, right], [left])
         self.stats.merges += 1
         self._account()
         self.stats.results.append(result)

@@ -144,33 +144,25 @@ class LeafCompactor:
     def _compact_group(
         self, base_id: PageId, group: list[PageId], target: int
     ) -> list[UnitResult]:
-        """Figure 2's decision for one group of same-parent leaves."""
+        """One unit over a group of same-parent leaves — or, when it needs
+        several output pages and there is no free run for them, one
+        single-output unit per chunk."""
         if len(group) < 2:
             # Nothing to compact; the leaf still counts as finished so
             # later placements stay in relative disk order.
             self.mark_finished(group[0])
             return []
-        needed = self.outputs_needed(group, target)
-        if needed > 1:
-            dests = self._pick_free_run(needed, current=min(group))
-            if dests is None:
-                # Not enough well-placed free pages for a multi-output
-                # unit: fall back to one-output-page units over the group.
-                return [
-                    result
-                    for sub in self.chunk_by_records(group, target)
-                    for result in self._compact_group(base_id, sub, target)
-                ]
-            result = self.engine.compact_unit_multi(
-                base_id, group, dests, target_per_page=target
-            )
-            self.mark_finished(max(dests))
-            return [result]
-        dest, dest_is_new = self.choose_dest(group, self.find_free_space(group))
+        dests = self.pick_dests(group, target)
+        if dests is None:
+            return [
+                result
+                for sub in self.chunk_by_records(group, target)
+                for result in self._compact_group(base_id, sub, target)
+            ]
         result = self.engine.compact_unit(
-            base_id, group, dest, dest_is_new=dest_is_new
+            base_id, group, dests, target_per_page=target
         )
-        self.mark_finished(result.dest_page)
+        self.mark_finished(max(dests))
         return [result]
 
     def mark_finished(self, page_id: PageId) -> None:
@@ -178,47 +170,34 @@ class LeafCompactor:
         self.largest_finished = max(self.largest_finished, page_id)
 
     def outputs_needed(self, group: list[PageId], target: int) -> int:
-        """How many pages at the target fill the group's records take."""
+        """How many pages a unit over the group builds: what its records
+        take at the target fill, within ``max_unit_output_pages`` (the last
+        page of a unit takes what is left, up to a full page)."""
         total = sum(
             self.db.store.get_leaf(p).num_items
             for p in group
             if not self.db.store.free_map.is_free(p)
         )
-        return max(1, -(-total // target))
+        return min(self.config.max_unit_output_pages, max(1, -(-total // target)))
 
-    def find_free_space(self, group: list[PageId]) -> PageId | None:
-        """Figure 2's Find-Free-Space for the group (section 6.1)."""
-        current = min(group)
-        return find_free_page(
-            self.db.store,
-            self.config.free_space_policy,
-            largest_finished=self.largest_finished,
-            current=current,
-            preference=self.placement.pass1_preference(
-                largest_finished=self.largest_finished, current=current
-            ),
-        )
+    def pick_dests(self, group: list[PageId], target: int) -> list[PageId] | None:
+        """Figure 2's decision for one group: the pages its unit builds.
 
-    def choose_dest(
-        self, group: list[PageId], empty: PageId | None
-    ) -> tuple[PageId, bool]:
-        """Figure 2's destination given Find-Free-Space's answer ``empty``:
-        ``(page, dest_is_new)``.
-
-        Copying-Switching builds the new leaf in the empty page.  Without
-        one, In-Place-Reorg compacts into one of the group's own pages —
+        Find-Free-Space supplies a distinct ascending free page per output,
+        each chosen by the configured policy above the previous pick —
+        under the section 6.1 heuristic that is "between the previous pick
+        (initially L) and C" — and the unit is Copying-Switching.  Without
+        them, In-Place-Reorg compacts into one of the group's own pages:
         the smallest page id beyond L (keeps ascending order when
-        possible), else the smallest page id of the group.
+        possible), else the smallest of the group.  That takes one output
+        page; None tells the caller to split a larger group.
         """
-        if empty is not None:
-            return empty, True
-        beyond = [pid for pid in group if pid > self.largest_finished]
-        return (min(beyond) if beyond else min(group)), False
-
-    def _pick_free_run(self, needed: int, current: PageId) -> list[PageId] | None:
-        """``needed`` distinct ascending free pages, each chosen by the
-        configured policy above the previous pick — under the section 6.1
-        heuristic that is "between the previous pick (initially L) and C"."""
+        needed = self.outputs_needed(group, target)
+        current = min(group)
+        # A placement policy's preferred page stands in for the first pick.
+        preference = self.placement.pass1_preference(
+            largest_finished=self.largest_finished, current=current
+        )
         picks: list[PageId] = []
         for _ in range(needed):
             page = find_free_page(
@@ -226,11 +205,16 @@ class LeafCompactor:
                 self.config.free_space_policy,
                 largest_finished=self.largest_finished,
                 current=current,
-                above=max(picks, default=NO_PAGE),
+                preference=preference,
+                above=picks[-1] if picks else NO_PAGE,
             )
             if page is None:
-                return None
+                if needed > 1:
+                    return None
+                beyond = [pid for pid in group if pid > self.largest_finished]
+                return [min(beyond) if beyond else min(group)]
             picks.append(page)
+            preference = None
         return picks
 
     def chunk_by_records(

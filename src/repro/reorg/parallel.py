@@ -20,11 +20,12 @@ what makes it safe under the paper's own machinery:
 * unit ids come from one shared counter, staying globally monotonic.
 
 The only shared mutable resource is the free-space map: a worker reserves
-its new-place destination page *atomically with choosing it*, so two
-workers can never adopt the same empty page.  Each worker maintains its own
-L (largest finished page id) over its own partition; placements therefore
-interleave across partitions, which costs some pass-2 moves — the classic
-parallelism-vs-placement trade-off the benchmark quantifies.
+its new-place destination pages — one or several per unit — *atomically
+with choosing them*, so two workers can never adopt the same empty page.
+Each worker maintains its own L (largest finished page id) over its own
+partition; placements therefore interleave across partitions, which costs
+some pass-2 moves — the classic parallelism-vs-placement trade-off the
+benchmark quantifies.
 """
 
 from __future__ import annotations
@@ -71,27 +72,32 @@ class ParallelReorgProtocol(ReorgProtocol):
     def _pass1_base_pages(self, compactor: LeafCompactor) -> list[PageId]:
         return self.base_partition
 
-    def _single_output_unit(self, compactor, group, stats):
-        """As in the base class, but the new-place destination is reserved
-        (allocated + formatted) inside the same atomic Call that picks it,
-        so workers never race for the same empty page."""
+    def _compact_unit(self, compactor, group, target, stats):
+        """As in the base class, but every new-place destination is
+        reserved (allocated + formatted) inside the same atomic Call that
+        picks it, so workers never race for the same empty page; the unit
+        keeps its reservation across retries."""
 
         def pick_and_reserve():
-            empty = compactor.find_free_space(group)
-            if empty is not None:
-                self.engine._materialize_dest(empty)
-            return empty
+            dests = compactor.pick_dests(group, target)
+            for dest in dests or ():
+                if dest not in group:
+                    self.engine._materialize_dest(dest)
+            return dests
 
-        reserved = yield Call(pick_and_reserve)
-        done = yield from self._run_unit(
-            lambda: self._compact_unit(
-                compactor, group, *compactor.choose_dest(group, reserved)
-            ),
-            stats,
-        )
-        if not done and reserved is not None:
-            # The group went stale before we could use the page; return it.
-            yield Call(lambda: self.engine._free_if_empty(reserved))
+        dests = yield Call(pick_and_reserve)
+        if dests is None:
+            return None
+        unit = self._compaction(compactor, group, dests, target)
+        done = yield from self._run_unit(lambda: unit, stats)
+
+        def release():
+            for dest in unit.new_pages:
+                self.engine._free_if_empty(dest)
+
+        if not done and unit.new_pages:
+            # The group went stale before we could use the pages; return them.
+            yield Call(release)
         return done
 
 

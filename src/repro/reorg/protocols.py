@@ -13,7 +13,7 @@ explicit (section 4.1.1)::
     Release locks.
 
 That choreography is written once, in :meth:`ReorgProtocol._run_unit`;
-compaction, multi-output compaction, pass-2 moves and swaps (and the
+compaction into one or several pages, pass-2 moves and swaps (and the
 parallel workers of :mod:`repro.reorg.parallel`) each hand it a
 :class:`_Unit` naming their pages and their two :class:`UnitEngine` calls.
 
@@ -63,8 +63,8 @@ _MAX_UNIT_RETRIES = 50
 
 @dataclass(frozen=True)
 class _Unit:
-    """What one kind of reorganization unit (compact, multi-output compact,
-    move, swap) supplies to :meth:`ReorgProtocol._run_unit`: its page lists
+    """What one kind of reorganization unit (compact, move, swap)
+    supplies to :meth:`ReorgProtocol._run_unit`: its page lists
     and the two :class:`UnitEngine` calls around the R->X conversion."""
 
     #: The leaves being reorganized (RX locked).  The S-coupling descends
@@ -139,17 +139,20 @@ class ReorgProtocol:
     # -- the reorganization unit (sections 4.1.1, 4.3, 5.2) -----------------------
 
     def _run_unit(
-        self, describe: Callable[[], _Unit], stats: dict
-    ) -> Generator[Any, Any, bool]:
+        self, describe: Callable[[], _Unit | None], stats: dict
+    ) -> Generator[Any, Any, bool | None]:
         """One reorganization unit with full locking; True when executed.
 
         The choreography is the same for every kind of unit and is stated
         only here; ``describe`` supplies the pages and the engine calls,
         and is asked afresh on every attempt (a retried compaction re-runs
-        Find-Free-Space).
+        Find-Free-Space).  None — as opposed to False, a unit skipped —
+        when ``describe`` has no unit to offer.
         """
         for _attempt in range(_MAX_UNIT_RETRIES):
             unit = describe()
+            if unit is None:
+                return None
             unit_id = None
             try:
                 parents = []
@@ -302,66 +305,43 @@ class ReorgProtocol:
 
     def _compact_group(self, compactor, group, target, stats):
         """Figure 2 for one planned group; True when a unit executed."""
-        needed = compactor.outputs_needed(group, target)
-        if needed <= 1 or self.config.max_unit_output_pages <= 1:
-            return (yield from self._single_output_unit(compactor, group, stats))
-        dests = yield Call(
-            lambda: compactor._pick_free_run(needed, current=min(group))
-        )
-        if dests is not None:
-            # Section 6's trade-off: one unit, several new leaves, locks
-            # held that much longer.
-            return (
-                yield from self._run_unit(
-                    lambda: self._multi_unit(compactor, group, dests, target),
-                    stats,
-                )
-            )
-        # No usable free run: one single-output unit per chunk.
+        done = yield from self._compact_unit(compactor, group, target, stats)
+        if done is not None:
+            return done
+        # No free run for the pages the group needs: one single-output
+        # unit per chunk (those can always fall back to in-place).
         any_done = False
         for sub in compactor.chunk_by_records(group, target):
             if len(sub) < 2:
                 compactor.mark_finished(sub[0])
-                continue
-            done = yield from self._single_output_unit(compactor, sub, stats)
-            any_done = any_done or done
+            elif (yield from self._compact_unit(compactor, sub, target, stats)):
+                any_done = True
         return any_done
 
-    def _single_output_unit(self, compactor, group, stats):
+    def _compact_unit(self, compactor, group, target, stats):
+        """One compaction unit over ``group``, its destinations picked
+        afresh on every attempt; None when there are none to pick."""
+
         def describe():
-            empty = compactor.find_free_space(group)
-            return self._compact_unit(
-                compactor, group, *compactor.choose_dest(group, empty)
-            )
+            dests = compactor.pick_dests(group, target)
+            if dests is None:
+                return None
+            return self._compaction(compactor, group, dests, target)
 
         return (yield from self._run_unit(describe, stats))
 
-    def _compact_unit(self, compactor, group, dest, dest_is_new) -> _Unit:
-        def complete(unit_id, bases):
-            self.engine.complete_compact(
-                unit_id, bases[0], group, dest, dest_is_new=dest_is_new
-            )
-            compactor.mark_finished(dest)
+    def _compaction(self, compactor, group, dests, target) -> _Unit:
+        """Section 6's trade-off is in ``dests``: one page per unit, or
+        several and the locks held that much longer."""
 
-        return _Unit(
-            leaves=group,
-            new_pages=[dest] if dest_is_new else [],
-            begin=lambda bases: self.engine.begin_compact(
-                bases[0], group, dest, dest_is_new=dest_is_new
-            ),
-            complete=complete,
-            planned_ahead=True,
-        )
-
-    def _multi_unit(self, compactor, group, dests, target) -> _Unit:
         def complete(unit_id, bases):
-            self.engine.complete_compact_multi(unit_id, bases[0], group, dests)
+            self.engine.complete_compact(unit_id, bases[0], group, dests)
             compactor.mark_finished(max(dests))
 
         return _Unit(
             leaves=group,
-            new_pages=dests,
-            begin=lambda bases: self.engine.begin_compact_multi(
+            new_pages=[dest for dest in dests if dest not in group],
+            begin=lambda bases: self.engine.begin_compact(
                 bases[0], group, dests, target
             ),
             complete=complete,
@@ -432,10 +412,10 @@ class ReorgProtocol:
             leaves=[source],
             new_pages=[target],
             begin=lambda bases: self.engine.begin_compact(
-                bases[0], [source], target, dest_is_new=True
+                bases[0], [source], [target]
             ),
             complete=lambda unit_id, bases: self.engine.complete_compact(
-                unit_id, bases[0], [source], target, dest_is_new=True
+                unit_id, bases[0], [source], [target]
             ),
         )
 

@@ -7,7 +7,17 @@ one leaf to an empty page, or a swap of two leaves.  Each unit logs
     BEGIN -> (MOVE | SWAP)* -> MODIFY* -> END
 
 chained through ``prev_lsn`` and mirrored in the in-memory progress table,
-exactly as section 5 prescribes.  The BEGIN record "is only written after
+exactly as section 5 prescribes.
+
+Compaction has one shape, ``(base page, sources, destinations, target per
+page)``: the sources' records are repacked in key order into the
+destinations, every destination but the last filled to the target and the
+last taking the rest.  It is *in-place* when the one destination is itself
+a source (section 4.1) and *new-place* when the destinations are free pages
+(section 4.2); the paper builds one page per unit, several is section 6's
+lock-hold-time trade-off, and a pass-2 move is the same unit with one
+source and one new page.  Fresh execution and forward recovery run the same
+two idempotent phases — move records, then post them in the base page.  The BEGIN record "is only written after
 all leaf page locks for the reorganization unit are acquired" — the engine
 assumes its caller (the synchronous driver or the DES protocol generator)
 has done the locking; the engine performs data movement and logging only.
@@ -57,6 +67,9 @@ from repro.wal.records import (
     TxnRecord,
 )
 from repro.wal.recovery import PendingReorgUnit
+
+#: The absent side of a base-page MODIFY that inserts or removes an entry.
+_NO_ENTRY: tuple[int, PageId] = (0, -1)
 
 
 @dataclass(frozen=True)
@@ -234,32 +247,33 @@ class UnitEngine:
         self,
         base_page: PageId,
         sources: list[PageId],
-        dest: PageId,
+        dests: list[PageId],
         *,
-        dest_is_new: bool,
+        target_per_page: int = 0,
     ) -> UnitResult:
-        """Compact ``sources`` (children of ``base_page``) into ``dest``.
+        """Compact ``sources`` (children of ``base_page``) into ``dests``.
 
-        In-place when ``dest`` is one of the sources (paper section 4.1);
-        new-place copy-and-switch when ``dest`` is a free page the caller
-        picked with Find-Free-Space (section 4.2).
+        In-place when the one destination is itself a source (paper section
+        4.1); new-place copy-and-switch when ``dests`` are free pages the
+        caller picked with Find-Free-Space (section 4.2).  The records are
+        repacked in key order: every destination but the last is filled to
+        ``target_per_page`` and the last takes the rest, so one destination
+        — what the paper builds per unit — never reads the target.  Several
+        make one BEGIN..END and one base-page X window for all of them:
+        section 6's "While we could construct more than one page, it would
+        require the reorganization unit to hold locks longer", the
+        trade-off the A3 ablation measures.
         """
-        if dest_is_new and dest in sources:
-            raise ReorgError("a new-place dest cannot be one of the sources")
-        if not dest_is_new and dest not in sources:
-            raise ReorgError("an in-place dest must be one of the sources")
-        unit_id = self.begin_compact(base_page, sources, dest, dest_is_new=dest_is_new)
-        return self.complete_compact(
-            unit_id, base_page, sources, dest, dest_is_new=dest_is_new
-        )
+        unit_id = self.begin_compact(base_page, sources, dests, target_per_page)
+        return self.complete_compact(unit_id, base_page, sources, dests)
 
     def begin_compact(
         self,
         base_page: PageId,
         sources: list[PageId],
-        dest: PageId,
+        dests: list[PageId],
+        target_per_page: int = 0,
         *,
-        dest_is_new: bool,
         unit_type: ReorgUnitType = ReorgUnitType.COMPACT,
     ) -> int:
         """First half of a compact/move unit: BEGIN plus record movement.
@@ -269,17 +283,24 @@ class UnitEngine:
         :meth:`complete_compact`.  "Our new locking protocol only holds an
         X lock on base pages for a short period of time, after the records
         in the leaf pages have been reorganized" (section 4.1).
+
+        Raises :class:`ReorgError`, with nothing logged and no record
+        moved, when the unit is malformed or its records cannot fit.
         """
         unit_id = self._next_unit_id()
+        pending = self._sources_to_drain(unit_id, sources, dests, target_per_page)
         begin = ReorgBeginRecord(
             unit_id=unit_id,
             unit_type=unit_type,
             base_pages=(base_page,),
             leaf_pages=tuple(sources),
-            dest_page=dest,
+            dest_page=dests[0],
+            # Empty for one destination: the record's bytes are what every
+            # unit has always logged.
+            dest_pages=tuple(dests) if len(dests) > 1 else (),
         )
         self._log_unit(begin)
-        self._move_phase(unit_id, sources, dest, dest_is_new)
+        self._move_phase(unit_id, sources, dests, target_per_page, pending)
         return unit_id
 
     def complete_compact(
@@ -287,158 +308,135 @@ class UnitEngine:
         unit_id: int,
         base_page: PageId,
         sources: list[PageId],
-        dest: PageId,
-        *,
-        dest_is_new: bool,
+        dests: list[PageId],
     ) -> UnitResult:
         """Second half: base-page MODIFYs, side pointers, frees, END.
 
         The caller holds X on the base page for exactly this call.
+        (:meth:`finish_unit` runs the same phase without coming through
+        this name, so a traced run counts a recovered unit once.)
         """
-        unit_type = ReorgUnitType.MOVE if (
-            dest_is_new and len(sources) == 1
-        ) else ReorgUnitType.COMPACT
-        self._finish_phase(unit_id, base_page, sources, dest, dest_is_new)
-        largest = self._largest_key_of(dest)
-        moved = self.store.get_leaf(dest).num_items
-        self._log_unit(ReorgEndRecord(unit_id=unit_id, largest_key=largest))
-        freed = tuple(s for s in sources if s != dest)
-        return UnitResult(unit_id, unit_type, dest, freed, largest, moved)
+        return self._finish_phase(unit_id, base_page, sources, dests)
 
-    def compact_unit_multi(
+    # bench/trace.py wraps these three names by ``UnitEngine.__dict__``
+    # lookup and bench/ does not change in a library PR.  Nothing calls
+    # them; they leave with the next change to ``bench/trace.py::_targets()``.
+    compact_unit_multi = compact_unit
+    begin_compact_multi = begin_compact
+    complete_compact_multi = complete_compact
+
+    def move_unit(self, base_page: PageId, source: PageId, dest: PageId) -> UnitResult:
+        """Move one leaf into an empty page (pass-2 Moving, section 6): the
+        compaction of one source into one new page."""
+        unit_id = self.begin_compact(
+            base_page, [source], [dest], unit_type=ReorgUnitType.MOVE
+        )
+        return self.complete_compact(unit_id, base_page, [source], [dest])
+
+    def _sources_to_drain(
         self,
-        base_page: PageId,
+        unit_id: int,
         sources: list[PageId],
         dests: list[PageId],
-        *,
-        target_per_page: int,
-    ) -> UnitResult:
-        """One unit that constructs *several* new leaf pages (section 6:
-        "While we could construct more than one page, it would require the
-        reorganization unit to hold locks longer").
+        target: int,
+    ) -> list[PageId]:
+        """The sources that still hold records to move out, in key order.
 
-        All destinations are fresh empty pages (multi-output is new-place
-        only); the sources' records are repacked into them in key order,
-        ``target_per_page`` records each.  One BEGIN..END, one base-page
-        X window — the lock-hold-time trade-off the A3 ablation measures.
+        Also the one place a unit is refused, before it has logged or moved
+        anything: several destinations must be distinct new pages with a
+        target to fill them to, and the group — it may have grown between
+        planning and locking — must fit when every destination but the last
+        holds ``target`` records and the last a full page.
         """
-        if len(dests) < 2:
-            raise ReorgError("multi-output units need at least two dests")
-        if set(dests) & set(sources):
-            raise ReorgError("multi-output dests must all be fresh pages")
-        unit_id = self.begin_compact_multi(
-            base_page, sources, dests, target_per_page
-        )
-        return self.complete_compact_multi(unit_id, base_page, sources, dests)
+        if len(dests) > 1 and (
+            target < 1
+            or len(set(dests)) < len(dests)
+            or not set(dests).isdisjoint(sources)
+        ):
+            raise ReorgError(
+                f"unit {unit_id}: several destinations {dests} must be distinct "
+                f"new pages (sources {sources}) filled to a target >= 1"
+            )
+        is_free, get_leaf = self.store.free_map.is_free, self.store.get_leaf
+        total = 0
+        pending: list[tuple[int, PageId]] = []
+        for source in sources:
+            if is_free(source):
+                continue  # already drained and freed (recovery re-entry)
+            leaf = get_leaf(source)
+            if leaf.num_items:
+                total += leaf.num_items
+                if source not in dests:
+                    pending.append((leaf.min_key(), source))
+        room = (len(dests) - 1) * target + self.store.config.leaf_capacity
+        if total > room:
+            raise ReorgError(
+                f"unit {unit_id}: the {total} records of leaves {sources} do "
+                f"not fit destinations {dests} ({room} slots)"
+            )
+        # The caller supplies sources in key order; sorting by smallest key
+        # keeps the appends valid on recovery re-entry too.
+        pending.sort()
+        return [source for _min_key, source in pending]
 
-    def begin_compact_multi(
-        self,
-        base_page: PageId,
-        sources: list[PageId],
-        dests: list[PageId],
-        target_per_page: int,
-    ) -> int:
-        """BEGIN + destination allocation + the repack moves (RX held)."""
-        unit_id = self._next_unit_id()
-        begin = ReorgBeginRecord(
-            unit_id=unit_id,
-            unit_type=ReorgUnitType.COMPACT,
-            base_pages=(base_page,),
-            leaf_pages=tuple(sources),
-            dest_page=dests[0],
-            dest_pages=tuple(dests),
-        )
-        self._log_unit(begin)
-        self._multi_move_phase(unit_id, sources, dests, target_per_page)
-        return unit_id
-
-    def complete_compact_multi(
-        self,
-        unit_id: int,
-        base_page: PageId,
-        sources: list[PageId],
-        dests: list[PageId],
-    ) -> UnitResult:
-        """Base MODIFYs (X held), side pointers, frees, END."""
-        self._multi_finish_phase(unit_id, base_page, sources, dests)
-        largest = self._largest_key_of_any(dests)
-        moved = sum(
-            self.store.get_leaf(d).num_items
-            for d in dests
-            if not self.store.free_map.is_free(d)
-        )
-        self._log_unit(ReorgEndRecord(unit_id=unit_id, largest_key=largest))
-        return UnitResult(
-            unit_id, ReorgUnitType.COMPACT, dests[0], tuple(sources),
-            largest, moved,
-        )
-
-    def _execute_compact_multi(
+    def _move_phase(
         self,
         unit_id: int,
-        base_page: PageId,
         sources: list[PageId],
         dests: list[PageId],
-        target_per_page: int,
+        target: int,
+        pending: list[PageId],
     ) -> None:
-        """Idempotent body of a multi-output unit (forward recovery)."""
-        self._multi_move_phase(unit_id, sources, dests, target_per_page)
-        self._multi_finish_phase(unit_id, base_page, sources, dests)
-
-    def _multi_move_phase(
-        self,
-        unit_id: int,
-        sources: list[PageId],
-        dests: list[PageId],
-        target_per_page: int,
-    ) -> None:
+        """Allocate the new destinations and repack ``pending`` into
+        ``dests``.  Idempotent: on recovery re-entry a destination already
+        at the target is passed over and a partly filled one resumes."""
         for dest in dests:
-            self._materialize_dest(dest)
-        # Repack: walk the sources in key order, filling the dest frontier
-        # to the target.  On recovery re-entry, already-drained sources are
-        # skipped and partially-filled dests resume at their frontier.
+            if dest not in sources:
+                self._materialize_dest(dest)
+        get_leaf = self.store.get_leaf
+        last = len(dests) - 1
         frontier = 0
-        for dest in dests:
-            filled = self.store.get_leaf(dest).num_items
-            if filled >= target_per_page:
-                frontier += 1
-        pending = [
-            s for s in sources
-            if not self.store.free_map.is_free(s)
-            and self.store.get_leaf(s).num_items > 0
-        ]
-        pending.sort(key=lambda pid: self.store.get_leaf(pid).min_key())
         for source in pending:
-            while self.store.get_leaf(source).num_items > 0:
-                if frontier >= len(dests):
-                    raise ReorgError(
-                        f"unit {unit_id}: destinations full with records left"
-                    )
-                dest = dests[frontier]
-                room = target_per_page - self.store.get_leaf(dest).num_items
+            while frontier < last and get_leaf(source).num_items:
+                room = target - get_leaf(dests[frontier]).num_items
                 if room <= 0:
                     frontier += 1
                     continue
-                keys = tuple(
-                    r.key
-                    for r in self.store.get_leaf(source).records[:room]
-                )
-                self._move_some_records(unit_id, source, dest, keys)
+                keys = tuple(r.key for r in get_leaf(source).records[:room])
+                self._move_some_records(unit_id, source, dests[frontier], keys)
+            keys = tuple(get_leaf(source).keys())
+            if keys:
+                self._move_some_records(unit_id, source, dests[last], keys)
 
-    def _multi_finish_phase(
+    def _finish_phase(
         self,
         unit_id: int,
         base_page: PageId,
         sources: list[PageId],
         dests: list[PageId],
-    ) -> None:
-        self._fix_base_multi(unit_id, base_page, sources, dests)
+    ) -> UnitResult:
+        """Post the moves in the base page, fix pointers, free the drained
+        sources, END.  Idempotent up to the END record."""
+        built = self._fix_base(unit_id, base_page, sources, dests)
+        # The base now maps the group's key range to the built pages alone;
+        # mirror that one splice in the chain before the side-pointer fix
+        # reads it.
         if self._chain is not None:
-            is_free = self.store.free_map.is_free
-            self._chain.splice(sources, [d for d in dests if not is_free(d)])
-        self._fix_side_pointers_around(*dests)
-        for source in sources:
+            self._chain.splice(sources, built)
+        self._fix_side_pointers_around(*built)
+        freed = tuple(s for s in sources if s not in dests)
+        for source in freed:
             self._free_if_empty(source)
+        largest = moved = 0
+        for dest in built:
+            leaf = self.store.get_leaf(dest)
+            largest = max(largest, leaf.max_key())
+            moved += leaf.num_items
+        self._log_unit(ReorgEndRecord(unit_id=unit_id, largest_key=largest))
+        unit_type = ReorgUnitType.MOVE if (
+            len(sources) == 1 and freed
+        ) else ReorgUnitType.COMPACT
+        return UnitResult(unit_id, unit_type, dests[0], freed, largest, moved)
 
     def _move_some_records(
         self, unit_id: int, source: PageId, dest: PageId, keys: tuple[int, ...]
@@ -466,120 +464,6 @@ class UnitEngine:
         )
         self._log_unit(into)
         apply_record(self.store, into, stash=self._stash)
-
-    def _fix_base_multi(
-        self,
-        unit_id: int,
-        base_page: PageId,
-        sources: list[PageId],
-        dests: list[PageId],
-    ) -> None:
-        base = self.store.get_internal(base_page)
-        for source in sources:
-            index = base.index_of_child(source)
-            if index < 0:
-                continue
-            org_key = base.entries[index][0]
-            modify = ReorgModifyRecord(
-                unit_id=unit_id, base_page=base_page,
-                org_key=org_key, org_child=source,
-                new_key=0, new_child=-1,
-            )
-            self._log_unit(modify)
-            apply_record(self.store, modify)
-        for dest in dests:
-            leaf = self.store.get_leaf(dest)
-            if leaf.is_empty:
-                continue  # an over-provisioned dest; freed below by caller
-            if base.index_of_child(dest) >= 0:
-                continue
-            modify = ReorgModifyRecord(
-                unit_id=unit_id, base_page=base_page,
-                org_key=0, org_child=-1,
-                new_key=leaf.min_key(), new_child=dest,
-            )
-            self._log_unit(modify)
-            apply_record(self.store, modify)
-        # Return any dest that ended up unused (recovery oddities).
-        for dest in dests:
-            if self.store.free_map.is_free(dest):
-                continue
-            leaf = self.store.get_leaf(dest)
-            if leaf.is_empty and base.index_of_child(dest) < 0:
-                self._log_structural(FreeRecord(page_id=dest))
-                self.store.deallocate(dest)
-
-    def move_unit(self, base_page: PageId, source: PageId, dest: PageId) -> UnitResult:
-        """Move one leaf into an empty page (pass-2 Moving, section 6)."""
-        unit_id = self.begin_compact(
-            base_page, [source], dest, dest_is_new=True,
-            unit_type=ReorgUnitType.MOVE,
-        )
-        return self.complete_compact(
-            unit_id, base_page, [source], dest, dest_is_new=True
-        )
-
-    def _execute_compact(
-        self,
-        unit_id: int,
-        base_page: PageId,
-        sources: list[PageId],
-        dest: PageId,
-        dest_is_new: bool,
-    ) -> None:
-        """The idempotent body shared by fresh execution and forward
-        recovery: make ``dest`` hold every record of ``sources``, fix the
-        base page, the side pointers, and free the emptied sources."""
-        self._move_phase(unit_id, sources, dest, dest_is_new)
-        self._finish_phase(unit_id, base_page, sources, dest, dest_is_new)
-
-    def _move_phase(
-        self,
-        unit_id: int,
-        sources: list[PageId],
-        dest: PageId,
-        dest_is_new: bool,
-    ) -> None:
-        """Allocate a new dest if needed and move every record into it."""
-        if dest_is_new:
-            self._materialize_dest(dest)
-
-        # Move records source by source, in key order (the engine's caller
-        # supplies sources in key order; re-sorting by min key keeps the
-        # extend()-style appends valid even on recovery re-entry).
-        pending = [
-            s
-            for s in sources
-            if s != dest
-            and not self.store.free_map.is_free(s)
-            and self.store.get_leaf(s).num_items > 0
-        ]
-        pending.sort(
-            key=lambda pid: self.store.get_leaf(pid).min_key()
-        )
-        for source in pending:
-            self._move_some_records(
-                unit_id, source, dest, tuple(self.store.get_leaf(source).keys())
-            )
-
-    def _finish_phase(
-        self,
-        unit_id: int,
-        base_page: PageId,
-        sources: list[PageId],
-        dest: PageId,
-        dest_is_new: bool,
-    ) -> None:
-        """Post the moves in the base page, fix pointers, free sources."""
-        self._fix_base_after_compact(unit_id, base_page, sources, dest, dest_is_new)
-        # The base now maps the group's key range to dest alone; mirror
-        # that one splice in the chain before the side-pointer fix reads it.
-        if self._chain is not None:
-            self._chain.splice(sources, [dest])
-        self._fix_side_pointers_around(dest)
-        for source in sources:
-            if source != dest:
-                self._free_if_empty(source)
 
     def _free_if_empty(self, page_id: PageId) -> None:
         """Return a drained (or never filled) leaf page to the free pool."""
@@ -614,61 +498,63 @@ class UnitEngine:
             )
             self._log_structural(LeafFormatRecord(page_id=dest, records=()))
 
-    def _fix_base_after_compact(
+    def _modify(
+        self,
+        unit_id: int,
+        base_page: PageId,
+        org: tuple[int, PageId],
+        new: tuple[int, PageId],
+    ) -> None:
+        """Log and apply one base-page MODIFY turning the ``(key, child)``
+        entry ``org`` into ``new``; ``_NO_ENTRY`` on either side makes it an
+        insertion or a removal."""
+        modify = ReorgModifyRecord(
+            unit_id=unit_id, base_page=base_page,
+            org_key=org[0], org_child=org[1],
+            new_key=new[0], new_child=new[1],
+        )
+        self._log_unit(modify)
+        apply_record(self.store, modify)
+
+    def _fix_base(
         self,
         unit_id: int,
         base_page: PageId,
         sources: list[PageId],
-        dest: PageId,
-        dest_is_new: bool,
-    ) -> None:
+        dests: list[PageId],
+    ) -> list[PageId]:
+        """Make the base page map the group's key range to the destinations
+        and return those it now points at.  A new page the repack left
+        empty (an over-provisioned unit) goes back to the free pool."""
         base = self.store.get_internal(base_page)
-        dest_leaf = self.store.get_leaf(dest)
-        new_key = dest_leaf.min_key()
         # Remove entries of compacted-away sources.
         for source in sources:
-            if source == dest:
+            if source in dests:
                 continue
             index = base.index_of_child(source)
             if index < 0:
                 continue  # already removed (recovery re-entry)
-            org_key = base.entries[index][0]
-            modify = ReorgModifyRecord(
-                unit_id=unit_id,
-                base_page=base_page,
-                org_key=org_key,
-                org_child=source,
-                new_key=0,
-                new_child=-1,
+            self._modify(
+                unit_id, base_page, (base.entries[index][0], source), _NO_ENTRY
             )
-            self._log_unit(modify)
-            apply_record(self.store, modify)
-        # Point the base at dest under the right key.
-        index = base.index_of_child(dest)
-        if index < 0:
-            modify = ReorgModifyRecord(
-                unit_id=unit_id,
-                base_page=base_page,
-                org_key=0,
-                org_child=-1,
-                new_key=new_key,
-                new_child=dest,
-            )
-            self._log_unit(modify)
-            apply_record(self.store, modify)
-        else:
-            org_key = base.entries[index][0]
-            if org_key != new_key:
-                modify = ReorgModifyRecord(
-                    unit_id=unit_id,
-                    base_page=base_page,
-                    org_key=org_key,
-                    org_child=dest,
-                    new_key=new_key,
-                    new_child=dest,
+        # Point the base at each destination under the right key.
+        built: list[PageId] = []
+        for dest in dests:
+            leaf = self.store.get_leaf(dest)
+            if leaf.is_empty and dest not in sources:
+                self._free_if_empty(dest)
+                continue
+            built.append(dest)
+            new_key = leaf.min_key()
+            index = base.index_of_child(dest)
+            if index < 0:
+                self._modify(unit_id, base_page, _NO_ENTRY, (new_key, dest))
+            elif base.entries[index][0] != new_key:
+                self._modify(
+                    unit_id, base_page,
+                    (base.entries[index][0], dest), (new_key, dest),
                 )
-                self._log_unit(modify)
-                apply_record(self.store, modify)
+        return built
 
     # -- side pointers ----------------------------------------------------------
 
@@ -830,16 +716,9 @@ class UnitEngine:
                 )
                 if correct == child:
                     continue
-                modify = ReorgModifyRecord(
-                    unit_id=unit_id,
-                    base_page=base_id,
-                    org_key=slot_key,
-                    org_child=child,
-                    new_key=slot_key,
-                    new_child=correct,
+                self._modify(
+                    unit_id, base_id, (slot_key, child), (slot_key, correct)
                 )
-                self._log_unit(modify)
-                apply_record(self.store, modify)
 
     def _correct_child_for_slot(
         self, base_id: PageId, slot: int, candidates: tuple[PageId, PageId]
@@ -878,57 +757,13 @@ class UnitEngine:
         self._chain = None  # derive from pages, not a stale chain
         self.resume_unit_ids_after(pending.unit_id)
         unit_id = pending.unit_id
-        dest_pages = pending.dest_pages or (pending.dest_page,)
-        if (
-            pending.unit_type is ReorgUnitType.COMPACT
-            and len(dest_pages) > 1
-        ):
-            # Multi-output unit: the repack target is recoverable from the
-            # fullest destination (every dest but the last is filled to it).
-            filled = [
-                self.store.get_leaf(d).num_items
-                for d in dest_pages
-                if not self.store.free_map.is_free(d)
-                and (self.store.buffer.contains(d) or self.store.disk.has_image(d))
-            ]
-            remaining = sum(
-                self.store.get_leaf(s).num_items
-                for s in pending.leaf_pages
-                if not self.store.free_map.is_free(s)
-            )
-            total = sum(filled) + remaining
-            # The exact pre-crash target is unrecoverable in general; any
-            # target >= max(filled) that fits the total preserves every
-            # record (per-page fill may differ by a record or two from the
-            # uncrashed run, which the paper's average-d framing allows).
-            target = max(
-                max(filled, default=1),
-                -(-total // len(dest_pages)),  # ceil division
-                1,
-            )
-            self._execute_compact_multi(
-                unit_id, pending.base_pages[0], list(pending.leaf_pages),
-                list(dest_pages), target,
-            )
-            largest = self._largest_key_of_any(dest_pages)
-            self._log_unit(ReorgEndRecord(unit_id=unit_id, largest_key=largest))
-            return UnitResult(
-                unit_id, pending.unit_type, dest_pages[0],
-                tuple(pending.leaf_pages), largest, 0,
-            )
         if pending.unit_type in (ReorgUnitType.COMPACT, ReorgUnitType.MOVE):
-            dest = pending.dest_page
-            dest_is_new = dest not in pending.leaf_pages
-            self._execute_compact(
-                unit_id, pending.base_pages[0], list(pending.leaf_pages), dest,
-                dest_is_new,
-            )
-            largest = self._largest_key_of(dest)
-            moved = self.store.get_leaf(dest).num_items
-            self._log_unit(ReorgEndRecord(unit_id=unit_id, largest_key=largest))
-            freed = tuple(p for p in pending.leaf_pages if p != dest)
-            return UnitResult(
-                unit_id, pending.unit_type, dest, freed, largest, moved
+            sources, dests = list(pending.leaf_pages), _dests_of(pending)
+            target = self._recovered_target(sources, dests)
+            drain = self._sources_to_drain(unit_id, sources, dests, target)
+            self._move_phase(unit_id, sources, dests, target, drain)
+            return self._finish_phase(
+                unit_id, pending.base_pages[0], sources, dests
             )
         if pending.unit_type is ReorgUnitType.SWAP:
             leaf_a, leaf_b = pending.leaf_pages
@@ -948,6 +783,35 @@ class UnitEngine:
                 unit_id, ReorgUnitType.SWAP, leaf_a, (), largest, 0
             )
         raise ReorgError(f"unknown unit type {pending.unit_type!r}")
+
+    def _recovered_target(self, sources: list[PageId], dests: list[PageId]) -> int:
+        """The per-page target of an interrupted unit, from page state.
+
+        A destination followed by one that holds records was filled to the
+        target before the repack went on, so the first one's fill is the
+        target.  With records in the first destination only, the exact
+        target is unrecoverable; any target from its fill up that spreads
+        the rest preserves every record (per-page fill may differ by a
+        record or two from the uncrashed run, which the paper's average-d
+        framing allows).  One destination never reads it.
+        """
+        if len(dests) == 1:
+            return 0
+        filled = [self._records_in(dest) for dest in dests]
+        if any(filled[1:]):
+            return filled[0]
+        total = filled[0] + sum(self._records_in(source) for source in sources)
+        return max(filled[0], -(-total // len(dests)), 1)
+
+    def _records_in(self, page_id: PageId) -> int:
+        """Records on a page that may be free, or allocated by redo but
+        never formatted (both: none)."""
+        store = self.store
+        if store.free_map.is_free(page_id) or not (
+            store.buffer.contains(page_id) or store.disk.has_image(page_id)
+        ):
+            return 0
+        return store.get_leaf(page_id).num_items
 
     def rollback_unit(self, pending: PendingReorgUnit) -> bool:
         """Roll an interrupted unit *back* — the [Smi90] baseline's policy.
@@ -981,21 +845,17 @@ class UnitEngine:
                         tuple(present),
                     )
             elif isinstance(record, ReorgModifyRecord):
-                inverse = ReorgModifyRecord(
-                    unit_id=unit_id,
-                    base_page=record.base_page,
-                    org_key=record.new_key,
-                    org_child=record.new_child,
-                    new_key=record.org_key,
-                    new_child=record.org_child,
+                self._modify(
+                    unit_id, record.base_page,
+                    (record.new_key, record.new_child),
+                    (record.org_key, record.org_child),
                 )
-                self._log_unit(inverse)
-                apply_record(self.store, inverse)
             elif isinstance(record, ReorgSwapRecord):
                 # A swap is its own inverse.
                 self._swap_contents(unit_id, record.page_a, record.page_b)
-        if pending.dest_page not in pending.leaf_pages:
-            self._free_if_empty(pending.dest_page)
+        for dest in _dests_of(pending):
+            if dest not in pending.leaf_pages:
+                self._free_if_empty(dest)
         # Mark the unit closed in the log without advancing LK.
         self._log_unit(
             ReorgEndRecord(unit_id=unit_id, largest_key=NO_KEY_YET)
@@ -1025,10 +885,11 @@ class UnitEngine:
             cursor = record.prev_lsn
         for dest, org, keys in inversions:
             self._move_back(unit_id, dest, org, keys)
-        # A new-place unit may have allocated a fresh dest page before the
-        # deadlock; once drained it is returned to the free pool.
-        if begin is not None and begin.dest_page not in begin.leaf_pages:
-            self._free_if_empty(begin.dest_page)
+        # A new-place unit allocated fresh dest pages before the deadlock;
+        # once drained they are returned to the free pool.
+        for dest in _dests_of(begin) if begin is not None else ():
+            if dest not in begin.leaf_pages:
+                self._free_if_empty(dest)
         self.db.progress.unit_aborted(unit_id=unit_id)
 
     def _move_back(
@@ -1073,10 +934,8 @@ class UnitEngine:
         leaf = self.store.get_leaf(page_id)
         return leaf.max_key() if not leaf.is_empty else 0
 
-    def _largest_key_of_any(self, page_ids) -> int:
-        keys = [
-            self._largest_key_of(pid)
-            for pid in page_ids
-            if not self.store.free_map.is_free(pid)
-        ]
-        return max(keys, default=0)
+
+def _dests_of(unit: ReorgBeginRecord | PendingReorgUnit) -> list[PageId]:
+    """Every destination of a compact/move unit (``dest_pages`` is only
+    written for more than one)."""
+    return list(unit.dest_pages or (unit.dest_page,))

@@ -60,7 +60,7 @@ def internal_ids(db, tree):
 
 def after_each_unit(engine, hook):
     """Call ``hook(result)`` whenever the engine completes a unit."""
-    for name in ("complete_compact", "complete_compact_multi", "complete_swap"):
+    for name in ("complete_compact", "complete_swap"):
         def completed(*args, _complete=getattr(engine, name), **kwargs):
             result = _complete(*args, **kwargs)
             hook(result)

@@ -3,14 +3,18 @@
 import pytest
 
 from repro.btree.stats import collect_stats
-from repro.config import ReorgConfig, TreeConfig
+from repro.config import FreeSpacePolicy, ReorgConfig, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint
+from repro.locks.modes import LockMode
+from repro.locks.resources import page_lock
 from repro.reorg.parallel import build_parallel_pass1, partition_base_pages
 from repro.reorg.reorganizer import Reorganizer
 from repro.sim.crash import LogCrashInjector, crash_recover
 from repro.sim.workload import build_sparse_tree
+from repro.txn.ops import Acquire, Release, Think
 from repro.txn.scheduler import Scheduler
+from repro.wal.records import FreeRecord, ReorgBeginRecord
 
 
 def make_db(n=1200):
@@ -29,16 +33,31 @@ def make_db(n=1200):
     return db
 
 
-def run_parallel_pass1(db, n_workers, *, unit_pause=0.01, op_duration=0.05):
+def starting_at(time, generator):
+    yield Think(time)
+    return (yield from generator)
+
+
+def run_parallel_pass1(
+    db, n_workers, *, config=None, unit_pause=0.01, op_duration=0.05,
+    stagger=0.0, users=(),
+):
+    """Run the workers (worker i starting at ``stagger * i``) beside the
+    ``users`` generators."""
     sched = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.02)
     protocols = build_parallel_pass1(
-        db, "primary", ReorgConfig(), n_workers,
+        db, "primary", config or ReorgConfig(), n_workers,
         unit_pause=unit_pause, op_duration=op_duration,
     )
     txns = [
-        sched.spawn(p.pass1(), name=f"worker-{i}", is_reorganizer=True)
+        sched.spawn(
+            starting_at(stagger * i, p.pass1()) if stagger * i else p.pass1(),
+            name=f"worker-{i}", is_reorganizer=True,
+        )
         for i, p in enumerate(protocols)
     ]
+    for i, user in enumerate(users):
+        sched.spawn(user, name=f"user-{i}")
     sched.run()
     assert sched.failed == []
     return sched, txns
@@ -105,6 +124,74 @@ class TestParallelCompaction:
             and r.dest_page not in r.leaf_pages  # new-place units only
         ]
         assert len(dests) == len(set(dests))
+
+
+def units_building_into_a_live_leaf(db):
+    """(unit id, page) for every new-place destination that some earlier
+    unit had built and nobody had freed since — read off the log."""
+    built, shared = set(), []
+    for record in db.log.records_from(1):
+        if isinstance(record, ReorgBeginRecord):
+            for dest in record.dest_pages or (record.dest_page,):
+                if dest in record.leaf_pages:
+                    continue
+                if dest in built:
+                    shared.append((record.unit_id, dest))
+                built.add(dest)
+        elif isinstance(record, FreeRecord):
+            built.discard(record.page_id)
+    return shared
+
+
+@pytest.mark.parametrize(
+    "policy", [FreeSpacePolicy.PAPER, FreeSpacePolicy.FIRST_FIT]
+)
+@pytest.mark.parametrize("workers", [2, 4])
+class TestParallelMultiOutputUnits:
+    """Units that build several pages reserve all of them across workers."""
+
+    def config(self, policy):
+        return ReorgConfig(max_unit_output_pages=3, free_space_policy=policy)
+
+    def check(self, db, expected):
+        tree = db.tree()
+        tree.validate()
+        assert [(r.key, r.payload) for r in tree.items()] == expected
+        assert any(
+            len(r.dest_pages) > 1
+            for r in db.log.records_from(1)
+            if isinstance(r, ReorgBeginRecord)
+        ), "the cell must exercise multi-output units"
+        assert units_building_into_a_live_leaf(db) == []
+
+    def test_same_records_as_the_sequential_pass(self, workers, policy):
+        sequential = make_db()
+        Reorganizer(
+            sequential, sequential.tree(), self.config(policy)
+        ).run_pass1()
+        expected = [(r.key, r.payload) for r in sequential.tree().items()]
+        db = make_db()
+        run_parallel_pass1(db, workers, config=self.config(policy))
+        self.check(db, expected)
+
+    def test_a_wait_between_picking_and_begin_loses_no_page(self, workers, policy):
+        """A user holds X on a leaf of worker 0's second base page, so that
+        worker picks its destinations and then waits for its RX locks
+        while the others, starting a little later, go on picking."""
+        db = make_db()
+        expected = [(r.key, r.payload) for r in db.tree().items()]
+        second_base = partition_base_pages(db, "primary", workers)[0][1]
+        leaf = page_lock(db.store.get_internal(second_base).children()[0])
+
+        def user():
+            yield Acquire(leaf, LockMode.X)
+            yield Think(20.0)
+            yield Release(leaf, LockMode.X)
+
+        run_parallel_pass1(
+            db, workers, config=self.config(policy), stagger=0.5, users=[user()]
+        )
+        self.check(db, expected)
 
 
 class TestParallelRecovery:

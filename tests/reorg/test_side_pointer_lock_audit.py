@@ -91,13 +91,14 @@ class TestEverySidePointerEditIsLocked:
         config = ReorgConfig(max_unit_output_pages=3)
         protocol = ReorgProtocol(db, "primary", config, op_duration=0.05)
         multi_begins = []
-        begin_multi = protocol.engine.begin_compact_multi
+        begin = protocol.engine.begin_compact
 
-        def spy(*args):
-            multi_begins.append(args)
-            return begin_multi(*args)
+        def spy(base, sources, dests, *args):
+            if len(dests) > 1:
+                multi_begins.append(dests)
+            return begin(base, sources, dests, *args)
 
-        protocol.engine.begin_compact_multi = spy
+        protocol.engine.begin_compact = spy
         run_audited(db, [protocol.pass1()])
         assert multi_begins, "the cell must exercise multi-output units"
 

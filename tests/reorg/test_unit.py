@@ -55,7 +55,7 @@ class TestCompactUnit:
         group = base.children()[:3]
         counts = sum(db.store.get_leaf(c).num_items for c in group)
         result = engine.compact_unit(
-            base.page_id, group, group[0], dest_is_new=False
+            base.page_id, group, [group[0]]
         )
         assert result.unit_type is ReorgUnitType.COMPACT
         assert db.store.get_leaf(group[0]).num_items == counts
@@ -70,7 +70,7 @@ class TestCompactUnit:
         group = base.children()[:3]
         empty = db.store.free_map.free_page_ids("leaf")[0]
         before = sorted(r.key for r in tree.items())
-        result = engine.compact_unit(base.page_id, group, empty, dest_is_new=True)
+        result = engine.compact_unit(base.page_id, group, [empty])
         assert result.dest_page == empty
         for freed in group:
             assert db.store.free_map.is_free(freed)
@@ -83,7 +83,7 @@ class TestCompactUnit:
         before = [(r.key, r.payload) for r in tree.items()]
         base = tree.base_page_for(0)
         group = base.children()[:4]
-        engine.compact_unit(base.page_id, group, group[0], dest_is_new=False)
+        engine.compact_unit(base.page_id, group, [group[0]])
         assert [(r.key, r.payload) for r in tree.items()] == before
 
     def test_base_page_entries_updated(self):
@@ -92,7 +92,7 @@ class TestCompactUnit:
         group = base.children()[:3]
         n_entries = base.num_items
         UnitEngine(db, tree).compact_unit(
-            base.page_id, group, group[0], dest_is_new=False
+            base.page_id, group, [group[0]]
         )
         base = db.store.get_internal(base.page_id)
         assert base.num_items == n_entries - 2
@@ -106,7 +106,7 @@ class TestCompactUnit:
         base = tree.base_page_for(0)
         group = base.children()[:2]
         mark = db.log.last_lsn
-        engine.compact_unit(base.page_id, group, group[0], dest_is_new=False)
+        engine.compact_unit(base.page_id, group, [group[0]])
         records = list(db.log.records_from(mark + 1))
         kinds = [type(r).__name__ for r in records]
         assert kinds[0] == "ReorgBeginRecord"
@@ -120,7 +120,7 @@ class TestCompactUnit:
         engine = UnitEngine(db, tree)
         base = tree.base_page_for(0)
         group = base.children()[:2]
-        engine.compact_unit(base.page_id, group, group[0], dest_is_new=False)
+        engine.compact_unit(base.page_id, group, [group[0]])
         # Walk back from END through the unit chain to BEGIN.
         end = next(
             r for r in reversed(list(db.log.records_from(1)))
@@ -134,7 +134,7 @@ class TestCompactUnit:
         engine = UnitEngine(db, tree)
         base = tree.base_page_for(0)
         group = base.children()[:2]
-        result = engine.compact_unit(base.page_id, group, group[0], dest_is_new=False)
+        result = engine.compact_unit(base.page_id, group, [group[0]])
         assert not db.progress.unit_in_flight
         assert db.progress.largest_finished_key == result.largest_key
 
@@ -144,7 +144,7 @@ class TestCompactUnit:
         base = tree.base_page_for(0)
         group = base.children()[:2]
         mark = db.log.last_lsn
-        engine.compact_unit(base.page_id, group, group[0], dest_is_new=False)
+        engine.compact_unit(base.page_id, group, [group[0]])
         moves = [
             r for r in db.log.records_from(mark + 1)
             if isinstance(r, (ReorgMoveInRecord, ReorgMoveOutRecord))
@@ -158,23 +158,12 @@ class TestCompactUnit:
         base = tree.base_page_for(0)
         group = base.children()[:2]
         mark = db.log.last_lsn
-        engine.compact_unit(base.page_id, group, group[0], dest_is_new=False)
+        engine.compact_unit(base.page_id, group, [group[0]])
         moves = [
             r for r in db.log.records_from(mark + 1)
             if isinstance(r, (ReorgMoveInRecord, ReorgMoveOutRecord))
         ]
         assert moves and all(r.records for r in moves)
-
-    def test_dest_validation(self):
-        db, tree = sparse_db()
-        engine = UnitEngine(db, tree)
-        base = tree.base_page_for(0)
-        group = base.children()[:2]
-        with pytest.raises(ReorgError):
-            engine.compact_unit(base.page_id, group, group[0], dest_is_new=True)
-        empty = db.store.free_map.free_page_ids("leaf")[0]
-        with pytest.raises(ReorgError):
-            engine.compact_unit(base.page_id, group, empty, dest_is_new=False)
 
     @pytest.mark.parametrize(
         "side", [SidePointerKind.ONE_WAY, SidePointerKind.TWO_WAY]
@@ -184,7 +173,7 @@ class TestCompactUnit:
         engine = UnitEngine(db, tree)
         base = tree.base_page_for(0)
         group = base.children()[:3]
-        engine.compact_unit(base.page_id, group, group[0], dest_is_new=False)
+        engine.compact_unit(base.page_id, group, [group[0]])
         tree.validate()
 
 
