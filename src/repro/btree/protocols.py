@@ -69,7 +69,6 @@ from repro.locks.resources import (
     page_lock,
     record_lock,
     sidefile_key,
-    sidefile_lock,
     tree_lock,
 )
 from repro.storage.page import PageId, PageKind, Record
@@ -686,8 +685,10 @@ def _structural_update(db, tree_name, key, action, think):
     # must first IX the side file; if the side file is X-held the switch is
     # in progress -> instant IX, then restart against the new tree.
     if db.pass3.reorg_bit:
-        sidefile = sidefile_lock(getattr(db, "sidefile_name", ""))
-        blocked = yield Call(lambda: _sidefile_switch_in_progress(db))
+        from repro.reorg.switch import sidefile_resource
+
+        sidefile = sidefile_resource(db)
+        blocked = yield Call(lambda: _sidefile_switch_in_progress(db, sidefile))
         if blocked:
             yield Acquire(sidefile, IX, instant=True)
             for page_id in path:
@@ -702,8 +703,8 @@ def _structural_update(db, tree_name, key, action, think):
     return True if applied else None
 
 
-def _sidefile_switch_in_progress(db: Database) -> bool:
-    holders = db.locks.holders_of(sidefile_lock(getattr(db, "sidefile_name", "")))
+def _sidefile_switch_in_progress(db: Database, sidefile: tuple) -> bool:
+    holders = db.locks.holders_of(sidefile)
     return any(X in modes for modes in holders.values())
 
 

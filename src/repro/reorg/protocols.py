@@ -34,20 +34,19 @@ an ``abort_hook`` the simulation driver arms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Generator
 
 from repro.btree.protocols import _s_couple_to_base
-from repro.btree.tree import BPlusTree
 from repro.config import ReorgConfig, SidePointerKind
 from repro.db import Database
 from repro.errors import DeadlockError, ReorgError, SwitchTimeoutError
 from repro.locks.modes import LockMode
-from repro.locks.resources import page_lock, sidefile_lock, tree_lock
+from repro.locks.resources import page_lock, tree_lock
 from repro.reorg.compact import LeafCompactor
 from repro.reorg.placement import make_policy
-from repro.reorg.shrink import SCAN_DONE_KEY, TreeShrinker
-from repro.reorg.switch import Switcher, _bump_lock_name, current_lock_name
+from repro.reorg.shrink import TreeShrinker
+from repro.reorg.switch import Switcher, current_lock_name, sidefile_resource
 from repro.reorg.unit import UnitEngine
 from repro.storage.page import PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
@@ -100,7 +99,6 @@ class ReorgProtocol:
         scan_pause: float = 0.0,
         op_duration: float = 0.0,
         abort_hook: Callable[[list[Transaction]], None] | None = None,
-        sidefile_name: str | None = None,
     ):
         self.db = db
         self.tree_name = tree_name
@@ -112,12 +110,6 @@ class ReorgProtocol:
         #: possibly-overridden config, so each shard reorganizer resolves
         #: its own policy against its own leases.
         self.placement = make_policy(db.config.placement_policy)
-        #: Which side file this reorganizer's switch drains.  Defaults to
-        #: the db's own side-file name (shard handles carry one), falling
-        #: back to the single global side file.
-        if sidefile_name is None:
-            sidefile_name = getattr(db, "sidefile_name", "")
-        self._sidefile_resource = sidefile_lock(sidefile_name)
         #: Simulated time consumed between units / between scanned base
         #: pages — models the background pacing of the reorganizer.
         self.unit_pause = unit_pause
@@ -436,98 +428,60 @@ class ReorgProtocol:
 
     def pass3(self) -> Generator[Any, Any, dict]:
         """Internal reorganization: S one base page at a time, side file,
-        and the section 7.4 switch."""
+        and the section 7.4 switch.  The step bodies are TreeShrinker's and
+        Switcher's; stated here is where the reorganizer locks and waits."""
         yield Acquire(tree_lock(self._lock_name()), IX)
         shrinker = TreeShrinker(self.db, self.tree, self.config)
-        shrinker.attach_listener()
-        stats = {"base_pages": 0, "catchup_rounds": 0, "aborted_stragglers": 0}
+        switcher = Switcher(self.db, self.tree, shrinker)
         try:
-            root = self.db.store.get(self.tree.root_id)
-            if root.kind is PageKind.LEAF:
-                yield ReleaseAll()
-                return stats
-            first = yield Call(
-                lambda: shrinker._base_page_for_key(shrinker._smallest_key())
-            )
-            base_id = first.page_id
-            shrinker._current_key = shrinker._low_mark_of(first)
-            yield Call(shrinker._stable_point)
-            while base_id is not None:
-                # "The reorganizer only holds an S lock on the base page
-                # that it is reading, so other readers could also access
-                # that page" (section 7.1).
-                yield Acquire(page_lock(base_id), S)
-                next_base_id = yield Call(
-                    lambda b=base_id: self._scan_one_base(shrinker, b)
-                )
-                stats["base_pages"] += 1
-                if (
-                    shrinker._pages_since_stable
-                    >= self.config.stable_point_interval
-                ):
-                    yield Call(shrinker._stable_point)
-                if self.scan_pause:
-                    # Reading time, charged while the S lock is held.
-                    yield Think(self.scan_pause)
-                yield Release(page_lock(base_id), S)
-                base_id = next_base_id
-            yield Call(shrinker.build_upper)
-            # Catch-up (no locks): loop until the side file drains.
-            for _round in range(100):
-                yield Call(shrinker.apply_side_file_once)
-                stats["catchup_rounds"] += 1
-                if shrinker.side_file.is_empty():
-                    break
-                yield Think(self.scan_pause or 0.1)
-            yield from self._switch_protocol(shrinker, stats)
+            first = yield Call(shrinker.begin_scan)
+            # A leaf root has no upper levels: nothing was attached.
+            if first is not None:
+                yield from self._scan_protocol(shrinker, first.page_id)
+                yield Call(shrinker.build_upper)
+                # Catch-up (no locks): loop until the side file drains.
+                for _round in range(100):
+                    yield Call(shrinker.apply_side_file_once)
+                    shrinker.stats.catchup_rounds += 1
+                    if shrinker.side_file.is_empty():
+                        break
+                    yield Think(self.scan_pause or 0.1)
+                yield from self._switch_protocol(switcher)
         finally:
             shrinker.detach_listener()
         yield ReleaseAll()
-        return stats
+        result = asdict(shrinker.stats) | asdict(switcher.stats)
+        return result | {"base_pages": result["base_pages_read"]}
 
-    def _scan_one_base(self, shrinker: TreeShrinker, base_id: PageId):
-        """Read one (S-locked) base page, emit its entries, advance CK.
-
-        Returns the next base page id or None.  Runs synchronously inside
-        a Call so the page content and CK advance atomically w.r.t. the
-        held S lock, exactly as in the paper.
-        """
-        base = self.db.store.get_internal(base_id)
-        entries = list(base.entries)
-        for key, child in entries:
-            shrinker._emit(key, child)
-        shrinker.stats.base_pages_read += 1
-        shrinker.stats.entries_scanned += len(entries)
-        next_base = shrinker._next_base_after(entries[-1][0])
-        shrinker._current_key = (
-            shrinker._low_mark_of(next_base)
-            if next_base is not None
-            else SCAN_DONE_KEY
-        )
-        return next_base.page_id if next_base is not None else None
-
-    def _switch_protocol(self, shrinker: TreeShrinker, stats: dict):
-        from repro.wal.records import ReorgDoneRecord, TreeSwitchRecord
-
-        db = self.db
-        yield Acquire(self._sidefile_resource, X)
-        yield Call(shrinker.apply_side_file_once)
-        old_root = self.tree.root_id
-        new_root = shrinker.new_root
-        old_lock_name = current_lock_name(db, self.tree_name)
-
-        def log_switch():
-            db.log.append(
-                TreeSwitchRecord(
-                    old_root=old_root,
-                    new_root=new_root,
-                    old_lock_name=old_lock_name,
-                )
+    def _scan_protocol(self, shrinker: TreeShrinker, base_id: PageId | None):
+        """Sections 7.1/7.5: S on exactly one base page at a time."""
+        yield Call(shrinker.stable_point)
+        while base_id is not None:
+            # "The reorganizer only holds an S lock on the base page
+            # that it is reading, so other readers could also access
+            # that page" (section 7.1).
+            yield Acquire(page_lock(base_id), S)
+            # The page is fetched afresh under the S lock: it may have been
+            # written and evicted since Get_Next named it.
+            next_base = yield Call(
+                lambda b=base_id: shrinker.scan_base(self.db.store.get_internal(b))
             )
-            db.log.flush()
+            if shrinker.stable_point_due:
+                yield Call(shrinker.stable_point)
+            if self.scan_pause:
+                # Reading time, charged while the S lock is held.
+                yield Think(self.scan_pause)
+            yield Release(page_lock(base_id), S)
+            base_id = next_base.page_id if next_base is not None else None
 
-        yield Call(log_switch)
-        yield Call(lambda: _flip_root(db, self.tree, new_root))
+    def _switch_protocol(self, switcher: Switcher):
+        """Section 7.4 with the waits made explicit."""
+        sidefile = sidefile_resource(self.db)
+        yield Acquire(sidefile, X)
+        yield Call(switcher.final_catch_up)
+        yield Call(switcher.log_switch)
+        yield Call(switcher.flip_root)
+        old_tree = tree_lock(switcher.old_lock_name)
         # Drain old-tree transactions: X on the old lock name.  With a
         # wait limit, poll and force stragglers to abort (section 7.4).
         limit = self.config.switch_wait_limit
@@ -538,9 +492,7 @@ class ReorgProtocol:
                 holders = yield Call(
                     lambda: [
                         owner
-                        for owner in db.locks.holders_of(
-                            tree_lock(old_lock_name)
-                        )
+                        for owner in self.db.locks.holders_of(old_tree)
                         # The reorganizer's own IX on the old tree does not
                         # count as a straggler.
                         if not getattr(owner, "is_reorganizer", False)
@@ -555,43 +507,18 @@ class ReorgProtocol:
                         )
                     if self.abort_hook is not None:
                         yield Call(lambda h=holders: self.abort_hook(h))
-                        stats["aborted_stragglers"] += len(holders)
+                        switcher.stats.aborted_stragglers += len(holders)
                     else:
                         raise SwitchTimeoutError(
                             "forced abort requested but no abort_hook is wired"
                         )
                 yield Think(poll)
                 waited += poll
-        yield Acquire(tree_lock(old_lock_name), X)
-        freed = yield Call(
-            lambda: Switcher(db, self.tree, shrinker)._discard_internals_under(
-                old_root
-            )
-        )
-
-        def finish():
-            db.log.append(ReorgDoneRecord())
-            db.log.flush()
-            _clear_pass3(db, shrinker)
-
-        yield Call(finish)
-        yield Release(tree_lock(old_lock_name), X)
-        yield Release(self._sidefile_resource, X)
-        stats["old_internal_freed"] = freed
-
-
-def _flip_root(db: Database, tree: BPlusTree, new_root: PageId) -> None:
-    _bump_lock_name(db, tree.name)
-    tree.set_root(new_root)
-    db.store.disk.del_meta(f"root:{tree.name}.new")
-
-
-def _clear_pass3(db: Database, shrinker: TreeShrinker) -> None:
-    db.pass3.reorg_bit = False
-    db.pass3.stable_key = None
-    db.pass3.new_root = -1
-    db.pass3.side_file_entries.clear()
-    shrinker.built_entries.clear()
+        yield Acquire(old_tree, X)
+        yield Call(switcher.discard_old)
+        yield Call(switcher.finish)
+        yield Release(old_tree, X)
+        yield Release(sidefile, X)
 
 
 def full_reorganization(protocol: ReorgProtocol) -> Generator[Any, Any, dict]:

@@ -2,10 +2,10 @@
 
 This is the paper's headline artifact (Figure 1): compact the leaves,
 optionally swap/move them into disk order, then rebuild the upper levels
-and switch.  :class:`Reorganizer` is the synchronous engine — every page
-movement, log record and protocol step is real; lock *contention* is
-exercised separately by the DES protocols in
-:mod:`repro.reorg.protocols`.
+and switch.  :class:`Reorganizer` is the synchronous ordering of the unit,
+pass-3 and switch steps; :mod:`repro.reorg.protocols` runs the same step
+bodies on the DES with the lock waits made real, and forward recovery of
+pass 3 is :meth:`Reorganizer.run_pass3` resumed at the last stable key.
 
 Typical use::
 
@@ -30,7 +30,6 @@ from typing import Callable
 from repro.btree.tree import BPlusTree
 from repro.config import ReorgConfig
 from repro.db import Database
-from repro.errors import ReorgError
 from repro.reorg.compact import LeafCompactor, Pass1Stats
 from repro.reorg.shrink import Pass3Stats, SCAN_DONE_KEY, TreeShrinker
 from repro.reorg.swap import Pass2Stats, SwapMovePass
@@ -86,14 +85,9 @@ class Reorganizer:
         resume_from: int | None = None,
         shrinker: TreeShrinker | None = None,
     ) -> tuple[Pass3Stats, SwitchStats]:
-        """Rebuild the upper levels new-place and switch (section 7)."""
-        from repro.storage.page import PageKind
-
-        root = self.db.store.get(self.tree.root_id)
-        if root.kind is PageKind.LEAF:
-            raise ReorgError("single-leaf tree: nothing to shrink")
+        """Rebuild the upper levels new-place and switch (section 7);
+        ``resume_from`` and ``shrinker`` are forward recovery's."""
         shrinker = shrinker or TreeShrinker(self.db, self.tree, self.config)
-        shrinker.attach_listener()
         try:
             shrinker.scan(during_scan, resume_from=resume_from)
             shrinker.build_upper()
@@ -146,12 +140,8 @@ class Reorganizer:
         if recovery.reorg_bit and recovery.switch_pending is not None:
             # The switch had begun: finish it forward; no rebuilding.
             shrinker = TreeShrinker(self.db, self.tree, self.config)
-            old_root, new_root, old_lock_name = recovery.switch_pending
-            shrinker.new_root = new_root
             switcher = Switcher(self.db, self.tree, shrinker, reorg_txn=self.txn)
-            report.switch = switcher.finish_pending_switch(
-                old_root, new_root, old_lock_name
-            )
+            report.switch = switcher.finish_pending_switch(*recovery.switch_pending)
             return report
         if recovery.reorg_bit:
             shrinker = TreeShrinker(self.db, self.tree, self.config)
@@ -160,17 +150,7 @@ class Reorganizer:
             )
             scan_done = resume is not None and resume >= SCAN_DONE_KEY
             report.pass3_resumed_from = None if scan_done else resume
-            shrinker.attach_listener()
-            try:
-                if not scan_done:
-                    shrinker.scan(None, resume_from=resume)
-                shrinker.build_upper()
-                shrinker.catch_up(None)
-                switcher = Switcher(
-                    self.db, self.tree, shrinker, reorg_txn=self.txn
-                )
-                report.switch = switcher.run()
-            finally:
-                shrinker.detach_listener()
-            report.pass3 = shrinker.stats
+            report.pass3, report.switch = self.run_pass3(
+                resume_from=resume, shrinker=shrinker
+            )
         return report

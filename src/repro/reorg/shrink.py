@@ -105,6 +105,8 @@ class TreeShrinker:
         self._unforced_pages: list[PageId] = []
         #: CK — low mark of the base page currently being reorganized.
         self._current_key: int | None = None
+        #: A resumed scan's first page: entries below this were emitted before.
+        self._first_page_floor: int | None = None
         self.new_root: PageId = -1
         #: Placement policy for the new internal pages.  Only a policy that
         #: plans internals (vEB) pays for the shape prediction and window
@@ -133,7 +135,7 @@ class TreeShrinker:
         if root.kind is PageKind.LEAF:
             return post_reorg_shape(n_leaves, per_page)
         entry_counts: list[int] = []
-        base = self._base_page_for_key(self._smallest_key())
+        base = self.tree.base_page_for(self._smallest_key())
         while base is not None:
             entry_counts.append(len(base.entries))
             base = self.tree.next_base_page_after(base.entries[-1][0])
@@ -192,10 +194,39 @@ class TreeShrinker:
         updater activity.  ``resume_from`` restarts the scan at a stable
         key after a crash.
         """
+        base = self.begin_scan(resume_from)
+        if base is None:
+            if not self.scanning:
+                raise ReorgError("tree has no internal levels to rebuild")
+            return
+        # Anchor a stable point at scan start so a crash at any later
+        # moment always has a well-defined (stable key, built pages) pair
+        # to roll back to.
+        self.stable_point()
+        while base is not None:
+            base = self.scan_base(base)
+            if self.stable_point_due:
+                self.stable_point()
+            if during_scan is not None:
+                during_scan(self)
+        self._close_open_page()
+
+    def begin_scan(self, resume_from: int | None = None) -> InternalPage | None:
+        """Set the reorganization bit, start listening and put CK on the
+        first base page to read, which is returned.  None when there is
+        none: the root is a leaf — checked *before* anything is attached,
+        so the bit stays clear and :attr:`scanning` false — or the crashed
+        scan being resumed had finished (nothing is fetched, so recovery's
+        read order stays the switch's alone)."""
+        if resume_from is not None and resume_from >= SCAN_DONE_KEY:
+            self.attach_listener()
+            self._current_key = SCAN_DONE_KEY
+            return None
         root = self.db.store.get(self.tree.root_id)
         if root.kind is PageKind.LEAF:
-            raise ReorgError("tree has no internal levels to rebuild")
-        base = self._base_page_for_key(
+            return None
+        self.attach_listener()
+        base = self.tree.base_page_for(
             resume_from if resume_from is not None else self._smallest_key()
         )
         self._current_key = self._low_mark_of(base)
@@ -203,36 +234,33 @@ class TreeShrinker:
         # and only when earlier stable work actually exists — resuming at
         # the very first page must not drop entries lowered below the low
         # mark by under-minimum inserts.
-        first_page_floor = (
+        self._first_page_floor = (
             resume_from if resume_from is not None and self.built_entries else None
         )
-        # Anchor a stable point at scan start so a crash at any later
-        # moment always has a well-defined (stable key, built pages) pair
-        # to roll back to.
-        self._stable_point()
-        while base is not None:
-            probe_key = base.entries[-1][0]
-            entries = list(base.entries)
-            if first_page_floor is not None:
-                entries = [e for e in entries if e[0] >= first_page_floor]
-                first_page_floor = None
-            for key, child in entries:
-                self._emit(key, child)
-            self.stats.base_pages_read += 1
-            self.stats.entries_scanned += len(entries)
-            next_base = self._next_base_after(probe_key)
-            # "The value of CK is changed by the reorganizer to
-            # Get_Next(CK) before it gives up the S lock on the base page
-            # it just finished reading."
-            self._current_key = (
-                self._low_mark_of(next_base) if next_base is not None else SCAN_DONE_KEY
-            )
-            if self._pages_since_stable >= self.config.stable_point_interval:
-                self._stable_point()
-            if during_scan is not None:
-                during_scan(self)
-            base = next_base
-        self._close_open_page()
+        return base
+
+    def scan_base(self, base: InternalPage) -> InternalPage | None:
+        """Emit one old base page's entries and advance CK to ``Get_Next``,
+        the base page returned (None after the last).  One synchronous
+        step, so page content and CK move together with respect to the S
+        lock the DES reorganizer holds around it."""
+        entries = list(base.entries)
+        probe_key = entries[-1][0]
+        if self._first_page_floor is not None:
+            entries = [e for e in entries if e[0] >= self._first_page_floor]
+            self._first_page_floor = None
+        for key, child in entries:
+            self._emit(key, child)
+        self.stats.base_pages_read += 1
+        self.stats.entries_scanned += len(entries)
+        next_base = self._next_base_after(probe_key)
+        # "The value of CK is changed by the reorganizer to
+        # Get_Next(CK) before it gives up the S lock on the base page
+        # it just finished reading."
+        self._current_key = (
+            self._low_mark_of(next_base) if next_base is not None else SCAN_DONE_KEY
+        )
+        return next_base
 
     def _smallest_key(self) -> int:
         leaf = self.db.store.get_leaf(self.tree.leftmost_leaf_id())
@@ -241,9 +269,6 @@ class TreeShrinker:
         )
         assert base is not None
         return base.min_key()
-
-    def _base_page_for_key(self, key: int) -> InternalPage | None:
-        return self.tree.base_page_for(key)
 
     def _next_base_after(self, key: int) -> InternalPage | None:
         """``Get_Next(k)``: the base page after the one covering ``key``.
@@ -306,7 +331,11 @@ class TreeShrinker:
         self._open_page = None
         self._open_entries = []
 
-    def _stable_point(self) -> None:
+    @property
+    def stable_point_due(self) -> bool:
+        return self._pages_since_stable >= self.config.stable_point_interval
+
+    def stable_point(self) -> None:
         """Force recent pages and log the restart point (section 7.3)."""
         self._close_open_page()
         self.db.store.force(self._unforced_pages)
@@ -447,8 +476,7 @@ class TreeShrinker:
             freed += 1
         self.stats.orphans_freed = freed
         if stable_key is not None:
-            dropped = self.side_file.drop_after_key(stable_key)
-            del dropped
+            self.side_file.drop_after_key(stable_key)
             self.stats.restarted_from_key = stable_key
         return stable_key
 

@@ -15,7 +15,9 @@ import pytest
 from repro.config import FreeSpacePolicy, ReorgConfig, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint
+from repro.reorg.protocols import ReorgProtocol
 from repro.reorg.reorganizer import Reorganizer
+from repro.reorg.switch import current_lock_name
 from repro.sim.crash import (
     LogCrashInjector,
     count_completed_units,
@@ -23,7 +25,13 @@ from repro.sim.crash import (
     run_reorg_with_crash,
 )
 from repro.storage.page import Record
-from repro.wal.records import ReorgBeginRecord
+from repro.txn.scheduler import Scheduler
+from repro.wal.records import (
+    FreeRecord,
+    ReorgBeginRecord,
+    ReorgDoneRecord,
+    TreeSwitchRecord,
+)
 
 
 def sparse_db(n=240, keep_every=4, careful=True):
@@ -259,6 +267,52 @@ class TestPass3Recovery:
         tree.validate()
         assert [r.key for r in tree.items()] == expected_keys()
         assert tree.root_id == recovery.switch_pending[1]
+
+    def test_crash_after_every_log_record_of_a_des_pass3(self):
+        """The DES protocol logs through the same step bodies as the
+        synchronous pass 3, so forward recovery finishes it from *any*
+        record boundary — scan, upper levels, catch-up, and every point
+        of the switch window (switch record, flip, each freed page)."""
+        config = ReorgConfig(stable_point_interval=2)
+
+        def post_pass2_db():
+            db = sparse_db(n=600, keep_every=2)
+            reorg = Reorganizer(db, db.tree(), config)
+            reorg.run_pass1()
+            reorg.run_pass2()
+            db.log.flush()
+            return db
+
+        def des_pass3(db):
+            sched = Scheduler(db.locks, store=db.store, log=db.log)
+            protocol = ReorgProtocol(db, "primary", config)
+            sched.spawn(protocol.pass3(), name="reorg", is_reorganizer=True)
+            sched.run()
+
+        rehearsal = post_pass2_db()
+        mark = rehearsal.log.last_lsn
+        des_pass3(rehearsal)
+        logged = [type(r) for r in rehearsal.log.records_from(mark + 1)]
+        assert logged[-1] is ReorgDoneRecord
+        switch_at = logged.index(TreeSwitchRecord)
+        assert FreeRecord in logged[switch_at:]  # the window has an inside
+        for crash_after in range(1, len(logged) + 1):
+            db = post_pass2_db()
+            with pytest.raises(CrashPoint):
+                with LogCrashInjector(db.log, after_records=crash_after):
+                    des_pass3(db)
+            recovery = crash_recover(db)
+            assert (recovery.switch_pending is not None) == (
+                switch_at < crash_after < len(logged)
+            ), crash_after
+            Reorganizer(db, db.tree(), config).forward_recover(recovery)
+            tree = db.tree()
+            tree.validate()
+            assert [r.key for r in tree.items()] == expected_keys(600, 2), crash_after
+            assert not db.pass3.reorg_bit
+            assert tree.base_change_listener is None
+            # Flipped exactly once, whichever side of the crash did it.
+            assert current_lock_name(db, "primary") == "primary@1", crash_after
 
     def test_orphaned_new_pages_deallocated_on_restart(self):
         db = big_sparse_db()

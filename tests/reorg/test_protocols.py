@@ -7,9 +7,12 @@ from repro.btree.stats import collect_stats
 from repro.config import FreeSpacePolicy, ReorgConfig, TreeConfig
 from repro.db import Database
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
+from repro.reorg.reorganizer import Reorganizer
+from repro.sim.crash import crash_recover
 from repro.sim.workload import build_sparse_tree
-from repro.storage.page import Record
+from repro.storage.page import PageKind, Record
 from repro.txn.scheduler import Scheduler
+from repro.wal.records import ReorgDoneRecord, StableKeyRecord
 
 
 def make_db(n=600, fill_after=0.3):
@@ -173,4 +176,99 @@ class TestReorgUnderContention:
             if not txn.is_reorganizer and isinstance(exc, DeadlockError)
         ]
         assert user_deadlocks == []
+        db.tree().validate()
+
+
+def post_pass2_db(n=1500):
+    """A sparse tree after synchronous passes 1-2: what pass 3 starts on."""
+    db = make_db(n=n)
+    reorg = Reorganizer(db, db.tree(), ReorgConfig())
+    reorg.run_pass1()
+    reorg.run_pass2()
+    db.log.flush()
+    return db
+
+
+def lone_des_pass3(db):
+    """Run only ``ReorgProtocol.pass3()`` on a scheduler; its result dict."""
+    sched = make_scheduler(db)
+    protocol = ReorgProtocol(db, "primary", ReorgConfig())
+    txn = sched.spawn(protocol.pass3(), name="reorg", is_reorganizer=True)
+    sched.run()
+    assert sched.failed == []
+    assert db.locks.owned_resources(txn) == []
+    return sched.completed[0][1]
+
+
+class TestPass3StatedOnce:
+    """Section 7 has one body per step; the synchronous reorganizer and
+    the DES protocol are two orderings of the same calls."""
+
+    def test_synchronous_and_des_pass3_log_and_read_the_same(self):
+        sync_db, des_db = post_pass2_db(), post_pass2_db()
+        mark = sync_db.log.last_lsn
+        assert des_db.log.last_lsn == mark
+        pass3, switch = Reorganizer(sync_db, sync_db.tree(), ReorgConfig()).run_pass3()
+        result = lone_des_pass3(des_db)
+
+        sync_log = list(sync_db.log.records_from(mark + 1))
+        assert isinstance(sync_log[0], StableKeyRecord)
+        assert isinstance(sync_log[-1], ReorgDoneRecord)
+        assert sync_log == list(des_db.log.records_from(mark + 1))
+        assert sync_db.store.disk.stats == des_db.store.disk.stats
+        for db in (sync_db, des_db):
+            db.tree().validate()
+            assert not db.pass3.reorg_bit
+        assert [r.key for r in sync_db.tree().items()] == [
+            r.key for r in des_db.tree().items()
+        ]
+        # One set of counters, under the same names in both worlds.
+        assert pass3.base_pages_read > 1 and pass3.new_internal_pages > 1
+        for name in (
+            "base_pages_read", "entries_scanned", "new_base_pages",
+            "new_internal_pages", "stable_points", "catchup_rounds",
+        ):
+            assert result[name] == getattr(pass3, name), name
+        assert result["old_internal_freed"] == switch.old_internal_freed > 0
+        assert result["base_pages"] == pass3.base_pages_read
+        assert result["aborted_stragglers"] == 0
+
+    def test_full_reorganization_reports_the_pass3_counters(self):
+        db = make_db()
+        sched = make_scheduler(db)
+        protocol = ReorgProtocol(db, "primary", ReorgConfig())
+        sched.spawn(full_reorganization(protocol), name="reorg", is_reorganizer=True)
+        sched.run()
+        pass3 = sched.completed[0][1]["pass3"]
+        assert isinstance(pass3, dict)
+        assert pass3["base_pages_read"] > 0
+        assert pass3["new_internal_pages"] > 0
+        assert pass3["stable_points"] > 0
+        assert pass3["sidefile_appended"] == pass3["sidefile_applied"] == 0
+        for key in ("old_internal_freed", "catchup_rounds", "base_pages",
+                    "aborted_stragglers"):
+            assert key in pass3
+
+    def test_pass3_on_a_leaf_root_attaches_nothing(self):
+        """The root check precedes the listener: a lone pass 3 on a
+        single-leaf tree must not leave the reorganization bit set (the
+        daemon would defer that shard forever and the next checkpoint
+        would make recovery run a pass 3 nobody asked for)."""
+        db = Database(
+            TreeConfig(
+                leaf_capacity=8, internal_capacity=6,
+                leaf_extent_pages=64, internal_extent_pages=32,
+            )
+        )
+        tree = db.bulk_load_tree([Record(k, "v") for k in range(3)])
+        lone_des_pass3(db)
+        assert not db.pass3.reorg_bit
+        assert tree.base_change_listener is None
+        for key in range(3, 40):
+            tree.insert(Record(key, "v"))
+        assert db.store.get(tree.root_id).kind is PageKind.INTERNAL
+        db.flush()
+        db.checkpoint()
+        recovery = crash_recover(db)
+        assert not recovery.reorg_bit
         db.tree().validate()

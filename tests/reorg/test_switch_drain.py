@@ -70,6 +70,45 @@ class TestSwitchDrain:
         assert sched.now >= 200.0
         db.tree().validate()
 
+    def test_flip_bumps_old_root_version_before_the_drain_ends(self):
+        """The one flip step re-anchors lock-free readers: while the drain
+        still waits for an old-tree reader, the old root's version stamp
+        has already moved and the old upper levels are still allocated."""
+        db = make_db()
+        sched = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.02)
+        protocol = ReorgProtocol(
+            db, "primary", ReorgConfig(), unit_pause=0.02, scan_pause=0.02
+        )
+        old_root = db.tree().root_id
+        samples = []
+
+        def observer():
+            for _tick in range(300):
+                yield Think(0.5)
+                samples.append(
+                    (
+                        db.tree().root_id,
+                        db.store.buffer.version_of(old_root),
+                        db.store.free_map.is_free(old_root),
+                    )
+                )
+
+        sched.spawn(long_old_tree_reader(db, "primary", duration=200.0), name="slow")
+        sched.spawn(observer(), name="observer")
+        reorg_txn = sched.spawn(
+            full_reorganization(protocol), name="reorg", is_reorganizer=True, at=0.1
+        )
+        sched.run()
+        assert reorg_txn.state is TxnState.COMMITTED
+        flipped = next(i for i, s in enumerate(samples) if s[0] != old_root)
+        # Flipped long before the straggler let the drain finish ...
+        assert 0 < flipped and (flipped + 1) * 0.5 < 200.0
+        (_, version_before, _), (_, version_after, freed) = samples[flipped - 1 : flipped + 1]
+        assert version_after > version_before
+        assert not freed
+        # ... and the discard came only once it had.
+        assert db.store.free_map.is_free(old_root)
+
     def test_switch_aborts_stragglers_after_limit(self):
         db = make_db()
         sched = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.02)

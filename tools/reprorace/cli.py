@@ -1,57 +1,22 @@
 """Command-line front end: race-check scenarios across explored schedules.
 
-``python -m reprorace SCENARIO`` reuses the reprocheck scenario registry
-and exploration machinery, but every schedule executes under the hybrid
-lockset + happens-before detector (:mod:`repro.analysis.racedetect`).  A
-race on any schedule is a ``data-race`` violation carrying the two access
-sites, the vector-clock evidence, and the ``t1:i.j.k`` replay trace.
+``python -m reprorace SCENARIO`` reuses the reprocheck scenario registry,
+exploration machinery and command line (:mod:`reprocheck.cli`), but every
+schedule executes under the hybrid lockset + happens-before detector
+(:mod:`repro.analysis.racedetect`).  A race on any schedule is a
+``data-race`` violation carrying the two access sites, the vector-clock
+evidence, and the ``t1:i.j.k`` replay trace.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Sequence
 
-from repro.analysis.explorer import TraceError
+from repro.analysis.explorer import ExplorationResult
 from repro.analysis.racedetect import RaceExplorer
 
+from reprocheck.cli import common_parser, run_scenarios
 from reprocheck.scenarios import SCENARIOS
-
-USAGE_EXIT = 2
-VIOLATION_EXIT = 1
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reprorace",
-        description="Dynamic data-race detector over reprocheck schedule "
-        "exploration (see docs/static_analysis.md).",
-    )
-    parser.add_argument(
-        "scenarios", nargs="*", metavar="SCENARIO",
-        help="scenario names to race-check (see --list)",
-    )
-    parser.add_argument("--all", action="store_true", help="run every registered scenario")
-    parser.add_argument("--list", action="store_true", help="list scenarios, then exit")
-    parser.add_argument(
-        "--max-schedules", type=int, default=200, metavar="N",
-        help="schedule budget per scenario (default %(default)s; every "
-        "schedule is race-checked, so budgets are cheaper than reprocheck's)",
-    )
-    parser.add_argument(
-        "--seed-trace", metavar="TRACE",
-        help="start exploration from this trace (single scenario only); "
-        "with --max-schedules 1 this race-checks one deterministic replay",
-    )
-    parser.add_argument("--json", action="store_true", help="print the JSON report instead of human output")
-    parser.add_argument(
-        "--output", metavar="FILE",
-        help="also write the JSON report to FILE (CI artifact)",
-    )
-    parser.add_argument("--fail-fast", action="store_true", help="stop a scenario at its first violation")
-    return parser
 
 
 def _print_list() -> None:
@@ -64,69 +29,30 @@ def _print_list() -> None:
     )
 
 
+def _counts(result: ExplorationResult) -> str:
+    return (
+        f"{result.distinct_schedules} distinct schedules "
+        f"race-checked ({result.schedules_run} run"
+        f"{', exhausted' if result.frontier_exhausted else ''})"
+    )
+
+
+def _data_races(result: ExplorationResult) -> dict:
+    races = [v for v in result.violations if v.invariant == "data-race"]
+    return {"data_races": len(races)}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = common_parser(
+        "reprorace",
+        "Dynamic data-race detector over reprocheck schedule "
+        "exploration (see docs/static_analysis.md).",
+        verb="race-check",
+        default_budget=200,
+        budget_note="; every schedule is race-checked, so budgets are "
+        "cheaper than reprocheck's",
+    ).parse_args(argv)
     if args.list:
         _print_list()
         return 0
-    if args.all:
-        names = list(SCENARIOS)
-    else:
-        names = list(args.scenarios)
-    if not names:
-        print("reprorace: no scenarios given (use --all or --list)", file=sys.stderr)
-        return USAGE_EXIT
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        print(
-            f"reprorace: unknown scenario(s) {unknown}; known: {list(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return USAGE_EXIT
-    if args.seed_trace and len(names) != 1:
-        print("reprorace: --seed-trace needs exactly one scenario", file=sys.stderr)
-        return USAGE_EXIT
-
-    explorer = RaceExplorer()
-    report: dict = {
-        "max_schedules": args.max_schedules,
-        "scenarios": {},
-        "ok": True,
-    }
-    for name in names:
-        scenario = SCENARIOS[name]
-        try:
-            result = explorer.explore(
-                scenario,
-                max_schedules=args.max_schedules,
-                seed_trace=args.seed_trace,
-                stop_on_first_violation=args.fail_fast,
-            )
-        except TraceError as err:
-            print(f"reprorace: {name}: bad trace: {err}", file=sys.stderr)
-            return USAGE_EXIT
-        summary = result.to_dict()
-        races = [v for v in result.violations if v.invariant == "data-race"]
-        summary["data_races"] = len(races)
-        report["scenarios"][name] = summary
-        report["ok"] = report["ok"] and result.ok
-        if not args.json:
-            status = "OK" if result.ok else f"{len(result.violations)} VIOLATION(S)"
-            print(
-                f"{name}: {result.distinct_schedules} distinct schedules "
-                f"race-checked ({result.schedules_run} run"
-                f"{', exhausted' if result.frontier_exhausted else ''}) — {status}"
-            )
-            for violation in result.violations:
-                print(f"  [{violation.invariant}] {violation.message}")
-                print(
-                    f"    replay: python -m reprorace {name} "
-                    f"--seed-trace '{violation.trace}' --max-schedules 1"
-                )
-    if args.json:
-        print(json.dumps(report, indent=2))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    return 0 if report["ok"] else VIOLATION_EXIT
+    return run_scenarios("reprorace", args, RaceExplorer(), _counts, _data_races)
