@@ -22,7 +22,7 @@ def banner(title: str) -> None:
     print("=" * 72)
 
 
-def make_db(
+def tree_config(
     leaf_capacity=16,
     internal_capacity=8,
     leaf_extent_pages=2048,
@@ -30,20 +30,25 @@ def make_db(
     buffer_pool_pages=512,
     careful_writing=True,
     side_pointers=None,
+    **features,
 ):
+    """The benchmarks' tree shape; ``features`` sets any other field."""
     from repro.config import SidePointerKind
 
-    return Database(
-        TreeConfig(
-            leaf_capacity=leaf_capacity,
-            internal_capacity=internal_capacity,
-            leaf_extent_pages=leaf_extent_pages,
-            internal_extent_pages=internal_extent_pages,
-            buffer_pool_pages=buffer_pool_pages,
-            careful_writing=careful_writing,
-            side_pointers=side_pointers or SidePointerKind.NONE,
-        )
+    return TreeConfig(
+        leaf_capacity=leaf_capacity,
+        internal_capacity=internal_capacity,
+        leaf_extent_pages=leaf_extent_pages,
+        internal_extent_pages=internal_extent_pages,
+        buffer_pool_pages=buffer_pool_pages,
+        careful_writing=careful_writing,
+        side_pointers=side_pointers or SidePointerKind.NONE,
+        **features,
     )
+
+
+def make_db(**config):
+    return Database(tree_config(**config))
 
 
 def degrade_uniform(db, n_records, fill_after, *, seed=7, internal_fill=0.5,

@@ -11,30 +11,21 @@ need moving afterwards — the parallelism-vs-placement trade-off.
 
 import pytest
 
-from repro.config import ReorgConfig, TreeConfig
-from repro.db import Database
+from repro.config import ReorgConfig
 from repro.reorg.parallel import build_parallel_pass1
 from repro.reorg.swap import SwapMovePass
 from repro.reorg.unit import UnitEngine
 from repro.sim.workload import build_sparse_tree
 from repro.txn.scheduler import Scheduler
 
-from conftest import banner
+from conftest import banner, make_db
 
 WORKERS = [1, 2, 4, 8]
 N_RECORDS = 3000
 
 
-def make_db():
-    db = Database(
-        TreeConfig(
-            leaf_capacity=8,
-            internal_capacity=8,
-            leaf_extent_pages=2048,
-            internal_extent_pages=512,
-            buffer_pool_pages=256,
-        )
-    )
+def sparse_db():
+    db = make_db(leaf_capacity=8, buffer_pool_pages=256)
     build_sparse_tree(db, n_records=N_RECORDS, fill_after=0.3)
     db.flush()
     db.checkpoint()
@@ -42,7 +33,7 @@ def make_db():
 
 
 def run_with_workers(n_workers):
-    db = make_db()
+    db = sparse_db()
     sched = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.02)
     protocols = build_parallel_pass1(
         db, "primary", ReorgConfig(), n_workers,

@@ -107,3 +107,27 @@ def test_e6_wide_scan_crossover(benchmark):
     benchmark.pedantic(
         lambda: scan_costs(db.tree(), live_keys), rounds=1, iterations=1
     )
+
+
+def test_e6_readahead_before_reorganization():
+    """Readahead pays down the same seek bill without reorganizing: a
+    full scan of the degraded tree through a pool far smaller than its
+    leaf level reads each base page's scattered leaves as one batch."""
+    scans = {}
+    for readahead in (0, 16):
+        db = make_db(internal_capacity=16, leaf_extent_pages=4096,
+                     buffer_pool_pages=64, readahead_pages=readahead)
+        tree = degrade_by_random_growth(db, N_RECORDS, 0.3)
+        db.store.flush_all()
+        before = db.store.disk.stats.snapshot()
+        records = tree.range_scan(0, N_RECORDS)
+        scans[readahead] = (records, db.store.disk.stats.delta(before))
+    (plain, plain_io), (ahead, ahead_io) = scans[0], scans[16]
+    ratio = plain_io["read_cost"] / ahead_io["read_cost"]
+    print(
+        f"\nfull scan read cost: {plain_io['read_cost']:.0f} by seek, "
+        f"{ahead_io['read_cost']:.0f} with readahead ({ratio:.2f}x)"
+    )
+    assert ahead == plain and len(plain) == int(N_RECORDS * 0.3)
+    assert ratio >= 1.3
+    assert ahead_io["seeks"] < plain_io["seeks"]

@@ -46,7 +46,7 @@ vector-clock evidence.
 
 Like the sanitizer, every patch is class-level and opt-in: when not
 installed the hot paths are byte-for-byte the original functions (enforced
-by ``benchmarks/test_bench_race_overhead.py``).  Enable via
+by ``tests/analysis/test_import_patches_nothing.py``).  Enable via
 :func:`install`, the ``REPRO_RACE=1`` pytest fixture,
 or ``python -m reprorace`` (which race-checks every schedule reprocheck
 explores).  Install *before* building the database: the optimistic-window

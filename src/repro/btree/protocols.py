@@ -54,7 +54,8 @@ Optimistic read path (``TreeConfig(optimistic_reads=True)``)::
 
     The only lock-manager traffic the optimistic path generates is the
     ``rx_is_held`` probe, which is not an acquire call — hence the large
-    lock-traffic reduction on read-mostly workloads (BENCH_4).
+    lock-traffic reduction on read-mostly workloads
+    (``benchmarks/test_bench_features.py``).
 """
 
 from __future__ import annotations
@@ -94,10 +95,9 @@ _MAX_RESTARTS = 200
 class OptimisticStats:
     """Counters for the optimistic read path.
 
-    Deliberately *not* on :class:`repro.perf.PerfCounters`: its ``__slots__``
-    are pinned so BENCH snapshot dicts stay byte-comparable across
-    revisions (see the :mod:`repro.perf` docstring).  Same discipline as
-    the batched-I/O layer keeping its counters on IOStats/LogStats.
+    Kept apart from :class:`repro.perf.PerfCounters`, which counts the
+    four hot subsystems; :data:`OPTIMISTIC_STATS` is what the auto-reorg
+    daemon's optimistic-burst deferral reads.
     """
 
     __slots__ = ("searches", "scans", "restarts", "downgrades", "validations")

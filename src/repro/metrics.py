@@ -45,10 +45,10 @@ class ShardStats(StatsDeltaMixin):
     """Per-shard routing and reorganization counters.
 
     One instance lives on each :class:`repro.shard.ShardHandle`; the
-    sharded facade aggregates them.  Deliberately *not* part of
-    :class:`repro.perf.PerfCounters` — its ``__slots__`` snapshot keys are
-    pinned by the BENCH baselines — so these follow the batched-I/O
-    precedent of living on the object that owns the behaviour.
+    sharded facade aggregates them.  Deliberately *not* part of the
+    process-wide :class:`repro.perf.PerfCounters`: like the batched-I/O
+    counters they live on the object that owns the behaviour, so each
+    forest counts only its own shards.
     """
 
     routed_inserts: int = 0
@@ -72,8 +72,8 @@ class FragmentationStats(StatsDeltaMixin):
     :class:`repro.db.Database` for the unsharded case); the tree accessor
     wires it onto every :class:`repro.btree.tree.BPlusTree` it hands out,
     and the tree's insert/delete/split/free paths bump the counters with
-    plain attribute arithmetic — no I/O, so the default path stays
-    byte-identical to the pinned BENCH counters.
+    plain attribute arithmetic — no I/O, so tracking moves no simulated
+    cost.
 
     ``records``/``leaves`` are maintained incrementally and are exact for
     ordinary insert/delete traffic, but the reorganization passes move

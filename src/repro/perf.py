@@ -1,41 +1,30 @@
-"""Near-zero-overhead performance counters and section timers.
+"""Near-zero-overhead performance counters.
 
 The related B+-tree performance literature (FB+-tree, arXiv:2503.23397;
 BS-tree, arXiv:2505.01180) locates most index time on *uncontended* hot
 paths: in-node key search, latch acquisition that never blocks, and cache
 lookups that hit.  This module makes those paths visible in the simulator:
 the lock manager, buffer pool and discrete-event scheduler each bump a
-couple of plain integer slots here, and the benchmark harness
-(``benchmarks/perf_harness.py``) snapshots them into ``BENCH_<n>.json``.
+couple of plain integer slots here, and the repo benchmark
+(``python3 -m bench``, ``bench/runner.py``) snapshots them into its
+per-layer metrics.
 
-Two kinds of instrumentation with different guarantees:
-
-* :class:`PerfCounters` — integer event counts.  These are a pure function
-  of the workload and its seeds, so identical seeded runs produce identical
-  snapshots (asserted by ``tests/perf/test_perf_counters.py``).  Cost per
-  event is one attribute increment on a ``__slots__`` object.
-* :class:`PerfTimers` — accumulated wall-clock per named section via
-  ``time.perf_counter``.  Timers are *not* deterministic and are kept out
-  of the counter snapshot; they feed derived rates like events/sec.
+:class:`PerfCounters` holds integer event counts.  These are a pure
+function of the workload and its seeds, so identical seeded runs produce
+identical snapshots (asserted by ``tests/perf/test_perf_counters.py``).
+Cost per event is one attribute increment on a ``__slots__`` object.
 
 A single module-level registry :data:`PERF` is shared by every Database in
 the process (the simulator is single-threaded); ``PERF.reset()`` between
 measured phases scopes the numbers.
 
-The batched-I/O layer (group commit, elevator write-back, readahead) keeps
-its accounting *off* this registry on purpose: its counters live on the
-objects that own the behaviour (``IOStats.batch_reads``/``write_cost``,
-``LogStats.absorbed_flushes``, ``BufferPool.prefetch_hits`` et al.), so the
-``PERF.counters.snapshot()`` dict recorded in ``BENCH_<n>.json`` keeps the
-exact same keys across benchmark generations and flags-off runs stay
-byte-comparable against older baselines.
+Counters that describe one object's behaviour live on that object instead
+(``IOStats.batch_reads``/``write_cost``, ``LogStats.absorbed_flushes``,
+``BufferPool.prefetch_hits``, :class:`repro.metrics.ShardStats`, ...), so
+each is scoped to the database that owns it rather than to the process.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 
 class PerfCounters:
@@ -73,26 +62,10 @@ class PerfCounters:
         """Copy of every counter; deterministic under fixed seeds."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    # -- derived rates -------------------------------------------------------
-
-    @property
-    def buffer_hit_rate(self) -> float:
-        total = self.buffer_hits + self.buffer_misses
-        return self.buffer_hits / total if total else 0.0
-
-    @property
-    def lock_fast_path_rate(self) -> float:
-        total = self.lock_fast_grants + self.lock_slow_grants + self.lock_waits
-        return self.lock_fast_grants / total if total else 0.0
-
 
 class GapStats:
     """Leaf split / gap-absorption counters for the gapped-leaf layout.
 
-    Like the batched-I/O counters, these live *off* :class:`PerfCounters`
-    (whose ``__slots__`` snapshot keys are pinned by the BENCH baselines)
-    and out of :meth:`PerfRegistry.snapshot`; the ``churn_daemon`` bench
-    workload and the gapped-leaf tests read ``PERF.gap`` explicitly.
     ``leaf_splits``/``internal_splits`` are bumped unconditionally (they
     are what the gapped and ungapped runs are compared on);
     ``absorbed_inserts`` counts inserts that landed in slack a gapless
@@ -118,84 +91,16 @@ class GapStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class PerfTimers:
-    """Wall-clock accumulation per named section (non-deterministic)."""
-
-    def __init__(self) -> None:
-        self._totals: dict[str, float] = {}
-
-    def add(self, name: str, seconds: float) -> None:
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - started)
-
-    def total(self, name: str) -> float:
-        return self._totals.get(name, 0.0)
-
-    def snapshot(self) -> dict[str, float]:
-        return dict(self._totals)
-
-    def reset(self) -> None:
-        self._totals.clear()
-
-
 class PerfRegistry:
-    """Counters + timers + the rates derived from both."""
+    """The process-wide hot-path counters and gapped-leaf counters."""
 
     def __init__(self) -> None:
         self.counters = PerfCounters()
-        self.timers = PerfTimers()
-        #: Per-shard counter bags registered by :mod:`repro.shard`.  Kept
-        #: off :class:`PerfCounters` (whose snapshot keys are pinned by the
-        #: BENCH baselines) and out of :meth:`snapshot`; the bench harness
-        #: reads them explicitly via :meth:`shard_snapshot`.
-        self.shards: dict[str, object] = {}
-        #: Split/absorption counters of the gapped-leaf layout; same
-        #: off-snapshot contract as :attr:`shards`.
         self.gap = GapStats()
-
-    def register_shard(self, name: str, stats: object) -> None:
-        """Expose one shard's :class:`repro.metrics.ShardStats` here."""
-        self.shards[name] = stats
-
-    def shard_snapshot(self) -> dict[str, dict]:
-        return {
-            name: stats.snapshot() for name, stats in sorted(self.shards.items())
-        }
 
     def reset(self) -> None:
         self.counters.reset()
-        self.timers.reset()
-        self.shards.clear()
         self.gap.reset()
-
-    def events_per_second(self) -> float:
-        """DES throughput over the accumulated ``scheduler.run`` time."""
-        elapsed = self.timers.total("scheduler.run")
-        return self.counters.des_events / elapsed if elapsed > 0 else 0.0
-
-    def snapshot(self) -> dict:
-        """Everything at once; ``counters`` is the deterministic part."""
-        return {
-            "counters": self.counters.snapshot(),
-            "timers": {
-                name: round(total, 6)
-                for name, total in self.timers.snapshot().items()
-            },
-            "derived": {
-                "buffer_hit_rate": round(self.counters.buffer_hit_rate, 4),
-                "lock_fast_path_rate": round(
-                    self.counters.lock_fast_path_rate, 4
-                ),
-                "events_per_second": round(self.events_per_second(), 1),
-            },
-        }
 
 
 #: Process-wide registry; the simulator is single-threaded, so one is enough.

@@ -220,11 +220,12 @@ class ReorgProtocol:
         """A key to S-couple down by: the smallest of the unit's first
         leaf.  None when a group planned ahead has lost that leaf since."""
         store, first = self.db.store, unit.leaves[0]
-        if unit.planned_ahead and (
-            store.free_map.is_free(first) or store.get_leaf(first).is_empty
-        ):
+        if unit.planned_ahead and store.free_map.is_free(first):
             return None
-        return store.get_leaf(first).min_key()
+        leaf = store.get_leaf(first)
+        if unit.planned_ahead and leaf.is_empty:
+            return None
+        return leaf.min_key()
 
     def _side_pointer_neighbours(self, leaves: list[PageId]) -> list[PageId]:
         """Leaves outside the unit whose side pointers the unit will edit,

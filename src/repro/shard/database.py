@@ -11,7 +11,8 @@ the readahead path of the underlying tree).
 With ``n_shards=1`` the forest degenerates to a single tree whose leaf
 layout is byte-identical to an unsharded database bulk-loaded from the
 same records — the full-extent lease makes every allocation decision
-identical (asserted by the ``reorg_20k_sharded`` benchmark).
+identical (asserted by ``tests/shard/test_sharded_database.py``, and
+after a full reorganization by ``benchmarks/test_bench_features.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import dataclasses
 
 from repro.config import ShardConfig, TreeConfig
 from repro.db import Database, Pass3State
-from repro.perf import PERF
 from repro.shard.handle import ShardHandle
 from repro.shard.router import ShardRouter
 from repro.shard.store import ShardStore
@@ -80,7 +80,6 @@ class ShardedDatabase:
                 locks=self.locks,
                 progress=self.progress,
             )
-            PERF.register_shard(handle.tree_name, handle.stats)
             self.handles.append(handle)
 
     @staticmethod

@@ -1,6 +1,7 @@
 """Sustained insert/delete churn under an optional auto-reorg daemon.
 
-The experiment behind the ``churn_daemon`` bench workload: a bulk-loaded
+The experiment behind the gapped-leaf and daemon headline
+(``benchmarks/test_bench_features.py``): a bulk-loaded
 tree takes a long stream of interleaved inserts (new keys between
 existing ones — every one a potential split) and deletes (thinning the
 leaves), as DES updater transactions under the section 4.1.3 protocol.

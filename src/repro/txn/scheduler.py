@@ -180,21 +180,20 @@ class Scheduler:
         counters = _COUNTERS
         heap = self._heap
         heappop = heapq.heappop
-        with PERF.timers.section("scheduler.run"):
-            while heap:
-                if self._crash is not None:
-                    raise self._crash
-                time, _, action = heappop(heap)
-                if until is not None and time > until:
-                    heapq.heappush(heap, (time, next(self._seq), action))
-                    return
-                if time > self.now:
-                    self.now = time
-                action()
-                events += 1
-                counters.des_events += 1
-                if events > max_events:
-                    raise SchedulerStall(f"exceeded {max_events} events")
+        while heap:
+            if self._crash is not None:
+                raise self._crash
+            time, _, action = heappop(heap)
+            if until is not None and time > until:
+                heapq.heappush(heap, (time, next(self._seq), action))
+                return
+            if time > self.now:
+                self.now = time
+            action()
+            events += 1
+            counters.des_events += 1
+            if events > max_events:
+                raise SchedulerStall(f"exceeded {max_events} events")
         if self._crash is not None:
             raise self._crash
         stuck = [p for p in self._processes if not p.done and p.waiting_since is not None]

@@ -3,7 +3,7 @@
 Two properties matter:
 
 * the counters are *deterministic*: two identical seeded DES runs produce
-  identical counter snapshots (timers are wall-clock and excluded);
+  identical counter snapshots;
 * the lock-manager fast path is *invisible* semantically: every Table-1
   mode pair resolves to the same outcome whether or not the first request
   took the uncontended fast path.

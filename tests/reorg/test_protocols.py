@@ -6,6 +6,7 @@ from repro.btree.protocols import reader_search, updater_insert
 from repro.btree.stats import collect_stats
 from repro.config import FreeSpacePolicy, ReorgConfig, TreeConfig
 from repro.db import Database
+from repro.reorg.compact import LeafCompactor
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.sim.crash import crash_recover
@@ -177,6 +178,27 @@ class TestReorgUnderContention:
         ]
         assert user_deadlocks == []
         db.tree().validate()
+
+
+def test_planned_ahead_unit_probes_its_first_leaf_once(monkeypatch):
+    """The S-coupling key of a pass-1 unit costs one leaf fetch, the
+    "lost leaf" checks included."""
+    db = make_db()
+    protocol = ReorgProtocol(db, "primary", ReorgConfig())
+    compactor = LeafCompactor(db, protocol.tree, protocol.config, protocol.engine)
+    target = compactor._target_records_per_page()
+    base = compactor._base_page_ids_in_key_order()[0]
+    group = next(g for g in compactor._plan_groups(base, target) if len(g) > 1)
+    dests = compactor.pick_dests(group, target)
+    unit = protocol._compaction(compactor, group, dests, target)
+    assert unit.planned_ahead
+    fetched = []
+    get_leaf = db.store.get_leaf
+    monkeypatch.setattr(
+        db.store, "get_leaf", lambda pid: fetched.append(pid) or get_leaf(pid)
+    )
+    assert protocol._probe_key(unit) == get_leaf(group[0]).min_key()
+    assert fetched == [group[0]]
 
 
 def post_pass2_db(n=1500):
