@@ -31,10 +31,11 @@ from repro.db import Database
 from repro.errors import ReorgError
 from repro.locks.modes import LockMode
 from repro.locks.resources import tree_lock
+from repro.reorg.placement import KeyOrderPolicy
+from repro.reorg.swap import KeyOrderCursor
 from repro.reorg.switch import current_lock_name
 from repro.reorg.unit import UnitEngine, UnitResult
 from repro.storage.page import PageId, PageKind
-from repro.storage.store import LEAF_EXTENT
 from repro.txn.ops import Acquire, Call, Release, Think
 from repro.wal.recovery import PendingReorgUnit
 
@@ -71,6 +72,8 @@ class Smith90Reorganizer:
         self.config = config or ReorgConfig()
         self.engine = UnitEngine(db, tree)
         self.stats = Smith90Stats()
+        #: Ordering plans leaf i to page i of the leaf extent.
+        self.cursor = KeyOrderCursor(tree, self.engine.chain, KeyOrderPolicy())
 
     # -- planning ----------------------------------------------------------------
 
@@ -101,30 +104,6 @@ class Smith90Reorganizer:
                     return page.page_id, left, right
         return None
 
-    def next_placement(self) -> tuple[PageId, PageId, bool] | None:
-        """First out-of-place leaf: (leaf, target slot, slot occupied?)."""
-        root = self.db.store.get(self.tree.root_id)
-        if root.kind is PageKind.LEAF:
-            return None
-        start = self.db.store.disk.extent(LEAF_EXTENT).start
-        chain = self.tree.leaf_ids_in_key_order()
-        for index, leaf in enumerate(chain):
-            target = start + index
-            if leaf == target:
-                continue
-            occupied = not self.db.store.free_map.is_free(target)
-            if occupied and target not in chain[index + 1 :]:
-                continue
-            return leaf, target, occupied
-        return None
-
-    def _parent_of(self, leaf_id: PageId) -> PageId:
-        leaf = self.db.store.get_leaf(leaf_id)
-        base = self.tree.base_page_for(leaf.min_key())
-        if base is None or base.index_of_child(leaf_id) < 0:
-            raise ReorgError(f"cannot locate parent of leaf {leaf_id}")
-        return base.page_id
-
     # -- operations (each one "transaction") ----------------------------------------
 
     def block_merge(self, base: PageId, left: PageId, right: PageId) -> UnitResult:
@@ -136,15 +115,16 @@ class Smith90Reorganizer:
         return result
 
     def block_move(self, leaf: PageId, target: PageId) -> UnitResult:
-        result = self.engine.move_unit(self._parent_of(leaf), leaf, target)
+        result = self.engine.move_unit(self.engine.parent_of(leaf), leaf, target)
         self.stats.moves += 1
         self._account()
         self.stats.results.append(result)
         return result
 
     def block_swap(self, leaf_a: PageId, leaf_b: PageId) -> UnitResult:
+        parent_of = self.engine.parent_of
         result = self.engine.swap_unit(
-            self._parent_of(leaf_a), leaf_a, self._parent_of(leaf_b), leaf_b
+            parent_of(leaf_a), leaf_a, parent_of(leaf_b), leaf_b
         )
         self.stats.swaps += 1
         self._account()
@@ -170,9 +150,8 @@ class Smith90Reorganizer:
     def run_ordering(self) -> int:
         """Move/swap leaves into contiguous key order; returns op count."""
         ops = 0
-        guard = 4 * len(self.tree.leaf_ids_in_key_order()) + 8
-        for _ in range(guard):
-            plan = self.next_placement()
+        for _ in range(4 * len(self.cursor.chain) + 8):
+            plan = self.cursor.next_misplaced()
             if plan is None:
                 return ops
             leaf, target, occupied = plan
@@ -240,7 +219,7 @@ class Smith90Protocol:
             if self.op_pause:
                 yield Think(self.op_pause)
         while True:
-            plan = yield Call(self.reorganizer.next_placement)
+            plan = yield Call(self.reorganizer.cursor.next_misplaced)
             if plan is None:
                 break
             leaf, target, occupied = plan

@@ -125,6 +125,15 @@ class BPlusTree:
     def side_pointers(self) -> SidePointerKind:
         return self.config.side_pointers
 
+    def leaf_order(self) -> int | None:
+        """:attr:`FragmentationStats.leaf_order`; None on a bare tree."""
+        return None if self.frag_stats is None else self.frag_stats.leaf_order
+
+    def leaf_order_changed(self) -> None:
+        """Count a change to the leaves' key order (split, freed leaf, unit)."""
+        if self.frag_stats is not None:
+            self.frag_stats.leaf_order += 1
+
     # -- logging helper ------------------------------------------------------------
 
     def _log_apply(self, record: TxnRecord, txn: Transaction | None = None):
@@ -230,7 +239,7 @@ class BPlusTree:
             out.extend(leaf.records_in_range(low, high))
             if not leaf.is_empty and leaf.max_key() > high:
                 return out
-            next_id = self._successor_or_no_page(leaf)
+            next_id = self.successor_leaf_id(leaf)
             if next_id == NO_PAGE:
                 return out
             if readahead:
@@ -263,11 +272,6 @@ class BPlusTree:
         self.store.prefetch(upcoming)
         return len(upcoming)
 
-    def _next_leaf_id(self, leaf: LeafPage) -> PageId:
-        if self.side_pointers is not SidePointerKind.NONE:
-            return leaf.next_leaf
-        return self._next_leaf_by_descent(leaf)
-
     def _next_leaf_by_descent(self, leaf: LeafPage) -> PageId:
         """Successor leaf via the tree: the leftmost leaf of the first
         right-sibling subtree on the path."""
@@ -296,7 +300,7 @@ class BPlusTree:
         leaf = self.store.get_leaf(self.leftmost_leaf_id())
         while True:
             yield from leaf.records
-            next_id = self._successor_or_no_page(leaf)
+            next_id = self.successor_leaf_id(leaf)
             if next_id == NO_PAGE:
                 return
             leaf = self.store.get_leaf(next_id)
@@ -367,9 +371,6 @@ class BPlusTree:
         if leaf.is_empty:
             return NO_PAGE
         return self._next_leaf_by_descent(leaf)
-
-    # Backwards-compatible internal alias.
-    _successor_or_no_page = successor_leaf_id
 
     def record_count(self) -> int:
         """Total records, summing per-leaf counts along the leaf walk
@@ -447,6 +448,7 @@ class BPlusTree:
         if self.frag_stats is not None:
             self.frag_stats.leaf_splits += 1
             self.frag_stats.leaves += 1
+            self.leaf_order_changed()
         leaf = self.store.get_leaf(path[-1])
         records = list(leaf.records)
         # Keep the majority on the lower (left) side: under ascending-key
@@ -596,6 +598,7 @@ class BPlusTree:
         self.store.deallocate(child)
         if self.frag_stats is not None:
             self.frag_stats.leaves -= 1
+            self.leaf_order_changed()
         for depth in range(len(path) - 2, -1, -1):
             parent = self.store.get_internal(path[depth])
             entry_key, _ = parent.entries[parent.index_of_child(child)]
@@ -627,6 +630,7 @@ class BPlusTree:
             self.set_root(new_root.page_id)
             if self.frag_stats is not None:
                 self.frag_stats.leaves += 1
+                self.leaf_order_changed()
 
     def _unlink_side_pointers(self, leaf: LeafPage) -> None:
         if self.side_pointers is SidePointerKind.NONE:

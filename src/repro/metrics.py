@@ -104,6 +104,9 @@ class FragmentationStats(StatsDeltaMixin):
     #: :attr:`splits_since_sync` is the live disk-order-scatter signal
     #: (fill factor alone cannot see scatter).
     splits_at_sync: int = 0
+    #: Moves with every change to the leaves' key order (split, freed leaf,
+    #: reorganization unit, crash): a LeafChain's staleness test.  Never reset.
+    leaf_order: int = 0
 
     @property
     def fill_factor(self) -> float:
@@ -145,4 +148,5 @@ class FragmentationStats(StatsDeltaMixin):
 
     def reset(self) -> None:
         for f in dataclasses.fields(self):
-            setattr(self, f.name, type(f.default)())
+            if f.name != "leaf_order":
+                setattr(self, f.name, type(f.default)())

@@ -31,7 +31,6 @@ benchmark quantifies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.config import ReorgConfig
 from repro.db import Database
@@ -39,16 +38,6 @@ from repro.reorg.compact import LeafCompactor
 from repro.reorg.protocols import ReorgProtocol
 from repro.storage.page import PageId
 from repro.txn.ops import Call
-
-
-@dataclass
-class ParallelPass1Stats:
-    """Aggregate outcome of a parallel compaction."""
-
-    workers: int = 0
-    units: int = 0
-    retries: int = 0
-    elapsed: float = 0.0
 
 
 class _SharedUnitIds:
@@ -122,10 +111,11 @@ def build_parallel_pass1(
     unit_pause: float = 0.0,
     op_duration: float = 0.0,
 ) -> list[ParallelReorgProtocol]:
-    """One protocol object per worker, sharing a unit-id stream."""
+    """One protocol object per worker, sharing a unit-id stream and one
+    leaf chain (each worker's units patch it, so none re-seeds it)."""
     partitions = partition_base_pages(db, tree_name, n_workers)
     shared_ids = _SharedUnitIds()
-    return [
+    workers = [
         ParallelReorgProtocol(
             db,
             tree_name,
@@ -137,3 +127,6 @@ def build_parallel_pass1(
         )
         for partition in partitions
     ]
+    for worker in workers:
+        worker.engine.chain = workers[0].engine.chain
+    return workers

@@ -46,10 +46,10 @@ from repro.locks.resources import page_lock, tree_lock
 from repro.reorg.compact import LeafCompactor
 from repro.reorg.placement import make_policy
 from repro.reorg.shrink import TreeShrinker
+from repro.reorg.swap import KeyOrderCursor
 from repro.reorg.switch import Switcher, current_lock_name, sidefile_resource
 from repro.reorg.unit import UnitEngine
-from repro.storage.page import PageId, PageKind
-from repro.storage.store import LEAF_EXTENT
+from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.txn.ops import Acquire, Call, Convert, Release, ReleaseAll, Think
 from repro.txn.transaction import Transaction
 
@@ -66,8 +66,8 @@ class _Unit:
     supplies to :meth:`ReorgProtocol._run_unit`: its page lists
     and the two :class:`UnitEngine` calls around the R->X conversion."""
 
-    #: The leaves being reorganized (RX locked).  The S-coupling descends
-    #: by the first one's smallest key.
+    #: The leaves being reorganized (RX locked), in key order.  The
+    #: S-coupling descends by the first one's smallest key.
     leaves: list[PageId]
     #: Free pages the unit builds into (RX locked with the leaves); their
     #: number is the unit's output size.
@@ -150,7 +150,7 @@ class ReorgProtocol:
                 parents = []
                 if unit.own_parents:
                     for leaf in unit.leaves:
-                        parent = yield Call(lambda lf=leaf: self._parent_of(lf))
+                        parent = yield Call(lambda lf=leaf: self.engine.parent_of(lf))
                         parents.append(parent)
                 probe_key = yield Call(lambda: self._probe_key(unit))
                 if probe_key is None:
@@ -229,7 +229,7 @@ class ReorgProtocol:
 
     def _side_pointer_neighbours(self, leaves: list[PageId]) -> list[PageId]:
         """Leaves outside the unit whose side pointers the unit will edit,
-        in key order.
+        in key order (``leaves`` are, so their chain neighbours are too).
 
         Section 4.3: "the reorganizer has to RX lock some number of leaf
         pages (X lock for those leaf pages that are not children of the
@@ -239,16 +239,10 @@ class ReorgProtocol:
         """
         if self.tree.side_pointers is SidePointerKind.NONE:
             return []
-        chain = self.tree.leaf_ids_in_key_order()
-        rank = {leaf: i for i, leaf in enumerate(chain)}
-        around = {
-            j
-            for leaf in leaves
-            if leaf in rank
-            for j in (rank[leaf] - 1, rank[leaf] + 1)
-            if 0 <= j < len(chain)
-        }
-        return [chain[j] for j in sorted(around) if chain[j] not in leaves]
+        chain = self.engine.chain
+        chain.epoch()
+        around = [pid for leaf in leaves if leaf in chain for pid in chain.neighbours(leaf)]
+        return [pid for pid in dict.fromkeys(around) if pid not in (NO_PAGE, *leaves)]
 
     def _group_still_valid(self, base_id: PageId, group: list[PageId]) -> bool:
         """Concurrent splits may have moved children to a sibling base
@@ -259,13 +253,6 @@ class ReorgProtocol:
         base = self.db.store.get_internal(base_id)
         children = set(base.children())
         return all(leaf in children for leaf in group)
-
-    def _parent_of(self, leaf_id: PageId) -> PageId:
-        leaf = self.db.store.get_leaf(leaf_id)
-        base = self.tree.base_page_for(leaf.min_key())
-        if base is None or base.index_of_child(leaf_id) < 0:
-            raise ReorgError(f"leaf {leaf_id} has no parent")
-        return base.page_id
 
     # -- pass 1 ------------------------------------------------------------------
 
@@ -350,14 +337,9 @@ class ReorgProtocol:
         if not self.placement.places_leaves:
             yield ReleaseAll()
             return stats
-        lease = getattr(self.db.store, "leaf_lease", None)
-        if lease is not None:
-            start = lease.start
-        else:
-            start = self.db.store.disk.extent(LEAF_EXTENT).start
-        max_steps = 4 * len(self.tree.leaf_ids_in_key_order()) + 8
-        for _step in range(max_steps):
-            plan = yield Call(lambda: self._next_misplaced(start))
+        cursor = KeyOrderCursor(self.tree, self.engine.chain, self.placement)
+        for _step in range(4 * len(self.engine.chain) + 8):
+            plan = yield Call(cursor.next_misplaced)
             if plan is None:
                 break
             current, target, occupied = plan
@@ -370,35 +352,10 @@ class ReorgProtocol:
                 stats[kind] += 1
             if self.unit_pause:
                 yield Think(self.unit_pause)
+        else:
+            raise ReorgError("ordering did not converge")
         yield ReleaseAll()
         return stats
-
-    def _next_misplaced(self, start: PageId):
-        """(leaf, target slot, slot-occupied?) for the first out-of-place
-        leaf, recomputed fresh so concurrent splits cannot mislead us."""
-        root = self.db.store.get(self.tree.root_id)
-        if root.kind is PageKind.LEAF:
-            return None
-        chain = self.tree.leaf_ids_in_key_order()
-        slots = self.placement.leaf_slots(len(chain), start)
-        if slots is None:
-            return None
-        rank: dict[PageId, int] = {}
-        for index, leaf in enumerate(chain):
-            target = slots[index]
-            if leaf == target:
-                continue
-            occupied = not self.db.store.free_map.is_free(target)
-            if occupied and not rank:
-                # Built at most once per call, and only when a slot is
-                # occupied: most steps stop at a move to a free slot.
-                rank = {page: position for position, page in enumerate(chain)}
-            if occupied and rank.get(target, -1) <= index:
-                # The slot holds a page that is not a later leaf of this
-                # tree (a fresh split landed there): leave it in place.
-                continue
-            return leaf, target, occupied
-        return None
 
     def _move_unit(self, source, target) -> _Unit:
         return _Unit(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from repro.btree.tree import BPlusTree
 from repro.db import Database
 from repro.errors import ReorgError
-from repro.reorg.placement import make_policy
+from repro.reorg.placement import PlacementPolicy, make_policy
 from repro.reorg.unit import LeafChain, UnitEngine
 from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
@@ -51,6 +51,62 @@ class Pass2Stats:
         return self.swaps + self.moves
 
 
+def leaf_slots(
+    tree: BPlusTree, placement: PlacementPolicy, n_leaves: int
+) -> list[PageId] | None:
+    """Policy-assigned target page per leaf rank (None: leaves stay put),
+    in the tree's shard lease when it has one, else in the leaf extent."""
+    lease = getattr(tree.store, "leaf_lease", None)
+    window = lease if lease is not None else tree.store.disk.extent(LEAF_EXTENT)
+    return placement.leaf_slots(n_leaves, window.start)
+
+
+class KeyOrderCursor:
+    """Pass 2's one planner (synchronous, DES, [Smi90]): the first leaf in
+    key order not yet in its slot.
+
+    It resumes at the rank of its previous plan — executing a plan changes
+    that rank and later ones only — and restarts at rank 0 whenever the
+    chain re-seeds, which is where a walk on every step starts.  A slot held
+    by a page that is not a later leaf (under concurrency, a fresh split)
+    is left alone and its leaf *skipped*; slots being distinct, an occupied
+    target is a later leaf exactly when it is chained and not skipped.
+    """
+
+    def __init__(self, tree: BPlusTree, chain: LeafChain, placement: PlacementPolicy):
+        self.tree, self.chain, self.placement = tree, chain, placement
+        self._epoch = -1
+        self._slots: list[PageId] | None = None
+        self._rank, self._before = 0, NO_PAGE  # _before: the page at _rank - 1
+        self.skipped: set[PageId] = set()
+
+    def next_misplaced(self) -> tuple[PageId, PageId, bool] | None:
+        """``(leaf, target slot, slot occupied?)``, or None once every leaf
+        is placed or skipped (or the root is the one leaf)."""
+        chain = self.chain
+        epoch = chain.epoch()
+        if epoch != self._epoch:
+            self._epoch, self._rank, self._before, self.skipped = epoch, 0, NO_PAGE, set()
+            self._slots = (
+                None if self.tree.root_id in chain
+                else leaf_slots(self.tree, self.placement, len(chain))
+            )
+        slots = self._slots or ()
+        is_free = self.tree.store.free_map.is_free
+        rank, before = self._rank, self._before
+        while rank < len(slots):
+            leaf, target = chain.neighbours(before)[1], slots[rank]
+            if leaf != target:
+                occupied = not is_free(target)
+                if not occupied or (target in chain and target not in self.skipped):
+                    self._rank, self._before = rank, before
+                    return leaf, target, occupied
+                self.skipped.add(leaf)
+            rank, before = rank + 1, leaf
+        self._rank, self._before = rank, before
+        return None
+
+
 class SwapMovePass:
     """Runs pass 2 synchronously against one tree."""
 
@@ -67,23 +123,6 @@ class SwapMovePass:
         #: declines to place leaves at all, making this pass a no-op).
         self.placement = make_policy(db.config.placement_policy)
 
-    def _leaf_slots(self, n_leaves: int) -> list[PageId]:
-        """Policy-assigned target page for each leaf rank.
-
-        The target window starts at the shard's leaf-lease start when this
-        database is a lease-constrained shard view, else at the leaf extent
-        start — pass 2 must never drive a leaf outside its shard's lease.
-        """
-        lease = getattr(self.db.store, "leaf_lease", None)
-        window_start = (
-            lease.start
-            if lease is not None
-            else self.db.store.disk.extent(LEAF_EXTENT).start
-        )
-        slots = self.placement.leaf_slots(n_leaves, window_start)
-        assert slots is not None  # run() checked places_leaves
-        return slots
-
     def run(self) -> Pass2Stats:
         stats = Pass2Stats()
         if not self.placement.places_leaves:
@@ -99,26 +138,20 @@ class SwapMovePass:
         return stats
 
     def _run_key_order(self, chain: LeafChain, stats: Pass2Stats) -> None:
-        """The paper's ordering: drive leaf i to slot i, for i ascending."""
-        placed = NO_PAGE  # page now holding the previous rank's leaf
-        for target in self._leaf_slots(len(chain)):
-            _, current = chain.neighbours(placed)
-            if current == target:
-                stats.already_placed += 1
-            elif self.db.store.free_map.is_free(target):
-                self._move(current, target)
-                stats.moves += 1
-            elif target in chain:
-                # Slots are distinct and every earlier one is filled, so a
-                # chained occupant is a later leaf.
+        """The paper's ordering: drive leaf i to slot i, for i ascending
+        (the pass owns the tree, so no leaf may be skipped)."""
+        cursor = KeyOrderCursor(self.tree, chain, self.placement)
+        while (plan := cursor.next_misplaced()) is not None:
+            current, target, occupied = plan
+            if occupied:
                 self._swap(current, target)
                 stats.swaps += 1
             else:
-                raise ReorgError(
-                    f"page {target} is allocated but not a later leaf "
-                    f"of this tree; cannot place leaf {current}"
-                )
-            placed = target
+                self._move(current, target)
+                stats.moves += 1
+        if cursor.skipped:
+            raise ReorgError(f"slots of leaves {sorted(cursor.skipped)} hold other pages")
+        stats.already_placed += len(chain) - stats.operations
 
     def _run_seek_aware(self, chain: LeafChain, stats: Pass2Stats) -> None:
         """Seek-minimizing ordering: the same placement, elevator-style.
@@ -144,7 +177,7 @@ class SwapMovePass:
         swapped into, so swaps remain only for true cycles and the log
         volume changes with the mix.
         """
-        slots = self._leaf_slots(len(chain))
+        slots = leaf_slots(self.tree, self.placement, len(chain)) or []
         #: page holding a misplaced leaf -> (the leaf's rank, its target).
         pending = {
             pid: (rank, slot)
@@ -183,19 +216,9 @@ class SwapMovePass:
                 pending[source] = occupant
             stats.swaps += 1
 
-    def _parent_of(self, leaf_id: PageId) -> PageId:
-        leaf = self.db.store.get_leaf(leaf_id)
-        if leaf.is_empty:
-            raise ReorgError(f"leaf {leaf_id} is empty; pass 1 must run first")
-        base = self.tree.base_page_for(leaf.min_key())
-        if base is None or base.index_of_child(leaf_id) < 0:
-            raise ReorgError(f"cannot locate parent of leaf {leaf_id}")
-        return base.page_id
-
     def _move(self, source: PageId, dest: PageId) -> None:
-        self.engine.move_unit(self._parent_of(source), source, dest)
+        self.engine.move_unit(self.engine.parent_of(source), source, dest)
 
     def _swap(self, leaf_a: PageId, leaf_b: PageId) -> None:
-        self.engine.swap_unit(
-            self._parent_of(leaf_a), leaf_a, self._parent_of(leaf_b), leaf_b
-        )
+        parent_of = self.engine.parent_of
+        self.engine.swap_unit(parent_of(leaf_a), leaf_a, parent_of(leaf_b), leaf_b)

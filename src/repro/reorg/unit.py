@@ -87,42 +87,78 @@ class UnitResult:
 class LeafChain:
     """The key-order leaf chain as a doubly linked ring of page ids.
 
-    A unit changes the chain by one local splice or swap, so a pass that
-    owns the tree seeds this from one ``walk()`` and keeps it current in
-    O(unit) per unit.  An edit that does not fit means page state disagrees
-    with the chain, which then re-seeds itself rather than serve a wrong
-    one.  ``NO_PAGE`` closes the ring, between the last leaf and the first.
+    The chain is seeded from one ``walk()`` and, since a unit changes it by
+    one local splice or swap, kept current in O(unit) per unit — for a pass
+    that owns the tree and beside user transactions alike.  ``order`` reads
+    the tree's leaf-order counter (:meth:`BPlusTree.leaf_order`), which
+    every split, freed leaf, unit and crash moves.  A reader starts with
+    :meth:`epoch`, which re-seeds when the counter moved (always, on a bare
+    tree, whose counter is None); an edit patches the chain only across the
+    engine's one bump for it, else drops it for the next read to re-seed.
+    An edit that does not fit means page state disagrees with the chain,
+    which then re-seeds rather than serve a wrong one.  ``NO_PAGE`` closes
+    the ring, between the last leaf and the first.
     """
 
-    def __init__(self, walk: Callable[[], list[PageId]]):
-        self._walk = walk
-        self._seed()
+    def __init__(self, walk: Callable[[], list[PageId]], order: Callable[[], int | None]):
+        self._walk, self._order = walk, order
+        self._mark: int | None = None  # the counter at the last seed or edit
+        self._next: dict[PageId, PageId] = {}  # empty: not seeded, or dropped
+        self._prev: dict[PageId, PageId] = {}
+        self._seeds = 0
 
     def _seed(self) -> None:
         ring = [NO_PAGE, *self._walk(), NO_PAGE]
         self._next = dict(zip(ring, ring[1:]))
         self._prev = dict(zip(ring[1:], ring))
+        self._mark = self._order()
+        self._seeds += 1
+
+    def _ring(self) -> dict[PageId, PageId]:
+        """The successor map, seeded first if it is not."""
+        if not self._next:
+            self._seed()
+        return self._next
+
+    def epoch(self) -> int:
+        """Start a read: re-seed if the counter moved, then the number of
+        seeds so far — a reader keeping a position restarts when it moves."""
+        if self._mark is None or self._order() != self._mark:
+            self._next = {}
+        self._ring()
+        return self._seeds
+
+    def _patchable(self) -> bool:
+        if self._next and self._mark is not None and self._order() == self._mark + 1:
+            self._mark += 1
+            return True
+        self._next = {}
+        return False
 
     def __len__(self) -> int:
-        return len(self._next) - 1
+        return len(self._ring()) - 1
 
     def __contains__(self, page_id: PageId) -> bool:
-        return page_id != NO_PAGE and page_id in self._next
+        return page_id != NO_PAGE and page_id in self._ring()
 
     def __iter__(self) -> Iterator[PageId]:
-        page_id = self._next[NO_PAGE]
+        nxt = self._ring()
+        page_id = nxt[NO_PAGE]
         while page_id != NO_PAGE:
             yield page_id
-            page_id = self._next[page_id]
+            page_id = nxt[page_id]
 
     def neighbours(self, page_id: PageId) -> tuple[PageId, PageId]:
         """``(previous, next)`` leaf of ``page_id``; ``NO_PAGE`` at the ends."""
-        return self._prev[page_id], self._next[page_id]
+        nxt = self._ring()
+        return self._prev[page_id], nxt[page_id]
 
     def splice(self, removed: list[PageId], inserted: list[PageId]) -> None:
         """Replace the run made of exactly ``removed`` with ``inserted``
         (a compaction group is consecutive children of one base page, hence
         one run; ``inserted`` are new pages or some of the removed ones)."""
+        if not self._patchable():
+            return
         nxt, prv = self._next, self._prev
         members = set(removed)
         if NO_PAGE in members or not members <= nxt.keys():
@@ -141,6 +177,8 @@ class LeafChain:
 
     def swap(self, leaf_a: PageId, leaf_b: PageId) -> None:
         """Exchange the positions of two chained pages."""
+        if not self._patchable():
+            return
         nxt, prv = self._next, self._prev
         if leaf_a == leaf_b or leaf_a not in self or leaf_b not in self:
             return self._seed()
@@ -163,10 +201,8 @@ class UnitEngine:
         self._unit_ids = itertools.count(1)
         #: Stash for keys-only MOVE records within the current unit.
         self._stash: MoveStash = {}
-        #: The chain of the synchronous pass that owns the tree, else None:
-        #: beside user transactions, whose splits change the chain, and in
-        #: recovery/undo, which trust only pages, each unit walks the tree.
-        self._chain: LeafChain | None = None
+        #: The key-order leaf chain the units keep current.
+        self.chain = LeafChain(self.tree.leaf_ids_in_key_order, self.tree.leaf_order)
 
     @contextmanager
     def owning_tree(self) -> Iterator[LeafChain]:
@@ -184,7 +220,8 @@ class UnitEngine:
         """
         buffer, config = self.store.buffer, self.store.config
         budget = config.buffer_pool_pages - 2 * config.internal_capacity - 4
-        self._chain = chain = LeafChain(self.tree.leaf_ids_in_key_order)
+        chain = self.chain
+        chain.epoch()
         held: list[PageId] = []
         try:
             # Breadth-first (the queue grows as it is read); no index to
@@ -197,7 +234,6 @@ class UnitEngine:
                     queue.extend(page.children())  # type: ignore[union-attr]
             yield chain
         finally:
-            self._chain = None
             for pid in held:
                 buffer.unpin(pid)
                 buffer.fetch(pid)
@@ -418,11 +454,11 @@ class UnitEngine:
         """Post the moves in the base page, fix pointers, free the drained
         sources, END.  Idempotent up to the END record."""
         built = self._fix_base(unit_id, base_page, sources, dests)
-        # The base now maps the group's key range to the built pages alone;
-        # mirror that one splice in the chain before the side-pointer fix
-        # reads it.
-        if self._chain is not None:
-            self._chain.splice(sources, built)
+        # The base now maps the group's key range to the built pages alone:
+        # count the leaf-order change (it stales other reorganizers' chains)
+        # and mirror it in this one before the side-pointer fix reads it.
+        self.tree.leaf_order_changed()
+        self.chain.splice(sources, built)
         self._fix_side_pointers_around(*built)
         freed = tuple(s for s in sources if s not in dests)
         for source in freed:
@@ -464,6 +500,14 @@ class UnitEngine:
         )
         self._log_unit(into)
         apply_record(self.store, into, stash=self._stash)
+
+    def parent_of(self, leaf_id: PageId) -> PageId:
+        """The base page pointing at ``leaf_id``."""
+        leaf = self.store.get_leaf(leaf_id)
+        base = None if leaf.is_empty else self.tree.base_page_for(leaf.min_key())
+        if base is None or base.index_of_child(leaf_id) < 0:
+            raise ReorgError(f"leaf {leaf_id} has no parent")
+        return base.page_id
 
     def _free_if_empty(self, page_id: PageId) -> None:
         """Return a drained (or never filled) leaf page to the free pool."""
@@ -571,9 +615,10 @@ class UnitEngine:
         kind = self.tree.side_pointers
         if kind is SidePointerKind.NONE:
             return
-        chain = self._chain
-        if chain is None:
-            chain = LeafChain(self.tree.leaf_ids_in_key_order)
+        chain = self.chain
+        # Re-seeds if a user split or freed a leaf since the last read and
+        # no patch of this unit's noticed (a retried swap patches nothing).
+        chain.epoch()
         affected: set[PageId] = set()
         for pid in leaves:
             if pid in chain:
@@ -634,10 +679,17 @@ class UnitEngine:
         self, unit_id: int, base_a: PageId, leaf_a: PageId,
         base_b: PageId, leaf_b: PageId,
     ) -> UnitResult:
-        """Base MODIFYs (under X on both parents), side pointers, END."""
-        self._fix_bases_after_swap(unit_id, base_a, leaf_a, base_b, leaf_b)
-        if self._chain is not None:
-            self._chain.swap(leaf_a, leaf_b)
+        """Base MODIFYs (under X on both parents), side pointers, END (the
+        phase :meth:`finish_unit` runs too, not under this traced name)."""
+        return self._finish_swap(unit_id, base_a, leaf_a, base_b, leaf_b)
+
+    def _finish_swap(
+        self, unit_id: int, base_a: PageId, leaf_a: PageId,
+        base_b: PageId, leaf_b: PageId,
+    ) -> UnitResult:
+        if self._fix_bases_after_swap(unit_id, base_a, leaf_a, base_b, leaf_b):
+            self.tree.leaf_order_changed()
+            self.chain.swap(leaf_a, leaf_b)
         self._fix_side_pointers_around(leaf_a, leaf_b)
         largest = max(
             self._largest_key_of(leaf_a), self._largest_key_of(leaf_b)
@@ -652,21 +704,6 @@ class UnitEngine:
             self.store.get_leaf(leaf_a).num_items
             + self.store.get_leaf(leaf_b).num_items,
         )
-
-    def _execute_swap(
-        self,
-        unit_id: int,
-        base_a: PageId,
-        leaf_a: PageId,
-        base_b: PageId,
-        leaf_b: PageId,
-        *,
-        already_swapped: bool = False,
-    ) -> None:
-        if not already_swapped:
-            self._swap_contents(unit_id, leaf_a, leaf_b)
-        self._fix_bases_after_swap(unit_id, base_a, leaf_a, base_b, leaf_b)
-        self._fix_side_pointers_around(leaf_a, leaf_b)
 
     def _swap_contents(self, unit_id: int, leaf_a: PageId, leaf_b: PageId) -> None:
         page_a = self.store.get_leaf(leaf_a)
@@ -694,7 +731,7 @@ class UnitEngine:
         leaf_a: PageId,
         base_b: PageId,
         leaf_b: PageId,
-    ) -> None:
+    ) -> bool:
         """MODIFY the base entries after a swap by exchanging the *child
         pointers* (the slot keys keep describing the same key ranges; the
         leaves holding those ranges exchanged identities).
@@ -704,8 +741,10 @@ class UnitEngine:
         transient duplicate-separator state when both leaves share one base
         page, and makes each MODIFY independently idempotent: a slot is
         fixed exactly when its child's minimum key lies in the slot's
-        range.
+        range.  True when the leaves did exchange places (not so when a
+        deadlock undo left the contents exchanged and the retry undid it).
         """
+        modified = False
         for base_id in dict.fromkeys((base_a, base_b)):
             base = self.store.get_internal(base_id)
             for slot, (slot_key, child) in enumerate(base.entries):
@@ -719,6 +758,8 @@ class UnitEngine:
                 self._modify(
                     unit_id, base_id, (slot_key, child), (slot_key, correct)
                 )
+                modified = True
+        return modified
 
     def _correct_child_for_slot(
         self, base_id: PageId, slot: int, candidates: tuple[PageId, PageId]
@@ -754,7 +795,6 @@ class UnitEngine:
         state before acting), so re-running the remainder after redo has
         installed the logged prefix completes the unit exactly once.
         """
-        self._chain = None  # derive from pages, not a stale chain
         self.resume_unit_ids_after(pending.unit_id)
         unit_id = pending.unit_id
         if pending.unit_type in (ReorgUnitType.COMPACT, ReorgUnitType.MOVE):
@@ -767,20 +807,11 @@ class UnitEngine:
             )
         if pending.unit_type is ReorgUnitType.SWAP:
             leaf_a, leaf_b = pending.leaf_pages
-            already = any(
-                isinstance(r, ReorgSwapRecord) for r in pending.records
-            )
-            base_a = pending.base_pages[0]
-            base_b = pending.base_pages[-1]
-            self._execute_swap(
-                unit_id, base_a, leaf_a, base_b, leaf_b, already_swapped=already
-            )
-            largest = max(
-                self._largest_key_of(leaf_a), self._largest_key_of(leaf_b)
-            )
-            self._log_unit(ReorgEndRecord(unit_id=unit_id, largest_key=largest))
-            return UnitResult(
-                unit_id, ReorgUnitType.SWAP, leaf_a, (), largest, 0
+            if not any(isinstance(r, ReorgSwapRecord) for r in pending.records):
+                self._swap_contents(unit_id, leaf_a, leaf_b)
+            return self._finish_swap(
+                unit_id, pending.base_pages[0], leaf_a,
+                pending.base_pages[-1], leaf_b,
             )
         raise ReorgError(f"unknown unit type {pending.unit_type!r}")
 
@@ -832,7 +863,6 @@ class UnitEngine:
         if freed_any:
             self.finish_unit(pending)
             return False
-        self._chain = None
         self.resume_unit_ids_after(pending.unit_id)
         unit_id = pending.unit_id
         for record in reversed(pending.records):
@@ -853,6 +883,7 @@ class UnitEngine:
             elif isinstance(record, ReorgSwapRecord):
                 # A swap is its own inverse.
                 self._swap_contents(unit_id, record.page_a, record.page_b)
+        self.tree.leaf_order_changed()
         for dest in _dests_of(pending):
             if dest not in pending.leaf_pages:
                 self._free_if_empty(dest)
@@ -867,9 +898,9 @@ class UnitEngine:
         prev-LSN chain says they came from, then clear the progress entry.
 
         Only MOVE halves need inverting — a deadlock can only strike before
-        the base page was X-locked, hence before any MODIFY was logged.
+        the base page was X-locked, hence before any MODIFY was logged, and
+        the leaf order (with it the chain) is as before the unit.
         """
-        self._chain = None
         cursor = self.db.progress.recent_lsn_of(unit_id)
         inversions: list[tuple[PageId, PageId, tuple[int, ...]]] = []
         begin: ReorgBeginRecord | None = None

@@ -411,11 +411,6 @@ class InternalPage(Page):
             )
         return self._keys.pop(i), self._children.pop(i)
 
-    def remove_entry_at(self, index: int) -> tuple[int, PageId]:
-        if not 0 <= index < len(self._keys):
-            raise BTreeError(f"entry index {index} out of range")
-        return self._keys.pop(index), self._children.pop(index)
-
     def update_entry(
         self, old_key: int, old_child: PageId, new_key: int, new_child: PageId
     ) -> None:

@@ -99,12 +99,6 @@ class ReorgProgressTable:
         except KeyError:
             raise ReorgError(f"unit {unit_id} is not in flight") from None
 
-    def begin_lsn_of(self, unit_id: int) -> int:
-        try:
-            return self._units[unit_id][0]
-        except KeyError:
-            raise ReorgError(f"unit {unit_id} is not in flight") from None
-
     @property
     def unit_id(self) -> int:
         if len(self._units) != 1:

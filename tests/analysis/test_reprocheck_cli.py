@@ -80,6 +80,19 @@ def test_human_output_mentions_schedule_counts(capsys):
     assert "distinct schedules" in out
 
 
+def test_known_violations_are_reported_and_strict(capsys, monkeypatch):
+    """A scenario in KNOWN_VIOLATIONS passes on its known invariants only,
+    and fails once it runs clean, like a strict xfail."""
+    from reprocheck import cli
+
+    assert main(["updater-vs-pass2", "--max-schedules", "3"]) == 0
+    assert "(known: btree-structure, no-runtime-error)" in capsys.readouterr().out
+    monkeypatch.setitem(cli.KNOWN_VIOLATIONS, "deadlock-victim", ("table1-compat",))
+    assert main(["deadlock-victim", "--max-schedules", "3"]) == 1
+    monkeypatch.setitem(cli.KNOWN_VIOLATIONS, "updater-vs-pass2", ("btree-structure",))
+    assert main(["updater-vs-pass2", "--max-schedules", "3"]) == 1
+
+
 def test_module_entry_point_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

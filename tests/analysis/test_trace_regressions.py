@@ -37,7 +37,16 @@ def load_trace(path: Path) -> dict:
 TRACE_FILES = sorted(TRACES_DIR.glob("*.trace"))
 
 
-@pytest.mark.parametrize("path", TRACE_FILES, ids=lambda p: p.stem)
+def _traces():
+    """A trace with an ``xfail:`` line pins a known, still-open violation
+    (reprocheck's KNOWN_VIOLATIONS): strict, so fixing it fails here."""
+    for path in TRACE_FILES:
+        reason = load_trace(path).get("xfail")
+        marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+        yield pytest.param(path, marks=marks, id=path.stem)
+
+
+@pytest.mark.parametrize("path", _traces())
 def test_historical_trace_replays_clean(path):
     meta = load_trace(path)
     scenario = SCENARIOS[meta["scenario"]]
@@ -47,5 +56,9 @@ def test_historical_trace_replays_clean(path):
 
 
 def test_one_trace_per_invariant():
-    covered = {load_trace(path)["invariant"] for path in TRACE_FILES}
+    covered = {
+        meta["invariant"]
+        for meta in map(load_trace, TRACE_FILES)
+        if "xfail" not in meta
+    }
     assert covered == set(invariants.REGISTRY)

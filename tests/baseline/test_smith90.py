@@ -9,7 +9,8 @@ from repro.db import Database
 from repro.errors import CrashPoint
 from repro.sim.crash import LogCrashInjector, crash_recover
 from repro.sim.workload import build_sparse_tree
-from repro.storage.page import Record
+from repro.storage.page import PageKind, Record
+from repro.storage.store import LEAF_EXTENT
 from repro.txn.scheduler import Scheduler
 
 
@@ -88,6 +89,83 @@ class TestSynchronousEngine:
         parent = db.store.get_internal(base)
         children = parent.children()
         assert children.index(right) == children.index(left) + 1
+
+
+def scattered_db(seed=3):
+    """Leaves scattered over the extent by shuffled inserts: ordering then
+    both swaps and moves."""
+    import random
+
+    db = Database(
+        TreeConfig(
+            leaf_capacity=8,
+            internal_capacity=6,
+            leaf_extent_pages=512,
+            internal_extent_pages=256,
+            buffer_pool_pages=128,
+        )
+    )
+    tree = db.create_tree()
+    rng = random.Random(seed)
+    keys = list(range(400))
+    rng.shuffle(keys)
+    for key in keys:
+        tree.insert(Record(key, "v"))
+    for key in rng.sample(range(400), 280):
+        tree.delete(key)
+    return db
+
+
+def walk_every_step_placement(db):
+    """The planner the key-order cursor replaced: a fresh walk per op."""
+    tree = db.tree()
+    if db.store.get(tree.root_id).kind is PageKind.LEAF:
+        return None
+    start = db.store.disk.extent(LEAF_EXTENT).start
+    chain = tree.leaf_ids_in_key_order()
+    for index, leaf in enumerate(chain):
+        target = start + index
+        if leaf == target:
+            continue
+        occupied = not db.store.free_map.is_free(target)
+        if occupied and target not in chain[index + 1 :]:
+            continue
+        return leaf, target, occupied
+    return None
+
+
+class TestOrderingPlanner:
+    """The ordering phase plans with pass 2's key-order cursor."""
+
+    def test_plans_as_a_walk_every_step(self, monkeypatch):
+        from repro.reorg.swap import KeyOrderCursor
+
+        db = scattered_db()
+        smith = Smith90Reorganizer(db, db.tree(), ReorgConfig())
+        smith.run_compaction()
+        plans = []
+        planned = KeyOrderCursor.next_misplaced
+
+        def checked(cursor):
+            plan = planned(cursor)
+            assert plan == walk_every_step_placement(db), f"op {len(plans)}"
+            plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(KeyOrderCursor, "next_misplaced", checked)
+        assert smith.run_ordering() == len(plans) - 1
+        assert smith.stats.swaps >= 3 and smith.stats.moves >= 3
+        chain = db.tree().leaf_ids_in_key_order()
+        assert chain == sorted(chain)
+        db.tree().validate()
+
+    def test_ordering_walks_the_leaf_level_once(self, walks):
+        db = scattered_db()
+        smith = Smith90Reorganizer(db, db.tree(), ReorgConfig())
+        smith.run_compaction()
+        walks.clear()
+        assert smith.run_ordering() > 10
+        assert len(walks) == 1
 
 
 class TestRollbackRecovery:

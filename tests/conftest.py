@@ -77,6 +77,19 @@ def _runtime_race_detector(_runtime_sanitizer):
 
 
 @pytest.fixture
+def walks(monkeypatch):
+    """Counts ``BPlusTree.leaf_ids_in_key_order`` calls."""
+    from repro.btree.tree import BPlusTree
+
+    calls = []
+    walk = BPlusTree.leaf_ids_in_key_order
+    monkeypatch.setattr(
+        BPlusTree, "leaf_ids_in_key_order", lambda self: calls.append(1) or walk(self)
+    )
+    return calls
+
+
+@pytest.fixture
 def env():
     return make_env()
 

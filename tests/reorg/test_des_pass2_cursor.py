@@ -1,0 +1,305 @@
+"""The DES pass 2 plans with one key-order cursor over a guarded chain.
+
+``ReorgProtocol`` reads one :class:`~repro.reorg.unit.LeafChain` that its
+own units keep current and that re-seeds only when the tree's leaf-order
+counter moved behind it (a user split or freed leaf).  The cursor over it
+resumes where the previous plan stopped.  These tests hold that planner to
+the one it replaced — a fresh tree walk on every step — beside inserts that
+split leaves and deletes that free one, check that an undisturbed
+reorganization walks the leaf level a constant number of times, that a swap
+retried beside a neighbour's split fixes side pointers from the split, and
+that a pass that cannot converge says so.
+"""
+
+import random
+
+import pytest
+
+from repro.btree.protocols import updater_delete, updater_insert
+from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
+from repro.db import Database
+from repro.errors import DeadlockError, ReorgError
+from repro.locks.modes import LockMode
+from repro.locks.resources import tree_lock
+from repro.reorg.protocols import ReorgProtocol, full_reorganization
+from repro.reorg.reorganizer import Reorganizer
+from repro.reorg.swap import KeyOrderCursor
+from repro.reorg.unit import LeafChain
+from repro.sim.workload import build_sparse_tree
+from repro.storage.page import PageKind, Record
+from repro.storage.store import LEAF_EXTENT
+from repro.txn.ops import Acquire, Convert, ReleaseAll
+from repro.txn.scheduler import Scheduler
+
+
+def make_db(kind=SidePointerKind.NONE, n_records=900):
+    db = Database(
+        TreeConfig(
+            leaf_capacity=8,
+            internal_capacity=6,
+            leaf_extent_pages=512,
+            internal_extent_pages=256,
+            buffer_pool_pages=256,
+            side_pointers=kind,
+        )
+    )
+    build_sparse_tree(db, n_records=n_records, fill_after=0.3)
+    return db
+
+
+def make_scheduler(db):
+    return Scheduler(db.locks, store=db.store, log=db.log, io_time=0.05, hit_time=0.005)
+
+
+def walk_every_step_plan(db, tree):
+    """The planner the cursor replaced: a fresh walk on every step, the
+    first leaf out of place, and an occupied slot taken only from a later
+    leaf of this tree."""
+    if db.store.get(tree.root_id).kind is PageKind.LEAF:
+        return None
+    chain = tree.leaf_ids_in_key_order()
+    start = db.store.disk.extent(LEAF_EXTENT).start
+    rank = {page: position for position, page in enumerate(chain)}
+    for index, leaf in enumerate(chain):
+        target = start + index
+        if leaf == target:
+            continue
+        occupied = not db.store.free_map.is_free(target)
+        if occupied and rank.get(target, -1) <= index:
+            continue
+        return leaf, target, occupied
+    return None
+
+
+#: Seeds that run clean with the walk-every-step planner too.  On most other
+#: ONE_WAY seeds a swap planned beside the inserts dies with "leaf N has no
+#: parent" under either planner (ROADMAP item 1(b)); ONE_WAY seed 9 retries
+#: a swap after a deadlock undo.
+CLEAN = [
+    (SidePointerKind.NONE, 3),
+    (SidePointerKind.NONE, 8),
+    (SidePointerKind.NONE, 21),
+    (SidePointerKind.ONE_WAY, 9),
+    (SidePointerKind.ONE_WAY, 14),
+    (SidePointerKind.ONE_WAY, 21),
+]
+
+
+@pytest.mark.parametrize("kind, seed", CLEAN, ids=lambda v: getattr(v, "value", v))
+def test_cursor_plans_as_a_walk_every_step_beside_splits_and_frees(
+    seed, kind, monkeypatch
+):
+    db = make_db(kind)
+    # First-fit compaction scatters the leaves: pass 2 then swaps and moves.
+    config = ReorgConfig(free_space_policy=FreeSpacePolicy.FIRST_FIT)
+    Reorganizer(db, db.tree(), config).run_pass1()
+    tree = db.tree()
+    oracle = {r.key: r.payload for r in tree.items()}
+    rng = random.Random(seed)
+    sched = make_scheduler(db)
+    protocol = ReorgProtocol(db, "primary", config, unit_pause=0.05, op_duration=0.2)
+    reorg = sched.spawn(protocol.pass2(), name="reorg", is_reorganizer=True)
+
+    # Inserts pile into a few key ranges until their leaves split ...
+    absent = sorted(set(range(1000)) - set(oracle))
+    hot = [k for start in rng.sample(absent[:-40], 4) for k in absent if start <= k < start + 40]
+    for i, key in enumerate(rng.sample(hot, 60)):
+        sched.spawn(updater_insert(db, "primary", Record(key, "new")), at=0.5 + 0.4 * i)
+        oracle[key] = "new"
+    # ... while one leaf is deleted empty, which frees it.
+    chain = tree.leaf_ids_in_key_order()
+    victim = tree.store.get_leaf(chain[rng.randrange(len(chain) // 2)])
+    for i, key in enumerate(victim.keys()):
+        sched.spawn(updater_delete(db, "primary", key), at=1.0 + 2.0 * i)
+        del oracle[key]
+
+    plans, epochs = [], set()
+    planned = KeyOrderCursor.next_misplaced
+
+    def checked(cursor):
+        plan = planned(cursor)
+        assert plan == walk_every_step_plan(db, db.tree()), f"step {len(plans)}"
+        plans.append(plan)
+        epochs.add(cursor.chain.epoch())
+        return plan
+
+    monkeypatch.setattr(KeyOrderCursor, "next_misplaced", checked)
+    frag = db.frag_stats()
+    splits, leaves = frag.leaf_splits, frag.leaves
+    sched.run()
+
+    assert sched.failed == []
+    assert any(txn is reorg for txn, _ in sched.completed) and plans[-1] is None
+    # Splits and a freed leaf landed while pass 2 planned, and re-seeded it
+    # (units move no leaf below the tree API's count).
+    freed = leaves + (frag.leaf_splits - splits) - frag.leaves
+    assert frag.leaf_splits > splits and freed >= 1 and len(epochs) > 1
+    assert any(occupied for _, _, occupied in plans[:-1])
+    assert any(not occupied for _, _, occupied in plans[:-1])
+    final = db.tree()
+    final.validate()
+    assert {r.key: r.payload for r in final.items()} == oracle
+
+
+@pytest.mark.parametrize("kind", list(SidePointerKind), ids=lambda k: k.value)
+def test_undisturbed_des_reorganization_walks_a_constant_number_of_times(kind, walks):
+    db = make_db(kind, n_records=1500)
+    sched = make_scheduler(db)
+    protocol = ReorgProtocol(db, "primary", ReorgConfig(), unit_pause=0.05, op_duration=0.2)
+    walks.clear()
+    sched.spawn(full_reorganization(protocol), name="reorg", is_reorganizer=True)
+    sched.run()
+    (stats,) = [result for _txn, result in sched.completed]
+    assert stats["pass1"]["units"] + stats["pass2"]["moves"] + stats["pass2"]["swaps"] > 100
+    # Pass 2's seed, and pass 3's leaf count: none per unit or per step.
+    assert len(walks) <= 3
+    db.tree().validate()
+
+
+def victim_at_first_convert(gen):
+    """Forward ``gen``'s ops to the scheduler, except that its first R->X
+    conversion is answered as the lock manager answers a deadlock victim."""
+    send, throw, converted = None, None, False
+    while True:
+        try:
+            op = gen.send(send) if throw is None else gen.throw(throw)
+        except StopIteration as stop:
+            return stop.value
+        send, throw = None, None
+        if isinstance(op, Convert) and not converted:
+            converted, throw = True, DeadlockError("reorganizer chosen as victim")
+            continue
+        try:
+            send = yield op
+        except Exception as exc:
+            throw = exc
+
+
+def test_retried_swap_reads_a_neighbour_split_it_did_not_patch():
+    """A swap picked as deadlock victim at its R->X conversion is undone
+    and retried; the retry exchanges the contents back and so logs no
+    MODIFY and patches nothing.  A user's split of the leaf before it, under
+    another base page, lands between the retry's neighbour read and its X
+    lock on that leaf: the side-pointer fix must see the split."""
+    db = make_db(SidePointerKind.ONE_WAY)
+    tree = db.tree()
+    protocol = ReorgProtocol(db, "primary", ReorgConfig())
+    parent_of, capacity = protocol.engine.parent_of, db.store.config.leaf_capacity
+    chain = tree.leaf_ids_in_key_order()
+
+    def room(leaf, after):  # absent keys an insert routes to ``leaf``
+        low, high = (tree.store.get_leaf(pid).min_key() for pid in (leaf, after))
+        return [
+            k for k in range(low, high)
+            if tree.leaf_for(k).page_id == leaf and tree.search(k) is None
+        ]
+
+    # a opens its base page and swaps with that page's last leaf b (within
+    # one base page: across two, the retry's parent lookup fails, ROADMAP
+    # item 1(b)); before, the last leaf of another base page, is filled.
+    a, before = next(
+        (a, before) for before, a in zip(chain, chain[1:])
+        if parent_of(before) != parent_of(a)
+        and not db.store.get_internal(parent_of(before)).is_full
+        and len(room(before, a)) > capacity - tree.store.get_leaf(before).num_items
+    )
+    b = db.store.get_internal(parent_of(a)).children()[-1]
+    assert b != a
+    fill = room(before, a)
+    for key in fill[: capacity - tree.store.get_leaf(before).num_items]:
+        tree.insert(Record(key, "fill"))
+    oracle = {r.key: r.payload for r in tree.items()}
+    splitting = fill[-1]
+    oracle[splitting] = "new"
+    assert tree.store.get_leaf(before).is_full
+
+    stats = {"retries": 0, "undone": 0}
+    unit = protocol._swap_unit(a, b)
+
+    def reorganizer():
+        yield Acquire(tree_lock(protocol._lock_name()), LockMode.IX)
+        done = yield from protocol._run_unit(lambda: unit, stats)
+        yield ReleaseAll()
+        return done
+
+    sched = make_scheduler(db)
+    sched.spawn(victim_at_first_convert(reorganizer()), name="reorg", is_reorganizer=True)
+    # X on ``before`` from t=0.25, split at t=1.25: the retry starts at 0.5.
+    sched.spawn(updater_insert(db, "primary", Record(splitting, "new"), think=1.0), at=0.25)
+    splits = db.frag_stats().leaf_splits
+    sched.run()
+
+    assert sched.failed == [] and stats == {"retries": 1, "undone": 1}
+    assert db.frag_stats().leaf_splits == splits + 1
+    final = db.tree()
+    final.validate()  # every side pointer, the split's new leaf's included
+    assert {r.key: r.payload for r in final.items()} == oracle
+
+
+def test_pass2_that_cannot_converge_fails_loudly():
+    db = make_db()
+    Reorganizer(db, db.tree(), ReorgConfig()).run_pass1()
+    protocol = ReorgProtocol(db, "primary", ReorgConfig())
+    units = []
+
+    def always_skipped(describe, stats):
+        units.append(describe())
+        return False
+        yield  # a generator that gives up before its first op
+
+    protocol._run_unit = always_skipped
+    sched = make_scheduler(db)
+    sched.spawn(protocol.pass2(), name="reorg", is_reorganizer=True)
+    with pytest.raises(ReorgError, match="ordering did not converge"):
+        sched.run()
+    # The step cap: 4 x leaves + 8, every step planning the same unit.
+    assert len(units) == 4 * len(db.tree().leaf_ids_in_key_order()) + 8
+    assert len({tuple(unit.leaves) for unit in units}) == 1
+
+
+# -- the guarded chain itself ------------------------------------------------------
+
+
+class Counter:
+    def __init__(self):
+        self.value = 0
+
+    def __call__(self):
+        return self.value
+
+
+def test_guarded_chain_seeds_lazily_and_reseeds_when_the_counter_moved():
+    walks, order = [], Counter()
+    chain = LeafChain(lambda: walks.append(1) or [1, 2, 3], order)
+    chain.splice([1], [9])  # never read: nothing to patch, nothing walked
+    assert walks == []
+    assert chain.epoch() == 1 and list(chain) == [1, 2, 3] and len(walks) == 1
+    assert chain.epoch() == 1 and chain.neighbours(2) == (1, 3) and len(walks) == 1
+    order.value += 1  # a user split somewhere
+    assert chain.epoch() == 2 and len(chain) == 3 and len(walks) == 2
+
+
+def test_guarded_chain_patches_its_own_edit_and_drops_after_a_foreign_one():
+    pages, order = [1, 2, 3, 4], Counter()
+    walks = []
+    chain = LeafChain(lambda: walks.append(1) or list(pages), order)
+    assert chain.epoch() == 1
+    # The engine bumps once for its unit, then patches: no walk.
+    order.value += 1
+    pages[1:3] = [7]
+    chain.splice([2, 3], [7])
+    assert chain.epoch() == 1 and list(chain) == [1, 7, 4] and len(walks) == 1
+    # Someone else's change came first: the patch is not trusted, and the
+    # next read re-seeds from pages that already carry both.
+    order.value += 2
+    pages[2:3] = [5, 6]
+    chain.splice([4], [5])
+    assert list(chain) == [1, 7, 5, 6] and len(walks) == 2
+
+
+def test_bare_tree_chain_reseeds_at_every_read():
+    walks = []
+    chain = LeafChain(lambda: walks.append(1) or [1, 2], lambda: None)
+    for expected in (1, 2, 3):
+        assert chain.epoch() == expected and list(chain) == [1, 2]
+    assert len(walks) == 3

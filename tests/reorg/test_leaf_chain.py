@@ -1,9 +1,10 @@
 """The synchronous passes' maintained leaf chain and resident index.
 
-A pass that owns the tree (``UnitEngine.owning_tree``) seeds the key-order
-leaf chain from one walk and patches it per unit; these tests hold it to
-the tree after *every* unit, check the rebuild fallback, the pin scope of
-the index holder, and that walks no longer scale with the unit count.
+A pass that owns the tree (``UnitEngine.owning_tree``) reads the engine's
+key-order leaf chain, seeded from one walk and patched per unit; these tests
+hold it to the tree after *every* unit, check the rebuild fallback, the pin
+scope of the index holder, and that walks no longer scale with the unit
+count.
 """
 
 import random
@@ -13,13 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.btree.tree import BPlusTree
-from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
+from repro.config import (
+    FreeSpacePolicy, ReorgConfig, ShardConfig, SidePointerKind, TreeConfig,
+)
 from repro.db import Database
 from repro.errors import CrashPoint
 from repro.reorg.compact import LeafCompactor
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.unit import LeafChain
+from repro.shard import ShardedDatabase
 from repro.sim.crash import LogCrashInjector
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import NO_PAGE, PageKind, Record
@@ -75,7 +78,7 @@ def check_every_unit(reorg, tree):
     seen = []
 
     def check(result):
-        assert list(reorg.engine._chain) == tree.leaf_ids_in_key_order()
+        assert list(reorg.engine.chain) == tree.leaf_ids_in_key_order()
         tree.validate()
         seen.append(result.unit_type)
 
@@ -88,10 +91,12 @@ def check_every_unit(reorg, tree):
 
 @given(data=st.data(), n=st.integers(1, 12))
 def test_chain_edits_match_a_list_model(data, n):
-    model = list(range(n))
-    chain = LeafChain(lambda: list(range(n)))
+    model, order = list(range(n)), [0]
+    chain = LeafChain(lambda: list(range(n)), lambda: order[0])
+    chain.epoch()
     fresh = n
     for _ in range(6):
+        order[0] += 1  # the engine's bump for its unit: the edit patches
         if data.draw(st.booleans()) and len(model) > 1:
             i, j = data.draw(
                 st.lists(st.integers(0, len(model) - 1), min_size=2, max_size=2, unique=True)
@@ -118,8 +123,9 @@ def test_chain_edits_match_a_list_model(data, n):
 
 
 def test_chain_reseeds_on_an_edit_that_disagrees_with_it():
-    walks = []
-    chain = LeafChain(lambda: walks.append(1) or [1, 2, 3, 4])
+    walks, order = [], [0]
+    chain = LeafChain(lambda: walks.append(1) or [1, 2, 3, 4], lambda: order[0])
+    chain.epoch()
     for edit in (
         lambda: chain.splice([1, 3], [9]),  # not one run
         lambda: chain.splice([2, 7], [9]),  # 7 is not chained
@@ -128,6 +134,7 @@ def test_chain_reseeds_on_an_edit_that_disagrees_with_it():
         lambda: chain.swap(2, 2),
     ):
         walks.clear()
+        order[0] += 1
         edit()
         assert len(walks) == 1 and list(chain) == [1, 2, 3, 4]
 
@@ -266,22 +273,12 @@ def test_seek_aware_pass2_trades_swaps_for_moves(seed):
 
 
 # -- the rebuild fallback, and how often the tree is walked ----------------------------
-
-
-@pytest.fixture
-def walks(monkeypatch):
-    """Counts ``BPlusTree.leaf_ids_in_key_order`` calls."""
-    calls = []
-    walk = BPlusTree.leaf_ids_in_key_order
-    monkeypatch.setattr(
-        BPlusTree, "leaf_ids_in_key_order", lambda self: calls.append(1) or walk(self)
-    )
-    return calls
+# (``walks`` counts ``BPlusTree.leaf_ids_in_key_order`` calls; tests/conftest.py)
 
 
 def test_corrupt_chain_is_rebuilt_not_served(walks):
-    """Drop a leaf of the first group from the chain: the unit's splice no
-    longer matches, so the engine re-seeds from a walk and logs the very
+    """Patch a leaf of the first group out of the chain: the unit's splice
+    no longer matches, so the engine re-seeds from a walk and logs the very
     side pointers of an undisturbed pass."""
     logged = {}
     for corrupt in (False, True):
@@ -301,6 +298,7 @@ def test_corrupt_chain_is_rebuilt_not_served(walks):
         @contextmanager
         def corrupted():
             with owning_tree() as chain:
+                tree.leaf_order_changed()  # so that the bad splice patches
                 chain.splice([list(chain)[1]], [])
                 yield chain
 
@@ -311,6 +309,40 @@ def test_corrupt_chain_is_rebuilt_not_served(walks):
         assert len(walks) == (2 if corrupt else 1)  # the seed, the rebuild
         tree.validate()
     assert logged[True] == logged[False] != []
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["database", "shard"])
+def test_a_crash_stales_every_chain(sharded):
+    """Redo stops at the stable log, which lacks a split the chain has
+    already read: the crash, not a split or a unit, moves the counter."""
+    config = TreeConfig(
+        leaf_capacity=4, internal_capacity=4, leaf_extent_pages=256,
+        internal_extent_pages=128, buffer_pool_pages=128,
+        side_pointers=SidePointerKind.ONE_WAY,
+    )
+    records = [Record(k, "v") for k in range(0, 400, 2)]
+    fill = dict(leaf_fill=1.0, internal_fill=0.5)  # the split stays below the root
+    if sharded:
+        db = ShardedDatabase(config, ShardConfig(n_shards=2))
+        db.bulk_load(records, **fill)
+        owner = db.handle(0)
+    else:
+        db = owner = Database(config)
+        db.bulk_load_tree(records, **fill)
+    db.flush()
+
+    def walk():
+        return owner.tree().leaf_ids_in_key_order()
+
+    chain = LeafChain(walk, owner.tree().leaf_order)
+    chain.epoch()
+    owner.tree().insert(Record(1, "lost"))  # splits the first leaf
+    chain.epoch()
+    split = list(chain)
+    db.crash()
+    db.recover()
+    chain.epoch()
+    assert len(split) == len(list(chain)) + 1 and list(chain) == walk()
 
 
 def test_walks_do_not_scale_with_units(walks):
@@ -372,7 +404,7 @@ def test_pins_are_released_when_a_pass_crashes_or_a_unit_raises():
     with pytest.raises(RuntimeError):
         reorg.run_pass1()
     assert calls[0] == sorted(internal_ids(db, tree))
-    assert pinned(db) == [] and reorg.engine._chain is None
+    assert pinned(db) == []
 
 
 @pytest.mark.parametrize("pool, holds", [(8, 0), (16, 4)])

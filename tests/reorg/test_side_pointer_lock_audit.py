@@ -80,11 +80,18 @@ def run_audited(db, generators):
 
 @pytest.mark.parametrize("kind", KINDS)
 class TestEverySidePointerEditIsLocked:
-    def test_single_output_units(self, kind):
+    """The neighbours a unit X-locks and the pointers it then writes are
+    both read off the protocol's counter-guarded leaf chain: with nothing
+    else changing the tree, that chain is seeded once per run, not walked
+    per unit."""
+
+    def test_single_output_units(self, kind, walks):
         db = sparse_db(kind)
         protocol = ReorgProtocol(db, "primary", ReorgConfig(), op_duration=0.05)
+        walks.clear()
         (stats,) = run_audited(db, [protocol.pass1()])
-        assert stats["units"] > 0
+        assert stats["units"] > 20
+        assert len(walks) == 1
 
     def test_multi_output_units(self, kind):
         db = sparse_db(kind)
@@ -102,30 +109,37 @@ class TestEverySidePointerEditIsLocked:
         run_audited(db, [protocol.pass1()])
         assert multi_begins, "the cell must exercise multi-output units"
 
-    def test_pass2_moves(self, kind):
+    def test_pass2_moves(self, kind, walks):
         db = sparse_db(kind)
         Reorganizer(db, db.tree(), ReorgConfig()).run_pass1()
         protocol = ReorgProtocol(db, "primary", ReorgConfig(), op_duration=0.05)
+        walks.clear()
         (stats,) = run_audited(db, [protocol.pass2()])
-        assert stats["moves"] > 0
+        assert stats["moves"] > 20
+        assert len(walks) == 1
 
-    def test_pass2_swaps(self, kind):
+    def test_pass2_swaps(self, kind, walks):
         db = sparse_db(kind)
         # First-fit compaction scatters the new leaves: mostly swaps.
         config = ReorgConfig(free_space_policy=FreeSpacePolicy.FIRST_FIT)
         Reorganizer(db, db.tree(), config).run_pass1()
         protocol = ReorgProtocol(db, "primary", config, op_duration=0.05)
+        walks.clear()
         (stats,) = run_audited(db, [protocol.pass2()])
-        assert stats["swaps"] > 0
+        assert stats["swaps"] > 20
+        assert len(walks) == 1
 
-    def test_four_parallel_workers(self, kind):
+    def test_four_parallel_workers(self, kind, walks):
         db = sparse_db(kind)
         workers = build_parallel_pass1(
             db, "primary", ReorgConfig(), 4, unit_pause=0.01, op_duration=0.05
         )
         assert len(workers) == 4
+        walks.clear()
         results = run_audited(db, [w.pass1() for w in workers])
-        assert sum(stats["units"] for stats in results) > 0
+        assert sum(stats["units"] for stats in results) > 20
+        # One chain for the four workers, each patching it with its units.
+        assert len(walks) == 1
 
     def test_workers_deadlocked_over_boundary_neighbours(self, kind):
         """Two one-unit partitions whose units are chain neighbours: each

@@ -130,6 +130,63 @@ def _build_updater_vs_pass3_switch() -> World:
     )
 
 
+# -- updater-vs-pass2 ---------------------------------------------------------------
+
+
+def _build_updater_vs_pass2() -> World:
+    """A splitting insert and a free-at-empty delete race a DES pass 2 over
+    leaves that shuffled inserts scattered across the extent, with one-way
+    side pointers: each structural change moves the tree's leaf-order
+    counter, so the pass's key-order cursor re-seeds its chain, and every
+    move or swap still X-locks the neighbours whose pointers it edits."""
+    import random
+
+    from repro.config import SidePointerKind
+
+    config = TreeConfig(
+        leaf_capacity=4,
+        internal_capacity=4,
+        leaf_extent_pages=64,
+        internal_extent_pages=32,
+        buffer_pool_pages=16,
+        side_pointers=SidePointerKind.ONE_WAY,
+    )
+    db = Database(config)
+    tree = db.create_tree()
+    keys = list(range(0, 40, 2))
+    random.Random(31).shuffle(keys)
+    for key in keys:
+        tree.insert(Record(key, "v"))
+    leaves = [tree.store.get_leaf(pid) for pid in tree.leaf_ids_in_key_order()]
+    # The insert lands in a full leaf (between two of its keys): it splits.
+    full = next(leaf for leaf in leaves if leaf.is_full)
+    absent = full.min_key() + 1
+    # The delete takes the last record of a leaf: it frees the leaf.
+    thinned = next(leaf for leaf in reversed(leaves) if not leaf.is_full)
+    *others, last = thinned.keys()
+    for key in others:
+        tree.delete(key)
+    db.flush()
+    db.checkpoint()
+    initial = frozenset(record.key for record in db.tree().items())
+    scheduler = _scheduler(db)
+    protocol = ReorgProtocol(db, "primary", ReorgConfig(), op_duration=0.3, unit_pause=0.05)
+    scheduler.spawn(protocol.pass2(), name="reorganizer", is_reorganizer=True)
+    scheduler.spawn(
+        updater_insert(db, "primary", Record(absent, "w"), think=0.05),
+        name="insert-0", at=0.4,
+    )
+    scheduler.spawn(
+        updater_delete(db, "primary", last, think=0.05),
+        name="delete-0", at=0.9,
+    )
+    return World(
+        db=db, scheduler=scheduler, initial_keys=initial,
+        writes={"insert-0": ("insert", absent), "delete-0": ("delete", last)},
+        expected_failures=_EXPECTED,
+    )
+
+
 # -- crash-during-switch ------------------------------------------------------------
 
 
@@ -480,6 +537,18 @@ def _build_deadlock_victim() -> World:
     )
 
 
+#: Scenarios that break an invariant on every tree so far, with the
+#: invariants they break.  ``--all`` explores and reports them without
+#: failing on those, and fails once one runs clean (then its pinned trace
+#: becomes a regression test).  tests/analysis/traces/ pins each one's
+#: shrunk trace as a strict xfail.
+KNOWN_VIOLATIONS: dict[str, tuple[str, ...]] = {
+    # ROADMAP item 1(b): a move or swap planned before the insert's split
+    # (or the delete's free) lands runs against the changed tree.
+    "updater-vs-pass2": ("btree-structure", "no-runtime-error"),
+}
+
+
 SCENARIOS: dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
@@ -494,6 +563,13 @@ SCENARIOS: dict[str, Scenario] = {
             description="structural updaters and a reader race pass 3 and "
             "the switch (side-file capture + replay, drain/abort policy)",
             build=_build_updater_vs_pass3_switch,
+        ),
+        Scenario(
+            name="updater-vs-pass2",
+            description="a splitting insert and a free-at-empty delete race "
+            "a DES pass 2 with one-way side pointers (the key-order cursor "
+            "re-seeds its chain; moves and swaps lock their neighbours)",
+            build=_build_updater_vs_pass2,
         ),
         Scenario(
             name="crash-during-switch",
