@@ -13,8 +13,7 @@ import pytest
 
 from repro.config import ReorgConfig
 from repro.reorg.parallel import build_parallel_pass1
-from repro.reorg.swap import SwapMovePass
-from repro.reorg.unit import UnitEngine
+from repro.reorg.reorganizer import Reorganizer
 from repro.sim.workload import build_sparse_tree
 from repro.txn.scheduler import Scheduler
 
@@ -44,7 +43,7 @@ def run_with_workers(n_workers):
     sched.run()
     assert sched.failed == []
     units = sum(result["units"] for _, result in sched.completed)
-    pass2 = SwapMovePass(db, db.tree(), UnitEngine(db, db.tree())).run()
+    pass2 = Reorganizer(db, db.tree(), ReorgConfig()).run_pass2()
     db.tree().validate()
     return sched.now, units, pass2
 

@@ -27,9 +27,7 @@ swaps than the alternatives and beats naive FIRST_FIT placement decisively.
 import pytest
 
 from repro.config import FreeSpacePolicy, ReorgConfig
-from repro.reorg.compact import LeafCompactor
-from repro.reorg.swap import SwapMovePass
-from repro.reorg.unit import UnitEngine
+from repro.reorg.reorganizer import Reorganizer
 
 from conftest import (
     banner,
@@ -46,10 +44,10 @@ N_RECORDS = 4000
 def swaps_for(f1, policy, *, build=degrade_uniform, seed=7):
     db = make_db(internal_capacity=32)
     tree = build(db, N_RECORDS, f1, seed=seed)
-    engine = UnitEngine(db, tree)
     config = ReorgConfig(target_fill=0.9, free_space_policy=policy)
-    LeafCompactor(db, tree, config, engine).run()
-    pass2 = SwapMovePass(db, tree, engine).run()
+    reorg = Reorganizer(db, tree, config)
+    reorg.run_pass1()
+    pass2 = reorg.run_pass2()
     db.tree().validate()
     return pass2
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.config import ReorgConfig
 from repro.baseline.smith90 import Smith90Reorganizer
-from repro.reorg.compact import LeafCompactor
+from repro.reorg.reorganizer import Reorganizer
 from repro.wal.records import ReorgBeginRecord
 
 from conftest import banner, degrade_uniform, make_db
@@ -32,7 +32,7 @@ RATIOS = [2, 3, 4]
 def paper_compaction(f1):
     db = make_db(internal_capacity=32)
     tree = degrade_uniform(db, N_RECORDS, f1)
-    stats = LeafCompactor(db, tree, ReorgConfig(target_fill=0.9)).run()
+    stats = Reorganizer(db, tree, ReorgConfig(target_fill=0.9)).run_pass1()
     begins = [
         r for r in db.log.records_from(1) if isinstance(r, ReorgBeginRecord)
     ]
@@ -93,7 +93,7 @@ def test_e5_operations_to_reach_same_fill(benchmark):
         db = make_db(internal_capacity=32)
         tree = degrade_uniform(db, N_RECORDS, 0.3)
         if label == "paper":
-            stats = LeafCompactor(db, tree, ReorgConfig(target_fill=0.9)).run()
+            stats = Reorganizer(db, tree, ReorgConfig(target_fill=0.9)).run_pass1()
             ops = stats.units
         else:
             smith = Smith90Reorganizer(db, tree, ReorgConfig(target_fill=0.9))

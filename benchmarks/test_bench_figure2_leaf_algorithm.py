@@ -22,9 +22,7 @@ that follows.
 import pytest
 
 from repro.config import FreeSpacePolicy, ReorgConfig
-from repro.reorg.compact import LeafCompactor
-from repro.reorg.swap import SwapMovePass
-from repro.reorg.unit import UnitEngine
+from repro.reorg.reorganizer import Reorganizer
 
 from conftest import banner, degrade_by_random_growth, degrade_uniform, make_db
 
@@ -34,10 +32,10 @@ N_RECORDS = 3000
 def run_leaf_algorithm(build, policy):
     db = make_db()
     tree = build(db, N_RECORDS, 0.3)
-    engine = UnitEngine(db, tree)
     config = ReorgConfig(target_fill=0.9, free_space_policy=policy)
-    pass1 = LeafCompactor(db, tree, config, engine).run()
-    pass2 = SwapMovePass(db, tree, engine).run()
+    reorg = Reorganizer(db, tree, config)
+    pass1 = reorg.run_pass1()
+    pass2 = reorg.run_pass2()
     db.tree().validate()
     return pass1, pass2
 
@@ -90,7 +88,7 @@ def test_figure2_units_stay_within_one_base_page(benchmark):
 
     db = make_db()
     tree = degrade_uniform(db, N_RECORDS, 0.3)
-    LeafCompactor(db, tree, ReorgConfig(target_fill=0.9)).run()
+    Reorganizer(db, tree, ReorgConfig(target_fill=0.9)).run_pass1()
     begins = [
         r for r in db.log.records_from(1) if isinstance(r, ReorgBeginRecord)
     ]

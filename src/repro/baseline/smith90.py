@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Generator
+from typing import Any, Callable, Generator, Hashable
 
 from repro.btree.tree import BPlusTree
 from repro.config import ReorgConfig
@@ -37,6 +37,7 @@ from repro.reorg.switch import current_lock_name
 from repro.reorg.unit import UnitEngine, UnitResult
 from repro.storage.page import PageId, PageKind
 from repro.txn.ops import Acquire, Call, Release, Think
+from repro.txn.scheduler import run_alone
 from repro.wal.recovery import PendingReorgUnit
 
 
@@ -59,7 +60,9 @@ class Smith90Stats:
 
 
 class Smith90Reorganizer:
-    """Synchronous engine: pairwise merges, then swap/move ordering."""
+    """Pairwise merges, then swap/move ordering: each loop one generator,
+    which :class:`Smith90Protocol` paces on the DES and ``run_*`` drive
+    alone."""
 
     def __init__(
         self,
@@ -135,32 +138,43 @@ class Smith90Reorganizer:
         self.stats.transactions += 1
         self.stats.file_locks += 1
 
-    # -- full run (synchronous) -------------------------------------------------------
+    # -- the operation loops: one generator each, driven alone or on the DES ------
+
+    def merges(
+        self, *, op_duration: float = 0.0, op_pause: float = 0.0
+    ) -> Generator[Any, Any, int]:
+        """Block merges until no adjacent same-parent pair fits in one page;
+        returns the merge count."""
+        file_lock = tree_lock(current_lock_name(self.db, self.tree.name))
+        merges = 0
+        while (pair := (yield Call(self.next_merge))) is not None:
+            yield from _operation(
+                file_lock, lambda p=pair: self.block_merge(*p), op_duration, op_pause
+            )
+            merges += 1
+        return merges
+
+    def placements(
+        self, *, op_duration: float = 0.0, op_pause: float = 0.0
+    ) -> Generator[Any, Any, int]:
+        """Block moves/swaps into contiguous key order; returns the count."""
+        file_lock = tree_lock(current_lock_name(self.db, self.tree.name))
+        for placed in range(4 * len(self.cursor.chain) + 8):
+            plan = yield Call(self.cursor.next_misplaced)
+            if plan is None:
+                return placed
+            leaf, target, occupied = plan
+            block = self.block_swap if occupied else self.block_move
+            yield from _operation(
+                file_lock, lambda: block(leaf, target), op_duration, op_pause
+            )
+        raise ReorgError("ordering did not converge")
 
     def run_compaction(self) -> int:
-        """Merge adjacent pairs until no pair fits; returns merge count."""
-        merges = 0
-        while True:
-            pair = self.next_merge()
-            if pair is None:
-                return merges
-            self.block_merge(*pair)
-            merges += 1
+        return run_alone(self.merges())
 
     def run_ordering(self) -> int:
-        """Move/swap leaves into contiguous key order; returns op count."""
-        ops = 0
-        for _ in range(4 * len(self.cursor.chain) + 8):
-            plan = self.cursor.next_misplaced()
-            if plan is None:
-                return ops
-            leaf, target, occupied = plan
-            if occupied:
-                self.block_swap(leaf, target)
-            else:
-                self.block_move(leaf, target)
-            ops += 1
-        raise ReorgError("ordering did not converge")
+        return run_alone(self.placements())
 
     def run(self) -> Smith90Stats:
         self.run_compaction()
@@ -195,43 +209,27 @@ class Smith90Protocol:
         op_pause: float = 0.0,
         op_duration: float = 0.3,
     ):
-        self.db = db
-        self.tree_name = tree_name
-        self.config = config or ReorgConfig()
-        self.tree = db.tree(tree_name)
-        self.reorganizer = Smith90Reorganizer(db, self.tree, self.config)
+        self.reorganizer = Smith90Reorganizer(db, db.tree(tree_name), config)
         self.op_pause = op_pause
         #: Simulated time the file stays locked per block operation.
         self.op_duration = op_duration
 
     def run(self) -> Generator[Any, Any, dict]:
-        stats = {"merges": 0, "placements": 0}
-        name = current_lock_name(self.db, self.tree_name)
-        while True:
-            pair = yield Call(self.reorganizer.next_merge)
-            if pair is None:
-                break
-            yield Acquire(tree_lock(name), LockMode.X)
-            yield Think(self.op_duration)
-            yield Call(lambda p=pair: self.reorganizer.block_merge(*p))
-            yield Release(tree_lock(name), LockMode.X)
-            stats["merges"] += 1
-            if self.op_pause:
-                yield Think(self.op_pause)
-        while True:
-            plan = yield Call(self.reorganizer.cursor.next_misplaced)
-            if plan is None:
-                break
-            leaf, target, occupied = plan
-            yield Acquire(tree_lock(name), LockMode.X)
-            yield Think(self.op_duration)
-            if occupied:
-                yield Call(lambda: self.reorganizer.block_swap(leaf, target))
-            else:
-                yield Call(lambda: self.reorganizer.block_move(leaf, target))
-            yield Release(tree_lock(name), LockMode.X)
-            stats["placements"] += 1
-            if self.op_pause:
-                yield Think(self.op_pause)
-        stats["smith"] = self.reorganizer.stats
-        return stats
+        smith = self.reorganizer
+        pace = {"op_duration": self.op_duration, "op_pause": self.op_pause}
+        merges = yield from smith.merges(**pace)
+        placements = yield from smith.placements(**pace)
+        return {"merges": merges, "placements": placements, "smith": smith.stats}
+
+
+def _operation(
+    file_lock: Hashable, block: Callable[[], Any], op_duration: float, op_pause: float
+) -> Generator[Any, Any, None]:
+    """One block operation as its own transaction: the whole file X-locked
+    for ``op_duration``, then ``op_pause`` before the next."""
+    yield Acquire(file_lock, LockMode.X)
+    yield Think(op_duration)
+    yield Call(block)
+    yield Release(file_lock, LockMode.X)
+    if op_pause:
+        yield Think(op_pause)

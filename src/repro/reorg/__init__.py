@@ -25,7 +25,7 @@ from repro.reorg.placement import (
 from repro.reorg.reorganizer import Reorganizer, ReorgReport
 from repro.reorg.shrink import Pass3Stats, SCAN_DONE_KEY, TreeShrinker
 from repro.reorg.sidefile import SideFile
-from repro.reorg.swap import Pass2Stats, SwapMovePass
+from repro.reorg.swap import Pass2Stats
 from repro.reorg.switch import SwitchStats, Switcher, current_lock_name
 from repro.reorg.unit import UnitEngine, UnitResult
 
@@ -43,7 +43,6 @@ __all__ = [
     "ReorgReport",
     "SCAN_DONE_KEY",
     "SideFile",
-    "SwapMovePass",
     "SwitchStats",
     "Switcher",
     "TreeShape",

@@ -1,6 +1,6 @@
-"""Pass 1: compacting the leaves (paper section 6, Figure 2).
+"""Pass 1: compacting the leaves (paper section 6, Figure 2) — the planner.
 
-The driver walks the base pages in key order.  Within each base page it
+The pass walks the base pages in key order.  Within each base page it
 greedily groups consecutive children whose records fit into one page at the
 target fill factor f2 — "on average d = ceil(f2/f1) pages get compacted in
 each reorganization unit" — and for each group runs Figure 2's decision::
@@ -15,6 +15,12 @@ The empty-page choice implements section 6.1 (see
 :mod:`repro.reorg.freespace`); L, "the largest finished leaf page ID", is
 maintained across units so that compacted leaves come out in ascending disk
 order, minimizing pass-2 swaps.
+
+:class:`LeafCompactor` plans — the base pages, the groups, each group's
+destinations and L; the loop that runs the units is written once, as the
+generator :meth:`repro.reorg.protocols.ReorgProtocol.pass1`, which the DES
+schedules among users and :meth:`repro.reorg.reorganizer.Reorganizer.run_pass1`
+drives alone.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from repro.config import ReorgConfig
 from repro.db import Database
 from repro.reorg.freespace import find_free_page
 from repro.reorg.placement import gapped_leaf_fill_count, make_policy
-from repro.reorg.unit import UnitEngine, UnitResult
+from repro.reorg.unit import UnitResult
 from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
 
@@ -41,24 +47,16 @@ class Pass1Stats:
     leaves_before: int = 0
     leaves_after: int = 0
     records_moved: int = 0
-    groups_skipped: int = 0
     results: list[UnitResult] = field(default_factory=list)
 
 
 class LeafCompactor:
-    """Runs pass 1 synchronously against one tree."""
+    """Figure 2's planner for pass 1 over one tree."""
 
-    def __init__(
-        self,
-        db: Database,
-        tree: BPlusTree,
-        config: ReorgConfig,
-        engine: UnitEngine | None = None,
-    ):
+    def __init__(self, db: Database, tree: BPlusTree, config: ReorgConfig):
         self.db = db
         self.tree = tree
         self.config = config
-        self.engine = engine or UnitEngine(db, tree)
         #: Placement policy: may express a Find-Free-Space preference per
         #: unit (all built-in policies leave pass 1 to the free-space
         #: policy, so pass-1 behaviour is identical across them).
@@ -71,17 +69,6 @@ class LeafCompactor:
         #: L — largest finished leaf page id; starts before the extent
         #: (or before the shard's leased slice of it).
         self.largest_finished: PageId = start - 1
-
-    def run(self) -> Pass1Stats:
-        stats = Pass1Stats()
-        with self.engine.owning_tree() as chain:
-            stats.leaves_before = len(chain)
-            for base_id in self._base_page_ids_in_key_order():
-                self._compact_base_page(base_id, stats)
-            stats.leaves_after = len(chain)
-        return stats
-
-    # -- iteration ----------------------------------------------------------------
 
     def _base_page_ids_in_key_order(self) -> list[PageId]:
         """Snapshot of base-page ids (parents of leaves), in key order.
@@ -100,23 +87,6 @@ class LeafCompactor:
                 else:
                     stack.extend(reversed(page.children()))  # type: ignore[union-attr]
         return ids
-
-    # -- per-base-page work -----------------------------------------------------------
-
-    def _compact_base_page(self, base_id: PageId, stats: Pass1Stats) -> None:
-        target = self._target_records_per_page()
-        for group in self._plan_groups(base_id, target):
-            results = self._compact_group(base_id, group, target)
-            if not results:
-                stats.groups_skipped += 1
-            for result in results:
-                stats.units += 1
-                stats.records_moved += result.records_moved
-                if result.dest_page in group:
-                    stats.in_place_units += 1
-                else:
-                    stats.new_place_units += 1
-                stats.results.append(result)
 
     def _target_records_per_page(self) -> int:
         # Gap-aware: rebuilt leaves keep the configured slack free even
@@ -140,30 +110,6 @@ class LeafCompactor:
         children = base.children()
         self.db.store.prefetch(children)
         return self.chunk_by_records(children, limit)
-
-    def _compact_group(
-        self, base_id: PageId, group: list[PageId], target: int
-    ) -> list[UnitResult]:
-        """One unit over a group of same-parent leaves — or, when it needs
-        several output pages and there is no free run for them, one
-        single-output unit per chunk."""
-        if len(group) < 2:
-            # Nothing to compact; the leaf still counts as finished so
-            # later placements stay in relative disk order.
-            self.mark_finished(group[0])
-            return []
-        dests = self.pick_dests(group, target)
-        if dests is None:
-            return [
-                result
-                for sub in self.chunk_by_records(group, target)
-                for result in self._compact_group(base_id, sub, target)
-            ]
-        result = self.engine.compact_unit(
-            base_id, group, dests, target_per_page=target
-        )
-        self.mark_finished(max(dests))
-        return [result]
 
     def mark_finished(self, page_id: PageId) -> None:
         """Advance L, "the largest finished leaf page ID"."""

@@ -61,23 +61,22 @@ class ParallelReorgProtocol(ReorgProtocol):
     def _pass1_base_pages(self, compactor: LeafCompactor) -> list[PageId]:
         return self.base_partition
 
-    def _compact_unit(self, compactor, group, target, stats):
-        """As in the base class, but every new-place destination is
-        reserved (allocated + formatted) inside the same atomic Call that
-        picks it, so workers never race for the same empty page; the unit
-        keeps its reservation across retries."""
+    def _compact(self, compactor, group, target, stats):
+        """As in the base class, but the unit is described once, and every
+        new-place destination reserved (allocated + formatted) inside the
+        same atomic Call that picks it, so workers never race for the same
+        empty page; the unit keeps its reservation across retries."""
+        describe = self._compaction(compactor, group, target, stats)
 
         def pick_and_reserve():
-            dests = compactor.pick_dests(group, target)
-            for dest in dests or ():
-                if dest not in group:
-                    self.engine._materialize_dest(dest)
-            return dests
+            unit = describe()
+            for dest in unit.new_pages if unit is not None else ():
+                self.engine._materialize_dest(dest)
+            return unit
 
-        dests = yield Call(pick_and_reserve)
-        if dests is None:
+        unit = yield Call(pick_and_reserve)
+        if unit is None:
             return None
-        unit = self._compaction(compactor, group, dests, target)
         done = yield from self._run_unit(lambda: unit, stats)
 
         def release():

@@ -1,7 +1,7 @@
-"""The reorganizer's protocols for the discrete-event scheduler.
+"""The reorganizer's protocols: the three passes as generators.
 
-Generator versions of the three passes with the paper's locking made
-explicit (section 4.1.1)::
+Each pass is a generator of :mod:`repro.txn.ops` with the paper's locking
+made explicit (section 4.1.1)::
 
     IX lock the tree lock.
     S lock-couple down the tree until it reaches the base pages.
@@ -16,6 +16,12 @@ That choreography is written once, in :meth:`ReorgProtocol._run_unit`;
 compaction into one or several pages, pass-2 moves and swaps (and the
 parallel workers of :mod:`repro.reorg.parallel`) each hand it a
 :class:`_Unit` naming their pages and their two :class:`UnitEngine` calls.
+
+Passes 1 and 2 are written only here.  The DES scheduler runs them among
+user transactions; :meth:`repro.reorg.reorganizer.Reorganizer.run_pass1` /
+``run_pass2`` drive the same generators alone through
+:func:`repro.txn.scheduler.run_alone`, which runs every ``Call`` and skips
+the lock and think ops, on a tree :meth:`UnitEngine.owning_tree` holds.
 
 Deadlock handling follows the paper's policy: "Whenever the reorganizer
 gets in a deadlock, we always force the reorganizer to give up its lock" —
@@ -46,12 +52,13 @@ from repro.locks.resources import page_lock, tree_lock
 from repro.reorg.compact import LeafCompactor
 from repro.reorg.placement import make_policy
 from repro.reorg.shrink import TreeShrinker
-from repro.reorg.swap import KeyOrderCursor
+from repro.reorg.swap import KeyOrderCursor, SeekAwareCursor
 from repro.reorg.switch import Switcher, current_lock_name, sidefile_resource
 from repro.reorg.unit import UnitEngine
 from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.txn.ops import Acquire, Call, Convert, Release, ReleaseAll, Think
 from repro.txn.transaction import Transaction
+from repro.wal.records import ReorgUnitType
 
 IX, S, X, R, RX = LockMode.IX, LockMode.S, LockMode.X, LockMode.R, LockMode.RX
 
@@ -60,7 +67,7 @@ _RETRY_PAUSE = 0.5
 _MAX_UNIT_RETRIES = 50
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Unit:
     """What one kind of reorganization unit (compact, move, swap)
     supplies to :meth:`ReorgProtocol._run_unit`: its page lists
@@ -242,7 +249,8 @@ class ReorgProtocol:
         chain = self.engine.chain
         chain.epoch()
         around = [pid for leaf in leaves if leaf in chain for pid in chain.neighbours(leaf)]
-        return [pid for pid in dict.fromkeys(around) if pid not in (NO_PAGE, *leaves)]
+        inside = {NO_PAGE, *leaves}
+        return [pid for pid in dict.fromkeys(around) if pid not in inside]
 
     def _group_still_valid(self, base_id: PageId, group: list[PageId]) -> bool:
         """Concurrent splits may have moved children to a sibling base
@@ -251,30 +259,33 @@ class ReorgProtocol:
         if self.db.store.free_map.is_free(base_id):
             return False
         base = self.db.store.get_internal(base_id)
-        children = set(base.children())
-        return all(leaf in children for leaf in group)
+        return all(base.index_of_child(leaf) >= 0 for leaf in group)
 
     # -- pass 1 ------------------------------------------------------------------
 
     def pass1(self) -> Generator[Any, Any, dict]:
-        """Compaction under the section 4.1.1 unit protocol."""
+        """Compaction under the section 4.1.1 unit protocol (Figure 2)."""
         yield Acquire(tree_lock(self._lock_name()), IX)
-        compactor = LeafCompactor(self.db, self.tree, self.config, self.engine)
-        stats = {"units": 0, "retries": 0, "undone": 0, "stale_groups": 0}
+        compactor = LeafCompactor(self.db, self.tree, self.config)
+        stats = {"units": 0, "in_place_units": 0, "new_place_units": 0,
+                 "records_moved": 0, "results": [], "retries": 0, "undone": 0,
+                 "stale_groups": 0}
+        target = compactor._target_records_per_page()
         for base_id in self._pass1_base_pages(compactor):
-            target = compactor._target_records_per_page()
-            groups = yield Call(
-                lambda b=base_id, t=target: compactor._plan_groups(b, t)
-            )
+            groups = yield Call(lambda b=base_id: compactor._plan_groups(b, target))
             for group in groups:
                 if len(group) < 2:
                     compactor.mark_finished(group[0])
                     continue
-                done = yield from self._compact_group(
-                    compactor, group, target, stats
-                )
-                if done:
-                    stats["units"] += 1
+                if (yield from self._compact(compactor, group, target, stats)) is None:
+                    # No free run for the pages the group needs: one single-
+                    # output unit per chunk (those can always fall back to
+                    # in-place).
+                    for sub in compactor.chunk_by_records(group, target):
+                        if len(sub) < 2:
+                            compactor.mark_finished(sub[0])
+                        else:
+                            yield from self._compact(compactor, sub, target, stats)
                 if self.unit_pause:
                     yield Think(self.unit_pause)
         yield ReleaseAll()
@@ -283,62 +294,60 @@ class ReorgProtocol:
     def _pass1_base_pages(self, compactor: LeafCompactor) -> list[PageId]:
         return compactor._base_page_ids_in_key_order()
 
-    def _compact_group(self, compactor, group, target, stats):
-        """Figure 2 for one planned group; True when a unit executed."""
-        done = yield from self._compact_unit(compactor, group, target, stats)
-        if done is not None:
-            return done
-        # No free run for the pages the group needs: one single-output
-        # unit per chunk (those can always fall back to in-place).
-        any_done = False
-        for sub in compactor.chunk_by_records(group, target):
-            if len(sub) < 2:
-                compactor.mark_finished(sub[0])
-            elif (yield from self._compact_unit(compactor, sub, target, stats)):
-                any_done = True
-        return any_done
+    def _compact(self, compactor, group, target, stats):
+        """One compaction unit over ``group``: :meth:`_run_unit` itself (no
+        generator frame of its own), None when there are no pages to pick."""
+        return self._run_unit(self._compaction(compactor, group, target, stats), stats)
 
-    def _compact_unit(self, compactor, group, target, stats):
-        """One compaction unit over ``group``, its destinations picked
-        afresh on every attempt; None when there are none to pick."""
+    def _compaction(self, compactor, group, target, stats) -> Callable[[], _Unit | None]:
+        """Figure 2 for one group, as a ``describe``: the destinations are
+        picked afresh on every attempt — section 6's trade-off is in their
+        number, one page per unit or several and the locks held that much
+        longer — and None when there are none to pick."""
 
-        def describe():
+        def describe() -> _Unit | None:
             dests = compactor.pick_dests(group, target)
             if dests is None:
                 return None
-            return self._compaction(compactor, group, dests, target)
 
-        return (yield from self._run_unit(describe, stats))
+            def complete(unit_id, bases):
+                result = self.engine.complete_compact(unit_id, bases[0], group, dests)
+                compactor.mark_finished(max(dests))
+                place = "in_place_units" if result.dest_page in group else "new_place_units"
+                stats["units"] += 1
+                stats[place] += 1
+                stats["records_moved"] += result.records_moved
+                stats["results"].append(result)
+                return result
 
-    def _compaction(self, compactor, group, dests, target) -> _Unit:
-        """Section 6's trade-off is in ``dests``: one page per unit, or
-        several and the locks held that much longer."""
+            return _Unit(
+                leaves=group,
+                new_pages=[dest for dest in dests if dest not in group],
+                begin=lambda bases: self.engine.begin_compact(
+                    bases[0], group, dests, target
+                ),
+                complete=complete,
+                planned_ahead=True,
+            )
 
-        def complete(unit_id, bases):
-            self.engine.complete_compact(unit_id, bases[0], group, dests)
-            compactor.mark_finished(max(dests))
-
-        return _Unit(
-            leaves=group,
-            new_pages=[dest for dest in dests if dest not in group],
-            begin=lambda bases: self.engine.begin_compact(
-                bases[0], group, dests, target
-            ),
-            complete=complete,
-            planned_ahead=True,
-        )
+        return describe
 
     # -- pass 2 ------------------------------------------------------------------
 
     def pass2(self) -> Generator[Any, Any, dict]:
-        """Swap/move under unit locking; section 4.1 + section 6."""
+        """Swap/move under unit locking; section 4.1 + section 6.  The
+        planner is the configured schedule's (key order or seek-aware)."""
         yield Acquire(tree_lock(self._lock_name()), IX)
-        stats = {"swaps": 0, "moves": 0, "retries": 0, "undone": 0}
+        stats = {"swaps": 0, "moves": 0, "already_placed": 0, "skipped": [],
+                 "retries": 0, "undone": 0}
         if not self.placement.places_leaves:
             yield ReleaseAll()
             return stats
-        cursor = KeyOrderCursor(self.tree, self.engine.chain, self.placement)
-        for _step in range(4 * len(self.engine.chain) + 8):
+        chain = self.engine.chain
+        planner = SeekAwareCursor if self.db.config.seek_aware_pass2 else KeyOrderCursor
+        cursor = planner(self.tree, chain, self.placement)
+        leaves = len(chain)
+        for _step in range(4 * leaves + 8):
             plan = yield Call(cursor.next_misplaced)
             if plan is None:
                 break
@@ -347,13 +356,14 @@ class ReorgProtocol:
                 kind, unit = "swaps", self._swap_unit(current, target)
             else:
                 kind, unit = "moves", self._move_unit(current, target)
-            done = yield from self._run_unit(lambda: unit, stats)
-            if done:
+            if (yield from self._run_unit(lambda: unit, stats)):
                 stats[kind] += 1
             if self.unit_pause:
                 yield Think(self.unit_pause)
         else:
             raise ReorgError("ordering did not converge")
+        stats["already_placed"] = leaves - stats["swaps"] - stats["moves"]
+        stats["skipped"] = sorted(cursor.skipped)
         yield ReleaseAll()
         return stats
 
@@ -362,7 +372,7 @@ class ReorgProtocol:
             leaves=[source],
             new_pages=[target],
             begin=lambda bases: self.engine.begin_compact(
-                bases[0], [source], [target]
+                bases[0], [source], [target], unit_type=ReorgUnitType.MOVE
             ),
             complete=lambda unit_id, bases: self.engine.complete_compact(
                 unit_id, bases[0], [source], [target]
@@ -398,10 +408,9 @@ class ReorgProtocol:
                 yield from self._scan_protocol(shrinker, first.page_id)
                 yield Call(shrinker.build_upper)
                 # Catch-up (no locks): loop until the side file drains.
-                for _round in range(100):
+                while True:
                     yield Call(shrinker.apply_side_file_once)
-                    shrinker.stats.catchup_rounds += 1
-                    if shrinker.side_file.is_empty():
+                    if shrinker.caught_up():
                         break
                     yield Think(self.scan_pause or 0.1)
                 yield from self._switch_protocol(switcher)

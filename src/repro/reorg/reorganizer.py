@@ -2,10 +2,12 @@
 
 This is the paper's headline artifact (Figure 1): compact the leaves,
 optionally swap/move them into disk order, then rebuild the upper levels
-and switch.  :class:`Reorganizer` is the synchronous ordering of the unit,
-pass-3 and switch steps; :mod:`repro.reorg.protocols` runs the same step
-bodies on the DES with the lock waits made real, and forward recovery of
-pass 3 is :meth:`Reorganizer.run_pass3` resumed at the last stable key.
+and switch.  Passes 1 and 2 are written once, as the generators of
+:mod:`repro.reorg.protocols`: :class:`Reorganizer` drives them alone
+(:func:`repro.txn.scheduler.run_alone`) on a tree it owns, the DES runs them
+among users with the lock waits made real.  Pass 3 is the synchronous
+ordering of the step bodies the DES protocol shares, and forward recovery
+of pass 3 is :meth:`Reorganizer.run_pass3` resumed at the last stable key.
 
 Typical use::
 
@@ -24,17 +26,20 @@ Crash handling::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from repro.btree.tree import BPlusTree
 from repro.config import ReorgConfig
 from repro.db import Database
-from repro.reorg.compact import LeafCompactor, Pass1Stats
+from repro.errors import ReorgError
+from repro.reorg.compact import Pass1Stats
+from repro.reorg.protocols import ReorgProtocol
 from repro.reorg.shrink import Pass3Stats, SCAN_DONE_KEY, TreeShrinker
-from repro.reorg.swap import Pass2Stats, SwapMovePass
+from repro.reorg.swap import Pass2Stats
 from repro.reorg.switch import SwitchStats, Switcher
 from repro.reorg.unit import UnitEngine, UnitResult
+from repro.txn.scheduler import run_alone
 from repro.txn.transaction import Transaction
 from repro.wal.recovery import RecoveryReport
 
@@ -65,17 +70,32 @@ class Reorganizer:
         self.config = config or ReorgConfig()
         self.engine = UnitEngine(db, tree)
         self.txn = Transaction("reorganizer", is_reorganizer=True)
+        #: Passes 1 and 2 are the DES protocol's, run on this tree handle
+        #: and engine.
+        self.protocol = ReorgProtocol(db, tree.name, self.config)
+        self.protocol.tree, self.protocol.engine = tree, self.engine
 
     # -- passes -----------------------------------------------------------------
 
     def run_pass1(self) -> Pass1Stats:
         """Compact the leaves (Figure 2)."""
-        compactor = LeafCompactor(self.db, self.tree, self.config, self.engine)
-        return compactor.run()
+        with self.engine.owning_tree() as chain:
+            leaves_before = len(chain)
+            counts = run_alone(self.protocol.pass1())
+            return Pass1Stats(
+                **{f.name: counts[f.name] for f in fields(Pass1Stats) if f.name in counts},
+                leaves_before=leaves_before,
+                leaves_after=len(chain),
+            )
 
     def run_pass2(self) -> Pass2Stats:
         """Swap/move leaves into contiguous key order on disk (optional)."""
-        return SwapMovePass(self.db, self.tree, self.engine).run()
+        with self.engine.owning_tree():
+            counts = run_alone(self.protocol.pass2())
+        if counts["skipped"]:
+            # The pass owns the tree: every slot is a leaf's or free.
+            raise ReorgError(f"slots of leaves {counts['skipped']} hold other pages")
+        return Pass2Stats(counts["swaps"], counts["moves"], counts["already_placed"])
 
     def run_pass3(
         self,

@@ -66,6 +66,9 @@ from repro.wal.records import (
 #: CK sentinel once every base page has been read: above every real key.
 SCAN_DONE_KEY = 2**62
 
+#: Catch-up rounds after which a side file still refilling fails pass 3.
+MAX_CATCHUP_ROUNDS = 100
+
 
 @dataclass
 class Pass3Stats:
@@ -430,27 +433,33 @@ class TreeShrinker:
         return applied
 
     def catch_up(
-        self,
-        during_catchup: Callable[["TreeShrinker"], None] | None = None,
-        *,
-        max_rounds: int = 100,
+        self, during_catchup: Callable[["TreeShrinker"], None] | None = None
     ) -> None:
         """Drain the side file, looping while concurrent activity refills
         it ("Since leaf page splits don't happen very often, we will
         eventually catch up all the changes")."""
-        rounds = 0
         while True:
             self.apply_side_file_once()
-            rounds += 1
-            if during_catchup is not None and rounds < max_rounds:
+            if during_catchup is not None:
                 during_catchup(self)
-            if self.side_file.is_empty():
-                break
-            if rounds >= max_rounds:
-                raise ReorgError(
-                    f"side file did not converge in {max_rounds} rounds"
-                )
-        self.stats.catchup_rounds = rounds
+            if self.caught_up():
+                return
+
+    def caught_up(self) -> bool:
+        """Close one catch-up round: True once the side file is empty.
+
+        The one rule of the synchronous loop and the DES protocol's: after
+        :data:`MAX_CATCHUP_ROUNDS` rounds that did not drain it, pass 3
+        gives up loudly rather than switch with changes left behind.
+        """
+        self.stats.catchup_rounds += 1
+        if self.side_file.is_empty():
+            return True
+        if self.stats.catchup_rounds >= MAX_CATCHUP_ROUNDS:
+            raise ReorgError(
+                f"side file did not converge in {MAX_CATCHUP_ROUNDS} rounds"
+            )
+        return False
 
     # -- crash restart ----------------------------------------------------------------
 

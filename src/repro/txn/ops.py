@@ -22,19 +22,22 @@ Exceptions are delivered *into* the generator at the yield point:
 (the paper's forgo-and-back-off signal) and
 :class:`~repro.errors.DeadlockError` when the process is chosen as a
 deadlock victim.
+
+Ops are slotted, not frozen: a reorganization unit yields some 25 of them,
+and nothing hashes or mutates one after it is yielded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Any, Callable, Hashable
 
 from repro.locks.modes import LockMode
 from repro.storage.page import PageId
 from repro.wal.records import LogRecord
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Acquire:
     """Request a lock; resumes when granted.
 
@@ -48,7 +51,7 @@ class Acquire:
     instant: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Convert:
     """Convert a held lock to a stronger mode (e.g. R -> X on a base page)."""
 
@@ -56,7 +59,7 @@ class Convert:
     mode: LockMode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Downgrade:
     """Replace a held lock with a weaker mode (e.g. page S -> IS while a
     record-level S is retained, section 4.1.2).  Never waits."""
@@ -66,7 +69,7 @@ class Downgrade:
     to_mode: LockMode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Release:
     """Release one held lock."""
 
@@ -74,12 +77,12 @@ class Release:
     mode: LockMode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReleaseAll:
     """Drop every lock the process holds (end of transaction)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FetchPage:
     """Read a page through the buffer pool; returns the page object.
 
@@ -90,21 +93,21 @@ class FetchPage:
     page_id: PageId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Think:
     """Consume simulated time (record processing, in-memory work)."""
 
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Log:
     """Append a log record; returns its LSN.  No simulated time."""
 
     record: LogRecord
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call:
     """Run a synchronous function at the current simulated instant.
 
@@ -114,7 +117,7 @@ class Call:
     Returns the function's result.
     """
 
-    fn: object  # Callable[[], Any]; typed loosely to keep ops frozen
+    fn: Callable[[], Any]
 
 
 Op = Acquire | Convert | Downgrade | Release | ReleaseAll | FetchPage | Think | Log | Call

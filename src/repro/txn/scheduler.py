@@ -246,10 +246,6 @@ class Scheduler:
             names = ", ".join(p.txn.name for p in stuck)
             raise SchedulerStall(f"no events left but processes wait: {names}")
 
-    @property
-    def active_count(self) -> int:
-        return sum(1 for p in self._processes if not p.done)
-
     def abort_transaction(self, txn: Transaction, reason: str = "forced abort") -> bool:
         """Force a running process to abort (the paper's switch policy:
         "it will force the on-going transactions that use the old tree to
@@ -404,7 +400,7 @@ class Scheduler:
                     send_value = self.log.append(op.record)
             elif op_cls is Call:
                 try:
-                    send_value = op.fn()  # type: ignore[operator]
+                    send_value = op.fn()
                 except CrashPoint as crash:
                     self._crash = crash
                     return
@@ -458,17 +454,31 @@ class Scheduler:
         return on_deadlock
 
 
-def run_alone(gen: ProtocolGen, *, lock_manager: LockManager | None = None,
-              store=None, log=None, txn: Transaction | None = None) -> Any:
-    """Drive one protocol generator to completion with no contention.
+#: What :func:`run_alone` skips: with nobody else running every lock is
+#: granted and no simulated time needs to pass.
+_ALONE_NO_OPS = (Acquire, Convert, Release, ReleaseAll, Think)
 
-    Used when the algorithms run outside a concurrency experiment (setup
-    code, unit tests, the synchronous reorganizer API).  Every lock is
-    granted immediately; simulated time is not tracked.
+
+def run_alone(gen: ProtocolGen) -> Any:
+    """Drive one protocol generator to completion with nobody else running
+    — how the synchronous reorganizer runs passes 1 and 2.
+
+    Every ``Call`` runs; ``Acquire`` / ``Convert`` / ``Release`` /
+    ``ReleaseAll`` / ``Think`` are no-ops, so no lock-manager request is
+    made, and any other op raises :class:`ReproError`.  An exception out of
+    a ``Call`` (a :class:`CrashPoint` too) propagates after the generator is
+    closed, so its own cleanup runs.
     """
-    scheduler = Scheduler(lock_manager or LockManager(), store=store, log=log)
-    scheduler.spawn(gen, txn=txn)
-    scheduler.run()
-    if scheduler.failed:
-        raise scheduler.failed[0][1]
-    return scheduler.completed[0][1]
+    send, value = gen.send, None
+    try:
+        while True:
+            op = send(value)
+            value = None
+            if op.__class__ is Call:
+                value = op.fn()
+            elif op.__class__ not in _ALONE_NO_OPS:
+                raise ReproError(f"run_alone cannot perform {op!r}")
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        gen.close()

@@ -6,7 +6,7 @@ from repro.baseline.smith90 import Smith90Protocol, Smith90Reorganizer
 from repro.btree.stats import collect_stats
 from repro.config import ReorgConfig, TreeConfig
 from repro.db import Database
-from repro.errors import CrashPoint
+from repro.errors import CrashPoint, ReorgError
 from repro.sim.crash import LogCrashInjector, crash_recover
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import PageKind, Record
@@ -67,17 +67,16 @@ class TestSynchronousEngine:
     def test_two_blocks_per_operation(self):
         """Each [Smi90] transaction deals with exactly two blocks, so the
         baseline needs more units than the paper's d-page compaction."""
-        from repro.reorg.compact import LeafCompactor
-        from repro.reorg.unit import UnitEngine
+        from repro.reorg.reorganizer import Reorganizer
 
         db_smith = make_db()
         smith = Smith90Reorganizer(db_smith, db_smith.tree(), ReorgConfig())
         smith.run_compaction()
 
         db_paper = make_db()
-        paper_stats = LeafCompactor(
+        paper_stats = Reorganizer(
             db_paper, db_paper.tree(), ReorgConfig()
-        ).run()
+        ).run_pass1()
         assert smith.stats.merges > paper_stats.units
 
     def test_merge_only_touches_same_parent_pairs(self):
@@ -252,6 +251,26 @@ class TestProtocol:
         # The whole-file X lock stalls nearly every reader.
         assert len(blocked) >= len(readers) // 2
         db.tree().validate()
+
+
+    def test_ordering_that_cannot_converge_fails_loudly(self, monkeypatch):
+        """The one ordering generator keeps its 4 x leaves + 8 step cap
+        when the DES paces it, as when it is driven alone."""
+        db = scattered_db()
+        placed = []
+
+        def placing_nothing(self, leaf, target):
+            placed.append((leaf, target))
+
+        monkeypatch.setattr(Smith90Reorganizer, "block_move", placing_nothing)
+        monkeypatch.setattr(Smith90Reorganizer, "block_swap", placing_nothing)
+        sched = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.05)
+        protocol = Smith90Protocol(db, "primary", ReorgConfig(), op_duration=0.1)
+        sched.spawn(protocol.run(), name="smith", is_reorganizer=True)
+        with pytest.raises(ReorgError, match="ordering did not converge"):
+            sched.run(max_events=100_000)
+        assert len(placed) == 4 * len(db.tree().leaf_ids_in_key_order()) + 8
+        assert len(set(placed)) == 1
 
 
 class TestSwapRollback:

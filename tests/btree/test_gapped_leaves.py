@@ -18,8 +18,8 @@ from repro.config import (
 )
 from repro.db import Database
 from repro.perf import PERF
-from repro.reorg.compact import LeafCompactor
 from repro.reorg.placement import gapped_leaf_fill_count
+from repro.reorg.reorganizer import Reorganizer
 from repro.storage.page import Record
 
 
@@ -157,7 +157,7 @@ class TestRebuildKeepsGap:
             if k % 2:
                 tree.delete(k)
         before = [(r.key, r.payload) for r in tree.items()]
-        LeafCompactor(db, tree, ReorgConfig(target_fill=1.0)).run()
+        Reorganizer(db, tree, ReorgConfig(target_fill=1.0)).run_pass1()
         # the rebuilt leaves respect the gap clamp, not raw capacity
         assert max(leaf_sizes(tree)) <= 12
         assert [(r.key, r.payload) for r in tree.items()] == before

@@ -7,8 +7,9 @@ resumes where the previous plan stopped.  These tests hold that planner to
 the one it replaced — a fresh tree walk on every step — beside inserts that
 split leaves and deletes that free one, check that an undisturbed
 reorganization walks the leaf level a constant number of times, that a swap
-retried beside a neighbour's split fixes side pointers from the split, and
-that a pass that cannot converge says so.
+retried beside a neighbour's split fixes side pointers from the split,
+that a pass that cannot converge says so, and that a DES move logs and
+recovers as the MOVE unit it is.
 """
 
 import random
@@ -18,18 +19,20 @@ import pytest
 from repro.btree.protocols import updater_delete, updater_insert
 from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
 from repro.db import Database
-from repro.errors import DeadlockError, ReorgError
+from repro.errors import CrashPoint, DeadlockError, ReorgError
 from repro.locks.modes import LockMode
 from repro.locks.resources import tree_lock
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.swap import KeyOrderCursor
 from repro.reorg.unit import LeafChain
+from repro.sim.crash import LogCrashInjector, crash_recover
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import PageKind, Record
 from repro.storage.store import LEAF_EXTENT
 from repro.txn.ops import Acquire, Convert, ReleaseAll
 from repro.txn.scheduler import Scheduler
+from repro.wal.records import ReorgBeginRecord, ReorgEndRecord, ReorgUnitType
 
 
 def make_db(kind=SidePointerKind.NONE, n_records=900):
@@ -255,6 +258,73 @@ def test_pass2_that_cannot_converge_fails_loudly():
     # The step cap: 4 x leaves + 8, every step planning the same unit.
     assert len(units) == 4 * len(db.tree().leaf_ids_in_key_order()) + 8
     assert len({tuple(unit.leaves) for unit in units}) == 1
+
+
+# -- a DES move is a MOVE unit -------------------------------------------------------
+
+
+SCATTERED = ReorgConfig(free_space_policy=FreeSpacePolicy.FIRST_FIT)
+
+
+def after_pass1(kind=SidePointerKind.ONE_WAY):
+    """A tree whose pass 2 both swaps and moves, made durable after pass 1."""
+    db = make_db(kind)
+    Reorganizer(db, db.tree(), SCATTERED).run_pass1()
+    db.flush()
+    db.checkpoint()
+    return db
+
+
+def des_pass2(db):
+    sched = make_scheduler(db)
+    sched.spawn(ReorgProtocol(db, "primary", SCATTERED).pass2(), name="reorg", is_reorganizer=True)
+    return sched
+
+
+def test_des_moves_log_their_begin_as_move():
+    db = after_pass1()
+    mark = db.log.last_lsn
+    sched = des_pass2(db)
+    sched.run()
+    ((_txn, stats),) = sched.completed
+    types = [
+        r.unit_type for r in db.log.records_from(mark + 1) if isinstance(r, ReorgBeginRecord)
+    ]
+    assert stats["moves"] > 0 and stats["swaps"] > 0
+    assert types.count(ReorgUnitType.MOVE) == stats["moves"]
+    assert types.count(ReorgUnitType.SWAP) == stats["swaps"]
+    assert len(types) == stats["moves"] + stats["swaps"]
+
+
+def test_a_crash_after_each_record_of_a_des_move_recovers_forward():
+    db = after_pass1()
+    mark = db.log.last_lsn
+    des_pass2(db).run()
+    logged = list(db.log.records_from(mark + 1))
+    first = next(
+        i for i, r in enumerate(logged)
+        if isinstance(r, ReorgBeginRecord) and r.unit_type is ReorgUnitType.MOVE
+    )
+    end = next(
+        i for i, r in enumerate(logged[first:], first)
+        if isinstance(r, ReorgEndRecord) and r.unit_id == logged[first].unit_id
+    )
+    assert end - first > 3  # BEGIN, the MOVE pair, MODIFYs, END at least
+    for crash_after in range(first + 1, end + 2):
+        db = after_pass1()
+        expected = [(r.key, r.payload) for r in db.tree().items()]
+        sched = des_pass2(db)
+        with pytest.raises(CrashPoint):
+            with LogCrashInjector(db.log, after_records=crash_after):
+                sched.run()
+        recovery = crash_recover(db)
+        in_flight = [p.unit_type for p in recovery.pending_units]
+        assert in_flight == ([ReorgUnitType.MOVE] if crash_after <= end else []), crash_after
+        Reorganizer(db, db.tree(), SCATTERED).forward_recover(recovery)
+        tree = db.tree()
+        tree.validate()
+        assert [(r.key, r.payload) for r in tree.items()] == expected, crash_after
+        assert not db.progress.unit_in_flight
 
 
 # -- the guarded chain itself ------------------------------------------------------

@@ -19,13 +19,14 @@ from repro.config import (
 )
 from repro.db import Database
 from repro.errors import CrashPoint
-from repro.reorg.compact import LeafCompactor
+from repro.reorg.protocols import ReorgProtocol
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.unit import LeafChain
 from repro.shard import ShardedDatabase
 from repro.sim.crash import LogCrashInjector
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import NO_PAGE, PageKind, Record
+from repro.txn.scheduler import Scheduler
 from repro.wal.records import SidePointerRecord
 
 KINDS = list(SidePointerKind)
@@ -226,50 +227,64 @@ def test_seek_aware_pass2_reaches_the_key_order_layout():
     assert layouts[0] == layouts[1] == sorted(layouts[0])
 
 
+def pass2_of_shuffled_tree(seed, seek_aware, *, des):
+    """Pass 2 after pass 1 on a tree grown by shuffled inserts, run by the
+    synchronous reorganizer or, with no users, on the DES: (swaps, moves,
+    final layout, log bytes)."""
+    db = Database(
+        TreeConfig(
+            leaf_capacity=8,
+            internal_capacity=8,
+            leaf_extent_pages=1024,
+            internal_extent_pages=512,
+            buffer_pool_pages=128,
+            side_pointers=SidePointerKind.ONE_WAY,
+            seek_aware_pass2=seek_aware,
+        )
+    )
+    tree = db.create_tree()
+    rng = random.Random(seed)
+    keys = list(range(2000))
+    rng.shuffle(keys)
+    for key in keys:
+        tree.insert(Record(key, "v"))
+    for key in rng.sample(keys, 1400):
+        tree.delete(key)
+    reorg = Reorganizer(db, tree, ReorgConfig())
+    reorg.run_pass1()
+    logged = db.log.stats.bytes_appended
+    if des:
+        sched = Scheduler(db.locks, store=db.store, log=db.log)
+        protocol = ReorgProtocol(db, tree.name, ReorgConfig())
+        sched.spawn(protocol.pass2(), name="reorg", is_reorganizer=True)
+        sched.run()
+        ((_txn, stats),) = sched.completed
+        swaps, moves = stats["swaps"], stats["moves"]
+    else:
+        stats = reorg.run_pass2()
+        swaps, moves = stats.swaps, stats.moves
+    tree.validate()
+    return swaps, moves, tree.leaf_ids_in_key_order(), db.log.stats.bytes_appended - logged
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_seek_aware_pass2_trades_swaps_for_moves(seed):
     """On a tree grown by shuffled inserts the two schedules end at one
     layout, but not through the same units: sweeping moves first leaves
     swaps only for true cycles, so the mix — and with it the log volume,
-    in either direction — differs."""
+    in either direction — differs.  The DES pass honours the schedule too:
+    run with no users, it makes the synchronous pass's units."""
     runs = {}
     for seek_aware in (False, True):
-        db = Database(
-            TreeConfig(
-                leaf_capacity=8,
-                internal_capacity=8,
-                leaf_extent_pages=1024,
-                internal_extent_pages=512,
-                buffer_pool_pages=128,
-                side_pointers=SidePointerKind.ONE_WAY,
-                seek_aware_pass2=seek_aware,
-            )
-        )
-        tree = db.create_tree()
-        rng = random.Random(seed)
-        keys = list(range(2000))
-        rng.shuffle(keys)
-        for key in keys:
-            tree.insert(Record(key, "v"))
-        for key in rng.sample(keys, 1400):
-            tree.delete(key)
-        reorg = Reorganizer(db, tree, ReorgConfig())
-        reorg.run_pass1()
-        logged = db.log.stats.bytes_appended
-        stats = reorg.run_pass2()
-        tree.validate()
-        runs[seek_aware] = (
-            stats,
-            tree.leaf_ids_in_key_order(),
-            db.log.stats.bytes_appended - logged,
-        )
-    (key_order, layout, key_order_log), (seek, seek_layout, seek_log) = (
+        runs[seek_aware] = pass2_of_shuffled_tree(seed, seek_aware, des=False)
+        assert pass2_of_shuffled_tree(seed, seek_aware, des=True) == runs[seek_aware]
+    (key_swaps, _, layout, key_order_log), (seek_swaps, _, seek_layout, seek_log) = (
         runs[False], runs[True]
     )
     assert seek_layout == layout == sorted(layout)
-    assert key_order.swaps > 0, "the fixture must make key order swap"
-    assert seek.swaps <= key_order.swaps
-    assert (seek.swaps < key_order.swaps) == (seek_log != key_order_log)
+    assert key_swaps > 0, "the fixture must make key order swap"
+    assert seek_swaps <= key_swaps
+    assert (seek_swaps < key_swaps) == (seek_log != key_order_log)
 
 
 # -- the rebuild fallback, and how often the tree is walked ----------------------------
@@ -292,8 +307,8 @@ def test_corrupt_chain_is_rebuilt_not_served(walks):
             return append(record)
 
         db.log.append = recording_append
-        compactor = LeafCompactor(db, tree, ReorgConfig())
-        owning_tree = compactor.engine.owning_tree
+        reorg = Reorganizer(db, tree, ReorgConfig())
+        owning_tree = reorg.engine.owning_tree
 
         @contextmanager
         def corrupted():
@@ -303,9 +318,9 @@ def test_corrupt_chain_is_rebuilt_not_served(walks):
                 yield chain
 
         if corrupt:
-            compactor.engine.owning_tree = corrupted
+            reorg.engine.owning_tree = corrupted
         walks.clear()
-        compactor.run()
+        reorg.run_pass1()
         assert len(walks) == (2 if corrupt else 1)  # the seed, the rebuild
         tree.validate()
     assert logged[True] == logged[False] != []

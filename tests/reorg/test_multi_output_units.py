@@ -13,7 +13,6 @@ from repro.btree.stats import collect_stats
 from repro.config import FreeSpacePolicy, ReorgConfig, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint, ReorgError
-from repro.reorg.compact import LeafCompactor
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.unit import UnitEngine
@@ -312,7 +311,7 @@ class TestCompactorWithMultiOutput:
     def test_pass1_emits_multi_output_units(self):
         db, tree = sparse_db()
         config = ReorgConfig(target_fill=0.9, max_unit_output_pages=4)
-        stats = LeafCompactor(db, tree, config).run()
+        stats = Reorganizer(db, tree, config).run_pass1()
         tree.validate()
         begins = [
             r for r in db.log.records_from(1)
@@ -323,13 +322,13 @@ class TestCompactorWithMultiOutput:
 
     def test_fewer_units_than_single_output(self):
         db1, tree1 = sparse_db()
-        single = LeafCompactor(
+        single = Reorganizer(
             db1, tree1, ReorgConfig(max_unit_output_pages=1)
-        ).run()
+        ).run_pass1()
         db4, tree4 = sparse_db()
-        multi = LeafCompactor(
+        multi = Reorganizer(
             db4, tree4, ReorgConfig(max_unit_output_pages=4)
-        ).run()
+        ).run_pass1()
         assert multi.units < single.units
         # Same end content and similar fill.
         assert sorted(r.key for r in db1.tree().items()) == sorted(

@@ -5,9 +5,7 @@ import pytest
 from repro.btree.stats import collect_stats
 from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
 from repro.db import Database
-from repro.reorg.compact import LeafCompactor
-from repro.reorg.swap import SwapMovePass
-from repro.reorg.unit import UnitEngine
+from repro.reorg.reorganizer import Reorganizer
 from repro.storage.page import Record
 
 
@@ -47,7 +45,7 @@ class TestPass1:
         db, tree = sparse_db()
         before = collect_stats(tree)
         assert before.leaf_fill < 0.4
-        stats = LeafCompactor(db, tree, ReorgConfig(target_fill=0.9)).run()
+        stats = Reorganizer(db, tree, ReorgConfig(target_fill=0.9)).run_pass1()
         after = collect_stats(tree)
         assert stats.units > 0
         # Units never span base pages (section 3), so boundary groups stay
@@ -60,28 +58,28 @@ class TestPass1:
     def test_no_records_lost(self):
         db, tree = sparse_db(seed=5)
         before = [(r.key, r.payload) for r in tree.items()]
-        LeafCompactor(db, tree, ReorgConfig()).run()
+        Reorganizer(db, tree, ReorgConfig()).run_pass1()
         assert [(r.key, r.payload) for r in tree.items()] == before
 
     def test_paper_policy_mixes_in_place_and_new_place(self):
         db, tree = sparse_db()
-        stats = LeafCompactor(
+        stats = Reorganizer(
             db, tree, ReorgConfig(free_space_policy=FreeSpacePolicy.PAPER)
-        ).run()
+        ).run_pass1()
         assert stats.units == stats.in_place_units + stats.new_place_units
 
     def test_policy_none_is_all_in_place(self):
         db, tree = sparse_db()
-        stats = LeafCompactor(
+        stats = Reorganizer(
             db, tree, ReorgConfig(free_space_policy=FreeSpacePolicy.NONE)
-        ).run()
+        ).run_pass1()
         assert stats.new_place_units == 0
         assert stats.in_place_units == stats.units > 0
         tree.validate()
 
     def test_target_fill_respected_on_average(self):
         db, tree = sparse_db()
-        LeafCompactor(db, tree, ReorgConfig(target_fill=0.75)).run()
+        Reorganizer(db, tree, ReorgConfig(target_fill=0.75)).run_pass1()
         after = collect_stats(tree)
         # Greedy grouping fills up to (not over) the target.
         assert after.leaf_fill <= 0.75 + 1e-9
@@ -97,7 +95,7 @@ class TestPass1:
             )
         )
         tree = db.bulk_load_tree([Record(k) for k in range(100)], leaf_fill=1.0)
-        stats = LeafCompactor(db, tree, ReorgConfig(target_fill=0.9)).run()
+        stats = Reorganizer(db, tree, ReorgConfig(target_fill=0.9)).run_pass1()
         assert stats.units == 0
         assert stats.leaves_before == stats.leaves_after
 
@@ -106,13 +104,13 @@ class TestPass1:
     )
     def test_side_pointer_configs(self, side):
         db, tree = sparse_db(side=side, seed=9)
-        LeafCompactor(db, tree, ReorgConfig()).run()
+        Reorganizer(db, tree, ReorgConfig()).run_pass1()
         tree.validate()
 
     def test_uniform_random_deletes(self):
         db, tree = sparse_db(seed=42)
         before = sorted(r.key for r in tree.items())
-        LeafCompactor(db, tree, ReorgConfig()).run()
+        Reorganizer(db, tree, ReorgConfig()).run_pass1()
         tree.validate()
         assert sorted(r.key for r in tree.items()) == before
 
@@ -120,11 +118,9 @@ class TestPass1:
 class TestPass2:
     def run_both_passes(self, policy=FreeSpacePolicy.PAPER, **kwargs):
         db, tree = sparse_db(**kwargs)
-        engine = UnitEngine(db, tree)
-        LeafCompactor(
-            db, tree, ReorgConfig(free_space_policy=policy), engine
-        ).run()
-        stats = SwapMovePass(db, tree, engine).run()
+        reorg = Reorganizer(db, tree, ReorgConfig(free_space_policy=policy))
+        reorg.run_pass1()
+        stats = reorg.run_pass2()
         return db, tree, stats
 
     def test_leaves_contiguous_in_key_order_after_pass2(self):
@@ -137,16 +133,15 @@ class TestPass2:
     def test_no_records_lost_through_both_passes(self):
         db, tree = sparse_db(seed=17)
         before = [(r.key, r.payload) for r in tree.items()]
-        engine = UnitEngine(db, tree)
-        LeafCompactor(db, tree, ReorgConfig(), engine).run()
-        SwapMovePass(db, tree, engine).run()
+        reorg = Reorganizer(db, tree, ReorgConfig())
+        reorg.run_pass1()
+        reorg.run_pass2()
         assert [(r.key, r.payload) for r in tree.items()] == before
         tree.validate()
 
     def test_pass2_is_idempotent(self):
         db, tree, first = self.run_both_passes()
-        engine = UnitEngine(db, tree)
-        second = SwapMovePass(db, tree, engine).run()
+        second = Reorganizer(db, tree, ReorgConfig()).run_pass2()
         assert second.operations == 0
         assert second.already_placed == len(tree.leaf_ids_in_key_order())
 
@@ -182,5 +177,5 @@ class TestPass2:
             )
         )
         tree = db.bulk_load_tree([Record(1), Record(2)])
-        stats = SwapMovePass(db, tree).run()
+        stats = Reorganizer(db, tree, ReorgConfig()).run_pass2()
         assert stats.operations == 0

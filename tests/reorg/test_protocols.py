@@ -6,9 +6,11 @@ from repro.btree.protocols import reader_search, updater_insert
 from repro.btree.stats import collect_stats
 from repro.config import FreeSpacePolicy, ReorgConfig, TreeConfig
 from repro.db import Database
+from repro.errors import ReorgError
 from repro.reorg.compact import LeafCompactor
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
+from repro.reorg.shrink import MAX_CATCHUP_ROUNDS, TreeShrinker
 from repro.sim.crash import crash_recover
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import PageKind, Record
@@ -185,12 +187,11 @@ def test_planned_ahead_unit_probes_its_first_leaf_once(monkeypatch):
     "lost leaf" checks included."""
     db = make_db()
     protocol = ReorgProtocol(db, "primary", ReorgConfig())
-    compactor = LeafCompactor(db, protocol.tree, protocol.config, protocol.engine)
+    compactor = LeafCompactor(db, protocol.tree, protocol.config)
     target = compactor._target_records_per_page()
     base = compactor._base_page_ids_in_key_order()[0]
     group = next(g for g in compactor._plan_groups(base, target) if len(g) > 1)
-    dests = compactor.pick_dests(group, target)
-    unit = protocol._compaction(compactor, group, dests, target)
+    unit = protocol._compaction(compactor, group, target, stats={})()
     assert unit.planned_ahead
     fetched = []
     get_leaf = db.store.get_leaf
@@ -254,6 +255,29 @@ class TestPass3StatedOnce:
         assert result["old_internal_freed"] == switch.old_internal_freed > 0
         assert result["base_pages"] == pass3.base_pages_read
         assert result["aborted_stragglers"] == 0
+
+    def test_a_side_file_that_never_drains_fails_both_loops_alike(self, monkeypatch):
+        """Catch-up has one rule: MAX_CATCHUP_ROUNDS rounds that leave the
+        side file non-empty fail pass 3, on the DES as synchronously —
+        rather than switch with a change left behind."""
+        rounds = []
+
+        def never_drains(shrinker):
+            rounds.append(1)
+            shrinker.db.pass3.side_file_entries[:] = [(0, 0, "insert")]
+            return 0
+
+        monkeypatch.setattr(TreeShrinker, "apply_side_file_once", never_drains)
+        message = f"side file did not converge in {MAX_CATCHUP_ROUNDS} rounds"
+        for des in (False, True):
+            rounds.clear()
+            db = post_pass2_db()
+            with pytest.raises(ReorgError, match=message):
+                if des:
+                    lone_des_pass3(db)
+                else:
+                    Reorganizer(db, db.tree(), ReorgConfig()).run_pass3()
+            assert len(rounds) == MAX_CATCHUP_ROUNDS
 
     def test_full_reorganization_reports_the_pass3_counters(self):
         db = make_db()

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.errors import DeadlockError, RXConflictError, TransactionAborted
+from repro.errors import (
+    CrashPoint,
+    DeadlockError,
+    ReproError,
+    RXConflictError,
+    TransactionAborted,
+)
 from repro.locks.manager import LockManager
 from repro.locks.modes import LockMode
 from repro.locks.resources import page_lock
@@ -306,3 +312,45 @@ class TestRunAlone:
 
         with pytest.raises(TransactionAborted):
             run_alone(proc())
+
+    def test_calls_run_and_lock_and_think_ops_are_skipped(self):
+        def proc():
+            yield Acquire(A, X)
+            yield Convert(A, X)
+            yield Think(1.0)
+            first = yield Call(lambda: 20)
+            yield Release(A, X)
+            yield ReleaseAll()
+            return first + (yield Call(lambda: 22))
+
+        assert run_alone(proc()) == 42
+
+    def test_ops_that_need_a_scheduler_are_refused(self):
+        closed = []
+
+        def proc():
+            try:
+                yield FetchPage(1)
+            finally:
+                closed.append(True)
+
+        with pytest.raises(ReproError, match="FetchPage"):
+            run_alone(proc())
+        assert closed == [True]
+
+    def test_a_failing_call_closes_the_generator_first(self):
+        cleaned = []
+
+        def power_fails():
+            raise CrashPoint("power")
+
+        def proc():
+            try:
+                yield Acquire(A, X)
+                yield Call(power_fails)
+            finally:
+                cleaned.append(True)
+
+        with pytest.raises(CrashPoint):
+            run_alone(proc())
+        assert cleaned == [True]
