@@ -23,6 +23,7 @@ import pytest
 from repro.config import ReorgConfig
 from repro.reorg.reorganizer import Reorganizer
 from repro.storage.page import Record
+from tests.reorg.pass3_hooks import run_pass3
 
 from conftest import banner, degrade_uniform, make_db
 
@@ -60,7 +61,7 @@ def run_pass3_with_split_rate(rate, seed=13):
     reorg = Reorganizer(db, tree, ReorgConfig(stable_point_interval=4))
     reorg.run_pass1()
     reorg.run_pass2()
-    pass3, switch = reorg.run_pass3(during_scan=during_scan)
+    pass3, switch = run_pass3(reorg, during_scan=during_scan)
     db.tree().validate()
     return db, pass3, switch
 

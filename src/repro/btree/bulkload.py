@@ -7,25 +7,27 @@ added, no splitting is necessary.  The first page is filled to a
 pre-assigned fill factor, and then the next records go in the next page.
 Each new page requires a new entry in the level above." (paper section 7.1)
 
-Two entry points:
+Every new internal page, whoever builds it, is packed by one
+:class:`LevelBuilder`:
 
 * :func:`bulk_load` — build a complete tree from sorted records (used to
-  set up experiment trees and by the quickstart example);
-* :func:`build_upper_levels` — build only the levels *above* the leaves
-  from a stream of (separator key, leaf page id) entries.  This is exactly
-  what pass 3 of the reorganizer does: the leaves stay in place and a new
-  upper tree is constructed beside the old one.  The optional
-  ``on_page_built`` callback lets the caller implement the paper's stable
-  points (force-write every N pages, section 7.3).
+  set up experiment trees and by the quickstart example): the leaves by
+  :func:`build_leaf_level`, the levels above by :func:`build_upper_levels`,
+  one builder per level;
+* pass 3 of the reorganizer (:mod:`repro.reorg.shrink`) streams its new
+  base level through one builder across the old base pages it scans,
+  closing the open page early at each stable point (section 7.3), and
+  builds levels 2 and up with :func:`build_upper_levels`.  The leaves stay
+  in place and a new upper tree is constructed beside the old one.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import BTreeError
-from repro.storage.page import InternalPage, PageId, Record
+from repro.storage.page import PageId, Record
 from repro.storage.store import StorageManager
 from repro.wal.apply import apply_record
 from repro.wal.log import LogManager
@@ -35,17 +37,8 @@ from repro.wal.records import (
     LeafFormatRecord,
     SidePointerRecord,
 )
-from repro.config import SidePointerKind, gapped_leaf_fill, leaf_gap_slots
+from repro.config import SidePointerKind, fill_count, gapped_leaf_fill, leaf_gap_slots
 from repro.perf import PERF
-
-
-def _fill_count(capacity: int, fill: float) -> int:
-    """Records per page for a fill factor, at least 1."""
-    return max(1, math.floor(capacity * fill + 1e-9))
-
-
-def _chunk(items: Sequence, size: int) -> list[list]:
-    return [list(items[i : i + size]) for i in range(0, len(items), size)]
 
 
 def _log_apply(store: StorageManager, log: LogManager, record) -> None:
@@ -74,7 +67,8 @@ def build_leaf_level(
     gapped = leaf_gap_slots(store.config) > 0
     entries: list[tuple[int, PageId]] = []
     previous_id: PageId | None = None
-    for chunk in _chunk(records, per_page):
+    for start in range(0, len(records), per_page):
+        chunk = records[start : start + per_page]
         leaf = store.allocate_leaf()
         _log_apply(store, log, AllocRecord(page_id=leaf.page_id, kind="leaf"))
         prev_ptr = (
@@ -110,61 +104,93 @@ def build_leaf_level(
     return entries
 
 
+@dataclass
+class LevelBuilder:
+    """Packs one new internal level left to right, a page at a time.
+
+    A page is allocated when its first entry arrives and formatted once it
+    holds ``per_page`` entries, or early on :meth:`close`.  Allocating on
+    open, not at close, keeps the page ids of a level that is streamed
+    while other work allocates in between.
+    """
+
+    store: StorageManager
+    log: LogManager
+    level: int
+    per_page: int
+    #: (low key, page id) of each page formatted: the level above's entries.
+    closed: list[tuple[int, PageId]] = field(default_factory=list)
+    #: ``place(level, index)`` may name a free page for the level's
+    #: ``index``-th page; None (per call or overall) is first-fit.
+    place: Callable[[int, int], PageId | None] | None = None
+    #: Called with each formatted page's id.
+    on_close: Callable[[PageId], None] | None = None
+    _page_id: PageId | None = field(default=None, init=False)
+    _entries: list[tuple[int, PageId]] = field(default_factory=list, init=False)
+
+    def add(self, key: int, child: PageId) -> None:
+        if self._page_id is None:
+            page = self.store.allocate_internal(
+                level=self.level,
+                page_id=self.place(self.level, len(self.closed)) if self.place else None,
+            )
+            _log_apply(
+                self.store, self.log,
+                AllocRecord(page_id=page.page_id, kind="internal", level=self.level),
+            )
+            self._page_id = page.page_id
+        self._entries.append((key, child))
+        if len(self._entries) >= self.per_page:
+            self.close()
+
+    def close(self) -> None:
+        """Format the open page, if there is one."""
+        page_id = self._page_id
+        if page_id is None:
+            return
+        low = self._entries[0][0]
+        _log_apply(
+            self.store, self.log,
+            InternalFormatRecord(
+                page_id=page_id, level=self.level, entries=tuple(self._entries), low_mark=low
+            ),
+        )
+        self.closed.append((low, page_id))
+        self._page_id, self._entries = None, []
+        if self.on_close is not None:
+            self.on_close(page_id)
+
+
 def build_upper_levels(
     store: StorageManager,
     log: LogManager,
     entries: Sequence[tuple[int, PageId]],
     *,
     fill: float,
-    on_page_built: Callable[[InternalPage], None] | None = None,
+    on_page_built: Callable[[PageId], None] | None = None,
     start_level: int = 1,
     place: Callable[[int, int], PageId | None] | None = None,
 ) -> PageId:
     """Build internal levels over (key, child) entries; returns the root id.
 
-    ``on_page_built`` fires after each new internal page is formatted —
-    pass 3 counts pages here to place its stable points.  ``start_level``
-    is the level of the first level built (1 when the children are leaves;
-    2 when the children are already-built base pages, as in pass 3).
-    ``place(level, index)`` may name a specific free page for the
-    ``index``-th page of ``level`` — the placement-policy hook pass 3 uses
-    for vEB layout; None (per call or overall) keeps first-fit allocation.
+    One :class:`LevelBuilder` per level, each fed the pages the one below
+    closed, until a level is a single page.  ``start_level`` is the level
+    of the first level built: 1 when the children are leaves, 2 when they
+    are pass 3's new base pages.  ``place`` (pass 3's vEB layout) and
+    ``on_page_built`` are each builder's ``place`` and ``on_close``.
     """
     if not entries:
         raise BTreeError("cannot build upper levels over zero entries")
-    per_page = _fill_count(store.config.internal_capacity, fill)
+    per_page = fill_count(store.config.internal_capacity, fill)
     level = start_level
-    current: list[tuple[int, PageId]] = list(entries)
-    while len(current) > 1 or level == start_level:
-        next_level: list[tuple[int, PageId]] = []
-        for index, chunk in enumerate(_chunk(current, per_page)):
-            page = store.allocate_internal(
-                level=level,
-                page_id=place(level, index) if place is not None else None,
-            )
-            _log_apply(
-                store, log,
-                AllocRecord(page_id=page.page_id, kind="internal", level=level),
-            )
-            _log_apply(
-                store, log,
-                InternalFormatRecord(
-                    page_id=page.page_id,
-                    level=level,
-                    entries=tuple(chunk),
-                    low_mark=chunk[0][0],
-                ),
-            )
-            if on_page_built is not None:
-                on_page_built(store.get_internal(page.page_id))
-            next_level.append((chunk[0][0], page.page_id))
-        if len(next_level) == 1:
-            return next_level[0][1]
-        current = next_level
-        level += 1
-    # Single entry at level 1: wrap it in one root page anyway (handled in
-    # the loop), so reaching here means a single child entry was passed.
-    return current[0][1]
+    while True:
+        builder = LevelBuilder(store, log, level, per_page, place=place, on_close=on_page_built)
+        for key, child in entries:
+            builder.add(key, child)
+        builder.close()
+        if len(builder.closed) == 1:
+            return builder.closed[0][1]
+        entries, level = builder.closed, level + 1
 
 
 def bulk_load(

@@ -257,6 +257,17 @@ class ShardConfig:
                 raise ValueError("separators must be strictly increasing")
 
 
+def fill_count(capacity: int, fill: float) -> int:
+    """Entries per page at a fill factor, at least 1.
+
+    The one canonical form of the "how many entries does a rebuilt page
+    hold" computation, shared by the bottom-up level builder (bulk loading
+    and pass 3) and the shape prediction of
+    :mod:`repro.reorg.placement`, which re-exports it.
+    """
+    return max(1, math.floor(capacity * fill + 1e-9))
+
+
 def leaf_gap_slots(config: TreeConfig) -> int:
     """Record slots reserved as in-page slack per rebuilt/bulk-loaded leaf.
 
@@ -279,7 +290,7 @@ def gapped_leaf_fill(config: TreeConfig, fill: float) -> int:
     the historical fill-count, keeping default-config layouts
     byte-identical.
     """
-    base = max(1, math.floor(config.leaf_capacity * fill + 1e-9))
+    base = fill_count(config.leaf_capacity, fill)
     return max(1, min(base, config.leaf_capacity - leaf_gap_slots(config)))
 
 

@@ -35,11 +35,10 @@ preference being honoured.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.config import PlacementPolicyKind, TreeConfig, gapped_leaf_fill
+from repro.config import PlacementPolicyKind, TreeConfig, fill_count, gapped_leaf_fill
 from repro.storage.page import PageId
 from repro.storage.store import INTERNAL_EXTENT
 
@@ -65,16 +64,6 @@ __all__ = [
 
 
 # -- post-reorg tree shape (shared helper) -----------------------------------
-
-
-def fill_count(capacity: int, fill: float) -> int:
-    """Entries per page at a fill factor, at least 1.
-
-    The one canonical form of the "how many entries does a rebuilt page
-    hold" computation, shared by pass 3 (:class:`repro.reorg.shrink.
-    TreeShrinker`), bottom-up bulk loading, and the shape prediction below.
-    """
-    return max(1, math.floor(capacity * fill + 1e-9))
 
 
 def gapped_leaf_fill_count(config: TreeConfig, fill: float) -> int:
@@ -160,9 +149,11 @@ def predict_base_width(
 ) -> int:
     """Exact number of new base pages pass 3 will emit, stable points included.
 
-    Replays :meth:`~repro.reorg.shrink.TreeShrinker.scan`'s emission
-    arithmetic without touching any pages: the scan streams one new base
-    entry per old base entry, closes the open page at ``per_page`` entries,
+    Pure arithmetic over what pass 3's base-level
+    :class:`~repro.btree.bulkload.LevelBuilder` will do, touching no
+    pages: the scan (:meth:`~repro.reorg.shrink.TreeShrinker.scan_base`)
+    streams one new base entry per old base entry, the builder closes the
+    open page at ``per_page`` entries,
     and — after finishing each *old* base page — takes a stable point
     whenever ``stable_point_interval`` new pages have closed since the last
     one, which closes the open page *early* (section 7.3).  Those early

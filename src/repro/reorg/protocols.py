@@ -17,11 +17,14 @@ compaction into one or several pages, pass-2 moves and swaps (and the
 parallel workers of :mod:`repro.reorg.parallel`) each hand it a
 :class:`_Unit` naming their pages and their two :class:`UnitEngine` calls.
 
-Passes 1 and 2 are written only here.  The DES scheduler runs them among
-user transactions; :meth:`repro.reorg.reorganizer.Reorganizer.run_pass1` /
-``run_pass2`` drive the same generators alone through
-:func:`repro.txn.scheduler.run_alone`, which runs every ``Call`` and skips
-the lock and think ops, on a tree :meth:`UnitEngine.owning_tree` holds.
+The three passes are written only here.  The DES scheduler runs them
+among user transactions; :meth:`repro.reorg.reorganizer.Reorganizer.
+run_pass1` / ``run_pass2`` / ``run_pass3`` drive the same generators alone
+through :func:`repro.txn.scheduler.run_alone`, which runs every ``Call``
+and skips the lock and think ops (passes 1 and 2 on a tree
+:meth:`UnitEngine.owning_tree` holds).  Forward recovery drives them too:
+:meth:`ReorgProtocol.pass3` from a restarted shrinker's stable key, and
+:meth:`ReorgProtocol._switch_protocol` from a logged switch.
 
 Deadlock handling follows the paper's policy: "Whenever the reorganizer
 gets in a deadlock, we always force the reorganizer to give up its lock" —
@@ -35,7 +38,9 @@ Pass 3's protocol holds an S lock on exactly one base page at a time while
 scanning (section 7.5), and the switch performs the section 7.4 lock dance:
 X on the side file, root flip, then X on the *old* tree lock name to drain
 old transactions — with the configurable wait limit and forced aborts via
-an ``abort_hook`` the simulation driver arms.
+an ``abort_hook`` the simulation driver arms.  The step bodies are
+:class:`~repro.reorg.shrink.TreeShrinker`'s and
+:class:`~repro.reorg.switch.Switcher`'s; their one ordering is here.
 """
 
 from __future__ import annotations
@@ -394,18 +399,25 @@ class ReorgProtocol:
 
     # -- pass 3 ------------------------------------------------------------------
 
-    def pass3(self) -> Generator[Any, Any, dict]:
+    def pass3(
+        self, shrinker: TreeShrinker | None = None, resume_from: int | None = None
+    ) -> Generator[Any, Any, dict]:
         """Internal reorganization: S one base page at a time, side file,
         and the section 7.4 switch.  The step bodies are TreeShrinker's and
-        Switcher's; stated here is where the reorganizer locks and waits."""
+        Switcher's; stated here is where the reorganizer locks and waits.
+
+        Forward recovery passes the ``shrinker`` it rolled back to the last
+        stable point and the stable key to ``resume_from``."""
         yield Acquire(tree_lock(self._lock_name()), IX)
-        shrinker = TreeShrinker(self.db, self.tree, self.config)
+        shrinker = shrinker or TreeShrinker(self.db, self.tree, self.config)
         switcher = Switcher(self.db, self.tree, shrinker)
         try:
-            first = yield Call(shrinker.begin_scan)
-            # A leaf root has no upper levels: nothing was attached.
-            if first is not None:
-                yield from self._scan_protocol(shrinker, first.page_id)
+            first = yield Call(lambda: shrinker.begin_scan(resume_from))
+            # A leaf root has no upper levels: nothing was attached.  A
+            # resumed scan that had finished goes straight to build_upper.
+            if shrinker.scanning:
+                if first is not None:
+                    yield from self._scan_protocol(shrinker, first.page_id)
                 yield Call(shrinker.build_upper)
                 # Catch-up (no locks): loop until the side file drains.
                 while True:
@@ -422,6 +434,9 @@ class ReorgProtocol:
 
     def _scan_protocol(self, shrinker: TreeShrinker, base_id: PageId | None):
         """Sections 7.1/7.5: S on exactly one base page at a time."""
+        # Anchor a stable point at scan start so a crash at any later
+        # moment always has a well-defined (stable key, built pages) pair
+        # to roll back to.
         yield Call(shrinker.stable_point)
         while base_id is not None:
             # "The reorganizer only holds an S lock on the base page
@@ -441,12 +456,20 @@ class ReorgProtocol:
             yield Release(page_lock(base_id), S)
             base_id = next_base.page_id if next_base is not None else None
 
-    def _switch_protocol(self, switcher: Switcher):
-        """Section 7.4 with the waits made explicit."""
+    def _switch_protocol(
+        self, switcher: Switcher, pending: tuple[PageId, PageId, str] | None = None
+    ):
+        """Section 7.4 with the waits made explicit.  ``pending`` is a
+        logged ``TreeSwitchRecord``'s (old root, new root, old lock name):
+        forward recovery finishes that switch, and the log proves the final
+        catch-up and the record itself already ran."""
         sidefile = sidefile_resource(self.db)
         yield Acquire(sidefile, X)
-        yield Call(switcher.final_catch_up)
-        yield Call(switcher.log_switch)
+        if pending is None:
+            yield Call(switcher.final_catch_up)
+            yield Call(switcher.log_switch)
+        else:
+            switcher.stats.old_root, switcher.stats.new_root, switcher.old_lock_name = pending
         yield Call(switcher.flip_root)
         old_tree = tree_lock(switcher.old_lock_name)
         # Drain old-tree transactions: X on the old lock name.  With a

@@ -2,12 +2,12 @@
 
 This is the paper's headline artifact (Figure 1): compact the leaves,
 optionally swap/move them into disk order, then rebuild the upper levels
-and switch.  Passes 1 and 2 are written once, as the generators of
-:mod:`repro.reorg.protocols`: :class:`Reorganizer` drives them alone
-(:func:`repro.txn.scheduler.run_alone`) on a tree it owns, the DES runs them
-among users with the lock waits made real.  Pass 3 is the synchronous
-ordering of the step bodies the DES protocol shares, and forward recovery
-of pass 3 is :meth:`Reorganizer.run_pass3` resumed at the last stable key.
+and switch.  Each pass is written once, as a generator of
+:mod:`repro.reorg.protocols`: :class:`Reorganizer` drives it alone
+(:func:`repro.txn.scheduler.run_alone`, passes 1 and 2 on a tree it owns),
+the DES runs it among users with the lock waits made real.  Forward
+recovery drives the same pass-3 generator from the last stable key, or
+the same switch from the flip a logged ``TreeSwitchRecord`` promises.
 
 Typical use::
 
@@ -27,7 +27,6 @@ Crash handling::
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
 
 from repro.btree.tree import BPlusTree
 from repro.config import ReorgConfig
@@ -40,7 +39,6 @@ from repro.reorg.swap import Pass2Stats
 from repro.reorg.switch import SwitchStats, Switcher
 from repro.reorg.unit import UnitEngine, UnitResult
 from repro.txn.scheduler import run_alone
-from repro.txn.transaction import Transaction
 from repro.wal.recovery import RecoveryReport
 
 
@@ -69,8 +67,7 @@ class Reorganizer:
         self.tree = tree
         self.config = config or ReorgConfig()
         self.engine = UnitEngine(db, tree)
-        self.txn = Transaction("reorganizer", is_reorganizer=True)
-        #: Passes 1 and 2 are the DES protocol's, run on this tree handle
+        #: The three passes are the DES protocol's, run on this tree handle
         #: and engine.
         self.protocol = ReorgProtocol(db, tree.name, self.config)
         self.protocol.tree, self.protocol.engine = tree, self.engine
@@ -98,34 +95,20 @@ class Reorganizer:
         return Pass2Stats(counts["swaps"], counts["moves"], counts["already_placed"])
 
     def run_pass3(
-        self,
-        *,
-        during_scan: Callable[[TreeShrinker], None] | None = None,
-        during_catchup: Callable[[TreeShrinker], None] | None = None,
-        resume_from: int | None = None,
-        shrinker: TreeShrinker | None = None,
+        self, *, resume_from: int | None = None, shrinker: TreeShrinker | None = None
     ) -> tuple[Pass3Stats, SwitchStats]:
         """Rebuild the upper levels new-place and switch (section 7);
         ``resume_from`` and ``shrinker`` are forward recovery's."""
         shrinker = shrinker or TreeShrinker(self.db, self.tree, self.config)
-        try:
-            shrinker.scan(during_scan, resume_from=resume_from)
-            shrinker.build_upper()
-            shrinker.catch_up(during_catchup)
-            switcher = Switcher(self.db, self.tree, shrinker, reorg_txn=self.txn)
-            switch_stats = switcher.run()
-        finally:
-            shrinker.detach_listener()
-        return shrinker.stats, switch_stats
+        counts = run_alone(self.protocol.pass3(shrinker, resume_from))
+        if not shrinker.scanning:
+            raise ReorgError("tree has no internal levels to rebuild")
+        switch = SwitchStats(**{f.name: counts[f.name] for f in fields(SwitchStats)})
+        return shrinker.stats, switch
 
-    def run(
-        self,
-        *,
-        during_scan: Callable[[TreeShrinker], None] | None = None,
-        during_catchup: Callable[[TreeShrinker], None] | None = None,
-        skip_pass3: bool = False,
-    ) -> ReorgReport:
-        """Run the full three-pass reorganization."""
+    def run(self) -> ReorgReport:
+        """Run the full three-pass reorganization; a tree whose root is a
+        leaf has no upper levels, so pass 3 is skipped."""
         from repro.storage.page import PageKind
 
         report = ReorgReport()
@@ -133,10 +116,8 @@ class Reorganizer:
         if self.config.do_swap_pass:
             report.pass2 = self.run_pass2()
         root = self.db.store.get(self.tree.root_id)
-        if not skip_pass3 and root.kind is PageKind.INTERNAL:
-            report.pass3, report.switch = self.run_pass3(
-                during_scan=during_scan, during_catchup=during_catchup
-            )
+        if root.kind is PageKind.INTERNAL:
+            report.pass3, report.switch = self.run_pass3()
         return report
 
     # -- forward recovery ------------------------------------------------------------
@@ -149,8 +130,7 @@ class Reorganizer:
           are reclaimed and the scan restarts from the last stable key.
 
         Returns a partial report describing what was recovered; the caller
-        decides whether to continue with the remaining passes (see
-        :meth:`resume_after_crash` for the all-in-one variant).
+        decides whether to continue with the remaining passes.
         """
         report = ReorgReport()
         for pending in recovery.pending_units:
@@ -160,8 +140,9 @@ class Reorganizer:
         if recovery.reorg_bit and recovery.switch_pending is not None:
             # The switch had begun: finish it forward; no rebuilding.
             shrinker = TreeShrinker(self.db, self.tree, self.config)
-            switcher = Switcher(self.db, self.tree, shrinker, reorg_txn=self.txn)
-            report.switch = switcher.finish_pending_switch(*recovery.switch_pending)
+            switcher = Switcher(self.db, self.tree, shrinker)
+            run_alone(self.protocol._switch_protocol(switcher, recovery.switch_pending))
+            report.switch = switcher.stats
             return report
         if recovery.reorg_bit:
             shrinker = TreeShrinker(self.db, self.tree, self.config)

@@ -3,10 +3,17 @@
 The reorganizer reads the *old* base pages left to right — "we read the
 keys in ascending order" — and streams their (key, leaf pointer) entries
 into freshly allocated **new base pages**, filled to the configured fill
-factor ([Sal88] bottom-up construction).  The leaves are never touched.
-Once the base level is complete, the upper levels are built over it and
-the side file is caught up; :mod:`repro.reorg.switch` then moves the world
-to the new tree.
+factor ([Sal88] bottom-up construction, one
+:class:`~repro.btree.bulkload.LevelBuilder` fed across the scan).  The
+leaves are never touched.  Once the base level is complete, the upper
+levels are built over it and the side file is caught up;
+:mod:`repro.reorg.switch` then moves the world to the new tree.
+
+:class:`TreeShrinker` holds the step bodies only.  Their one ordering —
+with the S lock on each base page, the catch-up loop and the switch — is
+:meth:`repro.reorg.protocols.ReorgProtocol.pass3`, which the DES
+schedules and the synchronous reorganizer and forward recovery drive
+alone.
 
 Scan-position protocol (section 7.1):
 
@@ -39,9 +46,8 @@ orphan deallocation) is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.btree.bulkload import build_upper_levels
+from repro.btree.bulkload import LevelBuilder, build_upper_levels
 from repro.btree.tree import BPlusTree
 from repro.config import ReorgConfig
 from repro.db import Database
@@ -55,13 +61,8 @@ from repro.reorg.placement import (
 )
 from repro.reorg.sidefile import SideFile
 from repro.storage.page import InternalPage, PageId, PageKind
-from repro.wal.apply import apply_record
-from repro.wal.records import (
-    AllocRecord,
-    FreeRecord,
-    InternalFormatRecord,
-    StableKeyRecord,
-)
+from repro.storage.store import StorageManager
+from repro.wal.records import FreeRecord, StableKeyRecord
 
 #: CK sentinel once every base page has been read: above every real key.
 SCAN_DONE_KEY = 2**62
@@ -86,6 +87,27 @@ class Pass3Stats:
     orphans_freed: int = 0
 
 
+def internal_post_order(store: StorageManager, root: PageId) -> list[PageId]:
+    """The internal pages of the tree under ``root``, children before
+    parents.  Freed pages are skipped, and the walk stops at level 1, so no
+    leaf is read."""
+    order: list[PageId] = []
+
+    def walk(page_id: PageId) -> None:
+        if store.free_map.is_free(page_id):
+            return
+        page = store.get(page_id)
+        if page.kind is not PageKind.INTERNAL:
+            return
+        if page.level > 1:  # type: ignore[union-attr]
+            for child in page.children():  # type: ignore[union-attr]
+                walk(child)
+        order.append(page_id)
+
+    walk(root)
+    return order
+
+
 class TreeShrinker:
     """Builds the new upper levels beside the old tree."""
 
@@ -102,8 +124,6 @@ class TreeShrinker:
         self.stats = Pass3Stats()
         #: Closed new base pages so far: (low key, page id).
         self.built_entries: list[tuple[int, PageId]] = db.pass3.built_entries
-        self._open_entries: list[tuple[int, PageId]] = []
-        self._open_page: InternalPage | None = None
         self._pages_since_stable = 0
         self._unforced_pages: list[PageId] = []
         #: CK — low mark of the base page currently being reorganized.
@@ -119,6 +139,11 @@ class TreeShrinker:
         self._plan = None
         if self.placement.plans_internals:
             self._plan = self.placement.pass3_plan(db.store, self._predicted_shape())
+        #: The new base level, streamed across :meth:`scan_base` calls.
+        self._base = LevelBuilder(
+            db.store, db.log, 1, self._per_page(), closed=self.built_entries,
+            place=self._place_internal, on_close=self._base_page_closed,
+        )
 
     def _predicted_shape(self) -> TreeShape:
         """Shape of the tree this pass is about to build.
@@ -184,36 +209,6 @@ class TreeShrinker:
 
     # -- scanning the old base level -----------------------------------------------------
 
-    def scan(
-        self,
-        during_scan: Callable[["TreeShrinker"], None] | None = None,
-        *,
-        resume_from: int | None = None,
-    ) -> None:
-        """Read old base pages in key order, emitting new base pages.
-
-        ``during_scan(shrinker)`` runs after each base page is finished —
-        the hook where tests and the concurrency driver inject concurrent
-        updater activity.  ``resume_from`` restarts the scan at a stable
-        key after a crash.
-        """
-        base = self.begin_scan(resume_from)
-        if base is None:
-            if not self.scanning:
-                raise ReorgError("tree has no internal levels to rebuild")
-            return
-        # Anchor a stable point at scan start so a crash at any later
-        # moment always has a well-defined (stable key, built pages) pair
-        # to roll back to.
-        self.stable_point()
-        while base is not None:
-            base = self.scan_base(base)
-            if self.stable_point_due:
-                self.stable_point()
-            if during_scan is not None:
-                during_scan(self)
-        self._close_open_page()
-
     def begin_scan(self, resume_from: int | None = None) -> InternalPage | None:
         """Set the reorganization bit, start listening and put CK on the
         first base page to read, which is returned.  None when there is
@@ -253,7 +248,7 @@ class TreeShrinker:
             entries = [e for e in entries if e[0] >= self._first_page_floor]
             self._first_page_floor = None
         for key, child in entries:
-            self._emit(key, child)
+            self._base.add(key, child)
         self.stats.base_pages_read += 1
         self.stats.entries_scanned += len(entries)
         next_base = self._next_base_after(probe_key)
@@ -300,39 +295,11 @@ class TreeShrinker:
             return None
         return self._plan.resolve(self.db.store, level=level, index=index)
 
-    def _emit(self, key: int, child: PageId) -> None:
-        if self._open_page is None:
-            page = self.db.store.allocate_internal(
-                level=1,
-                page_id=self._place_internal(1, len(self.built_entries)),
-            )
-            self.db.log.append(AllocRecord(page_id=page.page_id, kind="internal", level=1))
-            self._open_page = page
-            self._open_entries = []
-        self._open_entries.append((key, child))
-        if len(self._open_entries) >= self._per_page():
-            self._close_open_page()
-
-    def _close_open_page(self) -> None:
-        if self._open_page is None or not self._open_entries:
-            return
-        record = InternalFormatRecord(
-            page_id=self._open_page.page_id,
-            level=1,
-            entries=tuple(self._open_entries),
-            low_mark=self._open_entries[0][0],
-        )
-        self.db.log.append(record)
-        apply_record(self.db.store, record)
-        self.built_entries.append(
-            (self._open_entries[0][0], self._open_page.page_id)
-        )
-        self._unforced_pages.append(self._open_page.page_id)
+    def _base_page_closed(self, page_id: PageId) -> None:
+        self._unforced_pages.append(page_id)
         self._pages_since_stable += 1
         self.stats.new_base_pages += 1
         self.stats.new_internal_pages += 1
-        self._open_page = None
-        self._open_entries = []
 
     @property
     def stable_point_due(self) -> bool:
@@ -340,7 +307,7 @@ class TreeShrinker:
 
     def stable_point(self) -> None:
         """Force recent pages and log the restart point (section 7.3)."""
-        self._close_open_page()
+        self._base.close()
         self.db.store.force(self._unforced_pages)
         self._unforced_pages = []
         record = StableKeyRecord(
@@ -359,7 +326,7 @@ class TreeShrinker:
     def build_upper(self) -> PageId:
         """Build levels 2+ over the finished new base level, force them,
         and record the new root."""
-        self._close_open_page()
+        self._base.close()
         if not self.built_entries:
             raise ReorgError("no new base pages were built")
         if len(self.built_entries) == 1:
@@ -372,8 +339,8 @@ class TreeShrinker:
                 self.built_entries,
                 fill=self.config.internal_fill,
                 start_level=2,
-                on_page_built=lambda page: built.append(page.page_id),
-                place=self._place_internal if self._plan is not None else None,
+                on_page_built=built.append,
+                place=self._place_internal,
             )
             self.stats.new_internal_pages += len(built)
             self._unforced_pages.extend(built)
@@ -432,25 +399,17 @@ class TreeShrinker:
         self.stats.sidefile_applied += applied
         return applied
 
-    def catch_up(
-        self, during_catchup: Callable[["TreeShrinker"], None] | None = None
-    ) -> None:
-        """Drain the side file, looping while concurrent activity refills
-        it ("Since leaf page splits don't happen very often, we will
-        eventually catch up all the changes")."""
-        while True:
-            self.apply_side_file_once()
-            if during_catchup is not None:
-                during_catchup(self)
-            if self.caught_up():
-                return
+    # bench/trace.py wraps these two names by ``TreeShrinker.__dict__``
+    # lookup and bench/ does not change with the library.  Nothing calls
+    # them; they leave with the next change to ``bench/trace.py::_targets()``.
+    scan = scan_base
+    catch_up = apply_side_file_once
 
     def caught_up(self) -> bool:
         """Close one catch-up round: True once the side file is empty.
 
-        The one rule of the synchronous loop and the DES protocol's: after
-        :data:`MAX_CATCHUP_ROUNDS` rounds that did not drain it, pass 3
-        gives up loudly rather than switch with changes left behind.
+        After :data:`MAX_CATCHUP_ROUNDS` rounds that did not drain it,
+        pass 3 gives up loudly rather than switch with changes left behind.
         """
         self.stats.catchup_rounds += 1
         if self.side_file.is_empty():
@@ -473,7 +432,7 @@ class TreeShrinker:
         to resume from (None = start over).
         """
         stable_key = self.db.pass3.stable_key
-        old_tree_internals = self._old_tree_internal_ids()
+        old_tree_internals = set(internal_post_order(self.db.store, self.tree.root_id))
         freed = 0
         for pid in allocs_after_stable:
             if pid in old_tree_internals:
@@ -488,13 +447,3 @@ class TreeShrinker:
             self.side_file.drop_after_key(stable_key)
             self.stats.restarted_from_key = stable_key
         return stable_key
-
-    def _old_tree_internal_ids(self) -> set[PageId]:
-        ids: set[PageId] = set()
-        stack = [self.tree.root_id]
-        while stack:
-            page = self.db.store.get(stack.pop())
-            if page.kind is PageKind.INTERNAL:
-                ids.add(page.page_id)
-                stack.extend(page.children())  # type: ignore[union-attr]
-        return ids

@@ -544,9 +544,10 @@ class TestChoicePointRegistered:
         )
         assert found == []
 
-    def test_quiet_in_synchronous_helpers(self):
-        # Non-generator code (recovery, planning) runs outside the
-        # scheduler; direct lock-manager calls there are legitimate.
+    def test_fires_in_synchronous_helpers(self):
+        # No synchronous code in the reorganizer takes a lock: forward
+        # recovery and the synchronous passes drive the generators with
+        # run_alone, so a direct lock-manager call anywhere is a finding.
         found = findings_for(
             "src/repro/reorg/seeded.py",
             """
@@ -555,7 +556,7 @@ class TestChoicePointRegistered:
             """,
             "choice-point-registered",
         )
-        assert found == []
+        assert rule_names(found) == {"choice-point-registered"}
 
     def test_quiet_outside_reorg_package(self):
         found = findings_for(

@@ -76,8 +76,8 @@ class TestBulkLoad:
             store, log, entries, fill=1.0, on_page_built=built.append
         )
         assert len(built) == 4
-        assert built[0].level == 1
-        assert built[-1].level == 2
+        assert store.get_internal(built[0]).level == 1
+        assert store.get_internal(built[-1]).level == 2
 
 
 class TestStats:

@@ -17,6 +17,7 @@ from repro.db import Database
 from repro.errors import CrashPoint
 from repro.reorg.protocols import ReorgProtocol
 from repro.reorg.reorganizer import Reorganizer
+from repro.reorg.shrink import TreeShrinker
 from repro.reorg.switch import current_lock_name
 from repro.sim.crash import (
     LogCrashInjector,
@@ -24,7 +25,7 @@ from repro.sim.crash import (
     crash_recover,
     run_reorg_with_crash,
 )
-from repro.storage.page import Record
+from repro.storage.page import PageKind, Record
 from repro.txn.scheduler import Scheduler
 from repro.wal.records import (
     FreeRecord,
@@ -32,6 +33,7 @@ from repro.wal.records import (
     ReorgDoneRecord,
     TreeSwitchRecord,
 )
+from tests.reorg.pass3_hooks import kinds_read_during
 
 
 def sparse_db(n=240, keep_every=4, careful=True):
@@ -330,8 +332,6 @@ class TestPass3Recovery:
         tree.validate()
         reachable = set()
         stack = [tree.root_id]
-        from repro.storage.page import PageKind
-
         while stack:
             page = db.store.get(stack.pop())
             if page.kind is PageKind.INTERNAL:
@@ -340,14 +340,25 @@ class TestPass3Recovery:
         allocated = set(db.store.free_map.allocated_page_ids("internal"))
         assert allocated == reachable
 
+    def test_restart_reads_no_leaf(self, monkeypatch):
+        """Rolling pass 3 back to its stable point tells old-tree pages from
+        orphans by the old internal pages alone; no leaf is fetched."""
+        db = big_sparse_db()
+        _, crashed = self.run_until_pass3_crash(db, 25)
+        assert crashed
+        recovery = crash_recover(db)
+        kinds = kinds_read_during(monkeypatch, db, TreeShrinker, "restart_after_crash")
+        report = Reorganizer(db, db.tree(), ReorgConfig(stable_point_interval=2)).forward_recover(recovery)
+        assert report.pass3.orphans_freed > 0
+        assert kinds and PageKind.LEAF not in kinds
+        db.tree().validate()
+
     def test_side_file_residue_dropped_beyond_stable_key(self):
         db = sparse_db()
         # Seed a side file with entries straddling a stable key.
         db.pass3.side_file_entries.extend(
             [(10, 3, "insert"), (500, 4, "insert")]
         )
-        from repro.reorg.shrink import TreeShrinker
-
         shrinker = TreeShrinker(db, db.tree(), ReorgConfig())
         db.pass3.stable_key = 100
         shrinker.restart_after_crash(allocs_after_stable=[])

@@ -1,0 +1,204 @@
+"""Pass 3, the switch and their forward recovery log what they logged when
+each had a synchronous ordering of its own, and bulk loading logs what it
+logged before the bottom-up level builder was shared.
+
+Each cell reorganizes the same sparse tree under one combination of
+placement policy, side pointers and stable-point interval, after passes 1
+and 2.  Two digests are pinned per cell: (a) every record pass 3 and the
+switch log — type, pages, keys, LSN fields aside — and (b) the disk
+statistics after the pass.  The crash cells crash at each stable point, or
+right after the switch record, recover and forward-recover; their digests
+cover the crashed run and the recovery together.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from repro.btree.bulkload import bulk_load
+from repro.config import PlacementPolicyKind, ReorgConfig, SidePointerKind, TreeConfig
+from repro.db import Database
+from repro.errors import CrashPoint
+from repro.reorg.reorganizer import Reorganizer
+from repro.sim.crash import LogCrashInjector, crash_recover
+from repro.storage.page import Record
+from repro.wal.records import StableKeyRecord, TreeSwitchRecord
+from tests.conftest import make_env
+from tests.reorg.test_sync_passes_pinned import _row
+
+N = 1500
+DEFAULT_INTERVAL = ReorgConfig().stable_point_interval
+
+CELLS = list(
+    itertools.product(
+        (PlacementPolicyKind.KEY_ORDER, PlacementPolicyKind.VEB, PlacementPolicyKind.NONE),
+        (SidePointerKind.NONE, SidePointerKind.TWO_WAY),
+        (1, DEFAULT_INTERVAL),
+    )
+)
+
+
+def post_pass2_db(policy, side, interval):
+    """A sparse tree with sparse internals, after passes 1 and 2."""
+    db = Database(
+        TreeConfig(
+            leaf_capacity=8,
+            internal_capacity=6,
+            leaf_extent_pages=512,
+            internal_extent_pages=512,
+            buffer_pool_pages=64,
+            side_pointers=side,
+            placement_policy=policy,
+        )
+    )
+    tree = db.bulk_load_tree(
+        [Record(k, "v") for k in range(N)], leaf_fill=1.0, internal_fill=0.5
+    )
+    for k in range(N):
+        if k % 3:
+            tree.delete(k)
+    db.flush()
+    db.checkpoint()
+    reorg = Reorganizer(db, tree, ReorgConfig(stable_point_interval=interval))
+    reorg.run_pass1()
+    reorg.run_pass2()
+    db.log.flush()
+    return db, reorg
+
+
+def _digests(db, mark):
+    rows = [_row(record) for record in db.log.records_from(mark + 1)]
+    tree = db.tree()
+    tree.validate()
+    assert [r.key for r in tree.items()] == list(range(0, N, 3))
+    assert not db.pass3.reorg_bit
+    log_digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    disk_digest = hashlib.sha256(repr(db.store.disk.stats).encode()).hexdigest()[:16]
+    return log_digest, disk_digest, rows
+
+
+def pass3_digests(policy, side, interval):
+    db, reorg = post_pass2_db(policy, side, interval)
+    mark = db.log.last_lsn
+    reorg.run_pass3()
+    return _digests(db, mark)
+
+
+def crash_digests(policy, side, interval, crash_at):
+    """Crash right after each record ``crash_at`` picks from a rehearsal's
+    pass-3 log, recover and forward-recover; one digest over all of them."""
+    rehearsal, reorg = post_pass2_db(policy, side, interval)
+    mark = rehearsal.log.last_lsn
+    reorg.run_pass3()
+    logged = list(rehearsal.log.records_from(mark + 1))
+    points = [i + 1 for i, record in enumerate(logged) if crash_at(record)]
+    assert points
+    logs, disks = [], []
+    for after in points:
+        db, reorg = post_pass2_db(policy, side, interval)
+        mark = db.log.last_lsn
+        with pytest.raises(CrashPoint):
+            with LogCrashInjector(db.log, after_records=after):
+                reorg.run_pass3()
+        recovery = crash_recover(db)
+        Reorganizer(db, db.tree(), reorg.config).forward_recover(recovery)
+        log_digest, disk_digest, _ = _digests(db, mark)
+        logs.append(log_digest)
+        disks.append(disk_digest)
+    return (
+        hashlib.sha256(repr(logs).encode()).hexdigest()[:16],
+        hashlib.sha256(repr(disks).encode()).hexdigest()[:16],
+        len(points),
+    )
+
+
+def _cell_id(cell):
+    policy, side, interval = cell
+    return f"{policy.value}-{side.value}-sp{interval}"
+
+
+#: cell -> (log rows of pass 3 + switch, disk stats after the pass).  The
+#: log digests are those of the deleted synchronous orderings.  The disk
+#: digests were re-pinned once, when the switch's discard and the crash
+#: restart stopped reading leaves: 125 fewer pass-3 disk reads in every
+#: cell (key_order-none-sp5: 285 -> 160), the same writes.
+PINNED = {
+    "key_order-none-sp1": ("80f833bef814adff", "427b3d2f86ce8077"),
+    "key_order-none-sp5": ("4eeeae170a4587d3", "942af1210e1a2138"),
+    "key_order-two_way-sp1": ("80f833bef814adff", "6aef3012e999cd3d"),
+    "key_order-two_way-sp5": ("4eeeae170a4587d3", "dcf07070ba6515db"),
+    "veb-none-sp1": ("46e5aabd81fbe4cf", "76780006c2c8c034"),
+    "veb-none-sp5": ("821bb22d7a26a18d", "1348a5e80ec1d705"),
+    "veb-two_way-sp1": ("46e5aabd81fbe4cf", "cf1ba095c5d7f183"),
+    "veb-two_way-sp5": ("821bb22d7a26a18d", "85d8bacfcb31350e"),
+    "none-none-sp1": ("bf2bed2b2517edf0", "0f31d4bfda998aaa"),
+    "none-none-sp5": ("709c0f02711c1c8c", "08a1db490ac95ae2"),
+    "none-two_way-sp1": ("bf2bed2b2517edf0", "909c774621d8be35"),
+    "none-two_way-sp5": ("709c0f02711c1c8c", "5d93e5b2d60e8094"),
+}
+
+#: crash cell -> (log rows incl. recovery, disk stats, crash points).
+PINNED_CRASH = {
+    "stable-points": ("0192043bf242ad1b", "e96ce735bcf76efd", 14),
+    "switch-record": ("ee1b3c4a042689b5", "8ce3f1dd43e6ff0a", 1),
+}
+
+CRASH_CELLS = {
+    "stable-points": (
+        (PlacementPolicyKind.VEB, SidePointerKind.TWO_WAY, 2),
+        lambda record: isinstance(record, StableKeyRecord),
+    ),
+    "switch-record": (
+        (PlacementPolicyKind.KEY_ORDER, SidePointerKind.NONE, 2),
+        lambda record: isinstance(record, TreeSwitchRecord),
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
+def test_pass3_logs_and_reads_as_pinned(cell):
+    log_digest, disk_digest, rows = pass3_digests(*cell)
+    assert rows[0][0] == "StableKeyRecord" and rows[-1][0] == "ReorgDoneRecord"
+    assert (log_digest, disk_digest) == PINNED[_cell_id(cell)]
+
+
+@pytest.mark.parametrize("name", sorted(CRASH_CELLS))
+def test_forward_recovered_pass3_logs_and_reads_as_pinned(name):
+    cell, crash_at = CRASH_CELLS[name]
+    assert crash_digests(*cell, crash_at) == PINNED_CRASH[name]
+
+
+BULK_CELLS = {
+    "cap4-fill0.5": dict(internal_capacity=4, leaf_fill=1.0, internal_fill=0.5, n=600),
+    "cap6-fill0.9": dict(internal_capacity=6, leaf_fill=0.7, internal_fill=0.9, n=2000),
+    "cap8-fill1.0": dict(internal_capacity=8, leaf_fill=1.0, internal_fill=1.0, n=64),
+}
+
+#: bulk-load cell -> log rows.
+PINNED_BULK = {
+    "cap4-fill0.5": "c22af98ffdc97ad5",
+    "cap6-fill0.9": "a51d5ba94648dbd3",
+    "cap8-fill1.0": "f63d74ec9122b9a1",
+}
+
+
+def bulk_digest(internal_capacity, leaf_fill, internal_fill, n):
+    store, log = make_env(
+        internal_capacity=internal_capacity,
+        leaf_extent_pages=1024,
+        internal_extent_pages=512,
+        side_pointers=SidePointerKind.TWO_WAY,
+    )
+    tree = bulk_load(
+        store, log, [Record(k, "v") for k in range(n)],
+        leaf_fill=leaf_fill, internal_fill=internal_fill,
+    )
+    tree.validate()
+    rows = [_row(record) for record in log.records_from(1)]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(BULK_CELLS))
+def test_bulk_load_logs_as_pinned(name):
+    assert bulk_digest(**BULK_CELLS[name]) == PINNED_BULK[name]

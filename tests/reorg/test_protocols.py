@@ -224,8 +224,8 @@ def lone_des_pass3(db):
 
 
 class TestPass3StatedOnce:
-    """Section 7 has one body per step; the synchronous reorganizer and
-    the DES protocol are two orderings of the same calls."""
+    """Section 7 has one body per step and one ordering of them: the DES
+    schedules it, the synchronous reorganizer drives it alone."""
 
     def test_synchronous_and_des_pass3_log_and_read_the_same(self):
         sync_db, des_db = post_pass2_db(), post_pass2_db()

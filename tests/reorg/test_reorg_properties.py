@@ -65,11 +65,7 @@ def test_full_reorg_preserves_content(keys, delete_fraction, side, policy,
     db, tree = build_db(side, keys, delete_fraction, seed)
     before = sorted((r.key, r.payload) for r in tree.items())
     config = ReorgConfig(target_fill=target, free_space_policy=policy)
-    from repro.storage.page import PageKind
-
-    Reorganizer(db, tree, config).run(
-        skip_pass3=db.store.get(tree.root_id).kind is PageKind.LEAF
-    )
+    Reorganizer(db, tree, config).run()
     tree = db.tree()
     tree.validate()
     assert sorted((r.key, r.payload) for r in tree.items()) == before

@@ -10,6 +10,7 @@ from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.shrink import SCAN_DONE_KEY, TreeShrinker
 from repro.reorg.switch import Switcher, current_lock_name
 from repro.storage.page import PageKind, Record
+from tests.reorg import pass3_hooks
 
 
 def tall_sparse_db(n=600, keep_every=4, internal_capacity=4):
@@ -35,9 +36,11 @@ def tall_sparse_db(n=600, keep_every=4, internal_capacity=4):
     return db, tree
 
 
-def run_pass3(db, tree, config=None, **kwargs):
+def run_pass3(db, tree, config=None, **hooks):
     reorg = Reorganizer(db, tree, config or ReorgConfig())
-    return reorg.run_pass3(**kwargs)
+    if hooks:
+        return pass3_hooks.run_pass3(reorg, **hooks)
+    return reorg.run_pass3()
 
 
 class TestShrink:
@@ -147,6 +150,18 @@ class TestShrink:
                 ids.add(page.page_id)
                 stack.extend(page.children())
         return ids
+
+
+class TestOldTreeWalk:
+    def test_discard_old_reads_no_leaf(self, monkeypatch):
+        """The switch frees the old internal pages without fetching a leaf:
+        a level-1 page names its children, it need not read them."""
+        db, tree = tall_sparse_db()
+        old_internals = TestShrink._internal_ids(db, tree)
+        kinds = pass3_hooks.kinds_read_during(monkeypatch, db, Switcher, "discard_old")
+        _, switch_stats = run_pass3(db, tree)
+        assert switch_stats.old_internal_freed == len(old_internals)
+        assert kinds and PageKind.LEAF not in kinds
 
 
 class TestSideFileCatchUp:

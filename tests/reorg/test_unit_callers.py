@@ -1,9 +1,11 @@
-"""Passes 1 and 2 have one loop that drives units.
+"""Each pass has one loop: passes 1 and 2 drive units, pass 3 its steps.
 
 Outside the unit engine, only the reorganizer's protocols (the generators
 the synchronous passes drive too), the parallel workers and the [Smi90]
-baseline call the engine's unit entry points, so a second loop running
-units cannot grow back unseen.
+baseline call the engine's unit entry points; outside the modules that
+define them, only the protocols name the section 7 step bodies.  A second
+loop running units, or a second ordering of pass 3 and the switch, cannot
+grow back unseen.
 """
 
 import ast
@@ -41,3 +43,37 @@ def test_only_the_protocols_and_the_baseline_drive_units():
     strays = [f"{module}:{line}" for module, line in calls if module not in ALLOWED]
     assert not strays, f"unit entry points called outside the one unit loop: {strays}"
     assert {"reorg/protocols.py", "baseline/smith90.py"} <= {module for module, _ in calls}
+
+
+#: The section 7 step bodies of TreeShrinker and Switcher.
+STEPS = {
+    "begin_scan", "scan_base", "stable_point", "build_upper",
+    "apply_side_file_once", "caught_up", "final_catch_up", "log_switch",
+    "flip_root", "discard_old", "finish",
+}
+
+STEP_OWNERS = {"reorg/shrink.py", "reorg/switch.py"}
+
+
+def step_references():
+    """(module path under src/repro, line, name) of every attribute named
+    like a step, called or handed to a ``Call`` op."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in STEPS:
+                yield path.relative_to(SRC).as_posix(), node.lineno, node.attr
+
+
+def test_only_the_protocols_order_the_section_7_steps():
+    from repro.reorg.shrink import TreeShrinker
+    from repro.reorg.switch import Switcher
+
+    assert STEPS <= set(vars(TreeShrinker)) | set(vars(Switcher))
+    refs = list(step_references())
+    strays = [
+        f"{module}:{line} .{name}"
+        for module, line, name in refs
+        if module not in STEP_OWNERS | {"reorg/protocols.py"}
+    ]
+    assert not strays, f"section 7 steps ordered outside the protocols: {strays}"
+    assert STEPS <= {name for module, _, name in refs if module == "reorg/protocols.py"}

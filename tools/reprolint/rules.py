@@ -647,19 +647,21 @@ class OptimisticLockFreeRule(Rule):
 
 @register
 class ChoicePointRegisteredRule(Rule):
-    """Reorg protocol generators must block *through the scheduler*.
+    """The reorganizer blocks *through the scheduler*, and only there.
 
     A synchronous ``locks.request(...)`` / ``locks.convert(...)`` (or a
-    wall-clock ``sleep``) inside a generator in ``src/repro/reorg/``
-    bypasses the scheduler's choice-point API: the discrete-event clock
-    never advances, the explorer (``repro.analysis.explorer``) never sees
-    the blocking point, and model-checked traces silently lose coverage.
-    Yield ``Acquire``/``Convert``/``Think`` ops instead.
+    wall-clock ``sleep``) anywhere in ``src/repro/reorg/`` bypasses the
+    scheduler's choice-point API: the discrete-event clock never advances,
+    the explorer (``repro.analysis.explorer``) never sees the blocking
+    point, and model-checked traces silently lose coverage.  Every pass is
+    a generator that yields ``Acquire``/``Convert``/``Think`` ops instead;
+    a synchronous caller drives it with ``run_alone``, not with a lock
+    manager of its own.
     """
 
     name = "choice-point-registered"
     description = (
-        "blocking operations in reorg generators go through scheduler ops "
+        "blocking operations in the reorganizer go through scheduler ops "
         "(yield Acquire/Convert/Think), never synchronous lock-manager calls"
     )
     include = ("src/repro/reorg/",)
@@ -678,10 +680,7 @@ class ChoicePointRegisteredRule(Rule):
         for func in ast.walk(ctx.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            body = list(_walk_in_function(func))
-            if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in body):
-                continue  # not a protocol generator
-            for node in body:
+            for node in _walk_in_function(func):
                 if not isinstance(node, ast.Call):
                     continue
                 callee = _call_name(node.func)
@@ -693,8 +692,8 @@ class ChoicePointRegisteredRule(Rule):
                     yield (
                         node.lineno,
                         node.col_offset,
-                        f"synchronous lock-manager .{callee}() inside "
-                        f"generator {func.name!r}; yield an "
+                        f"synchronous lock-manager .{callee}() in "
+                        f"{func.name!r}; yield an "
                         f"{'Acquire' if callee == 'request' else 'Convert'} "
                         f"op so the scheduler registers the choice point",
                     )
@@ -702,7 +701,7 @@ class ChoicePointRegisteredRule(Rule):
                     yield (
                         node.lineno,
                         node.col_offset,
-                        f"wall-clock sleep() inside generator {func.name!r}; "
+                        f"wall-clock sleep() in {func.name!r}; "
                         f"yield Think(duration) so simulated time advances "
                         f"through the scheduler",
                     )
