@@ -217,5 +217,6 @@ def bulk_load(
         root_id = entries[0][1]
     else:
         root_id = build_upper_levels(store, log, entries, fill=internal_fill)
-    store.disk.set_meta(f"root:{name}", root_id)
-    return BPlusTree.attach(store, log, name=name)
+    tree = BPlusTree(store, log, name=name)
+    tree.set_root(root_id)
+    return tree

@@ -89,7 +89,7 @@ class BPlusTree:
         root = store.allocate_leaf()
         tree._log_apply(AllocRecord(page_id=root.page_id, kind="leaf"))
         tree._log_apply(LeafFormatRecord(page_id=root.page_id, records=()))
-        store.disk.set_meta(tree._root_meta_key(), root.page_id)
+        tree.set_root(root.page_id)
         return tree
 
     @classmethod
@@ -114,7 +114,15 @@ class BPlusTree:
 
     def set_root(self, page_id: PageId) -> None:
         """Durably record a new root location ("a special place on the
-        disk", section 7.4).  Used by splits of the root and by the switch."""
+        disk", section 7.4).  Used by tree creation, bulk load, splits of
+        the root and the switch.
+
+        The location is written to disk at once, so the log is forced
+        first (the write-ahead rule): the records that build the new root
+        page must be stable before anything on disk names it, or a crash
+        would leave the root pointer naming a page redo cannot rebuild.
+        """
+        self.log.flush()
         self.store.disk.set_meta(self._root_meta_key(), page_id)
 
     @property

@@ -39,6 +39,11 @@ class StatsDeltaMixin:
         now = self.snapshot()
         return {name: value - since.get(name, 0) for name, value in now.items()}
 
+    def reset(self) -> None:
+        """Set every counter field back to its default."""
+        for f in dataclasses.fields(self):  # type: ignore[arg-type]
+            setattr(self, f.name, f.default)
+
 
 @dataclasses.dataclass
 class ShardStats(StatsDeltaMixin):
@@ -58,10 +63,6 @@ class ShardStats(StatsDeltaMixin):
     scan_records: int = 0
     reorg_units: int = 0
     reorg_makespan: float = 0.0
-
-    def reset(self) -> None:
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, type(f.default)())
 
 
 @dataclasses.dataclass

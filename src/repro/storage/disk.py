@@ -74,17 +74,6 @@ class IOStats(StatsDeltaMixin):
     batch_reads: int = 0
     batch_read_pages: int = 0
 
-    def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.sequential_reads = 0
-        self.seeks = 0
-        self.read_cost = 0.0
-        self.sequential_writes = 0
-        self.write_cost = 0.0
-        self.batch_reads = 0
-        self.batch_read_pages = 0
-
 
 class SimulatedDisk:
     """Array of stable page images divided into extents.

@@ -10,6 +10,10 @@ reflected in the page) and tolerates pages that must be re-created (a page
 that was allocated and logged but whose image never reached disk before the
 crash: its Alloc + Format records rebuild it).
 
+One exact-type table, :data:`HANDLERS`, maps each record class with page
+effects to its handler ``(store, record, redo, stash)``; ``apply_record``,
+``is_redoable`` and recovery's redo pass each look a record's class up once.
+
 The MOVE records implement the paper's careful-writing optimization
 (section 5): with careful writing on, only the *keys* of moved records are
 logged.  Applying the out-half removes those records from the org page and
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import LogError, StorageError
+from repro.errors import LogError
 from repro.storage.page import InternalPage, LeafPage, PageId, Record
 from repro.storage.store import StorageManager
 from repro.wal.records import (
@@ -51,20 +55,6 @@ from repro.wal.records import (
 MoveStash = dict[int, list[Record]]
 
 
-def _page_for_redo(store: StorageManager, page_id: PageId, record: LogRecord):
-    """Fetch a page during redo, or None when the record is for a page that
-    no longer exists (freed later in the log; the later Free wins)."""
-    if store.buffer.contains(page_id):
-        return store.get(page_id)
-    if store.disk.has_image(page_id):
-        return store.get(page_id)
-    return None
-
-
-def _needs_redo(page, record: LogRecord) -> bool:
-    return page.page_lsn < record.lsn
-
-
 def apply_record(
     store: StorageManager,
     record: LogRecord,
@@ -79,45 +69,41 @@ def apply_record(
     skipped and missing pages are rebuilt where the record carries a full
     image (format records) or ignored where it cannot matter.
     """
-    record_type = type(record)
-    handler = _PLAIN_HANDLERS.get(record_type)
-    if handler is not None:
-        return handler(store, record, redo)
-    handler = _STASH_HANDLERS.get(record_type)
-    if handler is not None:
-        return handler(store, record, redo, stash)
-    raise LogError(f"record type {record_type.__name__} has no page effects")
+    handler = HANDLERS.get(record.__class__)
+    if handler is None:
+        raise LogError(f"record type {type(record).__name__} has no page effects")
+    return handler(store, record, redo, stash)
 
 
 def is_redoable(record: LogRecord) -> bool:
     """Whether the record type carries page effects ``apply_record`` knows."""
-    return type(record) in _REDOABLE_TYPES
+    return record.__class__ in HANDLERS
 
 
 # -- user / structural records ------------------------------------------------
 
 
-def _apply_leaf_insert(store, record: LeafInsertRecord, redo: bool):
-    page = _fetch(store, record.page_id, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_leaf_insert(store, record: LeafInsertRecord, redo: bool, stash):
+    page = _fetch(store, record.page_id, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     page.insert(record.record)
     store.mark_dirty(page.page_id, record.lsn)
     return None
 
 
-def _apply_leaf_delete(store, record: LeafDeleteRecord, redo: bool):
-    page = _fetch(store, record.page_id, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_leaf_delete(store, record: LeafDeleteRecord, redo: bool, stash):
+    page = _fetch(store, record.page_id, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     page.delete(record.record.key)
     store.mark_dirty(page.page_id, record.lsn)
     return None
 
 
-def _apply_clr(store, record: CompensationRecord, redo: bool):
-    page = _fetch(store, record.page_id, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_clr(store, record: CompensationRecord, redo: bool, stash):
+    page = _fetch(store, record.page_id, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     if record.is_insert:
         page.insert(record.record)
@@ -127,9 +113,9 @@ def _apply_clr(store, record: CompensationRecord, redo: bool):
     return None
 
 
-def _apply_leaf_format(store, record: LeafFormatRecord, redo: bool):
+def _apply_leaf_format(store, record: LeafFormatRecord, redo: bool, stash):
     page = _fetch_or_create_leaf(store, record.page_id)
-    if redo and not _needs_redo(page, record):
+    if redo and page.page_lsn >= record.lsn:
         return None
     page.replace_all(list(record.records))
     page.next_leaf = record.next_leaf
@@ -138,9 +124,9 @@ def _apply_leaf_format(store, record: LeafFormatRecord, redo: bool):
     return None
 
 
-def _apply_internal_format(store, record: InternalFormatRecord, redo: bool):
+def _apply_internal_format(store, record: InternalFormatRecord, redo: bool, stash):
     page = _fetch_or_create_internal(store, record.page_id, record.level)
-    if redo and not _needs_redo(page, record):
+    if redo and page.page_lsn >= record.lsn:
         return None
     page.level = record.level
     page.set_entries(list(record.entries))
@@ -149,27 +135,27 @@ def _apply_internal_format(store, record: InternalFormatRecord, redo: bool):
     return None
 
 
-def _apply_base_insert(store, record: BaseEntryInsertRecord, redo: bool):
-    page = _fetch(store, record.page_id, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_base_insert(store, record: BaseEntryInsertRecord, redo: bool, stash):
+    page = _fetch(store, record.page_id, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     page.insert_entry(record.key, record.child)
     store.mark_dirty(page.page_id, record.lsn)
     return None
 
 
-def _apply_base_delete(store, record: BaseEntryDeleteRecord, redo: bool):
-    page = _fetch(store, record.page_id, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_base_delete(store, record: BaseEntryDeleteRecord, redo: bool, stash):
+    page = _fetch(store, record.page_id, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     page.remove_entry_for_child(record.child)
     store.mark_dirty(page.page_id, record.lsn)
     return None
 
 
-def _apply_base_update(store, record: BaseEntryUpdateRecord, redo: bool):
-    page = _fetch(store, record.page_id, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_base_update(store, record: BaseEntryUpdateRecord, redo: bool, stash):
+    page = _fetch(store, record.page_id, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     page.update_entry(
         record.org_key, record.org_child, record.new_key, record.new_child
@@ -178,9 +164,9 @@ def _apply_base_update(store, record: BaseEntryUpdateRecord, redo: bool):
     return None
 
 
-def _apply_side_pointer(store, record: SidePointerRecord, redo: bool):
-    page = _fetch(store, record.page_id, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_side_pointer(store, record: SidePointerRecord, redo: bool, stash):
+    page = _fetch(store, record.page_id, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     page.next_leaf = record.next_leaf
     page.prev_leaf = record.prev_leaf
@@ -188,7 +174,7 @@ def _apply_side_pointer(store, record: SidePointerRecord, redo: bool):
     return None
 
 
-def _apply_alloc(store, record: AllocRecord, redo: bool):
+def _apply_alloc(store, record: AllocRecord, redo: bool, stash):
     if not redo:
         # Normal operation allocates through the store before logging.
         return None
@@ -199,7 +185,7 @@ def _apply_alloc(store, record: AllocRecord, redo: bool):
     return None
 
 
-def _apply_free(store, record: FreeRecord, redo: bool):
+def _apply_free(store, record: FreeRecord, redo: bool, stash):
     if not redo:
         return None
     if store.free_map.is_free(record.page_id):
@@ -207,10 +193,9 @@ def _apply_free(store, record: FreeRecord, redo: bool):
     # Reincarnation test: if the page's current image carries a later LSN,
     # the page was freed, reallocated and rewritten after this record — the
     # free is superseded and must not erase the newer incarnation.
-    if store.buffer.contains(record.page_id) or store.disk.has_image(record.page_id):
-        page = store.get(record.page_id)
-        if page.page_lsn > record.lsn:
-            return None
+    page = _fetch(store, record.page_id, redo)
+    if page is not None and page.page_lsn > record.lsn:
+        return None
     if store.buffer.contains(record.page_id):
         store.buffer.drop(record.page_id)
     store.free_map.free(record.page_id)
@@ -223,12 +208,10 @@ def _apply_free(store, record: FreeRecord, redo: bool):
 def _apply_move_out(
     store, record: ReorgMoveOutRecord, redo: bool, stash: MoveStash | None
 ):
-    page = _fetch(store, record.org_page, redo, record)
-    if page is None:
-        return None
-    if redo and not _needs_redo(page, record):
-        # Careful writing: org already durable without the records, so the
-        # dest must be durable with them; nothing to stash.
+    page = _fetch(store, record.org_page, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
+        # Org freed later in the log, or — careful writing — already durable
+        # without the records, so the dest is durable with them: no stash.
         return None
     if redo and not all(page.contains(key) for key in record.keys):
         # The org page's on-disk state is a *later incarnation* than this
@@ -264,7 +247,7 @@ def _apply_move_in(
             # nothing — this MoveIn must be skipped, never resurrected.
             return None
     page = _fetch_or_create_leaf(store, record.dest_page)
-    if redo and not _needs_redo(page, record):
+    if redo and page.page_lsn >= record.lsn:
         return None
     if record.records:
         moved = list(record.records)
@@ -291,19 +274,19 @@ def _apply_move_in(
     return None
 
 
-def _apply_swap(store, record: ReorgSwapRecord, redo: bool):
+def _apply_swap(store, record: ReorgSwapRecord, redo: bool, stash):
     """Swap leaf contents.  A write-before dependency (A before B) plus the
     logged full contents of A make this redoable; see records.py."""
-    page_a = _fetch(store, record.page_a, redo, record)
-    page_b = _fetch(store, record.page_b, redo, record)
+    page_a = _fetch(store, record.page_a, redo)
+    page_b = _fetch(store, record.page_b, redo)
     if not redo and (page_a is None or page_b is None):
         raise LogError(f"swap at LSN {record.lsn}: missing page")
     # During redo a missing page means it was freed later in the log; its
     # half of the swap is superseded.  The write-before dependency (A
     # durable before B may be written or freed) guarantees the *other*
     # half's inputs are still available whenever it needs redoing.
-    redo_a = page_a is not None and (not redo or _needs_redo(page_a, record))
-    redo_b = page_b is not None and (not redo or _needs_redo(page_b, record))
+    redo_a = page_a is not None and (not redo or page_a.page_lsn < record.lsn)
+    redo_b = page_b is not None and (not redo or page_b.page_lsn < record.lsn)
     if redo_a:
         if record.records_b:
             contents_for_a = list(record.records_b)
@@ -330,9 +313,9 @@ def _apply_swap(store, record: ReorgSwapRecord, redo: bool):
     return None
 
 
-def _apply_modify(store, record: ReorgModifyRecord, redo: bool):
-    page = _fetch(store, record.base_page, redo, record)
-    if page is None or (redo and not _needs_redo(page, record)):
+def _apply_modify(store, record: ReorgModifyRecord, redo: bool, stash):
+    page = _fetch(store, record.base_page, redo)
+    if page is None or (redo and page.page_lsn >= record.lsn):
         return None
     if record.org_child == -1:
         page.insert_entry(record.new_key, record.new_child)
@@ -349,18 +332,17 @@ def _apply_modify(store, record: ReorgModifyRecord, redo: bool):
 # -- fetch helpers -----------------------------------------------------------
 
 
-def _fetch(store, page_id: PageId, redo: bool, record: LogRecord):
-    if redo:
-        return _page_for_redo(store, page_id, record)
+def _fetch(store, page_id: PageId, redo: bool):
+    """The page, or None during redo when the record is for a page that no
+    longer exists (freed later in the log; the later Free wins)."""
+    if redo and not (store.buffer.contains(page_id) or store.disk.has_image(page_id)):
+        return None
     return store.get(page_id)
 
 
 def _fetch_or_create_leaf(store, page_id: PageId) -> LeafPage:
     if store.buffer.contains(page_id) or store.disk.has_image(page_id):
-        page = store.get(page_id)
-        if not isinstance(page, LeafPage):
-            raise StorageError(f"page {page_id} is not a leaf")
-        return page
+        return store.get_leaf(page_id)
     page = LeafPage(page_id, store.config.leaf_capacity)
     store.buffer.put_new(page)
     store.free_map.mark_allocated(page_id)
@@ -369,21 +351,17 @@ def _fetch_or_create_leaf(store, page_id: PageId) -> LeafPage:
 
 def _fetch_or_create_internal(store, page_id: PageId, level: int) -> InternalPage:
     if store.buffer.contains(page_id) or store.disk.has_image(page_id):
-        page = store.get(page_id)
-        if not isinstance(page, InternalPage):
-            raise StorageError(f"page {page_id} is not an internal page")
-        return page
+        return store.get_internal(page_id)
     page = InternalPage(page_id, store.config.internal_capacity, level=level)
     store.buffer.put_new(page)
     store.free_map.mark_allocated(page_id)
     return page
 
 
-# -- dispatch tables -----------------------------------------------------------
-# Exact-type dispatch: no record class subclasses another concrete record
-# class, so a dict lookup replaces the isinstance chain on the hot path.
+# -- dispatch table ------------------------------------------------------------
 
-_PLAIN_HANDLERS = {
+#: Record class -> handler(store, record, redo, stash).
+HANDLERS = {
     LeafInsertRecord: _apply_leaf_insert,
     LeafDeleteRecord: _apply_leaf_delete,
     CompensationRecord: _apply_clr,
@@ -395,13 +373,8 @@ _PLAIN_HANDLERS = {
     SidePointerRecord: _apply_side_pointer,
     AllocRecord: _apply_alloc,
     FreeRecord: _apply_free,
+    ReorgMoveOutRecord: _apply_move_out,
+    ReorgMoveInRecord: _apply_move_in,
     ReorgSwapRecord: _apply_swap,
     ReorgModifyRecord: _apply_modify,
 }
-
-_STASH_HANDLERS = {
-    ReorgMoveOutRecord: _apply_move_out,
-    ReorgMoveInRecord: _apply_move_in,
-}
-
-_REDOABLE_TYPES = frozenset(_PLAIN_HANDLERS) | frozenset(_STASH_HANDLERS)

@@ -49,16 +49,6 @@ class LogStats(StatsDeltaMixin):
     flushes: int = 0
     absorbed_flushes: int = 0
 
-    def reset(self) -> None:
-        self.records_appended = 0
-        self.bytes_appended = 0
-        self.reorg_records = 0
-        self.reorg_bytes = 0
-        self.move_bytes = 0
-        self.swap_bytes = 0
-        self.flushes = 0
-        self.absorbed_flushes = 0
-
 
 class LogManager:
     """Append-only simulated write-ahead log.

@@ -184,13 +184,9 @@ class ReorgProgressTable:
     def restore(self, snapshot: ProgressSnapshot) -> None:
         """Reload the table from a checkpoint record."""
         self._largest_finished_key = snapshot.largest_finished_key
-        self._units = {}
-        if snapshot.units:
-            for unit_id, begin, recent in snapshot.units:
-                self._units[unit_id] = [begin, recent]
-        elif snapshot.begin_lsn:
-            # Legacy single-unit snapshot without unit ids.
-            self._units[0] = [snapshot.begin_lsn, snapshot.recent_lsn]
+        self._units = {
+            unit_id: [begin, recent] for unit_id, begin, recent in snapshot.units
+        }
 
     def crash(self) -> None:
         """The table is volatile: a crash clears it (recovery restores it)."""

@@ -10,6 +10,13 @@ be done and what locks must be obtained to do it" (section 5.1).  Finishing
 the unit is the reorganizer's job (:mod:`repro.reorg.unit`); this module
 performs redo + undo and reports everything forward recovery needs.
 
+The redo pass analyses as it installs, looking each record's class up once
+in one exact-type table: its redo handler from :data:`repro.wal.apply.HANDLERS`
+and its analysis action (a transaction update or unit-chain record, done
+inline; an ``_Analysis`` method for the infrequent classes; or no effect).
+Every concrete record class is listed exactly once; a record of any other
+class raises :class:`~repro.errors.LogError` rather than being skipped.
+
 Checkpoints here are *sharp*: :func:`take_checkpoint` flushes all dirty
 pages first, so redo starts at the last checkpoint record.  The checkpoint
 carries the reorg progress table (section 5), the pass-3 stable key and
@@ -21,34 +28,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import LogError
 from repro.storage.page import PageId
 from repro.storage.store import StorageManager
-from repro.wal.apply import MoveStash, apply_record, is_redoable
+from repro.wal.apply import HANDLERS, MoveStash, apply_record
 from repro.wal.log import LogManager
 from repro.wal.progress import NO_KEY_YET, ProgressSnapshot, ReorgProgressTable
 from repro.wal.records import (
     AbortRecord,
-    ReorgMoveInRecord,
-    ReorgMoveOutRecord,
     AllocRecord,
+    BaseEntryDeleteRecord,
+    BaseEntryInsertRecord,
+    BaseEntryUpdateRecord,
     CheckpointRecord,
     CommitRecord,
     CompensationRecord,
     EndRecord,
+    FreeRecord,
+    InternalFormatRecord,
     LeafDeleteRecord,
+    LeafFormatRecord,
     LeafInsertRecord,
     LogRecord,
     ReorgBeginRecord,
-    ReorgEndRecord,
     ReorgDoneRecord,
+    ReorgEndRecord,
+    ReorgModifyRecord,
+    ReorgMoveInRecord,
+    ReorgMoveOutRecord,
     ReorgRecord,
+    ReorgSwapRecord,
     ReorgUnitType,
     SideFileApplyRecord,
-    TreeSwitchRecord,
     SideFileInsertRecord,
+    SidePointerRecord,
     StableKeyRecord,
     SYSTEM_TXN,
-    TxnRecord,
+    TreeSwitchRecord,
 )
 
 
@@ -69,6 +85,12 @@ class PendingReorgUnit:
     dest_pages: tuple[PageId, ...] = ()
     #: The unit's log records in log order (BEGIN first).
     records: list[ReorgRecord] = field(default_factory=list)
+
+    @classmethod
+    def begun_by(cls, begin: ReorgBeginRecord) -> PendingReorgUnit:
+        """The unit a BEGIN record describes, with no records yet."""
+        return cls(begin.unit_id, begin.unit_type, begin.base_pages,
+                   begin.leaf_pages, begin.dest_page, begin.all_dest_pages())
 
 
 @dataclass
@@ -163,14 +185,12 @@ class RecoveryManager:
         harness in :mod:`repro.sim.crash` does both.
         """
         report = RecoveryReport()
+        analysis = _Analysis(report)
+        units, active, committed = analysis.units, analysis.active, analysis.committed
         checkpoint = self._load_checkpoint()
-        active: dict[int, int] = {}
-        committed: set[int] = set()
-        units: dict[int, PendingReorgUnit] = {}
         if checkpoint is not None:
             active.update(dict(checkpoint.active_txns))
-            lk, begin_lsn, _recent = checkpoint.progress
-            report.largest_finished_key = lk
+            report.largest_finished_key = checkpoint.progress[0]
             report.stable_key = checkpoint.stable_key
             report.new_root = checkpoint.new_root
             report.reorg_bit = checkpoint.reorg_bit
@@ -179,12 +199,8 @@ class RecoveryManager:
             report.shard_pass3 = {
                 entry[0]: entry for entry in checkpoint.shard_pass3
             }
-            if checkpoint.progress_units:
-                for _uid, unit_begin, unit_recent in checkpoint.progress_units:
-                    unit = self._reconstruct_unit_from(unit_begin, unit_recent)
-                    units[unit.unit_id] = unit
-            elif begin_lsn:
-                unit = self._reconstruct_unit_from(begin_lsn, _recent)
+            for _uid, unit_begin, unit_recent in checkpoint.progress_units:
+                unit = self._reconstruct_unit_from(unit_begin, unit_recent)
                 units[unit.unit_id] = unit
         start_lsn = (checkpoint.lsn + 1) if checkpoint is not None else 1
 
@@ -197,22 +213,35 @@ class RecoveryManager:
         matched_move_outs = {
             record.move_out_lsn
             for record in self.log.records_from(start_lsn)
-            if isinstance(record, ReorgMoveInRecord)
+            if record.__class__ is ReorgMoveInRecord
         }
+        store = self.store
         stash: MoveStash = {}
+        scanned = applied = 0
         for record in self.log.records_from(start_lsn):
-            report.redo_scanned += 1
-            if (
-                isinstance(record, ReorgMoveOutRecord)
-                and record.lsn not in matched_move_outs
-            ):
-                continue
-            if is_redoable(record):
-                apply_record(self.store, record, redo=True, stash=stash)
-                report.redo_applied += 1
-            self._track_transactions(record, active, committed)
-            self._track_reorg(record, report, units)
-
+            scanned += 1
+            cls = record.__class__
+            try:
+                redo, action = _DISPATCH[cls]
+            except KeyError:
+                raise LogError(f"recovery has no action for {cls.__name__}") from None
+            if redo is not None:
+                if cls is ReorgMoveOutRecord and record.lsn not in matched_move_outs:
+                    continue
+                redo(store, record, True, stash)
+                applied += 1
+            if action is _UPDATE:
+                txn_id = record.txn_id
+                if txn_id != SYSTEM_TXN and txn_id not in committed:
+                    active[txn_id] = record.lsn
+            elif action is _CHAIN:
+                unit = units.get(record.unit_id)
+                if unit is not None:
+                    unit.records.append(record)
+            elif action is not None:
+                action(analysis, record)
+        report.redo_scanned = scanned
+        report.redo_applied = applied
         report.pending_units = [units[k] for k in sorted(units)]
 
         if undo:
@@ -241,14 +270,7 @@ class RecoveryManager:
         """
         begin = self.log.get(begin_lsn)
         assert isinstance(begin, ReorgBeginRecord)
-        unit = PendingReorgUnit(
-            unit_id=begin.unit_id,
-            unit_type=begin.unit_type,
-            base_pages=begin.base_pages,
-            leaf_pages=begin.leaf_pages,
-            dest_page=begin.dest_page,
-            dest_pages=begin.all_dest_pages(),
-        )
+        unit = PendingReorgUnit.begun_by(begin)
         chain: list[ReorgRecord] = []
         cursor = max(recent_lsn, begin_lsn)
         while cursor >= begin_lsn and cursor > 0:
@@ -260,89 +282,6 @@ class RecoveryManager:
             cursor = record.prev_lsn
         unit.records.extend(reversed(chain))
         return unit
-
-    def _track_transactions(
-        self,
-        record: LogRecord,
-        active: dict[int, int],
-        committed: set[int],
-    ) -> None:
-        if not isinstance(record, TxnRecord) or record.txn_id == SYSTEM_TXN:
-            return
-        if isinstance(record, CommitRecord):
-            committed.add(record.txn_id)
-            active.pop(record.txn_id, None)
-        elif isinstance(record, EndRecord):
-            active.pop(record.txn_id, None)
-        elif isinstance(record, (LeafInsertRecord, LeafDeleteRecord,
-                                 CompensationRecord, AbortRecord,
-                                 SideFileInsertRecord)):
-            if record.txn_id not in committed:
-                active[record.txn_id] = record.lsn
-
-    def _track_reorg(
-        self,
-        record: LogRecord,
-        report: RecoveryReport,
-        units: dict[int, PendingReorgUnit],
-    ) -> None:
-        if isinstance(record, ReorgBeginRecord):
-            unit = PendingReorgUnit(
-                unit_id=record.unit_id,
-                unit_type=record.unit_type,
-                base_pages=record.base_pages,
-                leaf_pages=record.leaf_pages,
-                dest_page=record.dest_page,
-                dest_pages=record.all_dest_pages(),
-            )
-            unit.records.append(record)
-            units[record.unit_id] = unit
-            return
-        if isinstance(record, ReorgEndRecord):
-            report.largest_finished_key = max(
-                report.largest_finished_key, record.largest_key
-            )
-            units.pop(record.unit_id, None)
-            return
-        if isinstance(record, StableKeyRecord):
-            # The scan anchors a stable point at its very start, so seeing
-            # one means internal-page reorganization is in progress — the
-            # reorganization bit is re-derived from the log even when no
-            # checkpoint captured it.
-            report.reorg_bit = True
-            report.stable_key = record.stable_key
-            report.new_root = record.new_root
-            report.built_entries = list(record.built_entries)
-            report.allocs_after_stable.clear()
-            return
-        if isinstance(record, TreeSwitchRecord):
-            report.switch_pending = (
-                record.old_root, record.new_root, record.old_lock_name
-            )
-            return
-        if isinstance(record, ReorgDoneRecord):
-            report.switch_pending = None
-            report.reorg_bit = False
-            report.stable_key = None
-            report.new_root = -1
-            report.side_file.clear()
-            report.built_entries.clear()
-            return
-        if isinstance(record, AllocRecord) and record.kind == "internal":
-            report.allocs_after_stable.append(record.page_id)
-            return
-        if isinstance(record, SideFileInsertRecord):
-            report.side_file.append((record.key, record.child, record.op))
-            return
-        if isinstance(record, SideFileApplyRecord):
-            entry = (record.key, record.child, record.op)
-            if entry in report.side_file:
-                report.side_file.remove(entry)
-            return
-        if isinstance(record, ReorgRecord):
-            unit = units.get(record.unit_id)
-            if unit is not None:
-                unit.records.append(record)
 
     # -- undo -----------------------------------------------------------------
 
@@ -393,42 +332,139 @@ class RecoveryManager:
         except BTreeError:
             return clr_prev  # the tree itself is gone; nothing to undo
         leaf = tree.leaf_for(key)
-        if is_insert_undo:
-            if not leaf.contains(key):
-                return clr_prev  # already gone (e.g. page freed + rebuilt)
-            clr = CompensationRecord(
-                txn_id=txn_id,
-                prev_lsn=clr_prev,
-                page_id=leaf.page_id,
-                undone_lsn=record.lsn,
-                undo_next_lsn=record.prev_lsn,
-                is_insert=False,
-                record=record.record,
-            )
-            self.log.append(clr)
-            apply_record(self.store, clr)
-            if leaf.is_empty and leaf.page_id != tree.root_id:
-                # Free-at-empty applies to compensating deletes too.
-                tree._free_at_empty(tree.path_to_leaf(key))
-            return clr.lsn
-        # Undo of a delete: re-insert.
-        if leaf.contains(key):
-            return clr_prev  # already compensated / re-inserted
-        if not leaf.is_full:
-            clr = CompensationRecord(
-                txn_id=txn_id,
-                prev_lsn=clr_prev,
-                page_id=leaf.page_id,
-                undone_lsn=record.lsn,
-                undo_next_lsn=record.prev_lsn,
-                is_insert=True,
-                record=record.record,
-            )
-            self.log.append(clr)
-            apply_record(self.store, clr)
-            return clr.lsn
-        # The leaf filled up meanwhile: logical undo goes through the
-        # ordinary insert path (which may split; structure changes are
-        # never themselves undone).
-        tree.insert(record.record)
-        return clr_prev
+        if leaf.contains(key) != is_insert_undo:
+            # Already undone: the key is gone (e.g. page freed + rebuilt) or
+            # already compensated / re-inserted.
+            return clr_prev
+        if not is_insert_undo and leaf.is_full:
+            # The leaf filled up meanwhile: logical undo goes through the
+            # ordinary insert path (which may split; structure changes are
+            # never themselves undone).
+            tree.insert(record.record)
+            return clr_prev
+        clr = CompensationRecord(
+            txn_id=txn_id,
+            prev_lsn=clr_prev,
+            page_id=leaf.page_id,
+            undone_lsn=record.lsn,
+            undo_next_lsn=record.prev_lsn,
+            is_insert=not is_insert_undo,
+            record=record.record,
+        )
+        self.log.append(clr)
+        apply_record(self.store, clr)
+        if is_insert_undo and leaf.is_empty and leaf.page_id != tree.root_id:
+            # Free-at-empty applies to compensating deletes too.
+            tree._free_at_empty(tree.path_to_leaf(key))
+        return clr.lsn
+
+
+# -- analysis --------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class _Analysis:
+    """What the redo pass learns besides page effects: the transaction table
+    undo needs and what forward recovery needs (section 5.1).  Each
+    infrequent record class has a method here."""
+
+    report: RecoveryReport
+    units: dict[int, PendingReorgUnit] = field(default_factory=dict)
+    #: txn id -> last LSN, for every user transaction not yet committed.
+    active: dict[int, int] = field(default_factory=dict)
+    committed: set[int] = field(default_factory=set)
+
+    def commit(self, record: CommitRecord) -> None:
+        if record.txn_id != SYSTEM_TXN:
+            self.committed.add(record.txn_id)
+            self.active.pop(record.txn_id, None)
+
+    def end(self, record: EndRecord) -> None:
+        if record.txn_id != SYSTEM_TXN:
+            self.active.pop(record.txn_id, None)
+
+    def side_file_insert(self, record: SideFileInsertRecord) -> None:
+        # A user transaction's update, and an entry pass 3 has yet to apply.
+        if record.txn_id != SYSTEM_TXN and record.txn_id not in self.committed:
+            self.active[record.txn_id] = record.lsn
+        self.report.side_file.append((record.key, record.child, record.op))
+
+    def side_file_apply(self, record: SideFileApplyRecord) -> None:
+        entry = (record.key, record.child, record.op)
+        if entry in self.report.side_file:
+            self.report.side_file.remove(entry)
+
+    def unit_begin(self, record: ReorgBeginRecord) -> None:
+        unit = PendingReorgUnit.begun_by(record)
+        unit.records.append(record)
+        self.units[record.unit_id] = unit
+
+    def unit_end(self, record: ReorgEndRecord) -> None:
+        report = self.report
+        report.largest_finished_key = max(
+            report.largest_finished_key, record.largest_key
+        )
+        self.units.pop(record.unit_id, None)
+
+    def alloc(self, record: AllocRecord) -> None:
+        if record.kind == "internal":
+            self.report.allocs_after_stable.append(record.page_id)
+
+    def stable_key(self, record: StableKeyRecord) -> None:
+        # The scan anchors a stable point at its very start, so seeing one
+        # means internal-page reorganization is in progress — the
+        # reorganization bit is re-derived from the log even when no
+        # checkpoint captured it.
+        report = self.report
+        report.reorg_bit = True
+        report.stable_key = record.stable_key
+        report.new_root = record.new_root
+        report.built_entries = list(record.built_entries)
+        report.allocs_after_stable.clear()
+
+    def tree_switch(self, record: TreeSwitchRecord) -> None:
+        self.report.switch_pending = (
+            record.old_root, record.new_root, record.old_lock_name
+        )
+
+    def reorg_done(self, record: ReorgDoneRecord) -> None:
+        report = self.report
+        report.switch_pending = None
+        report.reorg_bit = False
+        report.stable_key = None
+        report.new_root = -1
+        report.side_file.clear()
+        report.built_entries.clear()
+
+
+#: The two frequent actions, done inline by ``RecoveryManager.run``: a user
+#: transaction's update, and the next record of a reorganization unit's chain.
+_UPDATE, _CHAIN = "update", "chain"
+
+#: What analysis does with each concrete record class: an inline action, an
+#: ``_Analysis`` method, or None for no effect.  Every class is listed
+#: exactly once; recovery refuses a record of any other class.
+_ANALYSIS: tuple[tuple[object, tuple[type[LogRecord], ...]], ...] = (
+    (_UPDATE, (LeafInsertRecord, LeafDeleteRecord, CompensationRecord, AbortRecord)),
+    (_CHAIN, (ReorgMoveOutRecord, ReorgMoveInRecord, ReorgSwapRecord,
+              ReorgModifyRecord)),
+    (_Analysis.commit, (CommitRecord,)),
+    (_Analysis.end, (EndRecord,)),
+    (_Analysis.side_file_insert, (SideFileInsertRecord,)),
+    (_Analysis.side_file_apply, (SideFileApplyRecord,)),
+    (_Analysis.unit_begin, (ReorgBeginRecord,)),
+    (_Analysis.unit_end, (ReorgEndRecord,)),
+    (_Analysis.alloc, (AllocRecord,)),
+    (_Analysis.stable_key, (StableKeyRecord,)),
+    (_Analysis.tree_switch, (TreeSwitchRecord,)),
+    (_Analysis.reorg_done, (ReorgDoneRecord,)),
+    (None, (LeafFormatRecord, InternalFormatRecord, BaseEntryInsertRecord,
+            BaseEntryUpdateRecord, BaseEntryDeleteRecord, SidePointerRecord,
+            FreeRecord, CheckpointRecord)),
+)
+
+#: Record class -> (redo handler or None, analysis action): the one lookup
+#: the redo pass makes per record.
+_DISPATCH = {
+    cls: (HANDLERS.get(cls), action) for action, group in _ANALYSIS for cls in group
+}

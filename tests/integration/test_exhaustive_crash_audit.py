@@ -2,14 +2,8 @@
 
 Crashes the full pipeline at log-append offsets spanning pass 1, pass 2,
 pass 3 and the switch; recovery + forward recovery must restore the exact
-record set at *every* offset.  The committed test strides the offsets to
-stay fast; ``CRASH_AUDIT=full`` sweeps every single one (the full sweep is
-run-clean as of this commit: 190/190 offsets).
+record set at *every* one of its 190 offsets.
 """
-
-import os
-
-import pytest
 
 from repro.config import ReorgConfig, TreeConfig
 from repro.db import Database
@@ -73,6 +67,5 @@ def audit_offset(crash_after, expected):
 
 def test_crash_audit_across_all_passes():
     total, expected = calibrate()
-    stride = 1 if os.environ.get("CRASH_AUDIT") == "full" else 7
-    for crash_after in range(2, total + 1, stride):
+    for crash_after in range(2, total + 1):
         audit_offset(crash_after, expected)

@@ -212,6 +212,33 @@ class TestMetaAndFreeMap:
         db.recover()
         assert db.tree().root_id == root_before
 
+    def test_root_split_survives_a_crash_before_any_flush(self):
+        """The root pointer obeys WAL: the new root's records are forced
+        before its location is written, so redo rebuilds the root."""
+        db = small_db()
+        tree = db.create_tree()
+        db.checkpoint()
+        keys = []
+        while tree.height() == 1:
+            keys.append(len(keys))
+            tree.insert(Record(keys[-1]))
+        db.crash()
+        db.recover()
+        tree = db.tree()
+        tree.validate()
+        # The insert that split the root logs its own record after the split.
+        for key in keys[:-1]:
+            assert tree.search(key) is not None
+
+    def test_created_and_bulk_loaded_trees_survive_a_crash_before_any_flush(self):
+        db = small_db()
+        db.create_tree("empty")
+        db.bulk_load_tree([Record(k) for k in range(40)], name="loaded")
+        db.crash()
+        db.recover()
+        assert db.tree("empty").search(1) is None
+        assert [r.key for r in db.tree("loaded").items()] == list(range(40))
+
     def test_free_map_rebuilt_consistently(self):
         db = small_db(leaf_capacity=3, internal_capacity=3)
         tree = db.create_tree()
