@@ -108,6 +108,8 @@ class World:
     initial_keys: frozenset[int] = frozenset()
     #: txn name -> key, for point lookups whose results are checked.
     reads: dict[str, int] = field(default_factory=dict)
+    #: txn name -> (low, high), for range scans whose results are checked.
+    scans: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: txn name -> ("insert" | "delete", key).
     writes: dict[str, tuple[str, int]] = field(default_factory=dict)
     #: Exception types a process may legitimately die with.

@@ -60,9 +60,11 @@ Optimistic read path (``TreeConfig(optimistic_reads=True)``)::
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Generator
 
 from repro.btree.tree import BPlusTree
+from repro.config import SidePointerKind
 from repro.db import Database
 from repro.errors import RXConflictError, TransactionAborted
 from repro.locks.modes import LockMode
@@ -72,7 +74,7 @@ from repro.locks.resources import (
     sidefile_key,
     tree_lock,
 )
-from repro.storage.page import PageId, PageKind, Record
+from repro.storage.page import NO_PAGE, PageId, PageKind, Record
 from repro.txn.ops import (
     Acquire,
     Call,
@@ -311,6 +313,7 @@ def _locked_reader_range_scan(
             tree = db.tree(tree_name)
             base, leaf = yield from _s_couple_to_base(db, tree, low)
             restart = False
+            passed = -1
             while True:
                 try:
                     yield Acquire(page_lock(leaf), S)
@@ -327,6 +330,7 @@ def _locked_reader_range_scan(
                 if think_per_page:
                     yield Think(think_per_page)
                 done = False
+                returned = len(out)
                 for record in page.iter_from(low):
                     if record.key > high:
                         done = True
@@ -334,8 +338,12 @@ def _locked_reader_range_scan(
                     out.append(record)
                 if done:
                     break
+                passed = 0 if len(out) > returned else passed + 1
+                probe = out[-1].key if out else low
                 next_leaf = yield Call(
-                    lambda leaf_id=leaf: _successor_leaf(db, tree_name, leaf_id)
+                    lambda leaf_id=leaf, probe=probe, passed=passed: (
+                        _successor_leaf(db, tree_name, leaf_id, probe, passed)
+                    )
                 )
                 if next_leaf is None:
                     break
@@ -349,10 +357,25 @@ def _locked_reader_range_scan(
     return out
 
 
-def _successor_leaf(db: Database, tree_name: str, leaf_id: PageId) -> PageId | None:
+def _successor_leaf(
+    db: Database, tree_name: str, leaf_id: PageId, probe: int, passed: int
+) -> PageId | None:
+    """The leaf a scan visits after ``leaf_id``, or None at the end.
+
+    ``probe`` is the largest key the scan returned so far (``low`` before
+    any), and ``passed`` counts the leaves it visited after the leaf
+    ``probe`` routes to.  Without side pointers an empty leaf has no key
+    to descend by, so its successor is the (``passed`` + 1)-th leaf after
+    that one on the leaf cursor.  Sound because every leaf in between is
+    S-locked (locked scan) or in the validated read set (optimistic scan).
+    """
     tree = db.tree(tree_name)
     leaf = db.store.get_leaf(leaf_id)
-    next_id = tree.successor_leaf_id(leaf)
+    if leaf.is_empty and tree.side_pointers is SidePointerKind.NONE:
+        leaf_ids = tree.leaf_ids_from(probe)
+        next_id = next(itertools.islice(leaf_ids, passed + 1, None), NO_PAGE)
+    else:
+        next_id = tree.successor_leaf_id(leaf)
     return next_id if next_id >= 0 else None
 
 
@@ -502,6 +525,7 @@ def _optimistic_reader_range_scan(
                 continue
             # Leaf-chain walk; `visited` is the optimistic read set.
             visited: list[tuple[PageId, int]] = [(pid, ver)]
+            passed = -1
             while True:
                 if think_per_page:
                     yield Think(think_per_page)
@@ -510,6 +534,7 @@ def _optimistic_reader_range_scan(
                         restart = True
                         break
                 done = False
+                returned = len(out)
                 for record in page.iter_from(low):
                     if record.key > high:
                         done = True
@@ -517,9 +542,13 @@ def _optimistic_reader_range_scan(
                     out.append(record)
                 if done:
                     break
+                passed = 0 if len(out) > returned else passed + 1
+                probe = out[-1].key if out else low
                 next_leaf = yield Call(
-                    lambda leaf_id=pid, read_set=tuple(visited): (
-                        _validated_successor(db, tree_name, leaf_id, read_set)
+                    lambda leaf_id=pid, read_set=tuple(visited), probe=probe, passed=passed: (
+                        _validated_successor(
+                            db, tree_name, leaf_id, read_set, probe, passed
+                        )
                     )
                 )
                 if next_leaf is _CONFLICT:
@@ -562,8 +591,9 @@ def _versions_current(store, visited) -> bool:
     return all(version_of(pid) == ver for pid, ver in visited)
 
 
-def _validated_successor(db, tree_name, leaf_id, read_set):
-    """Successor leaf id, atomically validated against the scan's read set.
+def _validated_successor(db, tree_name, leaf_id, read_set, probe, passed):
+    """Successor leaf id (:func:`_successor_leaf`), atomically validated
+    against the scan's read set.
 
     Runs synchronously inside a ``Call`` — one scheduler step — so the
     whole-set validation and the successor computation cannot interleave
@@ -571,7 +601,7 @@ def _validated_successor(db, tree_name, leaf_id, read_set):
     """
     if not _versions_current(db.store, read_set):
         return _CONFLICT
-    return _successor_leaf(db, tree_name, leaf_id)
+    return _successor_leaf(db, tree_name, leaf_id, probe, passed)
 
 
 def updater_insert(

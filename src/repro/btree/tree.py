@@ -55,6 +55,9 @@ from repro.wal.records import (
     TxnRecord,
 )
 
+#: A key below every key: it routes to the leftmost child at every level.
+_BELOW_ALL: int = float("-inf")  # type: ignore[assignment]
+
 
 class BPlusTree:
     """Handle over a tree rooted at the page named in the disk metadata."""
@@ -170,7 +173,11 @@ class BPlusTree:
         return path
 
     def leaf_for(self, key: int) -> LeafPage:
-        return self.store.get_leaf(self.path_to_leaf(key)[-1])
+        get = self.store.get
+        page = get(self.root_id)
+        while page.kind is PageKind.INTERNAL:
+            page = get(page.child_for(key))  # type: ignore[union-attr]
+        return page  # type: ignore[return-value]
 
     @staticmethod
     def descend_step(page: Page, key: int) -> PageId | None:
@@ -195,21 +202,11 @@ class BPlusTree:
         return self.store.get_internal(path[-2])
 
     def leftmost_leaf_id(self) -> PageId:
-        page_id = self.root_id
-        page = self.store.get(page_id)
-        while page.kind is PageKind.INTERNAL:
-            page_id = page.children()[0]  # type: ignore[union-attr]
-            page = self.store.get(page_id)
-        return page_id
+        return self.path_to_leaf(_BELOW_ALL)[-1]
 
     def height(self) -> int:
         """Number of levels (a lone leaf root has height 1)."""
-        levels = 1
-        page = self.store.get(self.root_id)
-        while page.kind is PageKind.INTERNAL:
-            levels += 1
-            page = self.store.get(page.children()[0])  # type: ignore[union-attr]
-        return levels
+        return len(self.path_to_leaf(_BELOW_ALL))
 
     # -- queries -----------------------------------------------------------------
 
@@ -217,101 +214,77 @@ class BPlusTree:
         return self.leaf_for(key).find(key)
 
     def range_scan(self, low: int, high: int) -> list[Record]:
-        """All records with low <= key <= high, in key order.
+        """All records with low <= key <= high, in key order: one descent,
+        then the leaf cursor (:meth:`leaf_ids_from`) for every side-pointer
+        kind.  The disk I/O counters capture the motivating cost (section 1).
 
-        Walks side pointers when the tree maintains them, otherwise
-        re-descends for each successor leaf; either way the disk I/O
-        counters capture the motivating cost (section 1).
-
-        With ``readahead_pages`` > 0 the scan prefetches upcoming leaves a
-        base page at a time: the parent level (in memory, as the paper
-        assumes for section 6) already names the next leaves, so they are
-        read as one batch instead of a seek per leaf.  In a degraded tree
-        the leaves are scattered and the batch sweep is the whole win;
-        after reorganization they are contiguous and the batch degenerates
-        to the sequential reads the scan pays anyway.
+        With ``readahead_pages`` > 0 each base page the cursor enters
+        batch-reads the leaves it names (the parent level is in memory, as
+        section 6 assumes): in a degraded tree the scattered leaves cost one
+        sweep instead of a seek each; after reorganization the batch
+        degenerates to the sequential reads the scan pays anyway.
         """
-        if high < low:
-            return []
-        readahead = self.store.config.readahead_pages > 0
         out: list[Record] = []
-        if readahead:
-            path = self.path_to_leaf(low)
-            leaves_before_refill = self._prefetch_base_leaves(
-                path[-2] if len(path) >= 2 else None, after_leaf=path[-1]
-            )
-            leaf = self.store.get_leaf(path[-1])
-        else:
-            leaf = self.leaf_for(low)
-        while True:
-            out.extend(leaf.records_in_range(low, high))
-            if not leaf.is_empty and leaf.max_key() > high:
-                return out
-            next_id = self.successor_leaf_id(leaf)
-            if next_id == NO_PAGE:
-                return out
-            if readahead:
-                if leaves_before_refill <= 0 and not leaf.is_empty:
-                    base = self.next_base_page_after(leaf.max_key())
-                    leaves_before_refill = self._prefetch_base_leaves(
-                        base.page_id if base is not None else None
-                    )
-                leaves_before_refill -= 1
-            leaf = self.store.get_leaf(next_id)
+        if high < low:
+            return out
+        get = self.store.get
+        for leaf_id in self.leaf_ids_from(low, prefetch=True):
+            leaf = get(leaf_id)
+            out.extend(leaf.records_in_range(low, high))  # type: ignore[union-attr]
+            if not leaf.is_empty and leaf.max_key() > high:  # type: ignore[union-attr]
+                break
+        return out
 
-    def _prefetch_base_leaves(
-        self, base_id: PageId | None, *, after_leaf: PageId | None = None
-    ) -> int:
-        """Prefetch the leaf children of one base page; returns how many
-        leaves the scan will consume before the next refill is due.
+    def leaf_ids_from(self, key: int, *, prefetch: bool = False) -> Iterator[PageId]:
+        """The key-order leaf cursor: ids of the leaf for ``key`` and of
+        every leaf after it, empty ones included.
 
-        ``after_leaf`` restricts the batch to children past the scan's
-        entry leaf.  With no base page (leaf root / end of tree) a large
-        sentinel is returned so the scan never asks again.
+        One descent keeps ``[page id, child index]`` per level.  The next
+        leaf is the base page's next child; past a parent's last child the
+        cursor climbs to the next child up and descends its leftmost path.
+        Parents are re-read by id, not held, so they stay young in the LRU.
+        ``prefetch`` batch-reads each base page's leaves on entry (gated on
+        ``readahead_pages``).  The tree must not change structure while the
+        cursor is suspended.
         """
-        if base_id is None:
-            return 1 << 30
-        children = self.store.get_internal(base_id).children()
-        if after_leaf is not None:
-            index = children.index(after_leaf) if after_leaf in children else -1
-            upcoming = children[index + 1 :]
-        else:
-            upcoming = children
-        self.store.prefetch(upcoming)
-        return len(upcoming)
-
-    def _next_leaf_by_descent(self, leaf: LeafPage) -> PageId:
-        """Successor leaf via the tree: the leftmost leaf of the first
-        right-sibling subtree on the path."""
-        probe = leaf.max_key() if not leaf.is_empty else None
-        if probe is None:
-            raise BTreeError("cannot find successor of an empty leaf")
-        page_id = self.root_id
-        page = self.store.get(page_id)
-        candidate: PageId = NO_PAGE
-        while page.kind is PageKind.INTERNAL:
-            index = page.child_index_for(probe)  # type: ignore[union-attr]
-            children = page.children()  # type: ignore[union-attr]
-            if index + 1 < len(children):
-                candidate = children[index + 1]
-            page_id = children[index]
-            page = self.store.get(page_id)
-        if candidate == NO_PAGE:
-            return NO_PAGE
-        page = self.store.get(candidate)
-        while page.kind is PageKind.INTERNAL:
-            page = self.store.get(page.children()[0])  # type: ignore[union-attr]
-        return page.page_id
+        get = self.store.get
+        page = get(self.root_id)
+        if page.kind is PageKind.LEAF:
+            yield page.page_id
+            return
+        path: list[list[int]] = []  # above the base level, root first
+        while page.level > 1:  # type: ignore[union-attr]
+            index = page.child_index_for(key)  # type: ignore[union-attr]
+            path.append([page.page_id, index])
+            page = get(page.child_at(index))  # type: ignore[union-attr]
+        index = page.child_index_for(key)  # type: ignore[union-attr]
+        while True:
+            if prefetch:
+                self.store.prefetch(page.children()[index:])  # type: ignore[union-attr]
+            child = page.child_at(index)  # type: ignore[union-attr]
+            while child != NO_PAGE:
+                yield child
+                index += 1
+                child = get(page.page_id).child_at(index)  # type: ignore[union-attr]
+            depth = len(path)
+            while child == NO_PAGE:
+                depth -= 1
+                if depth < 0:
+                    return
+                entry = path[depth]
+                entry[1] += 1
+                child = get(entry[0]).child_at(entry[1])  # type: ignore[union-attr]
+            for entry in path[depth + 1 :]:
+                entry[0], entry[1] = child, 0
+                child = get(child).child_at(0)  # type: ignore[union-attr]
+            page, index = get(child), 0
 
     def items(self) -> Iterator[Record]:
-        """Every record, in key order."""
-        leaf = self.store.get_leaf(self.leftmost_leaf_id())
-        while True:
-            yield from leaf.records
-            next_id = self.successor_leaf_id(leaf)
-            if next_id == NO_PAGE:
-                return
-            leaf = self.store.get_leaf(next_id)
+        """Every record, in key order.  The tree must not change structure
+        while the iterator is suspended (see :meth:`leaf_ids_from`)."""
+        get_leaf = self.store.get_leaf
+        for leaf_id in self.leaf_ids_from(_BELOW_ALL):
+            yield from get_leaf(leaf_id).records
 
     def leaf_ids_in_key_order(self) -> list[PageId]:
         """All leaf page ids in key order, via a tree walk (robust to empty
@@ -342,8 +315,8 @@ class BPlusTree:
 
         The paper's ``Get_Next(k)`` (section 7.1): descend towards ``key``
         remembering the nearest right-sibling subtree, then take that
-        subtree's leftmost level-1 descendant.  Pass 3's scan and the
-        range-scan readahead both use it to find the next run of pages.
+        subtree's leftmost level-1 descendant.  Pass 3's scan uses it to
+        find the next run of pages.
 
         ``prefetch_siblings`` batch-reads the base pages that follow the
         returned one (the level-2 node already lists them), so a key-order
@@ -371,14 +344,29 @@ class BPlusTree:
         return page  # type: ignore[return-value]
 
     def successor_leaf_id(self, leaf: LeafPage) -> PageId:
-        """Next leaf in key order (NO_PAGE at the end), tolerating empty
-        leaves mid-chain.  Uses side pointers when the tree maintains them,
-        a tree descent otherwise."""
+        """Next leaf in key order (NO_PAGE at the end) for the DES scans,
+        which re-find their place after every yield: the side pointer, or
+        the leftmost leaf of the nearest right-sibling subtree on a descent
+        by the leaf's largest key.  Without side pointers an empty leaf has
+        no such key (BTreeError); the DES scans step past it on
+        :meth:`leaf_ids_from`."""
         if self.side_pointers is not SidePointerKind.NONE:
             return leaf.next_leaf
-        if leaf.is_empty:
+        probe = leaf.max_key()
+        get = self.store.get
+        page = get(self.root_id)
+        candidate: PageId = NO_PAGE
+        while page.kind is PageKind.INTERNAL:
+            index = page.child_index_for(probe)  # type: ignore[union-attr]
+            if (sibling := page.child_at(index + 1)) != NO_PAGE:  # type: ignore[union-attr]
+                candidate = sibling
+            page = get(page.child_at(index))  # type: ignore[union-attr]
+        if candidate == NO_PAGE:
             return NO_PAGE
-        return self._next_leaf_by_descent(leaf)
+        page = get(candidate)
+        while page.kind is PageKind.INTERNAL:
+            page = get(page.child_at(0))  # type: ignore[union-attr]
+        return page.page_id
 
     def record_count(self) -> int:
         """Total records, summing per-leaf counts along the leaf walk

@@ -344,6 +344,10 @@ class InternalPage(Page):
     def children(self) -> list[PageId]:
         return list(self._children)
 
+    def child_at(self, index: int) -> PageId:
+        """The ``index``-th child, or NO_PAGE past the last (no list copy)."""
+        return self._children[index] if index < len(self._children) else NO_PAGE
+
     def min_key(self) -> int:
         if not self._keys:
             raise BTreeError(f"internal page {self.page_id} is empty; no min key")
