@@ -76,7 +76,7 @@ class Smith90Reorganizer:
         self.engine = UnitEngine(db, tree)
         self.stats = Smith90Stats()
         #: Ordering plans leaf i to page i of the leaf extent.
-        self.cursor = KeyOrderCursor(tree, self.engine.chain, KeyOrderPolicy())
+        self.cursor = KeyOrderCursor(tree, KeyOrderPolicy())
 
     # -- planning ----------------------------------------------------------------
 
@@ -159,8 +159,8 @@ class Smith90Reorganizer:
     ) -> Generator[Any, Any, int]:
         """Block moves/swaps into contiguous key order; returns the count."""
         file_lock = tree_lock(current_lock_name(self.db, self.tree.name))
-        for placed in range(4 * len(self.cursor.chain) + 8):
-            plan = yield Call(self.cursor.next_misplaced)
+        plan = yield Call(self.cursor.next_misplaced)
+        for placed in range(4 * self.cursor.leaves + 8):
             if plan is None:
                 return placed
             leaf, target, occupied = plan
@@ -168,6 +168,7 @@ class Smith90Reorganizer:
             yield from _operation(
                 file_lock, lambda: block(leaf, target), op_duration, op_pause
             )
+            plan = yield Call(self.cursor.next_misplaced)
         raise ReorgError("ordering did not converge")
 
     def run_compaction(self) -> int:

@@ -141,7 +141,8 @@ class BPlusTree:
         return None if self.frag_stats is None else self.frag_stats.leaf_order
 
     def leaf_order_changed(self) -> None:
-        """Count a change to the leaves' key order (split, freed leaf, unit)."""
+        """Count a leaf a split adds or a free-at-empty removes (the
+        empty-root restore adds one too)."""
         if self.frag_stats is not None:
             self.frag_stats.leaf_order += 1
 
@@ -235,9 +236,11 @@ class BPlusTree:
                 break
         return out
 
-    def leaf_ids_from(self, key: int, *, prefetch: bool = False) -> Iterator[PageId]:
-        """The key-order leaf cursor: ids of the leaf for ``key`` and of
-        every leaf after it, empty ones included.
+    def leaf_ids_from(
+        self, key: int = _BELOW_ALL, *, prefetch: bool = False
+    ) -> Iterator[PageId]:
+        """The key-order leaf cursor: ids of the leaf for ``key`` (the first
+        leaf by default) and of every leaf after it, empty ones included.
 
         One descent keeps ``[page id, child index]`` per level.  The next
         leaf is the base page's next child; past a parent's last child the
@@ -279,6 +282,54 @@ class BPlusTree:
                 child = get(child).child_at(0)  # type: ignore[union-attr]
             page, index = get(child), 0
 
+    # A leaf's *place* is ``(base page id, child index)``: the cursor's
+    # position, which reads the parent level only, never a leaf.
+
+    def first_leaf_place(self) -> tuple[PageId, int] | None:
+        """The first leaf's place; None when the root is the one leaf."""
+        page = self.store.get(self.root_id)
+        if page.kind is PageKind.LEAF:
+            return None
+        while page.level > 1:  # type: ignore[union-attr]
+            page = self.store.get(page.child_at(0))  # type: ignore[union-attr]
+        return page.page_id, 0
+
+    def leaf_neighbour(
+        self, base_id: PageId, index: int, step: int
+    ) -> tuple[PageId, int, PageId] | None:
+        """The cursor's step back (``step`` -1) or forth (+1) from the child
+        at ``index`` of base page ``base_id`` (``index`` may be one past the
+        last child): the leaf beside it as ``(base page, index, leaf id)``;
+        None past either end.
+
+        Past the base page's first or last child it descends once to the
+        base page, by its smallest key, climbs to the nearest ancestor with
+        a child on that side and descends that child's near edge.
+        """
+        base = self.store.get_internal(base_id)
+        if 0 <= index + step < base.num_items:
+            return base_id, index + step, base.child_at(index + step)
+        get = self.store.get
+        path: list[tuple[InternalPage, int]] = []  # root first
+        page = get(self.root_id)
+        while page.level > 1:  # type: ignore[union-attr]
+            at = page.child_index_for(base.min_key())  # type: ignore[union-attr]
+            path.append((page, at))  # type: ignore[arg-type]
+            page = get(page.child_at(at))  # type: ignore[union-attr]
+        if page.page_id != base_id:
+            raise TreeInvariantError(
+                f"base page {base_id}: its smallest key routes to {page.page_id}"
+            )
+        for parent, at in reversed(path):
+            if 0 <= at + step < parent.num_items:
+                page = get(parent.child_at(at + step))
+                while page.level > 1:  # type: ignore[union-attr]
+                    edge = 0 if step > 0 else page.num_items - 1
+                    page = get(page.child_at(edge))  # type: ignore[union-attr]
+                index = 0 if step > 0 else page.num_items - 1
+                return page.page_id, index, page.child_at(index)  # type: ignore[union-attr]
+        return None
+
     def items(self) -> Iterator[Record]:
         """Every record, in key order.  The tree must not change structure
         while the iterator is suspended (see :meth:`leaf_ids_from`)."""
@@ -306,6 +357,10 @@ class BPlusTree:
             else:
                 stack.extend(reversed(page.children()))
         return ids
+
+    def leaf_count(self) -> int:
+        """Number of leaves, by the walk of :meth:`leaf_ids_in_key_order`."""
+        return len(self.leaf_ids_in_key_order())
 
     def next_base_page_after(
         self, key: int, *, prefetch_siblings: bool = False

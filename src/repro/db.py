@@ -153,8 +153,6 @@ class Database:
         self.progress.crash()
         self.pass3 = Pass3State()
         self.store.rebuild_free_map_from_disk()
-        for tracker in self.frag_trackers.values():
-            tracker.leaf_order += 1  # the leaves are the disk's now
         self.crashes += 1
 
     def recover(self, *, undo: bool = True) -> RecoveryReport:

@@ -105,8 +105,10 @@ class FragmentationStats(StatsDeltaMixin):
     #: :attr:`splits_since_sync` is the live disk-order-scatter signal
     #: (fill factor alone cannot see scatter).
     splits_at_sync: int = 0
-    #: Moves with every change to the leaves' key order (split, freed leaf,
-    #: reorganization unit, crash): a LeafChain's staleness test.  Never reset.
+    #: Moves with every leaf a user split adds or a free-at-empty removes:
+    #: the pass-2 planners restart at rank 0 when it moved (the
+    #: reorganizer's own units change no base page's child count, so they
+    #: leave it).  Never reset.
     leaf_order: int = 0
 
     @property

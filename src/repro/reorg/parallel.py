@@ -9,7 +9,7 @@ what makes it safe under the paper's own machinery:
 * units never span base pages (section 3), so two workers never lock the
   same base page or reorganize the same leaves.  The one place their lock
   sets meet is a partition boundary of a tree with side pointers: a unit's
-  section 4.3 X lock on its chain neighbour may fall on the other worker's
+  section 4.3 X lock on its key-order neighbour may fall on the other worker's
   edge leaf.  The workers then wait for each other like any two lock
   holders, and a cycle is broken by the protocol's give-up-and-retry arm;
 * the progress table already generalizes to one (begin LSN, recent LSN)
@@ -110,11 +110,10 @@ def build_parallel_pass1(
     unit_pause: float = 0.0,
     op_duration: float = 0.0,
 ) -> list[ParallelReorgProtocol]:
-    """One protocol object per worker, sharing a unit-id stream and one
-    leaf chain (each worker's units patch it, so none re-seeds it)."""
+    """One protocol object per worker, sharing a unit-id stream."""
     partitions = partition_base_pages(db, tree_name, n_workers)
     shared_ids = _SharedUnitIds()
-    workers = [
+    return [
         ParallelReorgProtocol(
             db,
             tree_name,
@@ -126,6 +125,3 @@ def build_parallel_pass1(
         )
         for partition in partitions
     ]
-    for worker in workers:
-        worker.engine.chain = workers[0].engine.chain
-    return workers

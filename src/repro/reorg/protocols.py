@@ -60,7 +60,7 @@ from repro.reorg.shrink import TreeShrinker
 from repro.reorg.swap import KeyOrderCursor, SeekAwareCursor
 from repro.reorg.switch import Switcher, current_lock_name, sidefile_resource
 from repro.reorg.unit import UnitEngine
-from repro.storage.page import NO_PAGE, PageId, PageKind
+from repro.storage.page import PageId, PageKind
 from repro.txn.ops import Acquire, Call, Convert, Release, ReleaseAll, Think
 from repro.txn.transaction import Transaction
 from repro.wal.records import ReorgUnitType
@@ -85,8 +85,8 @@ class _Unit:
     #: number is the unit's output size.
     new_pages: list[PageId]
     #: ``begin(bases) -> unit id``: BEGIN plus the record movement, run
-    #: under R on the base pages.
-    begin: Callable[[list[PageId]], int]
+    #: under R on the base pages; None skips the unit with nothing logged.
+    begin: Callable[[list[PageId]], int | None]
     #: ``complete(unit_id, bases)``: the MODIFYs through END, run under X
     #: on the base pages.
     complete: Callable[[int, list[PageId]], Any]
@@ -193,12 +193,16 @@ class ReorgProtocol:
                 for page in rx_pages:
                     yield Acquire(page_lock(page), RX)
                 neighbours = yield Call(
-                    lambda: self._side_pointer_neighbours(unit.leaves)
+                    lambda: self._side_pointer_neighbours(bases, unit.leaves)
                 )
                 for neighbour in neighbours:
                     yield Acquire(page_lock(neighbour), X)
-                # Move records between leaf pages.
+                # Move records between leaf pages (None: nothing moved, as
+                # a pass-2 move's free target is taken).
                 unit_id = yield Call(lambda: unit.begin(bases))
+                if unit_id is None:
+                    yield from self._release(bases, R, rx_pages, neighbours)
+                    return False
                 if self.op_duration:
                     # Movement time scales with the unit's output size
                     # (section 6: more pages built, locks held longer).
@@ -208,13 +212,7 @@ class ReorgProtocol:
                     yield Convert(page_lock(base), X)
                 # Modify keys and pointers in the base page(s).
                 yield Call(lambda: unit.complete(unit_id, bases))
-                # Release locks.
-                for base in bases:
-                    yield Release(page_lock(base), X)
-                for page in rx_pages:
-                    yield Release(page_lock(page), RX)
-                for neighbour in neighbours:
-                    yield Release(page_lock(neighbour), X)
+                yield from self._release(bases, X, rx_pages, neighbours)
                 return True
             except DeadlockError:
                 # The reorganizer always yields: give up the unit's locks.
@@ -228,6 +226,17 @@ class ReorgProtocol:
                 yield Acquire(tree_lock(self._lock_name()), IX)
         raise ReorgError(f"unit over leaves {unit.leaves} starved after retries")
 
+    @staticmethod
+    def _release(bases, base_mode, rx_pages, neighbours):
+        """Release a unit's locks: its base pages (R, or X once converted),
+        its RX pages and its side-pointer neighbours."""
+        for base in bases:
+            yield Release(page_lock(base), base_mode)
+        for page in rx_pages:
+            yield Release(page_lock(page), RX)
+        for neighbour in neighbours:
+            yield Release(page_lock(neighbour), X)
+
     def _probe_key(self, unit: _Unit) -> int | None:
         """A key to S-couple down by: the smallest of the unit's first
         leaf.  None when a group planned ahead has lost that leaf since."""
@@ -239,9 +248,12 @@ class ReorgProtocol:
             return None
         return leaf.min_key()
 
-    def _side_pointer_neighbours(self, leaves: list[PageId]) -> list[PageId]:
+    def _side_pointer_neighbours(
+        self, bases: list[PageId], leaves: list[PageId]
+    ) -> list[PageId]:
         """Leaves outside the unit whose side pointers the unit will edit,
-        in key order (``leaves`` are, so their chain neighbours are too).
+        in key order (``leaves`` are, so their neighbours are too): the leaf
+        cursor's steps from the leaves' places in ``bases``.
 
         Section 4.3: "the reorganizer has to RX lock some number of leaf
         pages (X lock for those leaf pages that are not children of the
@@ -251,11 +263,18 @@ class ReorgProtocol:
         """
         if self.tree.side_pointers is SidePointerKind.NONE:
             return []
-        chain = self.engine.chain
-        chain.epoch()
-        around = [pid for leaf in leaves if leaf in chain for pid in chain.neighbours(leaf)]
-        inside = {NO_PAGE, *leaves}
-        return [pid for pid in dict.fromkeys(around) if pid not in inside]
+        step = self.tree.leaf_neighbour
+        places = self.engine.leaf_places(bases, leaves)
+        held = {(base, index) for base, index, _leaf in places}
+        around = [
+            beside[2]
+            for base, index, _leaf in places
+            for side in (-1, 1)
+            # A compaction group's inner neighbours are its own leaves.
+            if (base, index + side) not in held
+            and (beside := step(base, index, side)) is not None
+        ]
+        return [pid for pid in dict.fromkeys(around) if pid not in leaves]
 
     def _group_still_valid(self, base_id: PageId, group: list[PageId]) -> bool:
         """Concurrent splits may have moved children to a sibling base
@@ -348,12 +367,11 @@ class ReorgProtocol:
         if not self.placement.places_leaves:
             yield ReleaseAll()
             return stats
-        chain = self.engine.chain
         planner = SeekAwareCursor if self.db.config.seek_aware_pass2 else KeyOrderCursor
-        cursor = planner(self.tree, chain, self.placement)
-        leaves = len(chain)
+        cursor = planner(self.tree, self.placement)
+        plan = yield Call(cursor.next_misplaced)
+        leaves = cursor.leaves
         for _step in range(4 * leaves + 8):
-            plan = yield Call(cursor.next_misplaced)
             if plan is None:
                 break
             current, target, occupied = plan
@@ -365,6 +383,7 @@ class ReorgProtocol:
                 stats[kind] += 1
             if self.unit_pause:
                 yield Think(self.unit_pause)
+            plan = yield Call(cursor.next_misplaced)
         else:
             raise ReorgError("ordering did not converge")
         stats["already_placed"] = leaves - stats["swaps"] - stats["moves"]
@@ -373,12 +392,14 @@ class ReorgProtocol:
         return stats
 
     def _move_unit(self, source, target) -> _Unit:
+        """A pass-2 move, which begins only if its target is still free: a
+        user split may have taken the page since it was planned."""
         return _Unit(
             leaves=[source],
             new_pages=[target],
             begin=lambda bases: self.engine.begin_compact(
                 bases[0], [source], [target], unit_type=ReorgUnitType.MOVE
-            ),
+            ) if self.db.store.free_map.is_free(target) else None,
             complete=lambda unit_id, bases: self.engine.complete_compact(
                 unit_id, bases[0], [source], [target]
             ),

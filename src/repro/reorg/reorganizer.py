@@ -76,13 +76,13 @@ class Reorganizer:
 
     def run_pass1(self) -> Pass1Stats:
         """Compact the leaves (Figure 2)."""
-        with self.engine.owning_tree() as chain:
-            leaves_before = len(chain)
+        leaves_before = self.tree.leaf_count()
+        with self.engine.owning_tree():
             counts = run_alone(self.protocol.pass1())
             return Pass1Stats(
                 **{f.name: counts[f.name] for f in fields(Pass1Stats) if f.name in counts},
                 leaves_before=leaves_before,
-                leaves_after=len(chain),
+                leaves_after=self.tree.leaf_count(),
             )
 
     def run_pass2(self) -> Pass2Stats:

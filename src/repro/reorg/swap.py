@@ -38,8 +38,7 @@ from typing import Iterator
 
 from repro.btree.tree import BPlusTree
 from repro.reorg.placement import PlacementPolicy
-from repro.reorg.unit import LeafChain
-from repro.storage.page import NO_PAGE, PageId
+from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
 
 
@@ -56,63 +55,89 @@ class Pass2Stats:
         return self.swaps + self.moves
 
 
-def leaf_slots(
-    tree: BPlusTree, placement: PlacementPolicy, chain: LeafChain
-) -> list[PageId] | None:
-    """Policy-assigned target page per rank of ``chain`` (None: leaves stay
-    put, or the root is the one leaf), in the tree's shard lease when it has
-    one, else in the leaf extent."""
-    if tree.root_id in chain:
-        return None
-    lease = getattr(tree.store, "leaf_lease", None)
-    window = lease if lease is not None else tree.store.disk.extent(LEAF_EXTENT)
-    return placement.leaf_slots(len(chain), window.start)
+class _Planner:
+    """The two planners' shared state.  They plan from rank 0 again on
+    their first plan and whenever a user split or freed a leaf since, as
+    the tree's leaf-order counter shows (always on a bare tree, which has
+    none): their own units change no base page's child count."""
+
+    def __init__(self, tree: BPlusTree, placement: PlacementPolicy):
+        self.tree, self.placement = tree, placement
+        self._order: int | None = None
+        #: Leaves whose slot holds a page that is not a later leaf.
+        self.skipped: set[PageId] = set()
+        #: Plans from rank 0 so far, and the tree's leaves at the last one.
+        self.restarts = self.leaves = 0
+
+    def _restart(self) -> list[PageId] | None:
+        """The target slot per leaf rank when a restart is due, else None;
+        ``[]`` when the leaves stay put or the root is the one leaf.  Slots
+        lie in the tree's shard lease when it has one, else in the leaf
+        extent."""
+        tree = self.tree
+        order = tree.leaf_order()
+        if self.restarts and order is not None and order == self._order:
+            return None
+        self._order, self.skipped = order, set()
+        self.restarts += 1
+        self.leaves = tree.leaf_count()
+        if tree.store.get(tree.root_id).kind is PageKind.LEAF:
+            return []
+        lease = getattr(tree.store, "leaf_lease", None)
+        window = lease if lease is not None else tree.store.disk.extent(LEAF_EXTENT)
+        return self.placement.leaf_slots(self.leaves, window.start) or []
 
 
-class KeyOrderCursor:
+class KeyOrderCursor(_Planner):
     """Pass 2's key-order planner (also [Smi90]'s): the first leaf in key
     order not yet in its slot.
 
-    It resumes at the rank of its previous plan — executing a plan changes
-    that rank and later ones only — and restarts at rank 0 whenever the
-    chain re-seeds, which is where a walk on every step starts.  A slot held
-    by a page that is not a later leaf (under concurrency, a fresh split)
-    is left alone and its leaf *skipped*; slots being distinct, an occupied
-    target is a later leaf exactly when it is chained and not skipped.
+    It steps the tree's leaf cursor (:meth:`BPlusTree.leaf_neighbour`)
+    and holds the place of its previous plan across the unit that runs it:
+    a move re-inserts one base entry under the same key and a swap
+    exchanges two child pointers, so the place then holds the leaf of the
+    same rank.  It restarts at rank 0 when a user split or freed a leaf,
+    which is where a walk on every step starts.  A slot held by a page that
+    is not a later leaf is left alone and its leaf *skipped*; slots being
+    distinct and every earlier rank placed or skipped, an occupied target
+    is a later leaf exactly when it is not skipped.
     """
 
-    def __init__(self, tree: BPlusTree, chain: LeafChain, placement: PlacementPolicy):
-        self.tree, self.chain, self.placement = tree, chain, placement
-        self._epoch = -1
-        self._slots: list[PageId] | None = None
-        self._rank, self._before = 0, NO_PAGE  # _before: the page at _rank - 1
-        self.skipped: set[PageId] = set()
+    def __init__(self, tree: BPlusTree, placement: PlacementPolicy):
+        super().__init__(tree, placement)
+        self._slots: list[PageId] = []
+        self._rank = 0
+        self._place: tuple[PageId, int] | None = None  # of the leaf at _rank
 
     def next_misplaced(self) -> tuple[PageId, PageId, bool] | None:
         """``(leaf, target slot, slot occupied?)``, or None once every leaf
         is placed or skipped (or the root is the one leaf)."""
-        chain = self.chain
-        epoch = chain.epoch()
-        if epoch != self._epoch:
-            self._epoch, self._rank, self._before, self.skipped = epoch, 0, NO_PAGE, set()
-            self._slots = leaf_slots(self.tree, self.placement, chain)
-        slots = self._slots or ()
-        is_free = self.tree.store.free_map.is_free
-        rank, before = self._rank, self._before
-        while rank < len(slots):
-            leaf, target = chain.neighbours(before)[1], slots[rank]
-            if leaf != target:
-                occupied = not is_free(target)
-                if not occupied or (target in chain and target not in self.skipped):
-                    self._rank, self._before = rank, before
-                    return leaf, target, occupied
-                self.skipped.add(leaf)
-            rank, before = rank + 1, leaf
-        self._rank, self._before = rank, before
+        tree = self.tree
+        if (slots := self._restart()) is not None:
+            self._slots, self._rank = slots, 0
+            self._place = tree.first_leaf_place() if slots else None
+        slots, get = self._slots, tree.store.get_internal
+        is_free, step = tree.store.free_map.is_free, tree.leaf_neighbour
+        rank, place = self._rank, self._place
+        while place is not None and rank < len(slots):
+            leaf = get(place[0]).child_at(place[1])
+            # NO_PAGE: a moved empty leaf dropped its base page's last entry.
+            if leaf != NO_PAGE:
+                target = slots[rank]
+                if leaf != target:
+                    occupied = not is_free(target)
+                    if not occupied or target not in self.skipped:
+                        self._rank, self._place = rank, place
+                        return leaf, target, occupied
+                    self.skipped.add(leaf)
+                rank += 1
+            beside = step(*place, 1)
+            place = None if beside is None else beside[:2]
+        self._rank, self._place = rank, place
         return None
 
 
-class SeekAwareCursor:
+class SeekAwareCursor(_Planner):
     """Pass 2's seek-minimizing planner (``TreeConfig.seek_aware_pass2``):
     the same placement, scheduled elevator-style.
 
@@ -134,30 +159,25 @@ class SeekAwareCursor:
     schedule's layout — but not through the same units: moving first
     empties slots key order would have swapped into, so swaps remain only
     for true cycles and the log volume changes with the mix.  Like
-    :class:`KeyOrderCursor` it re-plans when the chain re-seeds, and a leaf
-    whose slot holds a page that is not a misplaced leaf is *skipped*.
+    :class:`KeyOrderCursor` it re-plans from one walk of the leaf cursor
+    when a user split or freed a leaf, and a leaf whose slot holds a page
+    that is not a misplaced leaf is *skipped*.
     """
 
-    def __init__(self, tree: BPlusTree, chain: LeafChain, placement: PlacementPolicy):
-        self.tree, self.chain, self.placement = tree, chain, placement
-        self._epoch = -1
+    def __init__(self, tree: BPlusTree, placement: PlacementPolicy):
+        super().__init__(tree, placement)
         #: page holding a misplaced leaf -> (the leaf's rank, its target).
         self._pending: dict[PageId, tuple[int, PageId]] = {}
         self._sweep: Iterator[PageId] = iter(())
         self._moved = False  # by the current sweep
-        self.skipped: set[PageId] = set()
 
     def next_misplaced(self) -> tuple[PageId, PageId, bool] | None:
         """``(leaf's page, target slot, slot occupied?)``, or None once
         every leaf is placed or skipped (or the root is the one leaf)."""
-        chain = self.chain
-        epoch = chain.epoch()
-        if epoch != self._epoch:
-            slots = leaf_slots(self.tree, self.placement, chain) or ()
-            self._epoch, self.skipped = epoch, set()
+        if (slots := self._restart()) is not None:
             self._pending = {
                 pid: (rank, slot)
-                for rank, (pid, slot) in enumerate(zip(chain, slots))
+                for rank, (pid, slot) in enumerate(zip(self.tree.leaf_ids_from(), slots))
                 if pid != slot
             }
             self._sweep, self._moved = iter(sorted(self._pending)), False

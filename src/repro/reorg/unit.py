@@ -34,8 +34,14 @@ idempotent, so "the reorganization unit will be able to finish the work
 instead of rolling back and wasting the work that has already been done."
 
 **Undo at deadlock** (section 5.2): :meth:`UnitEngine.undo_unit` moves
-already-moved records back, for the rare case where the reorganizer
-deadlocks after data movement (e.g. while upgrading R to X).
+already-moved records back and exchanges a swap's contents back, for the
+rare case where the reorganizer deadlocks after data movement (e.g. while
+upgrading R to X).
+
+**Side pointers** (section 4.3): a unit's key-order neighbours are the
+tree's leaf cursor's steps from its leaves' places in their base pages
+(:meth:`~repro.btree.tree.BPlusTree.leaf_neighbour`), which reads the
+parent level only — the level the paper assumes in memory (section 6).
 """
 
 from __future__ import annotations
@@ -43,13 +49,13 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.config import SidePointerKind
 from repro.db import Database
 from repro.errors import ReorgError
 from repro.btree.tree import BPlusTree
-from repro.storage.page import LeafPage, NO_PAGE, PageId, Record
+from repro.storage.page import LeafPage, NO_PAGE, PageId, PageKind, Record
 from repro.wal.apply import MoveStash, apply_record
 from repro.wal.records import (
     AllocRecord,
@@ -84,112 +90,6 @@ class UnitResult:
     records_moved: int
 
 
-class LeafChain:
-    """The key-order leaf chain as a doubly linked ring of page ids.
-
-    The chain is seeded from one ``walk()`` and, since a unit changes it by
-    one local splice or swap, kept current in O(unit) per unit — for a pass
-    that owns the tree and beside user transactions alike.  ``order`` reads
-    the tree's leaf-order counter (:meth:`BPlusTree.leaf_order`), which
-    every split, freed leaf, unit and crash moves.  A reader starts with
-    :meth:`epoch`, which re-seeds when the counter moved (always, on a bare
-    tree, whose counter is None); an edit patches the chain only across the
-    engine's one bump for it, else drops it for the next read to re-seed.
-    An edit that does not fit means page state disagrees with the chain,
-    which then re-seeds rather than serve a wrong one.  ``NO_PAGE`` closes
-    the ring, between the last leaf and the first.
-    """
-
-    def __init__(self, walk: Callable[[], list[PageId]], order: Callable[[], int | None]):
-        self._walk, self._order = walk, order
-        self._mark: int | None = None  # the counter at the last seed or edit
-        self._next: dict[PageId, PageId] = {}  # empty: not seeded, or dropped
-        self._prev: dict[PageId, PageId] = {}
-        self._seeds = 0
-
-    def _seed(self) -> None:
-        ring = [NO_PAGE, *self._walk(), NO_PAGE]
-        self._next = dict(zip(ring, ring[1:]))
-        self._prev = dict(zip(ring[1:], ring))
-        self._mark = self._order()
-        self._seeds += 1
-
-    def _ring(self) -> dict[PageId, PageId]:
-        """The successor map, seeded first if it is not."""
-        if not self._next:
-            self._seed()
-        return self._next
-
-    def epoch(self) -> int:
-        """Start a read: re-seed if the counter moved, then the number of
-        seeds so far — a reader keeping a position restarts when it moves."""
-        if self._mark is None or self._order() != self._mark:
-            self._next = {}
-        self._ring()
-        return self._seeds
-
-    def _patchable(self) -> bool:
-        if self._next and self._mark is not None and self._order() == self._mark + 1:
-            self._mark += 1
-            return True
-        self._next = {}
-        return False
-
-    def __len__(self) -> int:
-        return len(self._ring()) - 1
-
-    def __contains__(self, page_id: PageId) -> bool:
-        return page_id != NO_PAGE and page_id in self._ring()
-
-    def __iter__(self) -> Iterator[PageId]:
-        nxt = self._ring()
-        page_id = nxt[NO_PAGE]
-        while page_id != NO_PAGE:
-            yield page_id
-            page_id = nxt[page_id]
-
-    def neighbours(self, page_id: PageId) -> tuple[PageId, PageId]:
-        """``(previous, next)`` leaf of ``page_id``; ``NO_PAGE`` at the ends."""
-        nxt = self._ring()
-        return self._prev[page_id], nxt[page_id]
-
-    def splice(self, removed: list[PageId], inserted: list[PageId]) -> None:
-        """Replace the run made of exactly ``removed`` with ``inserted``
-        (a compaction group is consecutive children of one base page, hence
-        one run; ``inserted`` are new pages or some of the removed ones)."""
-        if not self._patchable():
-            return
-        nxt, prv = self._next, self._prev
-        members = set(removed)
-        if NO_PAGE in members or not members <= nxt.keys():
-            return self._seed()
-        firsts = [pid for pid in members if prv[pid] not in members]
-        lasts = [pid for pid in members if nxt[pid] not in members]
-        if len(firsts) != 1 or any(
-            pid in nxt and pid not in members for pid in inserted
-        ):
-            return self._seed()
-        run = [prv[firsts[0]], *inserted, nxt[lasts[0]]]
-        for pid in members:
-            del nxt[pid], prv[pid]
-        for left, right in zip(run, run[1:]):
-            nxt[left], prv[right] = right, left
-
-    def swap(self, leaf_a: PageId, leaf_b: PageId) -> None:
-        """Exchange the positions of two chained pages."""
-        if not self._patchable():
-            return
-        nxt, prv = self._next, self._prev
-        if leaf_a == leaf_b or leaf_a not in self or leaf_b not in self:
-            return self._seed()
-        # Every link that names one of the two pages now names the other.
-        other = {leaf_a: leaf_b, leaf_b: leaf_a}
-        links = [(prv[pid], pid) for pid in other] + [(pid, nxt[pid]) for pid in other]
-        for left, right in links:
-            left, right = other.get(left, left), other.get(right, right)
-            nxt[left], prv[right] = right, left
-
-
 class UnitEngine:
     """Executes reorganization units against one tree."""
 
@@ -201,38 +101,36 @@ class UnitEngine:
         self._unit_ids = itertools.count(1)
         #: Stash for keys-only MOVE records within the current unit.
         self._stash: MoveStash = {}
-        #: The key-order leaf chain the units keep current.
-        self.chain = LeafChain(self.tree.leaf_ids_in_key_order, self.tree.leaf_order)
 
     @contextmanager
-    def owning_tree(self) -> Iterator[LeafChain]:
+    def owning_tree(self) -> Iterator[None]:
         """Scope of one synchronous pass (1 or 2), which owns the tree.
 
-        Yields the leaf chain, which the units run inside keep current, and
-        keeps the index resident: every unit reads its base page(s) and
-        pass 2 descends from the root, so otherwise the leaf traffic of a
-        few units evicts internal pages the next ones re-read.  They are
-        pinned root-down, level by level, while the pool keeps the frames a
-        unit needs for itself — its group (at most one base page's
-        children), as many destinations, two base pages, two side-pointer
-        neighbours — and on exit left most recently used, base level last
-        in key order: pass 3 starts by scanning exactly those pages.
+        Keeps the index resident: every unit reads its base page(s), the
+        leaf cursor that plans pass 2 and finds side-pointer neighbours
+        reads the parent level, and pass 2 descends from the root, so
+        otherwise the leaf traffic of a few units evicts internal pages the
+        next ones re-read.  They are pinned root-down, level by level,
+        while the pool keeps the frames a unit needs for itself — its group
+        (at most one base page's children), as many destinations, two base
+        pages, two side-pointer neighbours — and on exit left most recently
+        used, base level last in key order: pass 3 starts by scanning
+        exactly those pages.
         """
         buffer, config = self.store.buffer, self.store.config
         budget = config.buffer_pool_pages - 2 * config.internal_capacity - 4
-        chain = self.chain
-        chain.epoch()
         held: list[PageId] = []
         try:
             # Breadth-first (the queue grows as it is read); no index to
             # hold when the root is itself the one leaf.
-            queue = [] if self.tree.root_id in chain else [self.tree.root_id]
+            root = buffer.fetch(self.tree.root_id)
+            queue = [] if root.kind is PageKind.LEAF else [root.page_id]
             for pid in itertools.islice(queue, max(0, budget)):
                 page = buffer.fetch(pid, pin=True)
                 held.append(pid)
                 if page.level > 1:  # type: ignore[union-attr]
                     queue.extend(page.children())  # type: ignore[union-attr]
-            yield chain
+            yield
         finally:
             for pid in held:
                 buffer.unpin(pid)
@@ -454,12 +352,7 @@ class UnitEngine:
         """Post the moves in the base page, fix pointers, free the drained
         sources, END.  Idempotent up to the END record."""
         built = self._fix_base(unit_id, base_page, sources, dests)
-        # The base now maps the group's key range to the built pages alone:
-        # count the leaf-order change (it stales other reorganizers' chains)
-        # and mirror it in this one before the side-pointer fix reads it.
-        self.tree.leaf_order_changed()
-        self.chain.splice(sources, built)
-        self._fix_side_pointers_around(*built)
+        self._fix_side_pointers_around([base_page], built)
         freed = tuple(s for s in sources if s not in dests)
         for source in freed:
             self._free_if_empty(source)
@@ -602,30 +495,50 @@ class UnitEngine:
 
     # -- side pointers ----------------------------------------------------------
 
-    def _fix_side_pointers_around(self, *leaves: PageId) -> None:
-        """Recompute side pointers of ``leaves`` and their key-order
-        neighbours from the (already corrected) tree structure.
+    def leaf_places(
+        self, bases: list[PageId], leaves: list[PageId]
+    ) -> list[tuple[PageId, int, PageId]]:
+        """``(base page, child index, leaf)`` of each of ``leaves`` that is
+        a child of one of ``bases``, in the order of ``leaves``."""
+        places = []
+        for leaf in leaves:
+            for base_id in bases:
+                index = self.store.get_internal(base_id).index_of_child(leaf)
+                if index >= 0:
+                    places.append((base_id, index, leaf))
+                    break
+        return places
+
+    def _fix_side_pointers_around(self, bases: list[PageId], leaves: list[PageId]) -> None:
+        """Recompute side pointers of ``leaves`` (children of ``bases``)
+        and their key-order neighbours from the (already corrected) tree
+        structure.
 
         Computing from the post-MODIFY tree makes the fix idempotent: on
-        forward-recovery re-entry the chain positions are derived from base
-        pages, never from possibly half-updated pointers.  Only pages whose
-        pointers actually change are logged — exactly the extra pages the
-        reorganizer must lock for side-pointer maintenance (section 4.3).
+        forward-recovery re-entry the neighbours are the leaf cursor's steps
+        over base pages, never possibly half-updated pointers.  Only pages
+        whose pointers actually change are logged — exactly the extra pages
+        the reorganizer must lock for side-pointer maintenance (section
+        4.3).
         """
         kind = self.tree.side_pointers
         if kind is SidePointerKind.NONE:
             return
-        chain = self.chain
-        # Re-seeds if a user split or freed a leaf since the last read and
-        # no patch of this unit's noticed (a retried swap patches nothing).
-        chain.epoch()
-        affected: set[PageId] = set()
-        for pid in leaves:
-            if pid in chain:
-                affected.update((pid, *chain.neighbours(pid)))
-        affected.discard(NO_PAGE)
-        for pid in sorted(affected):
-            prev_leaf, next_leaf = chain.neighbours(pid)
+        step = self.tree.leaf_neighbour
+        pointers: dict[PageId, tuple[PageId, PageId]] = {}
+        for place in self.leaf_places(bases, leaves):
+            # Two leaves either side: the neighbours' own neighbours too.
+            before, after = step(*place[:2], -1), step(*place[:2], 1)
+            run = [
+                before and step(*before[:2], -1), before, place,
+                after, after and step(*after[:2], 1),
+            ]
+            ids = [NO_PAGE if at is None else at[2] for at in run]
+            for i in (1, 2, 3):
+                if ids[i] != NO_PAGE:
+                    pointers[ids[i]] = (ids[i - 1], ids[i + 1])
+        for pid in sorted(pointers):
+            prev_leaf, next_leaf = pointers[pid]
             if kind is not SidePointerKind.TWO_WAY:
                 prev_leaf = NO_PAGE
             self._set_pointers(pid, next_leaf=next_leaf, prev_leaf=prev_leaf)
@@ -687,10 +600,8 @@ class UnitEngine:
         self, unit_id: int, base_a: PageId, leaf_a: PageId,
         base_b: PageId, leaf_b: PageId,
     ) -> UnitResult:
-        if self._fix_bases_after_swap(unit_id, base_a, leaf_a, base_b, leaf_b):
-            self.tree.leaf_order_changed()
-            self.chain.swap(leaf_a, leaf_b)
-        self._fix_side_pointers_around(leaf_a, leaf_b)
+        self._fix_bases_after_swap(unit_id, base_a, leaf_a, base_b, leaf_b)
+        self._fix_side_pointers_around([base_a, base_b], [leaf_a, leaf_b])
         largest = max(
             self._largest_key_of(leaf_a), self._largest_key_of(leaf_b)
         )
@@ -731,7 +642,7 @@ class UnitEngine:
         leaf_a: PageId,
         base_b: PageId,
         leaf_b: PageId,
-    ) -> bool:
+    ) -> None:
         """MODIFY the base entries after a swap by exchanging the *child
         pointers* (the slot keys keep describing the same key ranges; the
         leaves holding those ranges exchanged identities).
@@ -741,10 +652,8 @@ class UnitEngine:
         transient duplicate-separator state when both leaves share one base
         page, and makes each MODIFY independently idempotent: a slot is
         fixed exactly when its child's minimum key lies in the slot's
-        range.  True when the leaves did exchange places (not so when a
-        deadlock undo left the contents exchanged and the retry undid it).
+        range.
         """
-        modified = False
         for base_id in dict.fromkeys((base_a, base_b)):
             base = self.store.get_internal(base_id)
             for slot, (slot_key, child) in enumerate(base.entries):
@@ -758,8 +667,6 @@ class UnitEngine:
                 self._modify(
                     unit_id, base_id, (slot_key, child), (slot_key, correct)
                 )
-                modified = True
-        return modified
 
     def _correct_child_for_slot(
         self, base_id: PageId, slot: int, candidates: tuple[PageId, PageId]
@@ -883,7 +790,6 @@ class UnitEngine:
             elif isinstance(record, ReorgSwapRecord):
                 # A swap is its own inverse.
                 self._swap_contents(unit_id, record.page_a, record.page_b)
-        self.tree.leaf_order_changed()
         for dest in _dests_of(pending):
             if dest not in pending.leaf_pages:
                 self._free_if_empty(dest)
@@ -895,14 +801,17 @@ class UnitEngine:
 
     def undo_unit(self, unit_id: int) -> None:
         """Undo at deadlock (section 5.2): move records back where the
-        prev-LSN chain says they came from, then clear the progress entry.
+        prev-LSN chain says they came from, exchange a swap's contents back
+        (a swap is its own inverse, as in :meth:`rollback_unit`), then clear
+        the progress entry.
 
-        Only MOVE halves need inverting — a deadlock can only strike before
-        the base page was X-locked, hence before any MODIFY was logged, and
-        the leaf order (with it the chain) is as before the unit.
+        No MODIFY needs inverting — a deadlock can only strike before the
+        base page was X-locked, hence before any MODIFY was logged, so the
+        base pages, and with them the leaf order, are as before the unit.
         """
         cursor = self.db.progress.recent_lsn_of(unit_id)
         inversions: list[tuple[PageId, PageId, tuple[int, ...]]] = []
+        swaps: list[ReorgSwapRecord] = []
         begin: ReorgBeginRecord | None = None
         while cursor > 0:
             record = self.log.get(cursor)
@@ -910,12 +819,16 @@ class UnitEngine:
                 inversions.append(
                     (record.dest_page, record.org_page, record.keys)
                 )
-            if isinstance(record, ReorgBeginRecord):
+            elif isinstance(record, ReorgSwapRecord):
+                swaps.append(record)
+            elif isinstance(record, ReorgBeginRecord):
                 begin = record
                 break
             cursor = record.prev_lsn
         for dest, org, keys in inversions:
             self._move_back(unit_id, dest, org, keys)
+        for swap in swaps:
+            self._swap_contents(unit_id, swap.page_a, swap.page_b)
         # A new-place unit allocated fresh dest pages before the deadlock;
         # once drained they are returned to the free pool.
         for dest in _dests_of(begin) if begin is not None else ():

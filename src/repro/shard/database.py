@@ -242,7 +242,6 @@ class ShardedDatabase:
         free_map = self._db.store.free_map
         for handle in self.handles:
             handle.pass3 = Pass3State()
-            handle.frag.leaf_order += 1
             store = handle.store
             store.free_map = free_map
             # The rebuilt free map has no lease bookkeeping; re-granting

@@ -85,12 +85,13 @@ def test_known_violations_are_reported_and_strict(capsys, monkeypatch):
     and fails once it runs clean, like a strict xfail."""
     from reprocheck import cli
 
-    assert main(["updater-vs-pass2", "--max-schedules", "3"]) == 0
+    # The first schedules run clean; the sixth is the first to raise.
+    assert main(["updater-vs-pass2", "--max-schedules", "8"]) == 0
     assert "(known: btree-structure, no-runtime-error)" in capsys.readouterr().out
     monkeypatch.setitem(cli.KNOWN_VIOLATIONS, "deadlock-victim", ("table1-compat",))
     assert main(["deadlock-victim", "--max-schedules", "3"]) == 1
     monkeypatch.setitem(cli.KNOWN_VIOLATIONS, "updater-vs-pass2", ("btree-structure",))
-    assert main(["updater-vs-pass2", "--max-schedules", "3"]) == 1
+    assert main(["updater-vs-pass2", "--max-schedules", "8"]) == 1
 
 
 def test_module_entry_point_runs():

@@ -1,38 +1,35 @@
-"""The synchronous passes' maintained leaf chain and resident index.
+"""The leaf cursor the reorganizer finds neighbouring leaves with, and the
+resident index of the synchronous passes.
 
-A pass that owns the tree (``UnitEngine.owning_tree``) reads the engine's
-key-order leaf chain, seeded from one walk and patched per unit; these tests
-hold it to the tree after *every* unit, check the rebuild fallback, the pin
-scope of the index holder, and that walks no longer scale with the unit
-count.
+Pass 2 plans on the tree's leaf cursor and every unit's side-pointer
+neighbours are the cursor's steps from the unit's base pages; these tests
+hold both to a fresh tree walk after *every* unit, check the pin scope of
+the index holder, and that walks no longer happen per unit.
 """
 
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import (
-    FreeSpacePolicy, ReorgConfig, ShardConfig, SidePointerKind, TreeConfig,
-)
+from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint
 from repro.reorg.protocols import ReorgProtocol
 from repro.reorg.reorganizer import Reorganizer
-from repro.reorg.unit import LeafChain
-from repro.shard import ShardedDatabase
 from repro.sim.crash import LogCrashInjector
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import NO_PAGE, PageKind, Record
 from repro.txn.scheduler import Scheduler
-from repro.wal.records import SidePointerRecord
+from repro.wal.records import LeafDeleteRecord
 
 KINDS = list(SidePointerKind)
 
 
-def sparse_db(kind, *, n_records=600, pool=128, capacity=8, **flags):
+def sparse_db(kind, *, n_records=600, pool=128, capacity=8, empty=0, **flags):
+    """A sparse tree; ``empty`` > 0 empties every that-many-th leaf without
+    freeing it, as a crash between a delete and its free leaves it."""
     db = Database(
         TreeConfig(
             leaf_capacity=capacity,
@@ -45,6 +42,9 @@ def sparse_db(kind, *, n_records=600, pool=128, capacity=8, **flags):
         )
     )
     tree = build_sparse_tree(db, n_records=n_records, fill_after=0.3)
+    for leaf_id in tree.leaf_ids_in_key_order()[1::empty] if empty else ():
+        for record in list(db.store.get_leaf(leaf_id).records):
+            tree._log_apply(LeafDeleteRecord(page_id=leaf_id, record=record, tree_name=tree.name))
     return db, tree
 
 
@@ -73,78 +73,46 @@ def after_each_unit(engine, hook):
         setattr(engine, name, completed)
 
 
+def check_neighbours(engine, tree):
+    """Stepping the leaf cursor from the first place visits the walk's
+    leaves, and the neighbours the engine finds from each place are the
+    walk's: the previous and the next leaf in key order."""
+    walk = tree.leaf_ids_in_key_order()
+    assert tree.leaf_count() == len(walk)
+    place = tree.first_leaf_place()
+    if place is None:  # a leaf root has no base page, hence no place
+        assert walk == [tree.root_id]
+        return
+    ring = [None, *walk, None]
+    for rank, leaf in enumerate(walk):
+        assert engine.leaf_places([place[0]], [leaf]) == [(*place, leaf)]
+        steps = [tree.leaf_neighbour(*place, side) for side in (-1, 1)]
+        assert [at and at[2] for at in steps] == [ring[rank], ring[rank + 2]]
+        place = steps[1] and steps[1][:2]
+    assert place is None
+
+
 def check_every_unit(reorg, tree):
-    """After each unit the chain the pass owns must be the tree's, and the
-    tree valid.  Returns the (growing) list of unit types seen."""
+    """Before the passes and after each unit the engine's neighbours must
+    be the tree walk's, and the tree valid.  Returns the (growing) list of
+    unit types seen."""
     seen = []
 
     def check(result):
-        assert list(reorg.engine.chain) == tree.leaf_ids_in_key_order()
+        check_neighbours(reorg.engine, tree)
         tree.validate()
         seen.append(result.unit_type)
 
+    check_neighbours(reorg.engine, tree)
     after_each_unit(reorg.engine, check)
     return seen
-
-
-# -- the linked chain itself --------------------------------------------------------
-
-
-@given(data=st.data(), n=st.integers(1, 12))
-def test_chain_edits_match_a_list_model(data, n):
-    model, order = list(range(n)), [0]
-    chain = LeafChain(lambda: list(range(n)), lambda: order[0])
-    chain.epoch()
-    fresh = n
-    for _ in range(6):
-        order[0] += 1  # the engine's bump for its unit: the edit patches
-        if data.draw(st.booleans()) and len(model) > 1:
-            i, j = data.draw(
-                st.lists(st.integers(0, len(model) - 1), min_size=2, max_size=2, unique=True)
-            )
-            chain.swap(model[i], model[j])
-            model[i], model[j] = model[j], model[i]
-        else:
-            lo = data.draw(st.integers(0, len(model) - 1))
-            hi = data.draw(st.integers(lo, len(model) - 1))
-            removed = model[lo : hi + 1]
-            random.Random(lo).shuffle(removed)  # any order names the same run
-            # New-place (fresh ids) or in-place (one of the removed pages).
-            inserted = data.draw(
-                st.sampled_from([[fresh], [fresh, fresh + 1], removed[:1]])
-            )
-            fresh += 2
-            chain.splice(removed, inserted)
-            model[lo : hi + 1] = inserted
-        assert list(chain) == model and len(chain) == len(model)
-        for i, pid in enumerate(model):
-            before = model[i - 1] if i else NO_PAGE
-            after = model[i + 1] if i + 1 < len(model) else NO_PAGE
-            assert chain.neighbours(pid) == (before, after)
-
-
-def test_chain_reseeds_on_an_edit_that_disagrees_with_it():
-    walks, order = [], [0]
-    chain = LeafChain(lambda: walks.append(1) or [1, 2, 3, 4], lambda: order[0])
-    chain.epoch()
-    for edit in (
-        lambda: chain.splice([1, 3], [9]),  # not one run
-        lambda: chain.splice([2, 7], [9]),  # 7 is not chained
-        lambda: chain.splice([2], [4]),  # 4 is chained elsewhere
-        lambda: chain.swap(2, 7),
-        lambda: chain.swap(2, 2),
-    ):
-        walks.clear()
-        order[0] += 1
-        edit()
-        assert len(walks) == 1 and list(chain) == [1, 2, 3, 4]
 
 
 # -- equal to the tree after every unit ------------------------------------------
 
 
 CELLS = {
-    # name: (ReorgConfig overrides, TreeConfig flags, what must have occurred)
+    # name: (ReorgConfig overrides, sparse_db arguments, what must have occurred)
     "in_place": (dict(free_space_policy=FreeSpacePolicy.NONE), {},
                  lambda p1, p2: p1.in_place_units and not p1.new_place_units),
     "new_place": ({}, {}, lambda p1, p2: p1.new_place_units),
@@ -155,14 +123,20 @@ CELLS = {
              lambda p1, p2: p2.swaps),
     "swap_seek_aware": (dict(free_space_policy=FreeSpacePolicy.FIRST_FIT),
                         dict(seek_aware_pass2=True), lambda p1, p2: p2.swaps),
+    "empty_leaves": ({}, dict(empty=6), lambda p1, p2: p1.units and p2.moves),
+    "leaf_root": ({}, dict(n_records=5), lambda p1, p2: p1.leaves_before == 1),
+    "pool_8": ({}, dict(n_records=400, pool=8, capacity=4),
+               lambda p1, p2: p1.units and p2.operations),
+    "pool_16": ({}, dict(n_records=400, pool=16, capacity=4),
+                lambda p1, p2: p1.units and p2.operations),
 }
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("cell", CELLS)
 def test_chain_equals_walk_after_every_unit(cell, kind):
-    overrides, flags, occurred = CELLS[cell]
-    db, tree = sparse_db(kind, **flags)
+    overrides, shape, occurred = CELLS[cell]
+    db, tree = sparse_db(kind, **shape)
     before = [(r.key, r.payload) for r in tree.items()]
     reorg = Reorganizer(db, tree, ReorgConfig(**overrides))
     seen = check_every_unit(reorg, tree)
@@ -171,6 +145,7 @@ def test_chain_equals_walk_after_every_unit(cell, kind):
     assert len(seen) == pass1.units + pass2.operations
     assert [(r.key, r.payload) for r in tree.items()] == before
     assert pass1.leaves_after == len(tree.leaf_ids_in_key_order())
+    assert pinned(db) == []
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -287,77 +262,8 @@ def test_seek_aware_pass2_trades_swaps_for_moves(seed):
     assert (seek_swaps < key_swaps) == (seek_log != key_order_log)
 
 
-# -- the rebuild fallback, and how often the tree is walked ----------------------------
-# (``walks`` counts ``BPlusTree.leaf_ids_in_key_order`` calls; tests/conftest.py)
-
-
-def test_corrupt_chain_is_rebuilt_not_served(walks):
-    """Patch a leaf of the first group out of the chain: the unit's splice
-    no longer matches, so the engine re-seeds from a walk and logs the very
-    side pointers of an undisturbed pass."""
-    logged = {}
-    for corrupt in (False, True):
-        db, tree = sparse_db(SidePointerKind.TWO_WAY)
-        logged[corrupt] = records = []
-        append = db.log.append
-
-        def recording_append(record, append=append, records=records):
-            if isinstance(record, SidePointerRecord):
-                records.append((record.page_id, record.next_leaf, record.prev_leaf))
-            return append(record)
-
-        db.log.append = recording_append
-        reorg = Reorganizer(db, tree, ReorgConfig())
-        owning_tree = reorg.engine.owning_tree
-
-        @contextmanager
-        def corrupted():
-            with owning_tree() as chain:
-                tree.leaf_order_changed()  # so that the bad splice patches
-                chain.splice([list(chain)[1]], [])
-                yield chain
-
-        if corrupt:
-            reorg.engine.owning_tree = corrupted
-        walks.clear()
-        reorg.run_pass1()
-        assert len(walks) == (2 if corrupt else 1)  # the seed, the rebuild
-        tree.validate()
-    assert logged[True] == logged[False] != []
-
-
-@pytest.mark.parametrize("sharded", [False, True], ids=["database", "shard"])
-def test_a_crash_stales_every_chain(sharded):
-    """Redo stops at the stable log, which lacks a split the chain has
-    already read: the crash, not a split or a unit, moves the counter."""
-    config = TreeConfig(
-        leaf_capacity=4, internal_capacity=4, leaf_extent_pages=256,
-        internal_extent_pages=128, buffer_pool_pages=128,
-        side_pointers=SidePointerKind.ONE_WAY,
-    )
-    records = [Record(k, "v") for k in range(0, 400, 2)]
-    fill = dict(leaf_fill=1.0, internal_fill=0.5)  # the split stays below the root
-    if sharded:
-        db = ShardedDatabase(config, ShardConfig(n_shards=2))
-        db.bulk_load(records, **fill)
-        owner = db.handle(0)
-    else:
-        db = owner = Database(config)
-        db.bulk_load_tree(records, **fill)
-    db.flush()
-
-    def walk():
-        return owner.tree().leaf_ids_in_key_order()
-
-    chain = LeafChain(walk, owner.tree().leaf_order)
-    chain.epoch()
-    owner.tree().insert(Record(1, "lost"))  # splits the first leaf
-    chain.epoch()
-    split = list(chain)
-    db.crash()
-    db.recover()
-    chain.epoch()
-    assert len(split) == len(list(chain)) + 1 and list(chain) == walk()
+# -- how often the tree is walked ----------------------------------------------------
+# (``walks`` counts walks of the upper levels; tests/conftest.py)
 
 
 def test_walks_do_not_scale_with_units(walks):
@@ -370,8 +276,8 @@ def test_walks_do_not_scale_with_units(walks):
         report = Reorganizer(db, tree, ReorgConfig()).run()
         counts[n_records] = len(walks)
         assert report.pass1.units + report.pass2.operations > n_records // 100
-    # One seed walk per leaf pass and pass 3's leaf count.
-    assert counts[2_000] == counts[8_000] <= 3
+    # Pass 1's leaf counts before and after, and pass 2's at its restart.
+    assert counts[2_000] == counts[8_000] == 3
 
 
 # -- the index holder ---------------------------------------------------------------

@@ -81,9 +81,9 @@ def run_audited(db, generators):
 @pytest.mark.parametrize("kind", KINDS)
 class TestEverySidePointerEditIsLocked:
     """The neighbours a unit X-locks and the pointers it then writes are
-    both read off the protocol's counter-guarded leaf chain: with nothing
-    else changing the tree, that chain is seeded once per run, not walked
-    per unit."""
+    both the leaf cursor's steps from the unit's base pages: pass 1 never
+    walks the tree, and pass 2 walks it once, to count the leaves it
+    plans slots for, not per unit."""
 
     def test_single_output_units(self, kind, walks):
         db = sparse_db(kind)
@@ -91,7 +91,7 @@ class TestEverySidePointerEditIsLocked:
         walks.clear()
         (stats,) = run_audited(db, [protocol.pass1()])
         assert stats["units"] > 20
-        assert len(walks) == 1
+        assert len(walks) == 0
 
     def test_multi_output_units(self, kind):
         db = sparse_db(kind)
@@ -138,8 +138,8 @@ class TestEverySidePointerEditIsLocked:
         walks.clear()
         results = run_audited(db, [w.pass1() for w in workers])
         assert sum(stats["units"] for stats in results) > 20
-        # One chain for the four workers, each patching it with its units.
-        assert len(walks) == 1
+        # No walk: each worker's units step from their own base pages.
+        assert len(walks) == 0
 
     def test_workers_deadlocked_over_boundary_neighbours(self, kind):
         """Two one-unit partitions whose units are chain neighbours: each

@@ -3,9 +3,11 @@
 Outside the unit engine, only the reorganizer's protocols (the generators
 the synchronous passes drive too), the parallel workers and the [Smi90]
 baseline call the engine's unit entry points; outside the modules that
-define them, only the protocols name the section 7 step bodies.  A second
-loop running units, or a second ordering of pass 3 and the switch, cannot
-grow back unseen.
+define them, only the protocols name the section 7 step bodies; and no
+reorganizer module walks the leaves in key order where the tree's leaf
+cursor serves.  A second loop running units, a second ordering of pass 3
+and the switch, or a second way to find a neighbouring leaf cannot grow
+back unseen.
 """
 
 import ast
@@ -77,3 +79,36 @@ def test_only_the_protocols_order_the_section_7_steps():
     ]
     assert not strays, f"section 7 steps ordered outside the protocols: {strays}"
     assert STEPS <= {name for module, _, name in refs if module == "reorg/protocols.py"}
+
+
+class _KeyOrderWalks(ast.NodeVisitor):
+    """Collects the ``Class.function`` scope of every reference to
+    ``leaf_ids_in_key_order``."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Attribute(self, node):
+        if node.attr == "leaf_ids_in_key_order":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_the_reorganizer_steps_the_leaf_cursor_instead_of_walking():
+    """Pass 2's planners and the side-pointer fix-up find neighbouring
+    leaves by the tree's leaf cursor; the one key-order walk left under
+    the reorganizer is pass 3's leaf count for the shape it predicts."""
+    found = []
+    for package in ("reorg", "baseline"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            visitor = _KeyOrderWalks()
+            visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+            found += [f"{path.relative_to(SRC).as_posix()}:{scope}" for scope in visitor.found]
+    assert found == ["reorg/shrink.py:TreeShrinker._predicted_shape"]

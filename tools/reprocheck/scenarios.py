@@ -142,8 +142,9 @@ def _build_updater_vs_pass2() -> World:
     """A splitting insert and a free-at-empty delete race a DES pass 2 over
     leaves that shuffled inserts scattered across the extent, with one-way
     side pointers: each structural change moves the tree's leaf-order
-    counter, so the pass's key-order cursor re-seeds its chain, and every
-    move or swap still X-locks the neighbours whose pointers it edits."""
+    counter, so the pass's key-order planner restarts at rank 0, and every
+    move or swap still X-locks the neighbours whose pointers it edits (the
+    leaf cursor's steps from the unit's base pages)."""
     import random
 
     from repro.config import SidePointerKind
@@ -592,8 +593,9 @@ def _build_deadlock_victim() -> World:
 #: becomes a regression test).  tests/analysis/traces/ pins each one's
 #: shrunk trace as a strict xfail.
 KNOWN_VIOLATIONS: dict[str, tuple[str, ...]] = {
-    # ROADMAP item 1(b): a move or swap planned before the insert's split
-    # (or the delete's free) lands runs against the changed tree.
+    # ROADMAP item 1: a swap racing the insert's split can still leave a key
+    # above its slot's bound, after which the pass may find a leaf with no
+    # parent; and a waiter reads a page with no stable image (item 1(a)).
     "updater-vs-pass2": ("btree-structure", "no-runtime-error"),
 }
 
@@ -616,8 +618,8 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="updater-vs-pass2",
             description="a splitting insert and a free-at-empty delete race "
-            "a DES pass 2 with one-way side pointers (the key-order cursor "
-            "re-seeds its chain; moves and swaps lock their neighbours)",
+            "a DES pass 2 with one-way side pointers (the key-order planner "
+            "restarts; moves and swaps lock their cursor neighbours)",
             build=_build_updater_vs_pass2,
         ),
         Scenario(
