@@ -103,7 +103,7 @@ def test_e2_reorganizer_finishes_despite_contention(benchmark):
     stats = collect_stats(db.tree())
     assert metrics.reorg_elapsed > 0
     assert stats.leaf_fill > 0.55
-    assert not db.pass3.reorg_bit
+    assert not db.pass3_state().reorg_bit
     benchmark.pedantic(
         lambda: run_concurrent_experiment(setup(n_transactions=80),
                                           reorganizer="paper"),

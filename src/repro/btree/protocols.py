@@ -72,6 +72,7 @@ from repro.locks.resources import (
     page_lock,
     record_lock,
     sidefile_key,
+    sidefile_lock,
     tree_lock,
 )
 from repro.storage.page import NO_PAGE, PageId, PageKind, Record
@@ -714,10 +715,8 @@ def _structural_update(db, tree_name, key, action, think):
     # Section 7.2: while internal reorganization runs, a base-page update
     # must first IX the side file; if the side file is X-held the switch is
     # in progress -> instant IX, then restart against the new tree.
-    if db.pass3.reorg_bit:
-        from repro.reorg.switch import sidefile_resource
-
-        sidefile = sidefile_resource(db)
+    if db.pass3_state(tree_name).reorg_bit:
+        sidefile = sidefile_lock(tree_name)
         blocked = yield Call(lambda: _sidefile_switch_in_progress(db, sidefile))
         if blocked:
             yield Acquire(sidefile, IX, instant=True)

@@ -11,9 +11,11 @@ This is the object most users touch first (see README quickstart)::
 It owns the storage manager, the write-ahead log (wired into the buffer
 pool for WAL enforcement), the lock manager, and the reorganization
 progress table, and it carries the system state the paper's checkpoint
-record must include: the progress table (section 5) and the pass-3 state —
-reorganization bit, side file, last stable key, new-root location
-(sections 7.2-7.3).
+record must include: the progress table (section 5) and, per tree name,
+the pass-3 state — reorganization bit, side file, last stable key,
+new-root location (sections 7.2-7.3).  A
+:class:`~repro.shard.ShardedDatabase` wraps one of these, so a forest's
+shards keep their pass-3 state here too, one entry per shard tree.
 """
 
 from __future__ import annotations
@@ -34,16 +36,39 @@ from repro.wal.recovery import RecoveryManager, RecoveryReport, take_checkpoint
 
 @dataclass
 class Pass3State:
-    """Volatile pass-3 bookkeeping mirrored into checkpoints (section 7.3)."""
+    """One tree's pass-3 bookkeeping, checkpointed and recovered by tree
+    name (section 7.3)."""
 
     reorg_bit: bool = False
     stable_key: int | None = None
     new_root: PageId = -1
-    #: Live side-file entries (key, child, op); owned by the reorganizer's
-    #: SideFile object, mirrored here for checkpointing.
+    #: Live side-file entries (key, child, op); the tree's SideFile object
+    #: shares this list, so checkpoints see it.
     side_file_entries: list[tuple[int, PageId, str]] = field(default_factory=list)
     #: New base pages closed so far by pass 3: (low key, page id).
     built_entries: list[tuple[int, PageId]] = field(default_factory=list)
+    #: Set by recovery only — internal pages allocated after this tree's
+    #: last stable point, which a restart may deallocate (section 7.3) ...
+    allocs_after_stable: list[PageId] = field(default_factory=list)
+    #: ... and a logged switch's (old root, new root, old lock name).
+    switch_pending: tuple[PageId, PageId, str] | None = None
+
+    def checkpointed(self) -> tuple:
+        """What a checkpoint carries (section 7.3), in field order."""
+        return (self.reorg_bit, self.stable_key, self.new_root,
+                tuple(self.side_file_entries), tuple(self.built_entries))
+
+    def clear(self) -> None:
+        "Back to idle in place: the side file and the shrinker share the lists."
+        self.reorg_bit, self.stable_key, self.new_root = False, None, -1
+        self.switch_pending = None
+        for entries in (self.side_file_entries, self.built_entries, self.allocs_after_stable):
+            entries.clear()
+
+    @property
+    def idle(self) -> bool:
+        """No pass 3 runs on this tree: nothing to checkpoint."""
+        return self == Pass3State()
 
 
 class Database:
@@ -58,7 +83,8 @@ class Database:
         self.store.set_wal(self.log)
         self.locks = LockManager()
         self.progress = ReorgProgressTable()
-        self.pass3 = Pass3State()
+        #: Per-tree-name pass-3 state, created lazily by :meth:`pass3_state`.
+        self.pass3_states: dict[str, Pass3State] = {}
         #: Count of simulated crashes, for tests/metrics.
         self.crashes = 0
         #: Per-tree-name live fragmentation trackers
@@ -108,6 +134,13 @@ class Database:
             self.frag_trackers[name] = tracker
         return tracker
 
+    def pass3_state(self, name: str = "primary") -> Pass3State:
+        """The pass-3 state of tree ``name`` (created idle on demand)."""
+        state = self.pass3_states.get(name)
+        if state is None:
+            state = self.pass3_states[name] = Pass3State()
+        return state
+
     def tree(self, name: str = "primary") -> BPlusTree:
         tree = BPlusTree.attach(self.store, self.log, name=name)
         tree.frag_stats = self.frag_stats(name)
@@ -130,11 +163,7 @@ class Database:
             self.log,
             active_txns=active_txns,
             progress=self.progress,
-            stable_key=self.pass3.stable_key,
-            new_root=self.pass3.new_root,
-            reorg_bit=self.pass3.reorg_bit,
-            side_file=self.pass3.side_file_entries,
-            pass3_built=self.pass3.built_entries,
+            pass3=self.pass3_states,
         )
 
     def flush(self) -> None:
@@ -151,18 +180,19 @@ class Database:
         self.store.crash()
         self.locks.crash()
         self.progress.crash()
-        self.pass3 = Pass3State()
+        self.pass3_states = {}
         self.store.rebuild_free_map_from_disk()
         self.crashes += 1
 
     def recover(self, *, undo: bool = True) -> RecoveryReport:
-        """Run redo + undo; restore the progress table and pass-3 state.
+        """Run redo + undo; restore the progress table and every tree's
+        pass-3 state.
 
         Forward recovery of an in-flight reorganization unit is *not* done
-        here — the report's ``pending_unit`` is handed to
+        here — the report's ``pending_units`` are handed to
         :meth:`repro.reorg.reorganizer.Reorganizer.forward_recover`.
         """
-        report = RecoveryManager(self.store, self.log).run(undo=undo)
+        report = RecoveryManager(self.store, self.log, Pass3State).run(undo=undo)
         from repro.wal.progress import ProgressSnapshot
 
         units = tuple(
@@ -174,11 +204,5 @@ class Database:
         self.progress.restore(
             ProgressSnapshot(report.largest_finished_key, begin, recent, units)
         )
-        self.pass3 = Pass3State(
-            reorg_bit=report.reorg_bit,
-            stable_key=report.stable_key,
-            new_root=report.new_root,
-            side_file_entries=list(report.side_file),
-            built_entries=list(report.built_entries),
-        )
+        self.pass3_states = report.pass3
         return report

@@ -21,7 +21,7 @@ Trigger policy (all knobs on :class:`~repro.config.DaemonConfig`):
   crossing, not one per poll);
 * **cooldown** — at least ``cooldown`` simulated time between triggers
   of the same shard, independent of hysteresis;
-* **deferral** — a shard whose ``pass3.reorg_bit`` is already set (a
+* **deferral** — a tree whose pass-3 reorg bit is already set (a
   manual reorganizer owns it) is skipped for this poll, as is every
   shard when the process-wide optimistic-read counters moved more than
   ``optimistic_burst_threshold`` since the previous poll (a reorg in the
@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 class DaemonTarget:
     """One watched tree: a Database-shaped owner, its name, its metrics."""
 
-    db: Any  #: Database or ShardHandle (duck-typed: tree()/pass3/locks...)
+    db: Any  #: Database or ShardHandle (duck-typed: tree()/pass3_state()/locks...)
     tree_name: str
     frag: FragmentationStats
 
@@ -141,7 +141,7 @@ class ReorgDaemon:
         **des_pauses,
     ) -> "ReorgDaemon":
         targets = [
-            DaemonTarget(handle, handle.tree_name, handle.frag)
+            DaemonTarget(handle, handle.tree_name, handle.frag_stats())
             for handle in sdb.handles
         ]
         return cls(targets, config, reorg_config, **des_pauses)
@@ -217,7 +217,7 @@ class ReorgDaemon:
             return "hold-hysteresis"
         if not split_hot and not (fill_hot and state.armed):
             return "idle"
-        if target.db.pass3.reorg_bit:
+        if target.db.pass3_state(target.tree_name).reorg_bit:
             # A manual reorganizer owns this tree's reorg bit right now.
             self.stats.deferred_manual += 1
             return "defer-manual"

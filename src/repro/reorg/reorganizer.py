@@ -125,33 +125,36 @@ class Reorganizer:
     def forward_recover(self, recovery: RecoveryReport) -> ReorgReport:
         """Resume reorganization after a crash (section 5.1 / 7.3).
 
-        * An in-flight leaf unit is *finished*, never rolled back.
-        * If pass 3 was running (reorg bit set), its orphaned allocations
-          are reclaimed and the scan restarts from the last stable key.
+        * An in-flight leaf unit is *finished*, never rolled back, and
+          leaves ``recovery.pending_units``: the reorganizers of a forest
+          can each be handed the same report.
+        * If pass 3 was running on this tree (its reorg bit set), its
+          orphaned allocations are reclaimed and the scan restarts from
+          the last stable key.
 
         Returns a partial report describing what was recovered; the caller
         decides whether to continue with the remaining passes.
         """
         report = ReorgReport()
-        for pending in recovery.pending_units:
+        pending = recovery.pending_units
+        while pending:
             # One unit under the paper's single-process configuration;
-            # several with the parallel extension — each finished forward.
-            report.forward_recovered_unit = self.engine.finish_unit(pending)
-        if recovery.reorg_bit and recovery.switch_pending is not None:
+            # several with the parallel extension.  Unit ids are unique
+            # across trees, so each is finished forward once, by the first
+            # reorganizer handed the report.
+            report.forward_recovered_unit = self.engine.finish_unit(pending.pop(0))
+        state = recovery.pass3.get(self.tree.name)
+        if state is None or not state.reorg_bit:
+            return report
+        shrinker = TreeShrinker(self.db, self.tree, self.config)
+        if state.switch_pending is not None:
             # The switch had begun: finish it forward; no rebuilding.
-            shrinker = TreeShrinker(self.db, self.tree, self.config)
             switcher = Switcher(self.db, self.tree, shrinker)
-            run_alone(self.protocol._switch_protocol(switcher, recovery.switch_pending))
+            run_alone(self.protocol._switch_protocol(switcher, state.switch_pending))
             report.switch = switcher.stats
             return report
-        if recovery.reorg_bit:
-            shrinker = TreeShrinker(self.db, self.tree, self.config)
-            resume = shrinker.restart_after_crash(
-                allocs_after_stable=list(recovery.allocs_after_stable)
-            )
-            scan_done = resume is not None and resume >= SCAN_DONE_KEY
-            report.pass3_resumed_from = None if scan_done else resume
-            report.pass3, report.switch = self.run_pass3(
-                resume_from=resume, shrinker=shrinker
-            )
+        resume = shrinker.restart_after_crash()
+        scan_done = resume is not None and resume >= SCAN_DONE_KEY
+        report.pass3_resumed_from = None if scan_done else resume
+        report.pass3, report.switch = self.run_pass3(resume_from=resume, shrinker=shrinker)
         return report

@@ -12,8 +12,9 @@ logged too ("The actions of changing the new base page and of removing the
 side file record are logged" — ``SideFileApplyRecord``), so recovery can
 reconstruct the exact residue.
 
-The entry list is shared with :class:`repro.db.Pass3State` so checkpoints
-capture it automatically.
+The entry list is shared with the tree's :class:`repro.db.Pass3State`, so
+checkpoints capture it automatically, and every record names the tree, so
+recovery replays it into that tree's state alone.
 
 Version-stamp coverage (optimistic read path): the side file itself is a
 memory-resident table, invisible to readers; what matters is that applying
@@ -35,10 +36,11 @@ Entry = tuple[int, PageId, str]  # (key, child, "insert" | "delete")
 class SideFile:
     """Durable (via logging) list of deferred base-page changes."""
 
-    def __init__(self, db: Database):
+    def __init__(self, db: Database, tree_name: str):
         self.db = db
+        self.tree_name = tree_name
         # Share the list object with Pass3State so checkpoints see it.
-        self._entries: list[Entry] = db.pass3.side_file_entries
+        self._entries: list[Entry] = db.pass3_state(tree_name).side_file_entries
 
     # -- queries ------------------------------------------------------------
 
@@ -68,7 +70,9 @@ class SideFile:
         """
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown side-file op {op!r}")
-        record = SideFileInsertRecord(key=key, child=child, op=op)
+        record = SideFileInsertRecord(
+            key=key, child=child, op=op, tree_name=self.tree_name
+        )
         if txn is not None:
             record.txn_id = txn.txn_id
             record.prev_lsn = txn.last_lsn
@@ -93,6 +97,7 @@ class SideFile:
                 child=child,
                 op=op,
                 new_base_page=new_base_page,
+                tree_name=self.tree_name,
             )
         )
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from repro.btree.tree import BPlusTree
 from repro.db import Database
 from repro.errors import ReorgError
-from repro.locks.resources import sidefile_lock
 from repro.reorg.shrink import TreeShrinker, internal_post_order
 from repro.storage.page import PageId
 from repro.wal.records import FreeRecord, ReorgDoneRecord, TreeSwitchRecord
@@ -60,12 +59,6 @@ def current_lock_name(db: Database, tree_name: str) -> str:
     """The tree's current lock name; distinct per tree incarnation."""
     name = db.store.disk.get_meta(f"lockname:{tree_name}")
     return name if name is not None else f"{tree_name}@0"  # type: ignore[return-value]
-
-
-def sidefile_resource(db: Database) -> tuple:
-    """The lock resource of the side file ``db``'s trees post to: a shard
-    handle names its own side file, a plain database has the global one."""
-    return sidefile_lock(getattr(db, "sidefile_name", ""))
 
 
 def _bump_lock_name(db: Database, tree_name: str) -> None:
@@ -105,6 +98,7 @@ class Switcher:
                 old_root=self.stats.old_root,
                 new_root=self.stats.new_root,
                 old_lock_name=self.old_lock_name,
+                tree_name=self.tree.name,
             )
         )
         self.db.log.flush()
@@ -138,13 +132,9 @@ class Switcher:
     def finish(self) -> None:
         """Step 5, the rest: log the end of the reorganization, clear the
         reorganization bit and the pass-3 bookkeeping, stop listening."""
-        self.db.log.append(ReorgDoneRecord())
+        self.db.log.append(ReorgDoneRecord(tree_name=self.tree.name))
         self.db.log.flush()
-        self.db.pass3.reorg_bit = False
-        self.db.pass3.stable_key = None
-        self.db.pass3.new_root = -1
-        self.db.pass3.side_file_entries.clear()
-        self.shrinker.built_entries.clear()
+        self.shrinker.state.clear()
         self.shrinker.detach_listener()
 
     # bench/trace.py wraps these two names by ``Switcher.__dict__`` lookup

@@ -1,9 +1,10 @@
 """The sharded database facade.
 
 A :class:`ShardedDatabase` owns one underlying :class:`repro.db.Database`
-whose storage, log, lock manager and progress table are *shared* by every
-shard, plus N :class:`~repro.shard.handle.ShardHandle` views with disjoint
-extent leases.  Keys route through a :class:`~repro.shard.router.ShardRouter`;
+whose storage, log, lock manager, progress table and per-tree pass-3 state
+are *shared* by every shard, plus N :class:`~repro.shard.handle.ShardHandle`
+views with disjoint extent leases.  Durability is that database's: one
+checkpoint, one crash and one recovery, keyed by each shard's tree name.  Keys route through a :class:`~repro.shard.router.ShardRouter`;
 cross-shard range scans concatenate per-shard scans (range partitioning
 keeps shard outputs contiguous and ordered, and each per-shard scan reuses
 the readahead path of the underlying tree).
@@ -20,13 +21,13 @@ from __future__ import annotations
 import dataclasses
 
 from repro.config import ShardConfig, TreeConfig
-from repro.db import Database, Pass3State
+from repro.db import Database
 from repro.shard.handle import ShardHandle
 from repro.shard.router import ShardRouter
 from repro.shard.store import ShardStore
 from repro.storage.page import Record
 from repro.storage.store import INTERNAL_EXTENT, LEAF_EXTENT
-from repro.wal.recovery import RecoveryReport, take_checkpoint
+from repro.wal.recovery import RecoveryReport
 
 
 class ShardedDatabase:
@@ -76,9 +77,7 @@ class ShardedDatabase:
                 tree_name=f"{self.shard_config.tree_prefix}{i}",
                 config=handle_config,
                 store=store,
-                log=self.log,
-                locks=self.locks,
-                progress=self.progress,
+                db=self._db,
             )
             self.handles.append(handle)
 
@@ -211,25 +210,8 @@ class ShardedDatabase:
     # -- durability ----------------------------------------------------------
 
     def checkpoint(self, active_txns: dict[int, int] | None = None) -> int:
-        """Sharp checkpoint carrying every shard's pass-3 state."""
-        shard_pass3 = tuple(
-            (
-                h.tree_name,
-                h.pass3.reorg_bit,
-                h.pass3.stable_key,
-                h.pass3.new_root,
-                tuple(h.pass3.side_file_entries),
-                tuple(h.pass3.built_entries),
-            )
-            for h in self.handles
-        )
-        return take_checkpoint(
-            self._db.store,
-            self.log,
-            active_txns=active_txns,
-            progress=self.progress,
-            shard_pass3=shard_pass3,
-        )
+        """Sharp checkpoint carrying every shard tree's pass-3 state."""
+        return self._db.checkpoint(active_txns)
 
     def flush(self) -> None:
         self._db.flush()
@@ -237,11 +219,10 @@ class ShardedDatabase:
     # -- crash / recovery ----------------------------------------------------
 
     def crash(self) -> None:
-        """Lose all volatile state, including per-shard pass-3 bookkeeping."""
+        """Lose all volatile state, then re-grant every shard's leases."""
         self._db.crash()
         free_map = self._db.store.free_map
         for handle in self.handles:
-            handle.pass3 = Pass3State()
             store = handle.store
             store.free_map = free_map
             # The rebuilt free map has no lease bookkeeping; re-granting
@@ -256,25 +237,5 @@ class ShardedDatabase:
             )
 
     def recover(self, *, undo: bool = True) -> RecoveryReport:
-        """Redo + undo, then restore each shard's checkpointed pass-3 state.
-
-        Limitation (see ROADMAP open items): pass-3 state changes logged
-        *after* the checkpoint are replayed into the report's single global
-        fields, so a crash mid-pass-3 across several shards restores only
-        the checkpointed per-shard state, not the post-checkpoint log tail.
-        """
-        report = self._db.recover(undo=undo)
-        for handle in self.handles:
-            entry = report.shard_pass3.get(handle.tree_name)
-            if entry is None:
-                handle.pass3 = Pass3State()
-                continue
-            _name, reorg_bit, stable_key, new_root, side_file, built = entry
-            handle.pass3 = Pass3State(
-                reorg_bit=reorg_bit,
-                stable_key=stable_key,
-                new_root=new_root,
-                side_file_entries=list(side_file),
-                built_entries=list(built),
-            )
-        return report
+        """Redo + undo, restoring every shard tree's pass-3 state."""
+        return self._db.recover(undo=undo)

@@ -3,13 +3,12 @@
 A :class:`ShardHandle` duck-types the slice of
 :class:`repro.db.Database` that the tree protocols, the reorganizer
 (:class:`~repro.reorg.protocols.ReorgProtocol`,
-:class:`~repro.reorg.shrink.TreeShrinker`, ...) and the checkpoint
-machinery consume: ``config``, ``store``, ``log``, ``locks``,
-``progress``, ``pass3`` and ``tree()``.  The store is the shard's leased
-:class:`~repro.shard.store.ShardStore`; log, locks and progress are the
-shared instances; ``pass3`` is the shard's *own*
-:class:`~repro.db.Pass3State`, so each shard's side file, stable key and
-new-root bookkeeping evolve independently and are checkpointed per shard.
+:class:`~repro.reorg.shrink.TreeShrinker`, ...) and the daemon consume:
+``config``, ``store``, ``log``, ``locks``, ``progress``, ``tree()``,
+``pass3_state()`` and ``frag_stats()``.  The store is the shard's leased
+:class:`~repro.shard.store.ShardStore`; everything else is the one
+underlying :class:`~repro.db.Database`'s, and the pass-3 state and
+fragmentation tracker are that database's entries for the shard's tree.
 
 All tree access goes through the shard's own store view — never through
 ``Database.tree()`` (enforced statically by the ``shard-router-only``
@@ -19,14 +18,11 @@ reprolint rule), so a handle can only ever reach its own tree.
 from __future__ import annotations
 
 from repro.btree.tree import BPlusTree
-from repro.config import TreeConfig, gapped_leaf_fill
-from repro.db import Pass3State
-from repro.locks.manager import LockManager
+from repro.config import TreeConfig
+from repro.db import Database, Pass3State
 from repro.metrics import FragmentationStats, ShardStats
 from repro.shard.store import ShardStore
 from repro.storage.page import Record
-from repro.wal.log import LogManager
-from repro.wal.progress import ReorgProgressTable
 
 
 class ShardHandle:
@@ -39,41 +35,37 @@ class ShardHandle:
         tree_name: str,
         config: TreeConfig,
         store: ShardStore,
-        log: LogManager,
-        locks: LockManager,
-        progress: ReorgProgressTable,
+        db: Database,
     ):
         self.shard_index = index
         self.tree_name = tree_name
         self.config = config
         self.store = store
-        self.log = log
-        self.locks = locks
-        self.progress = progress
-        self.pass3 = Pass3State()
-        #: Names this shard's side file: shard switches X-lock
-        #: ``sidefile_lock(tree_name)``, and shard updaters IX the same
-        #: resource, so switch drains never entangle other shards.
-        self.sidefile_name = tree_name
+        self.log = db.log
+        self.locks = db.locks
+        self.progress = db.progress
+        self._db = db
         self.stats = ShardStats()
-        #: Live fill-factor/split-rate tracker for this shard's tree;
-        #: :meth:`tree` wires it onto every handle it returns, and the
-        #: auto-reorg daemon polls it (after a ``sync_from_tree``
-        #: baseline).
-        self.frag = FragmentationStats(
-            leaf_capacity=gapped_leaf_fill(config, 1.0)
-        )
 
-    # -- tree access ---------------------------------------------------------
-
-    def tree(self, name: str | None = None) -> BPlusTree:
+    def _own(self, name: str | None) -> str:
         if name is not None and name != self.tree_name:
             raise ValueError(
                 f"shard {self.shard_index} owns tree {self.tree_name!r}, "
                 f"not {name!r} — route through the ShardedDatabase instead"
             )
-        tree = BPlusTree.attach(self.store, self.log, name=self.tree_name)
-        tree.frag_stats = self.frag
+        return self.tree_name
+
+    def pass3_state(self, name: str | None = None) -> Pass3State:
+        return self._db.pass3_state(self._own(name))
+
+    def frag_stats(self, name: str | None = None) -> FragmentationStats:
+        return self._db.frag_stats(self._own(name))
+
+    # -- tree access ---------------------------------------------------------
+
+    def tree(self, name: str | None = None) -> BPlusTree:
+        tree = BPlusTree.attach(self.store, self.log, name=self._own(name))
+        tree.frag_stats = self.frag_stats()
         return tree
 
     def has_tree(self, name: str | None = None) -> bool:
@@ -103,7 +95,7 @@ class ShardHandle:
             leaf_fill=leaf_fill,
             internal_fill=internal_fill,
         )
-        tree.frag_stats = self.frag
+        tree.frag_stats = self.frag_stats()
         return tree
 
     def __repr__(self) -> str:

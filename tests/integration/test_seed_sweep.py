@@ -50,7 +50,7 @@ def test_paper_reorganizer_robust_across_seeds(seed):
     tree = db.tree()
     tree.validate()
     assert collect_stats(tree).leaf_fill > 0.5
-    assert not db.pass3.reorg_bit
+    assert not db.pass3_state().reorg_bit
     assert not db.progress.unit_in_flight
 
 

@@ -218,10 +218,10 @@ class TestInstantDuration:
         """Section 7.2: updater uses an instant IX to wait out the switch."""
         from repro.locks.resources import sidefile_lock
 
-        lm.request(reorg, sidefile_lock(), X)
-        req = lm.request(reader, sidefile_lock(), IX, instant=True)
+        lm.request(reorg, sidefile_lock("primary"), X)
+        req = lm.request(reader, sidefile_lock("primary"), IX, instant=True)
         assert req.state is RequestState.WAITING
-        lm.release(reorg, sidefile_lock(), X)
+        lm.release(reorg, sidefile_lock("primary"), X)
         assert req.state is RequestState.INSTANT_DONE
 
     def test_instant_waiter_does_not_block_later_requests(self, lm, reorg, reader, reader2):

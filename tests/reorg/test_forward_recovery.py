@@ -217,14 +217,14 @@ class TestPass3Recovery:
         _, crashed = self.run_until_pass3_crash(db, crash_after, config)
         assert crashed
         recovery = crash_recover(db)
-        assert recovery.reorg_bit
+        assert recovery.pass3["primary"].reorg_bit
         fresh = Reorganizer(db, db.tree(), config)
         report = fresh.forward_recover(recovery)
         assert report.switch is not None
         tree = db.tree()
         tree.validate()
         assert [r.key for r in tree.items()] == expected_keys(1200, 2)
-        assert not db.pass3.reorg_bit
+        assert not db.pass3_state().reorg_bit
 
     def test_crash_after_switch_record_finishes_switch(self):
         """Crash inside the switch window: recovery finishes the switch
@@ -261,14 +261,15 @@ class TestPass3Recovery:
             crashed = True
         assert crashed
         recovery = crash_recover(db)
-        assert recovery.switch_pending is not None
+        pending = recovery.pass3["primary"].switch_pending
+        assert pending is not None
         fresh = Reorganizer(db, db.tree(), config)
         report = fresh.forward_recover(recovery)
         assert report.switch is not None
         tree = db.tree()
         tree.validate()
         assert [r.key for r in tree.items()] == expected_keys()
-        assert tree.root_id == recovery.switch_pending[1]
+        assert tree.root_id == pending[1]
 
     def test_crash_after_every_log_record_of_a_des_pass3(self):
         """The DES protocol logs through the same step bodies as the
@@ -304,14 +305,15 @@ class TestPass3Recovery:
                 with LogCrashInjector(db.log, after_records=crash_after):
                     des_pass3(db)
             recovery = crash_recover(db)
-            assert (recovery.switch_pending is not None) == (
+            state = recovery.pass3.get("primary")
+            assert (state is not None and state.switch_pending is not None) == (
                 switch_at < crash_after < len(logged)
             ), crash_after
             Reorganizer(db, db.tree(), config).forward_recover(recovery)
             tree = db.tree()
             tree.validate()
             assert [r.key for r in tree.items()] == expected_keys(600, 2), crash_after
-            assert not db.pass3.reorg_bit
+            assert not db.pass3_state().reorg_bit
             assert tree.base_change_listener is None
             # Flipped exactly once, whichever side of the crash did it.
             assert current_lock_name(db, "primary") == "primary@1", crash_after
@@ -356,10 +358,10 @@ class TestPass3Recovery:
     def test_side_file_residue_dropped_beyond_stable_key(self):
         db = sparse_db()
         # Seed a side file with entries straddling a stable key.
-        db.pass3.side_file_entries.extend(
+        db.pass3_state().side_file_entries.extend(
             [(10, 3, "insert"), (500, 4, "insert")]
         )
         shrinker = TreeShrinker(db, db.tree(), ReorgConfig())
-        db.pass3.stable_key = 100
-        shrinker.restart_after_crash(allocs_after_stable=[])
-        assert db.pass3.side_file_entries == [(10, 3, "insert")]
+        db.pass3_state().stable_key = 100
+        shrinker.restart_after_crash()
+        assert db.pass3_state().side_file_entries == [(10, 3, "insert")]

@@ -64,7 +64,7 @@ class TestReorgProtocolAlone:
         assert [r.key for r in tree.items()] == keys_before
         stats = collect_stats(tree)
         assert stats.disk_order_fraction == 1.0
-        assert not db.pass3.reorg_bit
+        assert not db.pass3_state().reorg_bit
 
     def test_pass2_protocol_orders_leaves(self):
         db = make_db()
@@ -154,7 +154,7 @@ class TestReorgUnderContention:
         tree.validate()
         inserted = [k for k in keys if tree.search(k) is not None]
         assert len(inserted) >= 45  # duplicates of survivors may fail
-        assert not db.pass3.reorg_bit
+        assert not db.pass3_state().reorg_bit
 
     def test_reorganizer_yields_at_deadlock(self):
         """A long-running reader that collides with the reorganizer's RX
@@ -241,7 +241,7 @@ class TestPass3StatedOnce:
         assert sync_db.store.disk.stats == des_db.store.disk.stats
         for db in (sync_db, des_db):
             db.tree().validate()
-            assert not db.pass3.reorg_bit
+            assert not db.pass3_state().reorg_bit
         assert [r.key for r in sync_db.tree().items()] == [
             r.key for r in des_db.tree().items()
         ]
@@ -264,7 +264,7 @@ class TestPass3StatedOnce:
 
         def never_drains(shrinker):
             rounds.append(1)
-            shrinker.db.pass3.side_file_entries[:] = [(0, 0, "insert")]
+            shrinker.db.pass3_state().side_file_entries[:] = [(0, 0, "insert")]
             return 0
 
         monkeypatch.setattr(TreeShrinker, "apply_side_file_once", never_drains)
@@ -308,7 +308,7 @@ class TestPass3StatedOnce:
         )
         tree = db.bulk_load_tree([Record(k, "v") for k in range(3)])
         lone_des_pass3(db)
-        assert not db.pass3.reorg_bit
+        assert not db.pass3_state().reorg_bit
         assert tree.base_change_listener is None
         for key in range(3, 40):
             tree.insert(Record(key, "v"))
@@ -316,5 +316,5 @@ class TestPass3StatedOnce:
         db.flush()
         db.checkpoint()
         recovery = crash_recover(db)
-        assert not recovery.reorg_bit
+        assert "primary" not in recovery.pass3
         db.tree().validate()

@@ -111,8 +111,8 @@ class TestShrink:
     def test_reorg_bit_cleared_after_switch(self):
         db, tree = tall_sparse_db()
         run_pass3(db, tree)
-        assert not db.pass3.reorg_bit
-        assert db.pass3.side_file_entries == []
+        assert not db.pass3_state().reorg_bit
+        assert db.pass3_state().side_file_entries == []
 
     def test_single_leaf_tree_rejected(self):
         db = Database(
@@ -228,12 +228,12 @@ class TestSideFileCatchUp:
             ck = shrinker.get_current()
             if ck >= SCAN_DONE_KEY or observed["appended"]:
                 return
-            before = len(db.pass3.side_file_entries)
+            before = len(db.pass3_state().side_file_entries)
             # Insert far ahead of the scan: must NOT go to the side file.
             probe = ck + 100_000
             if tree.search(probe) is None:
                 tree.insert(Record(probe))
-            observed["appended"] = len(db.pass3.side_file_entries) - before
+            observed["appended"] = len(db.pass3_state().side_file_entries) - before
 
         run_pass3(db, tree, during_scan=during_scan)
         assert observed["appended"] == 0

@@ -25,9 +25,9 @@ def make_db():
 class TestSideFile:
     def test_append_logs_and_mirrors_into_pass3_state(self):
         db = make_db()
-        side = SideFile(db)
+        side = SideFile(db, "primary")
         side.append(10, 3, "insert")
-        assert db.pass3.side_file_entries == [(10, 3, "insert")]
+        assert db.pass3_state().side_file_entries == [(10, 3, "insert")]
         records = [
             r for r in db.log.records_from(1)
             if isinstance(r, SideFileInsertRecord)
@@ -37,7 +37,7 @@ class TestSideFile:
 
     def test_append_chains_into_the_causing_transaction(self):
         db = make_db()
-        side = SideFile(db)
+        side = SideFile(db, "primary")
         txn = Transaction()
         side.append(10, 3, "insert", txn)
         record = db.log.get(txn.last_lsn)
@@ -47,11 +47,11 @@ class TestSideFile:
     def test_invalid_op_rejected(self):
         db = make_db()
         with pytest.raises(ValueError):
-            SideFile(db).append(1, 1, "upsert")
+            SideFile(db, "primary").append(1, 1, "upsert")
 
     def test_pop_and_log_applied(self):
         db = make_db()
-        side = SideFile(db)
+        side = SideFile(db, "primary")
         side.append(10, 3, "insert")
         side.append(20, 4, "delete")
         entry = side.pop_front()
@@ -67,7 +67,7 @@ class TestSideFile:
 
     def test_drop_after_key(self):
         db = make_db()
-        side = SideFile(db)
+        side = SideFile(db, "primary")
         for key in (5, 15, 25):
             side.append(key, 0, "insert")
         dropped = side.drop_after_key(15)
@@ -76,9 +76,9 @@ class TestSideFile:
 
     def test_restore(self):
         db = make_db()
-        side = SideFile(db)
+        side = SideFile(db, "primary")
         side.restore([(1, 2, "insert")])
-        assert db.pass3.side_file_entries == [(1, 2, "insert")]
+        assert db.pass3_state().side_file_entries == [(1, 2, "insert")]
 
 
 class TestFindFreePage:

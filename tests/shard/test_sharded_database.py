@@ -128,22 +128,21 @@ class TestOneShardIdentity:
 class TestShardedDurability:
     def test_checkpoint_crash_recover_restores_pass3(self):
         sdb, alive = load_sharded(2)
-        h1 = sdb.handle(1)
-        h1.pass3.reorg_bit = True
-        h1.pass3.stable_key = 777
-        h1.pass3.side_file_entries.append(("insert", 778, 1))
+        state = sdb.handle(1).pass3_state()
+        state.reorg_bit = True
+        state.stable_key = 777
+        state.side_file_entries.append((778, 1, "insert"))
         sdb.flush()
         sdb.checkpoint()
         sdb.crash()
-        assert h1.pass3.stable_key is None or h1.pass3.stable_key != 777
+        assert sdb.handle(1).pass3_state().idle
         report = sdb.recover()
-        assert sdb.handle(0).pass3.reorg_bit in (0, False)
-        assert sdb.handle(1).pass3.reorg_bit
-        assert sdb.handle(1).pass3.stable_key == 777
-        assert list(sdb.handle(1).pass3.side_file_entries) == [
-            ("insert", 778, 1)
-        ]
-        assert set(report.shard_pass3) == {"shard0", "shard1"}
+        assert set(report.pass3) == {"shard1"}
+        assert sdb.handle(0).pass3_state().idle
+        state = sdb.handle(1).pass3_state()
+        assert state.reorg_bit
+        assert state.stable_key == 777
+        assert state.side_file_entries == [(778, 1, "insert")]
         merged = [r.key for r in sdb.range_scan(0, 1199)]
         assert merged == alive
 

@@ -97,14 +97,14 @@ def test_checkpoint_during_pass3_preserves_side_file_state():
     sched.spawn(pass3_only(), name="reorg", is_reorganizer=True)
     # Let the scan get going, then checkpoint and stop.
     sched.run(until=3.0)
-    if not db.pass3.reorg_bit:
+    if not db.pass3_state().reorg_bit:
         pytest.skip("pass 3 finished before the observation window")
     db.checkpoint()
     db.log.flush()
     recovery = crash_recover(db)
-    assert recovery.reorg_bit
-    assert recovery.stable_key is not None
+    assert recovery.pass3["primary"].reorg_bit
+    assert recovery.pass3["primary"].stable_key is not None
     Reorganizer(db, db.tree(), ReorgConfig()).forward_recover(recovery)
     tree = db.tree()
     tree.validate()
-    assert not db.pass3.reorg_bit
+    assert not db.pass3_state().reorg_bit

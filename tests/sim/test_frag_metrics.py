@@ -124,30 +124,30 @@ class TestPerShardTracking:
         sdb = ShardedDatabase(small_config(), ShardConfig(n_shards=2))
         sdb.bulk_load([Record(2 * k, "v") for k in range(80)])
         for handle in sdb.handles:
-            handle.frag.sync_from_tree(handle.tree())
+            handle.frag_stats().sync_from_tree(handle.tree())
         for k in range(0, 80, 2):  # odd keys spread across both shards
             sdb.insert(Record(2 * k + 1, "w"))
         for k in range(0, 40, 4):
             sdb.delete(4 * k)
-        per_shard = [handle.frag for handle in sdb.handles]
+        per_shard = [handle.frag_stats() for handle in sdb.handles]
         assert sum(f.inserts for f in per_shard) == 40
         assert sum(f.deletes for f in per_shard) == 10
         assert all(f.inserts > 0 for f in per_shard)
         for handle in sdb.handles:
-            assert handle.frag.records == handle.tree().record_count()
+            assert handle.frag_stats().records == handle.tree().record_count()
 
     def test_shard_fill_factors_are_independent(self):
         sdb = ShardedDatabase(small_config(), ShardConfig(n_shards=2))
         sdb.bulk_load([Record(k, "v") for k in range(80)])
         for handle in sdb.handles:
-            handle.frag.sync_from_tree(handle.tree())
+            handle.frag_stats().sync_from_tree(handle.tree())
         # thin out only the keys of shard 0's key range
         low_keys = [
             k for k in range(80) if sdb.router.shard_for(k) == 0
         ]
         for k in low_keys[:: 2]:
             sdb.delete(k)
-        frag0, frag1 = (handle.frag for handle in sdb.handles)
+        frag0, frag1 = (handle.frag_stats() for handle in sdb.handles)
         assert frag0.fill_factor < 0.7
         assert frag1.fill_factor == pytest.approx(1.0)
 

@@ -35,7 +35,8 @@ def frag_at(fill, leaves=10, cap=10):
 
 def make_daemon(config=CFG, *, fill=0.5, reorg_bit=False):
     frag = frag_at(fill)
-    db = SimpleNamespace(pass3=SimpleNamespace(reorg_bit=reorg_bit))
+    state = SimpleNamespace(reorg_bit=reorg_bit)
+    db = SimpleNamespace(pass3_state=lambda name: state)
     target = DaemonTarget(db, "t", frag)
     return ReorgDaemon([target], config), target
 
@@ -212,7 +213,7 @@ class TestEndToEnd:
 
     def test_manual_reorg_holds_the_daemon_off(self):
         db = fragmented_db()
-        db.pass3.reorg_bit = True  # a manual reorganizer owns the tree
+        db.pass3_state().reorg_bit = True  # a manual reorganizer owns the tree
         daemon = des_run(db, CFG, horizon=3.0)
         assert daemon.stats.triggers == 0
         assert daemon.stats.deferred_manual == daemon.stats.polls == 3

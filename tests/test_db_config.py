@@ -124,15 +124,44 @@ class TestDatabaseFacade:
     def test_recover_restores_pass3_state(self):
         db = small_db()
         db.create_tree()
-        db.pass3.reorg_bit = True
-        db.pass3.stable_key = 42
-        db.pass3.side_file_entries.append((1, 2, "insert"))
+        db.pass3_state().reorg_bit = True
+        db.pass3_state().stable_key = 42
+        db.pass3_state().side_file_entries.append((1, 2, "insert"))
         db.checkpoint()
         db.crash()
         db.recover()
-        assert db.pass3.reorg_bit
-        assert db.pass3.stable_key == 42
-        assert db.pass3.side_file_entries == [(1, 2, "insert")]
+        assert db.pass3_state().reorg_bit
+        assert db.pass3_state().stable_key == 42
+        assert db.pass3_state().side_file_entries == [(1, 2, "insert")]
+
+    def test_two_trees_pass3_states_round_trip_independently(self):
+        db = small_db()
+        db.create_tree()
+        db.create_tree("other")
+        db.create_tree("idle")
+        primary = db.pass3_state()
+        primary.reorg_bit = True
+        primary.stable_key = 42
+        primary.side_file_entries.append((1, 2, "insert"))
+        other = db.pass3_state("other")
+        other.reorg_bit = True
+        other.new_root = 7
+        other.built_entries.append((0, 7))
+        db.pass3_state("idle")
+        lsn = db.checkpoint()
+        record = db.log.get(lsn)
+        assert record.pass3 == (
+            ("other", True, None, 7, (), ((0, 7),)),
+            ("primary", True, 42, -1, ((1, 2, "insert"),), ()),
+        )
+        db.crash()
+        assert db.pass3_states == {}
+        report = db.recover()
+        assert db.pass3_states is report.pass3
+        assert set(report.pass3) == {"primary", "other"}
+        assert db.pass3_state() == primary
+        assert db.pass3_state("other") == other
+        assert db.pass3_state("idle").idle
 
 
 class TestErrorHierarchy:

@@ -169,11 +169,18 @@ CASES = {
     "undo": undo_crash,
 }
 
-#: case -> (digest, crashes), generated with the isinstance ladders.
+#: case -> (digest, crashes), generated with the isinstance ladders, then
+#: re-pinned when the report's global pass-3 fields became one map keyed by
+#: tree name.  Mapping the one-tree entry back onto the global fields
+#: reproduces the earlier "audit-sweep" digest.  "undo" differs from it in
+#: one value: an internal page split off by user inserts, with no pass 3
+#: running, is no longer an orphan candidate.  "sharded" moved because
+#: each shard's post-checkpoint pass-3 records now replay into its own
+#: entry.
 PINNED = {
-    "audit-sweep": ("0412a32d4db66825", 190),
-    "sharded": ("2834336599c891d0", 4),
-    "undo": ("bf1aacdac3a74e65", 1),
+    "audit-sweep": ("9ebef386d9c63d3b", 190),
+    "sharded": ("55ad07e09b329a31", 4),
+    "undo": ("71bdbfad68970c70", 1),
 }
 
 
