@@ -2,15 +2,18 @@
 
 Crashes the full pipeline at log-append offsets spanning pass 1, pass 2,
 pass 3 and the switch; recovery + forward recovery must restore the exact
-record set at *every* one of its 190 offsets.
+record set at *every* one of its 190 offsets, and leave no allocated
+internal page the tree cannot reach.
 """
 
 from repro.config import ReorgConfig, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint
 from repro.reorg.reorganizer import Reorganizer
+from repro.reorg.shrink import internal_post_order
 from repro.sim.crash import LogCrashInjector, crash_recover
 from repro.storage.page import Record
+from repro.storage.store import INTERNAL_EXTENT
 
 CONFIG = ReorgConfig(stable_point_interval=2)
 
@@ -63,6 +66,15 @@ def audit_offset(crash_after, expected):
     tree = db.tree()
     tree.validate()
     assert sorted(r.key for r in tree.items()) == expected, crash_after
+    assert orphan_internal_pages(db.store, [tree.root_id]) == set(), crash_after
+
+
+def orphan_internal_pages(store, roots):
+    """Allocated internal pages that no tree under ``roots`` reaches."""
+    reachable = set()
+    for root in roots:
+        reachable.update(internal_post_order(store, root))
+    return set(store.free_map.allocated_page_ids(INTERNAL_EXTENT)) - reachable
 
 
 def test_crash_audit_across_all_passes():
