@@ -118,12 +118,12 @@ def test_e7_switch_window_is_short(benchmark):
 
     def spy_request(owner, resource, mode, **kwargs):
         request = original_request(owner, resource, mode, **kwargs)
-        if resource == sidefile_lock() and mode is LockMode.X:
+        if resource == sidefile_lock("primary") and mode is LockMode.X:
             window["acquired"] = sched.now
         return request
 
     def spy_release(owner, resource, mode):
-        if resource == sidefile_lock() and mode is LockMode.X:
+        if resource == sidefile_lock("primary") and mode is LockMode.X:
             window["released"] = sched.now
         return original_release(owner, resource, mode)
 

@@ -4,7 +4,8 @@
 This package scales that idea *out*: a :class:`ShardedDatabase` is a
 forest of N B+-trees behind a :class:`ShardRouter`, each shard owning an
 exclusive lease on a slice of the shared leaf and internal extents, all
-shards sharing the one log, lock manager and deterministic scheduler.
+shards sharing the one log, lock manager, deterministic scheduler and the
+one database's checkpoint and recovery, keyed by shard tree name.
 :class:`ParallelReorganizer` runs the full three-pass algorithm (compact,
 swap, shrink — including side-file capture and the section 7.4 switch)
 concurrently across shards as interleaved scheduler processes.
