@@ -90,6 +90,26 @@ class TestBasics:
         sched.run()
         assert sched.completed[0][1] == "late"
 
+    def test_run_until_keeps_equal_time_order(self):
+        """Stopping at ``until`` puts the next event back as it was: two
+        processes due at the same instant still finish in spawn order."""
+
+        def proc():
+            yield Think(2.0)
+
+        def finish_order(*untils):
+            sched = make_scheduler()
+            for name in "ab":
+                sched.spawn(proc(), name=name)
+            for until in untils:
+                sched.run(until=until)
+            sched.run()
+            return [txn.name for txn, _ in sched.completed]
+
+        assert finish_order() == ["a", "b"]
+        assert finish_order(1.0) == ["a", "b"]
+        assert finish_order(0.5, 1.0, 1.5) == ["a", "b"]
+
     def test_call_runs_function_synchronously(self):
         sched = make_scheduler()
 
