@@ -41,11 +41,10 @@ schedule and is reported with its replayable trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.db import Database
-from repro.txn.scheduler import Scheduler, _Process
+from repro.txn.scheduler import Scheduler
 
 #: Trace-format version tag; bump on any change to choice-point placement.
 TRACE_VERSION = "t1"
@@ -262,19 +261,10 @@ class _Recorder:
     def _event_key(self, event: tuple) -> tuple:
         """(process name, per-process step index) for a pending event.
 
-        Scheduled actions are ``functools.partial`` objects whose first
-        process-typed argument names the owning process; the key is stable
+        Every heap entry carries the process it wakes; the key is stable
         across runs taking the same choices, unlike heap sequence numbers.
         """
-        _, seq, action = event
-        name = None
-        if isinstance(action, partial):
-            for arg in action.args:
-                if isinstance(arg, _Process):
-                    name = arg.txn.name
-                    break
-        if name is None:
-            name = f"?{seq}"
+        name = event[2].txn.name
         return (name, self._steps.get(name, 0))
 
     def _flush_exec(self) -> None:
@@ -406,7 +396,7 @@ class _Recorder:
                 proc.waiting_since is not None,
                 self._steps.get(proc.txn.name, 0),
             )
-            for proc in self.world.scheduler._processes
+            for proc in self.world.scheduler._processes.values()
         )
         return hash((holders, queues, processes, self.world.db.log.last_lsn))
 
@@ -524,7 +514,7 @@ class Explorer:
             # leave processes mid-flight).  Their ``finally: yield
             # ReleaseAll()`` blocks would otherwise fire "generator ignored
             # GeneratorExit" warnings at GC time.
-            for process in world.scheduler._processes:
+            for process in world.scheduler._processes.values():
                 if not process.done:
                     try:
                         process.gen.close()

@@ -522,11 +522,11 @@ def _patch_scheduler() -> None:
     from repro.txn.scheduler import Scheduler
 
     def wrap_step(original: Any) -> Any:
-        def wrapper(self: Any, process: Any, **kw: Any) -> None:
+        def wrapper(self: Any, process: Any, value: Any, throw: Any) -> None:
             prev_owner, prev_lm = _CTX.owner, _CTX.lock_manager
             _CTX.owner, _CTX.lock_manager = process.txn, self.lm
             try:
-                original(self, process, **kw)
+                original(self, process, value, throw)
             finally:
                 _CTX.owner, _CTX.lock_manager = prev_owner, prev_lm
 

@@ -30,10 +30,9 @@ from repro.config import ReorgConfig
 from repro.db import Database
 from repro.errors import ReorgError
 from repro.locks.modes import LockMode
-from repro.locks.resources import tree_lock
+from repro.locks.resources import current_lock_name, tree_lock
 from repro.reorg.placement import KeyOrderPolicy
 from repro.reorg.swap import KeyOrderCursor
-from repro.reorg.switch import current_lock_name
 from repro.reorg.unit import UnitEngine, UnitResult
 from repro.storage.page import PageId, PageKind
 from repro.txn.ops import Acquire, Call, Release, Think

@@ -69,6 +69,7 @@ from repro.db import Database
 from repro.errors import RXConflictError, TransactionAborted
 from repro.locks.modes import LockMode
 from repro.locks.resources import (
+    current_lock_name,
     page_lock,
     record_lock,
     sidefile_key,
@@ -132,12 +133,6 @@ def _optimistic_enabled(db) -> bool:
     return config is not None and getattr(config, "optimistic_reads", False)
 
 
-def _lock_name(db: Database, tree_name: str) -> str:
-    from repro.reorg.switch import current_lock_name
-
-    return current_lock_name(db, tree_name)
-
-
 def _s_couple_to_base(db: Database, tree: BPlusTree, key: int):
     """S lock-couple from the root to the base page for ``key``.
 
@@ -190,7 +185,7 @@ def _locked_reader_search(
     think: float = 0.0,
 ) -> Generator[Any, Any, Record | None]:
     """Point lookup under the section 4.1.2 protocol; returns the record."""
-    name = _lock_name(db, tree_name)
+    name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IS)
     result: Record | None = None
     try:
@@ -236,7 +231,7 @@ def reader_search_record_locking(
     place, then the S lock on the page is downgraded to IS lock while an S
     lock on the read record is held to the end of transaction."
     """
-    name = _lock_name(db, tree_name)
+    name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IS)
     result: Record | None = None
     try:
@@ -305,7 +300,7 @@ def _locked_reader_range_scan(
     """Range scan: S lock-couple to the first leaf, then walk successors,
     S locking each leaf before reading it (locks held to end of scan to
     keep the read set stable)."""
-    name = _lock_name(db, tree_name)
+    name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IS)
     out: list[Record] = []
     try:
@@ -630,7 +625,7 @@ def updater_delete(
 
 
 def _updater(db, tree_name, key, action, think):
-    name = _lock_name(db, tree_name)
+    name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IX)
     success = False
     try:

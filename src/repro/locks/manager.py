@@ -19,18 +19,20 @@ Implements the paper's locking machinery (section 4):
   policy: "Whenever the reorganizer gets in a deadlock, we always force the
   reorganizer to give up its lock."
 
-The manager is synchronous and scheduler-agnostic: ``request`` returns a
-:class:`LockRequest` whose state is GRANTED, WAITING, or (for instant
-requests that could be satisfied immediately) INSTANT_DONE.  The
-discrete-event scheduler attaches ``on_grant`` / ``on_deadlock`` callbacks
-to waiting requests and is woken by them.
+The manager is synchronous and scheduler-agnostic: ``request`` returns
+something whose ``state`` is GRANTED, WAITING, or (for instant requests
+that could be satisfied immediately) INSTANT_DONE.  Only a request that
+waits is a :class:`LockRequest` of its own; an immediate grant returns a
+shared outcome and allocates nothing.  The discrete-event scheduler
+attaches ``on_grant`` / ``on_deadlock`` callbacks to waiting requests and
+is woken by them.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
@@ -39,7 +41,8 @@ from repro.errors import (
     LockProtocolViolation,
     RXConflictError,
 )
-from repro.locks.modes import LockMode, can_upgrade, compatible
+from repro.locks.modes import LockMode, can_upgrade, compatibility_cell, compatible
+from repro.metrics import StatsDeltaMixin
 from repro.perf import PERF
 
 #: See storage/buffer.py: reset() clears in place, the alias stays valid.
@@ -47,6 +50,10 @@ _COUNTERS = PERF.counters
 
 Resource = Hashable
 Owner = Hashable
+
+#: Bound once: looking a member up on an Enum class costs about as much as
+#: the rest of an uncontended request.
+R, RS, RX, X = LockMode.R, LockMode.RS, LockMode.RX, LockMode.X
 
 
 class RequestState(enum.Enum):
@@ -81,8 +88,26 @@ class LockRequest:
         return self.state in (RequestState.GRANTED, RequestState.INSTANT_DONE)
 
 
+class _Immediate:
+    """What ``request`` / ``convert`` return for a grant that never waited:
+    one shared, unchanging outcome instead of a :class:`LockRequest`."""
+
+    __slots__ = ("state",)
+    done = True
+
+    def __init__(self, state: RequestState):
+        self.state = state
+
+    def __repr__(self) -> str:
+        return f"<{self.state.value}>"
+
+
+_GRANTED = _Immediate(RequestState.GRANTED)
+_INSTANT_DONE = _Immediate(RequestState.INSTANT_DONE)
+
+
 @dataclass
-class LockStats:
+class LockStats(StatsDeltaMixin):
     """Counters for the concurrency benchmarks (E2, E5)."""
 
     requests: int = 0
@@ -96,22 +121,18 @@ class LockStats:
     deadlocks: int = 0
     conversions: int = 0
 
-    def reset(self) -> None:
-        self.requests = 0
-        self.immediate_grants = 0
-        self.fast_path_grants = 0
-        self.waits = 0
-        self.rx_rejections = 0
-        self.deadlocks = 0
-        self.conversions = 0
-
 
 class LockManager:
     """Grants, queues and converts locks per Table 1."""
 
     def __init__(self):
-        #: resource -> owner -> Counter of held modes (ref-counted).
-        self._holders: dict[Resource, dict[Owner, Counter]] = {}
+        #: resource -> owner -> {mode: count} of held modes (ref-counted;
+        #: a mode is present only while its count is positive, an owner
+        #: only while it holds a mode, a resource only while held).
+        self._holders: dict[Resource, dict[Owner, dict[LockMode, int]]] = {}
+        #: owner -> the resources it has an entry for in ``_holders``, so
+        #: ``release_all`` touches only the owner's own locks.
+        self._owned: defaultdict[Owner, set[Resource]] = defaultdict(set)
         #: resource -> FIFO list of waiting requests.
         self._queues: dict[Resource, list[LockRequest]] = {}
         self.stats = LockStats()
@@ -132,7 +153,11 @@ class LockManager:
     def holders_of(self, resource: Resource) -> dict[Owner, list[LockMode]]:
         held = self._holders.get(resource, {})
         return {
-            owner: sorted(counts.elements(), key=lambda m: m.value)
+            owner: [
+                mode
+                for mode in sorted(counts, key=lambda m: m.value)
+                for _ in range(counts[mode])
+            ]
             for owner, counts in held.items()
         }
 
@@ -147,9 +172,7 @@ class LockManager:
         held = self._holders.get(resource)
         if not held:
             return False
-        return any(
-            counts[LockMode.RX] > 0 for counts in held.values()
-        )
+        return any(RX in counts for counts in held.values())
 
     def held_modes(self, owner: Owner, resource: Resource) -> list[LockMode]:
         counts = self._holders.get(resource, {}).get(owner)
@@ -157,7 +180,7 @@ class LockManager:
 
     def holds(self, owner: Owner, resource: Resource, mode: LockMode) -> bool:
         counts = self._holders.get(resource, {}).get(owner)
-        return bool(counts) and counts[mode] > 0
+        return counts is not None and mode in counts
 
     def waiters_of(self, resource: Resource) -> list[LockRequest]:
         return list(self._queues.get(resource, ()))
@@ -187,54 +210,56 @@ class LockManager:
         instant: bool = False,
         on_grant: Callable[[LockRequest], None] | None = None,
         on_deadlock: Callable[[LockRequest], None] | None = None,
-    ) -> LockRequest:
-        """Request ``mode`` on ``resource``; returns the request object.
+    ) -> LockRequest | _Immediate:
+        """Request ``mode`` on ``resource``; returns its outcome.
 
-        State on return is GRANTED (lock held), INSTANT_DONE (instant
-        request satisfiable now), or WAITING (enqueued).  A conflict with a
-        held RX lock raises :class:`~repro.errors.RXConflictError` instead
-        — the paper's forgo-and-back-off signal.
+        The outcome's ``state`` is GRANTED (lock held), INSTANT_DONE
+        (instant request satisfiable now), or WAITING — then it is the
+        enqueued :class:`LockRequest`.  A conflict with a held RX lock
+        raises :class:`~repro.errors.RXConflictError` instead — the paper's
+        forgo-and-back-off signal.
         """
-        if mode is LockMode.RS and not instant:
+        if mode is RS and not instant:
             raise LockProtocolViolation(
                 "RS must be requested as an instant-duration lock"
             )
-        self.stats.requests += 1
-        request = LockRequest(
-            owner, resource, mode,
-            instant=instant, on_grant=on_grant, on_deadlock=on_deadlock,
-        )
-        holders = self._holders
-        if resource not in holders and resource not in self._queues:
+        stats = self.stats
+        stats.requests += 1
+        held = self._holders.get(resource)
+        if held is None and resource not in self._queues:
             # Uncontended fast path: nothing held and nobody queued, so any
             # mode is grantable outright — skip the conflict scan and the
             # earlier-waiter check.  Table-1 outcomes are unchanged because
             # both checks are vacuous on an untouched resource.
-            if instant:
-                request.state = RequestState.INSTANT_DONE
-            else:
-                counts: Counter[LockMode] = Counter()
-                counts[mode] = 1
-                holders[resource] = {owner: counts}
-                request.state = RequestState.GRANTED
-            self.stats.immediate_grants += 1
-            self.stats.fast_path_grants += 1
+            stats.immediate_grants += 1
+            stats.fast_path_grants += 1
             _COUNTERS.lock_fast_grants += 1
-            return request
-        held = holders.get(resource, {})
-        own_counts = held.get(owner)
-        if own_counts and own_counts[mode] > 0 and not instant:
-            # Re-request of an already held mode: just bump the count.
-            own_counts[mode] += 1
-            request.state = RequestState.GRANTED
-            self.stats.immediate_grants += 1
-            return request
+            if instant:
+                return _INSTANT_DONE
+            self._holders[resource] = {owner: {mode: 1}}
+            self._owned[owner].add(resource)
+            return _GRANTED
+        if held is not None and not instant:
+            own_counts = held.get(owner)
+            if own_counts is not None and mode in own_counts:
+                # Re-request of an already held mode: just bump the count.
+                own_counts[mode] += 1
+                stats.immediate_grants += 1
+                return _GRANTED
 
         self._check_blank_with_waiters(owner, resource, mode)
         conflict_holder = self._first_conflicting_holder(owner, resource, mode)
-        if conflict_holder is not None:
+        if conflict_holder is None:
+            if not self._blocked_by_earlier_waiter(owner, resource, mode):
+                stats.immediate_grants += 1
+                _COUNTERS.lock_slow_grants += 1
+                if instant:
+                    return _INSTANT_DONE
+                self._hold(owner, resource, mode)
+                return _GRANTED
+        else:
             holder_owner, holder_mode = conflict_holder
-            if holder_mode is LockMode.RX and not getattr(
+            if holder_mode is RX and not getattr(
                 owner, "is_reorganizer", False
             ):
                 # Paper: "a conflicting request causes the requester to
@@ -243,23 +268,20 @@ class LockManager:
                 # meeting another worker's RX (a section 4.3 neighbour lock
                 # at a partition boundary) waits as it would on X, and a
                 # cycle goes to the deadlock detector.
-                self.stats.rx_rejections += 1
+                stats.rx_rejections += 1
                 raise RXConflictError(
                     f"{mode.value} request on {resource!r} conflicts with "
                     f"RX held by {holder_owner!r}",
                     resource=resource,
                     holder=holder_owner,
                 )
-            self._enqueue(request)
-            return request
-
-        if self._blocked_by_earlier_waiter(request):
-            self._enqueue(request)
-            return request
-
-        self._grant(request)
-        self.stats.immediate_grants += 1
-        _COUNTERS.lock_slow_grants += 1
+        request = LockRequest(
+            owner, resource, mode,
+            instant=instant, on_grant=on_grant, on_deadlock=on_deadlock,
+        )
+        self._queues.setdefault(resource, []).append(request)
+        stats.waits += 1
+        _COUNTERS.lock_waits += 1
         return request
 
     def convert(
@@ -270,7 +292,7 @@ class LockManager:
         *,
         on_grant: Callable[[LockRequest], None] | None = None,
         on_deadlock: Callable[[LockRequest], None] | None = None,
-    ) -> LockRequest:
+    ) -> LockRequest | _Immediate:
         """Convert a held lock to a stronger mode (e.g. R -> X, section 4.1.1).
 
         Conversions are queued ahead of fresh requests.  The *strongest*
@@ -284,16 +306,12 @@ class LockManager:
         from_mode = self._pick_conversion_source(held, to_mode)
         self.stats.requests += 1
         self.stats.conversions += 1
-        request = LockRequest(
-            owner, resource, to_mode,
-            convert_from=from_mode, on_grant=on_grant, on_deadlock=on_deadlock,
-        )
-        if self._compatible_with_holders(owner, resource, to_mode):
-            self._apply_conversion(request)
-            request.state = RequestState.GRANTED
+        conflict = self._first_conflicting_holder(owner, resource, to_mode)
+        if conflict is None:
+            self._apply_conversion(owner, resource, from_mode, to_mode)
             self.stats.immediate_grants += 1
-            return request
-        if self._conflicts_with_rx(owner, resource, to_mode):
+            return _GRANTED
+        if conflict[1] is RX:
             self.stats.rx_rejections += 1
             raise RXConflictError(
                 f"conversion to {to_mode.value} on {resource!r} conflicts "
@@ -306,16 +324,22 @@ class LockManager:
         insert_at = 0
         while insert_at < len(queue) and queue[insert_at].convert_from is not None:
             insert_at += 1
+        request = LockRequest(
+            owner, resource, to_mode,
+            convert_from=from_mode, on_grant=on_grant, on_deadlock=on_deadlock,
+        )
         queue.insert(insert_at, request)
         self.stats.waits += 1
         return request
 
     @staticmethod
-    def _pick_conversion_source(held: Counter, to_mode: LockMode) -> LockMode:
-        candidates = [m for m in held if held[m] > 0 and can_upgrade(m, to_mode)]
+    def _pick_conversion_source(
+        held: dict[LockMode, int], to_mode: LockMode
+    ) -> LockMode:
+        candidates = [m for m in held if can_upgrade(m, to_mode)]
         if not candidates:
             raise LockProtocolViolation(
-                f"no held mode of {sorted(m.value for m in held if held[m] > 0)} "
+                f"no held mode of {sorted(m.value for m in held)} "
                 f"converts to {to_mode.value}"
             )
         # Prefer the strongest source (R over S over IX over IS) so the
@@ -338,54 +362,64 @@ class LockManager:
         read record is held to the end of transaction."  Downgrades never
         wait; they can only make more requests grantable.
         """
-        from repro.locks.modes import can_upgrade
-
         if not can_upgrade(to_mode, from_mode):
             raise LockProtocolViolation(
                 f"{from_mode.value} does not downgrade to {to_mode.value}"
             )
-        held = self._holders.get(resource, {})
-        counts = held.get(owner)
-        if not counts or counts[from_mode] <= 0:
+        counts = self._holders.get(resource, {}).get(owner)
+        if counts is None or from_mode not in counts:
             raise LockNotHeldError(
                 f"{owner!r} does not hold {from_mode.value} on {resource!r}"
             )
-        counts[from_mode] -= 1
-        if counts[from_mode] == 0:
-            del counts[from_mode]
-        counts[to_mode] += 1
+        _drop_one(counts, from_mode)
+        counts[to_mode] = counts.get(to_mode, 0) + 1
         self._dispatch(resource)
 
     # -- releasing -----------------------------------------------------------
 
     def release(self, owner: Owner, resource: Resource, mode: LockMode) -> None:
         """Release one reference to a held lock."""
-        held = self._holders.get(resource, {})
-        counts = held.get(owner)
-        if not counts or counts[mode] <= 0:
+        held = self._holders.get(resource)
+        counts = held.get(owner) if held is not None else None
+        if counts is None or mode not in counts:
             raise LockNotHeldError(
                 f"{owner!r} does not hold {mode.value} on {resource!r}"
             )
-        counts[mode] -= 1
-        if counts[mode] == 0:
-            del counts[mode]
+        _drop_one(counts, mode)
         if not counts:
             del held[owner]
-        if not held:
-            self._holders.pop(resource, None)
+            owned = self._owned[owner]
+            owned.discard(resource)
+            if not owned:
+                del self._owned[owner]
+            if not held:
+                del self._holders[resource]
         if resource in self._queues:
             self._dispatch(resource)
 
     def release_all(self, owner: Owner) -> None:
-        """Release every lock held by ``owner`` (end of transaction)."""
-        for resource in list(self._holders):
-            held = self._holders[resource]
-            if owner in held:
-                del held[owner]
-                if not held:
-                    del self._holders[resource]
-                if resource in self._queues:
-                    self._dispatch(resource)
+        """Release every lock held by ``owner`` (end of transaction).
+
+        Waiters are woken resource by resource in holder-table order — the
+        order a scan of the whole table would meet them in — not in the
+        order ``owner`` happened to acquire its locks.
+        """
+        owned = self._owned.pop(owner, None)
+        if not owned:
+            return
+        holders = self._holders
+        queues = self._queues
+        queued = [resource for resource in owned if resource in queues]
+        if len(queued) > 1:
+            position = {resource: i for i, resource in enumerate(holders)}
+            queued.sort(key=position.__getitem__)
+        for resource in owned:
+            held = holders[resource]
+            del held[owner]
+            if not held:
+                del holders[resource]
+        for resource in queued:
+            self._dispatch(resource)
 
     def cancel_wait(self, owner: Owner) -> None:
         """Withdraw any waiting request of ``owner`` (back-off / abort)."""
@@ -408,38 +442,40 @@ class LockManager:
     def crash(self) -> None:
         """The lock table is volatile; a crash empties it."""
         self._holders.clear()
+        self._owned.clear()
         self._queues.clear()
 
     # -- deadlock detection --------------------------------------------------------
 
-    def build_waits_for(self) -> dict[Owner, set[Owner]]:
+    def build_waits_for(self) -> dict[Owner, dict[Owner, None]]:
         """Waits-for edges: waiter -> owners it is blocked by.
 
         A waiter is blocked by (a) every holder of a conflicting mode and
         (b) every *earlier* waiter on the same resource with a conflicting
-        mode (FIFO order means it will be granted first).
+        mode (FIFO order means it will be granted first).  Both levels are
+        insertion-ordered dicts, so the cycle search — and with it the
+        victim — depends on the lock table alone, never on owner hashes.
         """
-        graph: dict[Owner, set[Owner]] = {}
+        graph: dict[Owner, dict[Owner, None]] = {}
         for resource, queue in self._queues.items():
             held = self._holders.get(resource, {})
             for position, request in enumerate(queue):
-                blockers: set[Owner] = set()
+                blockers: dict[Owner, None] = {}
                 for holder_owner, counts in held.items():
                     if holder_owner == request.owner:
                         continue
                     if any(
                         self._conflicts(held_mode, request.mode)
                         for held_mode in counts
-                        if counts[held_mode] > 0
                     ):
-                        blockers.add(holder_owner)
+                        blockers[holder_owner] = None
                 for earlier in queue[:position]:
                     if earlier.owner == request.owner or earlier.instant:
                         continue
                     if self._conflicts(earlier.mode, request.mode):
-                        blockers.add(earlier.owner)
+                        blockers[earlier.owner] = None
                 if blockers:
-                    graph.setdefault(request.owner, set()).update(blockers)
+                    graph.setdefault(request.owner, {}).update(blockers)
         return graph
 
     def find_deadlock_cycle(self) -> list[Owner] | None:
@@ -542,15 +578,12 @@ class LockManager:
         shows up across kinds in the waits-for graph we treat it as
         non-blocking rather than raising mid-analysis).
         """
-        if granted is LockMode.RS or requested is LockMode.RS:
+        if granted is RS or requested is RS:
             # RS is never held and an RS waiter only waits for R/X.
-            if requested is LockMode.RS:
-                return granted in (LockMode.R, LockMode.X)
+            if requested is RS:
+                return granted in (R, X)
             return False
-        from repro.locks.modes import compatibility_cell
-
-        cell = compatibility_cell(granted, requested)
-        return cell is False
+        return compatibility_cell(granted, requested) is False
 
     def _check_blank_with_waiters(
         self, owner: Owner, resource: Resource, mode: LockMode
@@ -566,9 +599,7 @@ class LockManager:
         probes the second against it — an uncatchable place.  Raising here
         keeps the failure at the offending ``request`` call.
         """
-        from repro.locks.modes import compatibility_cell
-
-        if mode is LockMode.RS:
+        if mode is RS:
             return  # RS blank-pairs are policed against holders only.
         for earlier in self._queues.get(resource, ()):
             if earlier.owner == owner or earlier.instant:
@@ -588,81 +619,55 @@ class LockManager:
             if holder_owner == owner:
                 continue
             for held_mode in counts:
-                if counts[held_mode] <= 0:
-                    continue
-                if mode is LockMode.RS:
+                if mode is RS:
                     # RS only ever waits for the reorganizer's R (and its
                     # short X window); Table-1 blanks still apply.
-                    from repro.locks.modes import compatibility_cell
-
-                    if compatibility_cell(held_mode, LockMode.RS) is None:
+                    if compatibility_cell(held_mode, RS) is None:
                         raise LockProtocolViolation(
                             f"RS requested while {held_mode.value} is held "
                             f"(Table 1 blank cell)"
                         )
-                    if held_mode in (LockMode.R, LockMode.X):
+                    if held_mode in (R, X):
                         return holder_owner, held_mode
                     continue
                 if not compatible(held_mode, mode):
                     return holder_owner, held_mode
         return None
 
-    def _compatible_with_holders(
+    def _blocked_by_earlier_waiter(
         self, owner: Owner, resource: Resource, mode: LockMode
     ) -> bool:
-        return self._first_conflicting_holder(owner, resource, mode) is None
-
-    def _conflicts_with_rx(
-        self, owner: Owner, resource: Resource, mode: LockMode
-    ) -> bool:
-        conflict = self._first_conflicting_holder(owner, resource, mode)
-        return conflict is not None and conflict[1] is LockMode.RX
-
-    def _blocked_by_earlier_waiter(self, request: LockRequest) -> bool:
-        for earlier in self._queues.get(request.resource, ()):
-            if earlier.owner == request.owner or earlier.instant:
+        for earlier in self._queues.get(resource, ()):
+            if earlier.owner == owner or earlier.instant:
                 continue
-            if self._conflicts(earlier.mode, request.mode):
+            if self._conflicts(earlier.mode, mode):
                 return True
         return False
 
-    def _enqueue(self, request: LockRequest) -> None:
-        request.state = RequestState.WAITING
-        self._queues.setdefault(request.resource, []).append(request)
-        self.stats.waits += 1
-        _COUNTERS.lock_waits += 1
-
-    def _grant(self, request: LockRequest, *, notify: bool = False) -> None:
-        if request.instant:
-            request.state = RequestState.INSTANT_DONE
-        else:
-            held = self._holders.setdefault(request.resource, {})
-            counts = held.get(request.owner)
-            if counts is None:
-                counts = held[request.owner] = Counter()
-            counts[request.mode] += 1
-            request.state = RequestState.GRANTED
-        # ``notify`` is True only for deferred grants from the dispatch
-        # path; an immediate grant is reported synchronously by request()
-        # and must not also fire the callback (double-resume hazard).
-        if notify and request.on_grant is not None:
-            request.on_grant(request)
-
-    def _apply_conversion(self, request: LockRequest) -> None:
-        held = self._holders.setdefault(request.resource, {})
-        counts = held.get(request.owner)
+    def _hold(self, owner: Owner, resource: Resource, mode: LockMode) -> None:
+        held = self._holders.get(resource)
+        if held is None:
+            self._holders[resource] = {owner: {mode: 1}}
+            self._owned[owner].add(resource)
+            return
+        counts = held.get(owner)
         if counts is None:
-            counts = held[request.owner] = Counter()
-        source = request.convert_from
-        if source is not None and source is not request.mode:
-            if counts[source] <= 0:
+            held[owner] = {mode: 1}
+            self._owned[owner].add(resource)
+        else:
+            counts[mode] = counts.get(mode, 0) + 1
+
+    def _apply_conversion(
+        self, owner: Owner, resource: Resource, source: LockMode, mode: LockMode
+    ) -> None:
+        if source is not mode:
+            counts = self._holders.get(resource, {}).get(owner)
+            if counts is None or source not in counts:
                 raise LockNotHeldError(
                     f"conversion source {source.value} no longer held"
                 )
-            counts[source] -= 1
-            if counts[source] == 0:
-                del counts[source]
-        counts[request.mode] += 1
+            _drop_one(counts, source)
+        self._hold(owner, resource, mode)
 
     def _dispatch(self, resource: Resource) -> None:
         """Grant queued requests that are now compatible, FIFO with
@@ -680,19 +685,23 @@ class LockManager:
         progressed = True
         while progressed:
             progressed = False
-            granted_this_scan: list[LockRequest] = []
             blocked_modes: list[LockMode] = []
             remaining: list[LockRequest] = []
             for request in queue:
                 if self._request_grantable(request, blocked_modes):
                     if request.convert_from is not None:
-                        self._apply_conversion(request)
+                        self._apply_conversion(
+                            request.owner, resource, request.convert_from,
+                            request.mode,
+                        )
                         request.state = RequestState.GRANTED
-                        if request.on_grant is not None:
-                            request.on_grant(request)
+                    elif request.instant:
+                        request.state = RequestState.INSTANT_DONE
                     else:
-                        self._grant(request, notify=True)
-                    granted_this_scan.append(request)
+                        self._hold(request.owner, resource, request.mode)
+                        request.state = RequestState.GRANTED
+                    if request.on_grant is not None:
+                        request.on_grant(request)
                     progressed = True
                 else:
                     if not request.instant:
@@ -706,9 +715,9 @@ class LockManager:
     def _request_grantable(
         self, request: LockRequest, blocked_modes: Iterable[LockMode]
     ) -> bool:
-        if not self._compatible_with_holders(
+        if self._first_conflicting_holder(
             request.owner, request.resource, request.mode
-        ):
+        ) is not None:
             return False
         if request.convert_from is not None:
             return True  # conversions only wait on holders
@@ -716,3 +725,12 @@ class LockManager:
             if self._conflicts(earlier_mode, request.mode):
                 return False
         return True
+
+
+def _drop_one(counts: dict[LockMode, int], mode: LockMode) -> None:
+    """Take one reference to held ``mode`` off an owner's counts."""
+    remaining = counts[mode] - 1
+    if remaining:
+        counts[mode] = remaining
+    else:
+        del counts[mode]

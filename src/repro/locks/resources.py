@@ -7,7 +7,9 @@ ad-hoc tuples at call sites) keeps the namespaces straight:
 * ``tree_lock(name)`` — the large-granularity tree lock of section 4.  The
   old and the new B+-tree have *distinct* lock names (section 7.4), which is
   what lets the switch protocol drain old-tree transactions by X-locking the
-  old name while new work proceeds under the new name.
+  old name while new work proceeds under the new name:
+  ``current_lock_name(db, tree)`` is the name of the tree's current
+  incarnation, and the switch moves it on with ``bump_lock_name``.
 * ``page_lock(pid)`` — one lock per page (base pages and leaf pages).
 * ``record_lock(key)`` — record-level locks for readers/updaters doing
   record-level locking [GR93].
@@ -18,7 +20,12 @@ ad-hoc tuples at call sites) keeps the namespaces straight:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.storage.page import PageId
+
+if TYPE_CHECKING:
+    from repro.db import Database
 
 TREE = "tree"
 PAGE = "page"
@@ -50,3 +57,15 @@ def sidefile_lock(tree_name: str) -> tuple[str, str]:
 
 def sidefile_key(key: int) -> tuple[str, int]:
     return (SIDE_FILE_KEY, key)
+
+
+def current_lock_name(db: Database, tree_name: str) -> str:
+    """The tree's current lock name; distinct per tree incarnation."""
+    name = db.store.disk.get_meta(f"lockname:{tree_name}")
+    return name if name is not None else f"{tree_name}@0"  # type: ignore[return-value]
+
+
+def bump_lock_name(db: Database, tree_name: str) -> None:
+    """Give the tree its next incarnation's lock name (the switch)."""
+    epoch = int(current_lock_name(db, tree_name).rsplit("@", 1)[1]) + 1
+    db.store.disk.set_meta(f"lockname:{tree_name}", f"{tree_name}@{epoch}")

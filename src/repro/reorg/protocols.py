@@ -53,12 +53,12 @@ from repro.config import ReorgConfig, SidePointerKind
 from repro.db import Database
 from repro.errors import DeadlockError, ReorgError, SwitchTimeoutError
 from repro.locks.modes import LockMode
-from repro.locks.resources import page_lock, sidefile_lock, tree_lock
+from repro.locks.resources import current_lock_name, page_lock, sidefile_lock, tree_lock
 from repro.reorg.compact import LeafCompactor
 from repro.reorg.placement import make_policy
 from repro.reorg.shrink import TreeShrinker
 from repro.reorg.swap import KeyOrderCursor, SeekAwareCursor
-from repro.reorg.switch import Switcher, current_lock_name
+from repro.reorg.switch import Switcher
 from repro.reorg.unit import UnitEngine
 from repro.storage.page import PageId, PageKind
 from repro.txn.ops import Acquire, Call, Convert, Release, ReleaseAll, Think

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from repro.btree.tree import BPlusTree
 from repro.db import Database
 from repro.errors import ReorgError
+from repro.locks.resources import bump_lock_name, current_lock_name
 from repro.reorg.shrink import TreeShrinker, internal_post_order
 from repro.storage.page import PageId
 from repro.wal.records import FreeRecord, ReorgDoneRecord, TreeSwitchRecord
@@ -53,17 +54,6 @@ class SwitchStats:
     aborted_stragglers: int = 0
     old_root: PageId = -1
     new_root: PageId = -1
-
-
-def current_lock_name(db: Database, tree_name: str) -> str:
-    """The tree's current lock name; distinct per tree incarnation."""
-    name = db.store.disk.get_meta(f"lockname:{tree_name}")
-    return name if name is not None else f"{tree_name}@0"  # type: ignore[return-value]
-
-
-def _bump_lock_name(db: Database, tree_name: str) -> None:
-    epoch = int(current_lock_name(db, tree_name).rsplit("@", 1)[1]) + 1
-    db.store.disk.set_meta(f"lockname:{tree_name}", f"{tree_name}@{epoch}")
 
 
 class Switcher:
@@ -107,7 +97,7 @@ class Switcher:
         """Step 3: the root pointer and the tree lock name move to the new
         tree.  A no-op on a tree a crashed switch already flipped."""
         if self.tree.root_id == self.stats.old_root:
-            _bump_lock_name(self.db, self.tree.name)
+            bump_lock_name(self.db, self.tree.name)
             self.tree.set_root(self.stats.new_root)
             # Invalidate in-flight optimistic descents anchored at the old
             # root: bump its version stamp so their next validation fails

@@ -65,12 +65,10 @@ class Transaction:
         #: LSN of this transaction's most recent log record (undo chain head).
         self.last_lsn: int = 0
 
+    # Equality and hashing are by identity (``txn_id`` is unique per
+    # object anyway): the lock table hashes its owner on every operation,
+    # and the default runs as a C slot instead of a Python call.
+
     def __repr__(self) -> str:
         flag = " reorg" if self.is_reorganizer else ""
         return f"<Txn {self.txn_id} {self.name}{flag} {self.state.value}>"
-
-    def __hash__(self) -> int:
-        return self.txn_id
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Transaction) and other.txn_id == self.txn_id

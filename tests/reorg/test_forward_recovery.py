@@ -18,7 +18,7 @@ from repro.errors import CrashPoint
 from repro.reorg.protocols import ReorgProtocol
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.shrink import TreeShrinker
-from repro.reorg.switch import current_lock_name
+from repro.locks.resources import current_lock_name
 from repro.sim.crash import (
     LogCrashInjector,
     count_completed_units,

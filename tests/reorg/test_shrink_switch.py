@@ -8,7 +8,8 @@ from repro.db import Database
 from repro.errors import ReorgError
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.shrink import SCAN_DONE_KEY, TreeShrinker
-from repro.reorg.switch import Switcher, current_lock_name
+from repro.locks.resources import current_lock_name
+from repro.reorg.switch import Switcher
 from repro.storage.page import PageKind, Record
 from tests.reorg import pass3_hooks
 

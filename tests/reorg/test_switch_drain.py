@@ -17,7 +17,7 @@ from repro.errors import SwitchTimeoutError
 from repro.locks.modes import LockMode
 from repro.locks.resources import tree_lock
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
-from repro.reorg.switch import current_lock_name
+from repro.locks.resources import current_lock_name
 from repro.sim.workload import build_sparse_tree
 from repro.txn.ops import Acquire, Think
 from repro.txn.scheduler import Scheduler

@@ -3,57 +3,62 @@
 Explorer traces (``repro.analysis.explorer``) identify schedules by choice
 indices into the *sorted* pending-event list, so the tie-break between
 equal-time events must be the per-scheduler sequence counter — never dict
-iteration order, callable identity, or anything else that could differ
-between runs or Python versions.  The booby-trapped callables below prove
-the heap never falls through to comparing the action element.
+iteration order, object identity, or anything else that could differ
+between runs or Python versions.  The booby-trapped processes below prove
+the heap never falls through to comparing what follows the sequence number.
 """
-
-from functools import partial
 
 import pytest
 
+from repro.errors import TransactionAborted
 from repro.locks.manager import LockManager
 from repro.locks.modes import LockMode
 from repro.txn.ops import Acquire, Release, Think
-from repro.txn.scheduler import Scheduler
+from repro.txn.scheduler import Scheduler, _Process
 
 
-class _ActionCompared(Exception):
+class _EntryCompared(Exception):
     pass
 
 
-class BoobyTrap:
-    """Callable that detonates if the event heap ever compares it."""
-
-    def __init__(self, order: list, tag: int):
-        self.order = order
-        self.tag = tag
-
-    def __call__(self):
-        self.order.append(self.tag)
+class BoobyTrap(_Process):
+    """A process that detonates if the event heap ever compares it."""
 
     def _explode(self, other):
-        raise _ActionCompared("the scheduler compared an action callable")
+        raise _EntryCompared("the scheduler compared a process")
 
-    __lt__ = __le__ = __gt__ = __ge__ = _explode
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _explode
+    __hash__ = object.__hash__
+
+
+def _trapped_scheduler(order: list) -> Scheduler:
+    scheduler = Scheduler(LockManager())
+
+    def proc(tag):
+        order.append(tag)
+        yield Think(1.0)
+
+    for tag in range(12):
+        scheduler.spawn(proc(tag), name=str(tag), at=1.0)
+    # Swap each queued process for a booby-trapped twin.
+    scheduler._heap[:] = [
+        (time, seq, BoobyTrap(process.txn, process.gen), value, throw)
+        for time, seq, process, value, throw in scheduler._heap
+    ]
+    return scheduler
 
 
 def test_equal_time_events_run_in_schedule_order():
-    scheduler = Scheduler(LockManager())
     order: list[int] = []
-    for tag in range(12):
-        scheduler._schedule(1.0, BoobyTrap(order, tag))
-    scheduler.run()
+    _trapped_scheduler(order).run()
     assert order == list(range(12))
 
 
 def test_equal_time_events_never_compare_actions_in_explored_mode():
-    scheduler = Scheduler(LockManager())
     order: list[int] = []
-    for tag in range(12):
-        scheduler._schedule(1.0, BoobyTrap(order, tag))
+    scheduler = _trapped_scheduler(order)
     # Reverse order via the policy: same-time events are still presented
-    # sorted by seq, and sorting never touches the action element.
+    # sorted by seq, and sorting never touches the process element.
     scheduler.pick_next = lambda options: len(options) - 1
     scheduler.run()
     assert order == list(reversed(range(12)))
@@ -117,8 +122,8 @@ def test_pick_next_out_of_range_is_an_error():
         scheduler.run()
 
 
-def test_throw_continuations_are_introspectable_partials():
-    """Abort/deadlock wake-ups must be partials carrying the process, so
+def test_throw_wakeups_carry_their_process():
+    """An abort wake-up is one heap entry naming the process it wakes, so
     the explorer can attribute pending events to transactions."""
     scheduler = Scheduler(LockManager())
 
@@ -128,11 +133,9 @@ def test_throw_continuations_are_introspectable_partials():
     txn = scheduler.spawn(sleeper(), name="sleeper")
     scheduler.run(until=1.0)
     assert scheduler.abort_transaction(txn, "test")
-    throw_events = [
-        entry for entry in scheduler._heap
-        if isinstance(entry[2], partial)
-        and entry[2].func.__name__ == "_throw_into"
-    ]
+    throw_events = [entry for entry in scheduler._heap if entry[4] is not None]
     assert len(throw_events) == 1
-    process = throw_events[0][2].args[0]
+    _, _, process, value, throw = throw_events[0]
     assert process.txn is txn
+    assert value is None
+    assert isinstance(throw, TransactionAborted)
