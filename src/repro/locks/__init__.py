@@ -16,6 +16,7 @@ from repro.locks.modes import (
     format_table,
 )
 from repro.locks.resources import (
+    current_lock_name,
     page_lock,
     record_lock,
     sidefile_key,
@@ -34,6 +35,7 @@ __all__ = [
     "can_upgrade",
     "compatibility_cell",
     "compatible",
+    "current_lock_name",
     "format_table",
     "page_lock",
     "record_lock",
