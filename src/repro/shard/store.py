@@ -43,6 +43,7 @@ class ShardStore:
         # and version stamps live on the one shared buffer pool, so
         # optimistic readers validate identically through either facade.
         self.get = base.buffer.fetch
+        self.mark_dirty = base.buffer.mark_dirty
         self.version_of = base.buffer.version_of
 
     # -- allocation (lease-constrained) --------------------------------------
@@ -77,9 +78,6 @@ class ShardStore:
         if page.kind is not PageKind.INTERNAL:
             raise StorageError(f"page {page_id} is not an internal page")
         return page  # type: ignore[return-value]
-
-    def mark_dirty(self, page_id: PageId, lsn: int | None = None) -> None:
-        self.buffer.mark_dirty(page_id, lsn)
 
     def prefetch(self, page_ids) -> int:
         return self._base.prefetch(page_ids)

@@ -17,9 +17,12 @@ write-ordering disciplines the paper depends on:
   destinations (recursively).  This is what lets MOVE log records carry keys
   only instead of full record contents.
 
-Eviction is LRU over unpinned frames.  Evicting a dirty frame performs a
-(dependency- and WAL-respecting) write first, so callers never observe lost
-updates.
+**Copy on write, one miss path.**  A miss admits the disk's stable image
+*shared* — the frame holds the disk's own object, so reads copy nothing.
+:meth:`BufferPool.fetch_for_update` is the one way to a page about to
+change: the disk takes a private copy first, and :meth:`BufferPool.mark_dirty`
+on a frame that skipped it raises.  A full pool evicts its LRU unpinned
+frame (written back first if dirty, so no update is lost) and reuses it.
 
 **Write-back order** is the pool's business and there is one: ascending
 page id.  ``flush_all``/``force`` drain dirty frames in one sweep of the
@@ -32,11 +35,9 @@ flush destinations first *within* the sweep — a dependency pointing against
 the sweep direction simply costs the extra head movement it implies.
 
 **Prefetch frames** (``TreeConfig.readahead_pages``, default off):
-:meth:`BufferPool.prefetch` admits upcoming pages via
-:meth:`~repro.storage.disk.SimulatedDisk.read_batch` before they are
-demanded.  This is safe because a non-resident page's latest contents are
-always its stable image (eviction writes dirty frames back), and resident
-pages are skipped.  Hit/waste counters record whether the gamble paid off.
+:meth:`BufferPool.prefetch` batch-reads upcoming non-resident pages before
+they are demanded — safe, as such a page's latest contents are always its
+stable image.  Hit/waste counters record whether the gamble paid off.
 """
 
 from __future__ import annotations
@@ -83,14 +84,16 @@ class _NullWAL:
 
 
 class _Frame:
-    __slots__ = ("page", "dirty", "pins", "prefetched")
+    __slots__ = ("page", "dirty", "pins", "prefetched", "shared")
 
-    def __init__(self, page: Page):
+    def __init__(self, page: Page, shared: bool):
         self.page = page
         self.dirty = False
         self.pins = 0
         #: Admitted by prefetch and not yet demanded by a fetch.
         self.prefetched = False
+        #: ``page`` is the disk's stable image itself: read, never changed.
+        self.shared = shared
 
 
 class BufferPool:
@@ -120,11 +123,11 @@ class BufferPool:
         #: Invariant: either None or the key currently last in ``_frames``.
         #: Lets repeat fetches of the hottest page skip ``move_to_end``.
         self._mru_id: PageId | None = None
-        # Bound dict methods shadowing `contains` (below) and feeding the
-        # `fetch` hit path: the DES charges a residency-dependent cost per
-        # FetchPage, so these run once per simulated page access.  `_frames`
-        # is cleared in place on crash, never rebound, so the bound methods
-        # stay valid.
+        # Bound dict methods for `contains(page_id)` (is it resident?) and
+        # the `fetch` hit path: the DES charges a residency-dependent cost
+        # per FetchPage, so these run once per simulated page access.
+        # `_frames` is cleared in place on crash, never rebound, so the
+        # bound methods stay valid.
         self.contains = self._frames.__contains__
         self._frames_get = self._frames.get
         self._frames_move_to_end = self._frames.move_to_end
@@ -184,17 +187,32 @@ class BufferPool:
         else:
             self.misses += 1
             _COUNTERS.buffer_misses += 1
-            page = self._disk.read(page_id)
-            frame = self._admit(page)
+            frame = self._admit(self._disk.read(page_id), True)
         if pin:
             frame.pins += 1
         return frame.page
+
+    def fetch_for_update(
+        self, page_id: PageId, lsn: int | None = None
+    ) -> Page | None:
+        """The one way to a page a caller may change (then `mark_dirty`):
+        a frame sharing its stable image gives the disk a private copy and
+        keeps its object, so references already held see the change.  With
+        ``lsn`` (redo's page-LSN test), a page already at it returns None."""
+        page = self.fetch(page_id)
+        if lsn is not None and page.page_lsn >= lsn:
+            return None
+        frame = self._frames_get(page_id)
+        if frame.shared:
+            frame.shared = False
+            self._disk.unshare(page)
+        return page
 
     def put_new(self, page: Page, *, pin: bool = False) -> Page:
         """Register a freshly allocated page that has no stable image yet."""
         if page.page_id in self._frames:
             raise BufferPoolError(f"page {page.page_id} already buffered")
-        frame = self._admit(page)
+        frame = self._admit(page, False)
         frame.dirty = True
         insort(self._dirty_ids, page.page_id)
         self._versions[page.page_id] = self._versions_get(page.page_id, 0) + 1
@@ -234,7 +252,7 @@ class BufferPool:
         pages = self._disk.read_batch(wanted)
         self.prefetch_batches += 1
         for page in pages:
-            frame = self._admit(page)
+            frame = self._admit(page, True)
             frame.prefetched = True
         self.prefetched_pages += len(pages)
         return len(pages)
@@ -257,6 +275,8 @@ class BufferPool:
         if frame is None:
             raise BufferPoolError(f"page {page_id} is not buffered")
         if not frame.dirty:
+            if frame.shared:
+                raise BufferPoolError(f"page {page_id} was not fetched for update")
             frame.dirty = True
             insort(self._dirty_ids, page_id)
         self._versions[page_id] = self._versions_get(page_id, 0) + 1
@@ -283,9 +303,6 @@ class BufferPool:
 
     def is_dirty(self, page_id: PageId) -> bool:
         return self._require_frame(page_id).dirty
-
-    def contains(self, page_id: PageId) -> bool:
-        return page_id in self._frames
 
     # -- careful writing --------------------------------------------------------
 
@@ -410,7 +427,13 @@ class BufferPool:
         if frame is not None:
             if frame.pins > 0:
                 raise PagePinnedError(f"cannot drop pinned page {page_id}")
-            self._remove_frame(page_id, frame)
+            if frame.prefetched:
+                self.prefetch_wasted += 1
+            if frame.dirty:
+                self._forget_dirty(page_id)
+            del self._frames[page_id]
+            if page_id == self._mru_id:
+                self._mru_id = None
         # Deallocation is a mutation from a reader's point of view: any
         # optimistic validation spanning it must fail (and the bumped-not-
         # deleted entry makes a later reallocation of this id visible too).
@@ -433,33 +456,35 @@ class BufferPool:
             raise BufferPoolError(f"page {page_id} is not buffered")
         return frame
 
-    def _admit(self, page: Page) -> _Frame:
-        while len(self._frames) >= self._capacity:
-            self._evict_one()
-        frame = _Frame(page)
+    def _admit(self, page: Page, shared: bool) -> _Frame:
+        """The one miss path: evict if full, reusing the victim's frame."""
+        if len(self._frames) < self._capacity:
+            frame = _Frame(page, shared)
+        else:
+            frame = self._evict_one()
+            frame.page = page
+            frame.shared = shared
         self._frames[page.page_id] = frame
         self._mru_id = page.page_id
         return frame
 
-    def _evict_one(self) -> None:
+    def _evict_one(self) -> _Frame:
+        """Evict the LRU unpinned frame (written back if dirty); return it."""
         for page_id, frame in self._frames.items():
             if frame.pins == 0:
-                if frame.dirty:
-                    self._writeback_sweep(page_id)
-                self._remove_frame(page_id, frame)
-                self.evictions += 1
-                return
-        raise BufferPoolError("all buffer frames are pinned; cannot evict")
-
-    def _remove_frame(self, page_id: PageId, frame: _Frame) -> None:
-        """The frame leaves the pool: evicted (clean by now) or dropped."""
+                break
+        else:
+            raise BufferPoolError("all buffer frames are pinned; cannot evict")
+        if frame.dirty:
+            self._writeback_sweep(page_id)
         if frame.prefetched:
             self.prefetch_wasted += 1
-        if frame.dirty:
-            self._forget_dirty(page_id)
+            frame.prefetched = False
         del self._frames[page_id]
         if page_id == self._mru_id:
             self._mru_id = None
+        self.evictions += 1
+        return frame
 
     def _forget_dirty(self, page_id: PageId) -> None:
         """A dirty frame became clean or left the pool."""

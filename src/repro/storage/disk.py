@@ -25,6 +25,11 @@ sequentiality just like a real head movement would.
 :meth:`SimulatedDisk.read_batch` models one coalesced multi-page request:
 the first page is charged through the head model and every further page
 costs ``1.0`` — "one seek plus N-1 sequential reads".
+
+**Reads share, writes snapshot, the pool's first change copies**: a read
+returns the stable image object itself, a write stores a ``clone``, and
+:meth:`SimulatedDisk.unshare` swaps in a private copy before the buffer pool
+lets anyone change a page that still *is* its image.
 """
 
 from __future__ import annotations
@@ -78,9 +83,10 @@ class IOStats(StatsDeltaMixin):
 class SimulatedDisk:
     """Array of stable page images divided into extents.
 
-    Reads return *clones* of the stable image and writes store clones, so
-    in-memory mutation of a page object never leaks into the stable state
-    without an explicit write — exactly the property crash simulation needs.
+    Reads share the stable image and writes store clones; with the pool's
+    :meth:`unshare` before a first change, in-memory mutation never leaks
+    into the stable state without an explicit write — exactly the
+    property crash simulation needs.
     """
 
     def __init__(self, extents: list[Extent], *, seek_cost: float = 10.0):
@@ -151,10 +157,10 @@ class SimulatedDisk:
         return page_id in self._images
 
     def read(self, page_id: PageId) -> Page:
-        """Read the stable image, charging sequential-vs-seek cost."""
-        self._check_page_id(page_id)
+        """Read (share) the stable image, charging sequential-vs-seek cost."""
         image = self._images.get(page_id)
         if image is None:
+            self._check_page_id(page_id)
             raise PageNotAllocatedError(
                 f"page {page_id} has no stable image on disk"
             )
@@ -166,7 +172,7 @@ class SimulatedDisk:
             self.stats.seeks += 1
             self.stats.read_cost += self._seek_cost
         self._head = page_id
-        return image.clone()
+        return image
 
     def read_batch(self, page_ids: list[PageId]) -> list[Page]:
         """Read several stable images as one coalesced request.
@@ -189,9 +195,9 @@ class SimulatedDisk:
                     f"{page_id} after {previous}"
                 )
             previous = page_id
-            self._check_page_id(page_id)
             image = self._images.get(page_id)
             if image is None:
+                self._check_page_id(page_id)
                 raise PageNotAllocatedError(
                     f"page {page_id} has no stable image on disk"
                 )
@@ -211,7 +217,7 @@ class SimulatedDisk:
         stats.batch_reads += 1
         stats.batch_read_pages += len(page_ids)
         self._head = page_ids[-1]
-        return [image.clone() for image in images]
+        return images
 
     def write(self, page: Page) -> None:
         """Store a clone of ``page`` as the new stable image.
@@ -229,6 +235,11 @@ class SimulatedDisk:
         else:
             stats.write_cost += self._seek_cost
         self._head = page.page_id
+
+    def unshare(self, page: Page) -> None:
+        """``page``, read from here, is about to change: a private copy
+        becomes the stable image instead.  Charges no I/O."""
+        self._images[page.page_id] = page.clone()
 
     def erase(self, page_id: PageId) -> None:
         """Drop the stable image (page deallocation reached the disk)."""

@@ -68,7 +68,8 @@ class Page:
     # -- abstract interface -------------------------------------------------
 
     def clone(self) -> "Page":
-        """Deep copy used when the buffer pool writes a stable image."""
+        """Deep copy: a written stable image, or the disk's private copy
+        when the pool first changes a page it shared (copy on write)."""
         raise NotImplementedError
 
     @property
@@ -119,8 +120,8 @@ class LeafPage(Page):
     # -- Page interface -----------------------------------------------------
 
     def clone(self) -> "LeafPage":
-        # Bypass __init__: clone() runs on every simulated disk read/write,
-        # and the source page already satisfies the constructor's checks.
+        # Bypass __init__: clone() runs on every disk write and first change
+        # of a page, and the source already satisfies the constructor's checks.
         copy = LeafPage.__new__(LeafPage)
         copy.page_id = self.page_id
         copy.page_lsn = self.page_lsn

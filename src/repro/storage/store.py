@@ -13,7 +13,7 @@ from repro.errors import StorageError
 from repro.storage.allocator import FreeSpaceMap
 from repro.storage.buffer import BufferPool, WALHook
 from repro.storage.disk import Extent, SimulatedDisk
-from repro.storage.page import InternalPage, LeafPage, Page, PageId, PageKind
+from repro.storage.page import InternalPage, LeafPage, PageId, PageKind
 
 LEAF_EXTENT = "leaf"
 INTERNAL_EXTENT = "internal"
@@ -41,15 +41,12 @@ class StorageManager:
             self.config.buffer_pool_pages,
             careful_writing=self.config.careful_writing,
         )
-        # Shadow the `get` and `mark_dirty` methods with the pool's bound
-        # equivalents: they are the hottest calls in every workload (one
-        # `mark_dirty` per applied log record) and the wrapper frame is pure
-        # overhead.  The defs below remain as documentation and for anything
-        # holding an unbound reference.
+        # The hottest calls in every workload are the pool's own bound
+        # methods, with no wrapper frame: `get` (BufferPool.fetch),
+        # `mark_dirty` (one per applied log record) and `version_of` (twice
+        # per lock-free page visit, capture + validate).
         self.get = self.buffer.fetch
         self.mark_dirty = self.buffer.mark_dirty
-        # Same discipline for the optimistic read path: `version_of` runs
-        # twice per lock-free page visit (capture + validate).
         self.version_of = self.buffer.version_of
 
     # -- wiring ---------------------------------------------------------------
@@ -88,9 +85,6 @@ class StorageManager:
 
     # -- access -----------------------------------------------------------------
 
-    def get(self, page_id: PageId) -> Page:
-        return self.buffer.fetch(page_id)
-
     def get_leaf(self, page_id: PageId) -> LeafPage:
         page = self.buffer.fetch(page_id)
         if page.kind is not PageKind.LEAF:
@@ -102,13 +96,6 @@ class StorageManager:
         if page.kind is not PageKind.INTERNAL:
             raise StorageError(f"page {page_id} is not an internal page")
         return page  # type: ignore[return-value]
-
-    def mark_dirty(self, page_id: PageId, lsn: int | None = None) -> None:
-        self.buffer.mark_dirty(page_id, lsn)
-
-    def version_of(self, page_id: PageId) -> int:
-        """Version stamp of a page (see :meth:`BufferPool.version_of`)."""
-        return self.buffer.version_of(page_id)
 
     def prefetch(self, page_ids) -> int:
         """Readahead: batch-admit upcoming pages, gated on the config flag.

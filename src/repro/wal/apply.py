@@ -5,10 +5,11 @@ the redo pass of recovery replays the same records through the same
 function.  "Do equals redo" removes a whole class of divergence bugs and is
 what makes physiological redo trustworthy ([GR93], chapter 10).
 
-``redo=True`` adds the standard page-LSN test (skip records already
-reflected in the page) and tolerates pages that must be re-created (a page
-that was allocated and logged but whose image never reached disk before the
-crash: its Alloc + Format records rebuild it).
+Every handler reaches its page through ``BufferPool.fetch_for_update``, the
+pool's copy-on-write funnel.  ``redo=True`` adds the standard page-LSN test
+there (a record already reflected in the page is skipped, copying nothing)
+and tolerates pages that must be re-created (allocated and logged, but the
+image never reached disk before the crash: Alloc + Format rebuild it).
 
 One exact-type table, :data:`HANDLERS`, maps each record class with page
 effects to its handler ``(store, record, redo, stash)``; ``apply_record``,
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import LogError
-from repro.storage.page import InternalPage, LeafPage, PageId, Record
+from repro.errors import LogError, StorageError
+from repro.storage.page import InternalPage, LeafPage, Page, PageId, PageKind, Record
 from repro.storage.store import StorageManager
 from repro.wal.records import (
     AllocRecord,
@@ -84,122 +85,100 @@ def is_redoable(record: LogRecord) -> bool:
 
 
 def _apply_leaf_insert(store, record: LeafInsertRecord, redo: bool, stash):
-    page = _fetch(store, record.page_id, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    page.insert(record.record)
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.page_id, redo, record.lsn)
+    if page is not None:
+        page.insert(record.record)
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_leaf_delete(store, record: LeafDeleteRecord, redo: bool, stash):
-    page = _fetch(store, record.page_id, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    page.delete(record.record.key)
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.page_id, redo, record.lsn)
+    if page is not None:
+        page.delete(record.record.key)
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_clr(store, record: CompensationRecord, redo: bool, stash):
-    page = _fetch(store, record.page_id, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    if record.is_insert:
-        page.insert(record.record)
-    else:
-        page.delete(record.record.key)
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.page_id, redo, record.lsn)
+    if page is not None:
+        if record.is_insert:
+            page.insert(record.record)
+        else:
+            page.delete(record.record.key)
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_leaf_format(store, record: LeafFormatRecord, redo: bool, stash):
-    page = _fetch_or_create_leaf(store, record.page_id)
-    if redo and page.page_lsn >= record.lsn:
-        return None
-    page.replace_all(list(record.records))
-    page.next_leaf = record.next_leaf
-    page.prev_leaf = record.prev_leaf
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch_or_create(store, record.page_id, redo, record.lsn, PageKind.LEAF)
+    if page is not None:
+        page.replace_all(list(record.records))
+        page.next_leaf = record.next_leaf
+        page.prev_leaf = record.prev_leaf
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_internal_format(store, record: InternalFormatRecord, redo: bool, stash):
-    page = _fetch_or_create_internal(store, record.page_id, record.level)
-    if redo and page.page_lsn >= record.lsn:
-        return None
-    page.level = record.level
-    page.set_entries(list(record.entries))
-    page.low_mark = record.low_mark
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch_or_create(
+        store, record.page_id, redo, record.lsn, PageKind.INTERNAL, record.level
+    )
+    if page is not None:
+        page.level = record.level
+        page.set_entries(list(record.entries))
+        page.low_mark = record.low_mark
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_base_insert(store, record: BaseEntryInsertRecord, redo: bool, stash):
-    page = _fetch(store, record.page_id, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    page.insert_entry(record.key, record.child)
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.page_id, redo, record.lsn)
+    if page is not None:
+        page.insert_entry(record.key, record.child)
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_base_delete(store, record: BaseEntryDeleteRecord, redo: bool, stash):
-    page = _fetch(store, record.page_id, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    page.remove_entry_for_child(record.child)
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.page_id, redo, record.lsn)
+    if page is not None:
+        page.remove_entry_for_child(record.child)
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_base_update(store, record: BaseEntryUpdateRecord, redo: bool, stash):
-    page = _fetch(store, record.page_id, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    page.update_entry(
-        record.org_key, record.org_child, record.new_key, record.new_child
-    )
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.page_id, redo, record.lsn)
+    if page is not None:
+        page.update_entry(
+            record.org_key, record.org_child, record.new_key, record.new_child
+        )
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_side_pointer(store, record: SidePointerRecord, redo: bool, stash):
-    page = _fetch(store, record.page_id, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    page.next_leaf = record.next_leaf
-    page.prev_leaf = record.prev_leaf
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.page_id, redo, record.lsn)
+    if page is not None:
+        page.next_leaf = record.next_leaf
+        page.prev_leaf = record.prev_leaf
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 def _apply_alloc(store, record: AllocRecord, redo: bool, stash):
-    if not redo:
-        # Normal operation allocates through the store before logging.
-        return None
-    if store.free_map.is_free(record.page_id):
+    # Normal operation allocates through the store before logging.
+    if redo and store.free_map.is_free(record.page_id):
         store.free_map.allocate(
             store.free_map.extent_for(record.page_id), record.page_id
         )
-    return None
 
 
 def _apply_free(store, record: FreeRecord, redo: bool, stash):
-    if not redo:
-        return None
-    if store.free_map.is_free(record.page_id):
+    page_id = record.page_id
+    if not redo or store.free_map.is_free(page_id):
         return None
     # Reincarnation test: if the page's current image carries a later LSN,
     # the page was freed, reallocated and rewritten after this record — the
     # free is superseded and must not erase the newer incarnation.
-    page = _fetch(store, record.page_id, redo)
-    if page is not None and page.page_lsn > record.lsn:
+    if _exists(store, page_id) and store.get(page_id).page_lsn > record.lsn:
         return None
-    if store.buffer.contains(record.page_id):
-        store.buffer.drop(record.page_id)
-    store.free_map.free(record.page_id)
-    return None
+    if store.buffer.contains(page_id):
+        store.buffer.drop(page_id)
+    store.free_map.free(page_id)
 
 
 # -- reorganization records -----------------------------------------------------
@@ -208,8 +187,8 @@ def _apply_free(store, record: FreeRecord, redo: bool, stash):
 def _apply_move_out(
     store, record: ReorgMoveOutRecord, redo: bool, stash: MoveStash | None
 ):
-    page = _fetch(store, record.org_page, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
+    page = _fetch(store, record.org_page, redo, record.lsn)
+    if page is None:
         # Org freed later in the log, or — careful writing — already durable
         # without the records, so the dest is durable with them: no stash.
         return None
@@ -246,8 +225,8 @@ def _apply_move_in(
             # durable post-move image, a rebuilt newer incarnation, or
             # nothing — this MoveIn must be skipped, never resurrected.
             return None
-    page = _fetch_or_create_leaf(store, record.dest_page)
-    if redo and page.page_lsn >= record.lsn:
+    page = _fetch_or_create(store, record.dest_page, redo, record.lsn, PageKind.LEAF)
+    if page is None:
         return None
     if record.records:
         moved = list(record.records)
@@ -271,23 +250,19 @@ def _apply_move_in(
     for moved_record in moved:
         page.insert(moved_record)
     store.mark_dirty(page.page_id, record.lsn)
-    return None
 
 
 def _apply_swap(store, record: ReorgSwapRecord, redo: bool, stash):
     """Swap leaf contents.  A write-before dependency (A before B) plus the
     logged full contents of A make this redoable; see records.py."""
-    page_a = _fetch(store, record.page_a, redo)
-    page_b = _fetch(store, record.page_b, redo)
-    if not redo and (page_a is None or page_b is None):
-        raise LogError(f"swap at LSN {record.lsn}: missing page")
-    # During redo a missing page means it was freed later in the log; its
-    # half of the swap is superseded.  The write-before dependency (A
-    # durable before B may be written or freed) guarantees the *other*
-    # half's inputs are still available whenever it needs redoing.
-    redo_a = page_a is not None and (not redo or page_a.page_lsn < record.lsn)
-    redo_b = page_b is not None and (not redo or page_b.page_lsn < record.lsn)
-    if redo_a:
+    # Each page is tested on its own.  During redo a page comes back None
+    # when its half of the swap is already on it or superseded (the page
+    # was freed later in the log).  The write-before dependency (A durable
+    # before B may be written or freed) guarantees the *other* half's
+    # inputs are still available whenever it needs redoing.
+    page_a = _fetch(store, record.page_a, redo, record.lsn)
+    page_b = _fetch(store, record.page_b, redo, record.lsn)
+    if page_a is not None:
         if record.records_b:
             contents_for_a = list(record.records_b)
         elif page_b is not None:
@@ -296,7 +271,7 @@ def _apply_swap(store, record: ReorgSwapRecord, redo: bool, stash):
         else:
             raise LogError(
                 f"swap at LSN {record.lsn}: page A needs redo but page B "
-                f"is gone and its contents were not logged"
+                f"is gone or swapped and its contents were not logged"
             )
         page_a.replace_all(contents_for_a)
         store.mark_dirty(page_a.page_id, record.lsn)
@@ -307,52 +282,55 @@ def _apply_swap(store, record: ReorgSwapRecord, redo: bool, stash):
             store.buffer.add_write_dependency(
                 source=record.page_b, dest=record.page_a
             )
-    if redo_b:
+    if page_b is not None:
         page_b.replace_all(list(record.records_a))
         store.mark_dirty(page_b.page_id, record.lsn)
-    return None
 
 
 def _apply_modify(store, record: ReorgModifyRecord, redo: bool, stash):
-    page = _fetch(store, record.base_page, redo)
-    if page is None or (redo and page.page_lsn >= record.lsn):
-        return None
-    if record.org_child == -1:
-        page.insert_entry(record.new_key, record.new_child)
-    elif record.new_child == -1:
-        page.remove_entry_for_child(record.org_child)
-    else:
-        page.update_entry(
-            record.org_key, record.org_child, record.new_key, record.new_child
-        )
-    store.mark_dirty(page.page_id, record.lsn)
-    return None
+    page = _fetch(store, record.base_page, redo, record.lsn)
+    if page is not None:
+        if record.org_child == -1:
+            page.insert_entry(record.new_key, record.new_child)
+        elif record.new_child == -1:
+            page.remove_entry_for_child(record.org_child)
+        else:
+            page.update_entry(
+                record.org_key, record.org_child, record.new_key, record.new_child
+            )
+        store.mark_dirty(page.page_id, record.lsn)
 
 
 # -- fetch helpers -----------------------------------------------------------
 
 
-def _fetch(store, page_id: PageId, redo: bool):
-    """The page, or None during redo when the record is for a page that no
-    longer exists (freed later in the log; the later Free wins)."""
-    if redo and not (store.buffer.contains(page_id) or store.disk.has_image(page_id)):
+def _exists(store, page_id: PageId) -> bool:
+    return store.buffer.contains(page_id) or store.disk.has_image(page_id)
+
+
+def _fetch(store, page_id: PageId, redo: bool, lsn: int) -> Page | None:
+    """The page, private to the pool and ready to change; during redo None
+    for a record to skip, copying nothing: its page no longer exists (freed
+    later in the log; the later Free wins) or already reflects it."""
+    if redo and not _exists(store, page_id):
         return None
-    return store.get(page_id)
+    return store.buffer.fetch_for_update(page_id, lsn if redo else None)
 
 
-def _fetch_or_create_leaf(store, page_id: PageId) -> LeafPage:
-    if store.buffer.contains(page_id) or store.disk.has_image(page_id):
-        return store.get_leaf(page_id)
-    page = LeafPage(page_id, store.config.leaf_capacity)
-    store.buffer.put_new(page)
-    store.free_map.mark_allocated(page_id)
-    return page
-
-
-def _fetch_or_create_internal(store, page_id: PageId, level: int) -> InternalPage:
-    if store.buffer.contains(page_id) or store.disk.has_image(page_id):
-        return store.get_internal(page_id)
-    page = InternalPage(page_id, store.config.internal_capacity, level=level)
+def _fetch_or_create(
+    store, page_id: PageId, redo: bool, lsn: int, kind: PageKind, level: int = 0
+) -> Page | None:
+    """:func:`_fetch` for a page of ``kind``, creating it empty when it has
+    no image anywhere (its Alloc reached the log, its image never the disk)."""
+    if _exists(store, page_id):
+        page = _fetch(store, page_id, redo, lsn)
+        if page is not None and page.kind is not kind:
+            raise StorageError(f"page {page_id} is not a {kind.value} page")
+        return page
+    if kind is PageKind.LEAF:
+        page = LeafPage(page_id, store.config.leaf_capacity)
+    else:
+        page = InternalPage(page_id, store.config.internal_capacity, level=level)
     store.buffer.put_new(page)
     store.free_map.mark_allocated(page_id)
     return page

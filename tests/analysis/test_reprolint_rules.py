@@ -423,6 +423,42 @@ class TestMarkDirtyLSN:
         assert found == []
 
 
+# -- mark-dirty-funnel ----------------------------------------------------------
+
+
+class TestMarkDirtyFunnel:
+    def test_fires_outside_storage_and_wal_apply(self):
+        source = """
+        def dirty(store, pid, lsn):
+            page = store.buffer.fetch_for_update(pid)
+            store.mark_dirty(pid, lsn)
+        """
+        for path in ("src/repro/btree/seeded.py", "src/repro/shard/seeded.py"):
+            found = findings_for(path, source, "mark-dirty-funnel")
+            assert rule_names(found) == {"mark-dirty-funnel"}
+            assert found[0].line == 4
+
+    def test_quiet_inside_storage_and_wal_apply(self):
+        source = """
+        def dirty(store, pid, lsn):
+            store.mark_dirty(pid, lsn)
+        """
+        for path in ("src/repro/storage/seeded.py", "src/repro/wal/apply.py"):
+            assert findings_for(path, source, "mark-dirty-funnel") == []
+
+    def test_quiet_on_a_bound_shadow(self):
+        found = findings_for(
+            "src/repro/shard/seeded.py",
+            """
+            class Facade:
+                def __init__(self, base):
+                    self.mark_dirty = base.buffer.mark_dirty
+            """,
+            "mark-dirty-funnel",
+        )
+        assert found == []
+
+
 # -- lockmode-literal ---------------------------------------------------------
 
 

@@ -170,7 +170,7 @@ class TestPrefetch:
         disk, pool = make_pool(capacity=2)
         self._seed_disk(disk, [2, 4])
         pool.prefetch([2, 4])
-        pool.fetch(2)
+        pool.fetch_for_update(2)
         pool.mark_dirty(2, lsn=9)
         new_leaf(pool, 6, [6])  # evicts 4, undemanded -> waste
         pool.add_write_dependency(source=2, dest=6)

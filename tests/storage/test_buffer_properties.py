@@ -49,12 +49,14 @@ def test_stable_images_are_update_prefixes(actions, capacity):
     live_pages = {}
 
     def page_of(index):
+        """The page to update: new, or fetched for update (the one way to
+        change a page the pool may share with the disk)."""
         if index not in live_pages:
             page = LeafPage(index, capacity=200)
             pool.put_new(page)
             live_pages[index] = page
-        elif not pool.contains(index):
-            live_pages[index] = pool.fetch(index)
+        else:
+            live_pages[index] = pool.fetch_for_update(index)
         return live_pages[index]
 
     for action, index in actions:
@@ -217,7 +219,7 @@ def test_dirty_index_and_sweep_match_a_scan_and_sort(steps, capacity, first):
             if not resident and not disk.has_image(pid):
                 pool.put_new(LeafPage(pid, 4))
             else:
-                pool.fetch(pid)
+                pool.fetch_for_update(pid)
                 pool.mark_dirty(pid)
         elif action == "pin":
             if resident and not frames[pid].pins and not all_pinned_but_one():

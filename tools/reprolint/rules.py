@@ -451,6 +451,34 @@ class MarkDirtyLSNRule(Rule):
 
 
 @register
+class MarkDirtyFunnelRule(Rule):
+    """A clean buffer frame shares the disk's stable image, so a page may
+    change only after ``BufferPool.fetch_for_update`` gave the pool a
+    private copy.  The do/redo interpreter is that funnel for every logged
+    change; dirtying a page anywhere else skips it (the pool raises at run
+    time, this rule says so before)."""
+
+    name = "mark-dirty-funnel"
+    description = (
+        "mark_dirty(...) is called only from repro/storage and "
+        "repro/wal/apply.py, behind fetch_for_update"
+    )
+    include = ("src/",)
+    exclude = _STORAGE_PATHS + (_WAL_APPLY,)
+
+    def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call) and _call_name(node.func) == "mark_dirty":
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    "mark_dirty outside the do/redo interpreter: change "
+                    "pages by logging a record and applying it "
+                    "(repro.wal.apply), which fetches them for update",
+                )
+
+
+@register
 class LockModeLiteralRule(Rule):
     """Lock modes are enum members; string spellings silently miss Table-1
     dispatch (``'X' != LockMode.X``) and dodge the blank-cell check."""
