@@ -10,11 +10,12 @@ obligations that span function boundaries **statically**:
   back to a caller.
 * **lock pairing** — Table-1 lock manager traffic (``request`` / ``convert``
   / ``downgrade`` / ``release`` / ``release_all`` and the generator-protocol
-  ops ``Acquire`` / ``Convert`` / ``Downgrade`` / ``Release`` /
-  ``ReleaseAll``) must balance per owner+mode by the time a call-graph root
-  returns normally.  Exception escapes are deliberately *not* flagged: the
-  scheduler's ``release_all`` backstop covers them (section 5's victim
-  policy), which is also why findings carry the acquire site, not the exit.
+  ops ``Acquire`` / ``Convert`` / ``Downgrade`` / ``Release`` / ``ReleaseAll``
+  / ``AcquireSet`` / ``ReleaseSet``, a set being one lock) must balance per
+  owner+mode by the time a call-graph root returns normally.  Exception
+  escapes are deliberately *not* flagged: the scheduler's ``release_all``
+  backstop covers them (section 5's victim policy), which is also why
+  findings carry the acquire site, not the exit.
 * **lock order** — held-while-acquiring edges (lock→lock and pin↔lock for
   careful-writing ordering) are collected across all interprocedural paths;
   cycles whose every edge is a *blocking* request under Table 1 are
@@ -86,7 +87,8 @@ _LM_RECEIVERS = {"locks", "lm", "lock_manager", "_lm"}
 _SYNC_METHODS = {"request", "release", "release_all", "convert", "downgrade"}
 _PIN_METHODS = {"fetch", "put_new", "pin", "unpin"}
 #: Generator-protocol op constructors (repro.txn.ops).
-_OP_NAMES = {"Acquire", "Release", "ReleaseAll", "Convert", "Downgrade"}
+_OP_NAMES = {"Acquire", "Release", "ReleaseAll", "Convert", "Downgrade",
+             "AcquireSet", "ReleaseSet"}
 
 #: The buffer pool / lock manager implement the primitives; their internals
 #: are not protocol clients, so their events are not extracted and their
@@ -494,6 +496,16 @@ class Program:
                 return _mode_text(kwargs[kw])
             return "?"
 
+        if name in ("AcquireSet", "ReleaseSet"):
+            # One lock on page_lock(<pages>); a lazy set's pages are its body.
+            pages = args[0] if args else kwargs.get("pages")
+            pages = pages.body if isinstance(pages, ast.Lambda) else pages
+            acquire = name == "AcquireSet"
+            return Event(
+                "lock+" if acquire else "lock-", site, owner=PROC, may_raise=acquire,
+                resource=f"page_lock({ast.unparse(pages) if pages else '?'})",
+                mode=mode(1, "mode"),
+            )
         if name == "Acquire":
             instant_node = kwargs.get("instant")
             instant = isinstance(instant_node, ast.Constant) and bool(instant_node.value)

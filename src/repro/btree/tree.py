@@ -652,7 +652,7 @@ class BPlusTree:
             self.leaf_order_changed()
         for depth in range(len(path) - 2, -1, -1):
             parent = self.store.get_internal(path[depth])
-            entry_key, _ = parent.entries[parent.index_of_child(child)]
+            entry_key = parent.key_at(parent.index_of_child(child))
             self._log_apply(
                 BaseEntryDeleteRecord(
                     page_id=parent.page_id, key=entry_key, child=child
@@ -765,7 +765,7 @@ class BPlusTree:
             raise KeyNotFoundError(
                 f"base entry for child {child} not under key {key}"
             )
-        entry_key = base.entries[index][0]
+        entry_key = base.key_at(index)
         self._log_apply(
             BaseEntryDeleteRecord(
                 page_id=base.page_id, key=entry_key, child=child
@@ -781,7 +781,7 @@ class BPlusTree:
         self.store.deallocate(child)
         for depth in range(len(path) - 2, -1, -1):
             parent = self.store.get_internal(path[depth])
-            entry_key, _ = parent.entries[parent.index_of_child(child)]
+            entry_key = parent.key_at(parent.index_of_child(child))
             self._log_apply(
                 BaseEntryDeleteRecord(
                     page_id=parent.page_id, key=entry_key, child=child

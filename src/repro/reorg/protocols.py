@@ -61,7 +61,9 @@ from repro.reorg.swap import KeyOrderCursor, SeekAwareCursor
 from repro.reorg.switch import Switcher
 from repro.reorg.unit import UnitEngine
 from repro.storage.page import PageId, PageKind
-from repro.txn.ops import Acquire, Call, Convert, Release, ReleaseAll, Think
+from repro.txn.ops import (
+    Acquire, AcquireSet, Call, Convert, Release, ReleaseAll, ReleaseSet, Think,
+)
 from repro.txn.transaction import Transaction
 from repro.wal.records import ReorgUnitType
 
@@ -159,11 +161,9 @@ class ReorgProtocol:
                 return None
             unit_id = None
             try:
-                parents = []
-                if unit.own_parents:
-                    for leaf in unit.leaves:
-                        parent = yield Call(lambda lf=leaf: self.engine.parent_of(lf))
-                        parents.append(parent)
+                parents = (yield Call(
+                    lambda: [self.engine.parent_of(leaf) for leaf in unit.leaves]
+                )) if unit.own_parents else []
                 probe_key = yield Call(lambda: self._probe_key(unit))
                 if probe_key is None:
                     return False
@@ -187,33 +187,32 @@ class ReorgProtocol:
                         yield Release(page_lock(held), R)
                         return False
                 # RX lock every leaf in the unit (and its new pages), plus X
-                # on side-pointer neighbours outside the unit (section 4.3)
-                # — all before any record moves.
+                # on side-pointer neighbours outside the unit (section 4.3,
+                # found only if performed) — all before any record moves.
                 rx_pages = unit.leaves + unit.new_pages
-                for page in rx_pages:
-                    yield Acquire(page_lock(page), RX)
-                neighbours = yield Call(
-                    lambda: self._side_pointer_neighbours(bases, unit.leaves)
+                yield AcquireSet(rx_pages, RX)
+                neighbours = yield AcquireSet(
+                    lambda: self._side_pointer_neighbours(bases, unit.leaves), X
                 )
-                for neighbour in neighbours:
-                    yield Acquire(page_lock(neighbour), X)
                 # Move records between leaf pages (None: nothing moved, as
                 # a pass-2 move's free target is taken).
                 unit_id = yield Call(lambda: unit.begin(bases))
                 if unit_id is None:
-                    yield from self._release(bases, R, rx_pages, neighbours)
-                    return False
-                if self.op_duration:
-                    # Movement time scales with the unit's output size
-                    # (section 6: more pages built, locks held longer).
-                    yield Think(self.op_duration * max(1, len(unit.new_pages)))
-                # Upgrade the base-page lock(s) to X mode (short window).
-                for base in bases:
-                    yield Convert(page_lock(base), X)
-                # Modify keys and pointers in the base page(s).
-                yield Call(lambda: unit.complete(unit_id, bases))
-                yield from self._release(bases, X, rx_pages, neighbours)
-                return True
+                    yield ReleaseSet(bases, R)
+                else:
+                    if self.op_duration:
+                        # Movement time scales with the unit's output size
+                        # (section 6: more pages built, locks held longer).
+                        yield Think(self.op_duration * max(1, len(unit.new_pages)))
+                    # Upgrade the base-page lock(s) to X mode (short window).
+                    for base in bases:
+                        yield Convert(page_lock(base), X)
+                    # Modify keys and pointers in the base page(s).
+                    yield Call(lambda: unit.complete(unit_id, bases))
+                    yield ReleaseSet(bases, X)
+                yield ReleaseSet(rx_pages, RX)
+                yield ReleaseSet(neighbours, X)
+                return unit_id is not None
             except DeadlockError:
                 # The reorganizer always yields: give up the unit's locks.
                 stats["retries"] += 1
@@ -225,17 +224,6 @@ class ReorgProtocol:
                 yield Think(_RETRY_PAUSE)
                 yield Acquire(tree_lock(self._lock_name()), IX)
         raise ReorgError(f"unit over leaves {unit.leaves} starved after retries")
-
-    @staticmethod
-    def _release(bases, base_mode, rx_pages, neighbours):
-        """Release a unit's locks: its base pages (R, or X once converted),
-        its RX pages and its side-pointer neighbours."""
-        for base in bases:
-            yield Release(page_lock(base), base_mode)
-        for page in rx_pages:
-            yield Release(page_lock(page), RX)
-        for neighbour in neighbours:
-            yield Release(page_lock(neighbour), X)
 
     def _probe_key(self, unit: _Unit) -> int | None:
         """A key to S-couple down by: the smallest of the unit's first
@@ -263,17 +251,14 @@ class ReorgProtocol:
         """
         if self.tree.side_pointers is SidePointerKind.NONE:
             return []
-        step = self.tree.leaf_neighbour
-        places = self.engine.leaf_places(bases, leaves)
-        held = {(base, index) for base, index, _leaf in places}
+        get, beside = self.db.store.get_internal, self.engine.leaf_beside
         around = [
-            beside[2]
-            for base, index, _leaf in places
+            at[2]
+            for base, index, _leaf in self.engine.leaf_places(bases, leaves)
             for side in (-1, 1)
-            # A compaction group's inner neighbours are its own leaves.
-            if (base, index + side) not in held
-            and (beside := step(base, index, side)) is not None
+            if (at := beside(get(base), index, side)) is not None
         ]
+        # A compaction group's inner neighbours are its own leaves.
         return [pid for pid in dict.fromkeys(around) if pid not in leaves]
 
     def _group_still_valid(self, base_id: PageId, group: list[PageId]) -> bool:

@@ -167,8 +167,8 @@ class TreeShrinker:
         entry_counts: list[int] = []
         base = self.tree.base_page_for(self._smallest_key())
         while base is not None:
-            entry_counts.append(len(base.entries))
-            base = self.tree.next_base_page_after(base.entries[-1][0])
+            entry_counts.append(base.num_items)
+            base = self.tree.next_base_page_after(base.key_at(-1))
         base_width = predict_base_width(
             entry_counts, per_page, self.config.stable_point_interval
         )

@@ -55,7 +55,7 @@ from repro.config import SidePointerKind
 from repro.db import Database
 from repro.errors import ReorgError
 from repro.btree.tree import BPlusTree
-from repro.storage.page import LeafPage, NO_PAGE, PageId, PageKind, Record
+from repro.storage.page import InternalPage, LeafPage, NO_PAGE, PageId, PageKind, Record
 from repro.wal.apply import MoveStash, apply_record
 from repro.wal.records import (
     AllocRecord,
@@ -152,19 +152,17 @@ class UnitEngine:
         Chains are per unit (BEGIN starts at prev_lsn 0), so several units
         may be in flight at once — the parallel-reorganization extension.
         """
-        if isinstance(record, ReorgBeginRecord):
+        progress, cls = self.db.progress, record.__class__
+        if cls is ReorgBeginRecord:
             record.prev_lsn = 0
-        else:
-            record.prev_lsn = self.db.progress.recent_lsn_of(record.unit_id)
+            progress.unit_started(record.unit_id, self.log.append(record))
+            return record
+        record.prev_lsn = progress.recent_lsn_of(record.unit_id)
         lsn = self.log.append(record)
-        if isinstance(record, ReorgBeginRecord):
-            self.db.progress.unit_started(record.unit_id, lsn)
-        elif isinstance(record, ReorgEndRecord):
-            self.db.progress.unit_finished(
-                record.largest_key, unit_id=record.unit_id
-            )
+        if cls is ReorgEndRecord:
+            progress.unit_finished(record.largest_key, unit_id=record.unit_id)
         else:
-            self.db.progress.unit_logged(lsn, unit_id=record.unit_id)
+            progress.unit_logged(lsn, unit_id=record.unit_id)
         return record
 
     def _log_structural(self, record: TxnRecord) -> TxnRecord:
@@ -336,7 +334,7 @@ class UnitEngine:
                 if room <= 0:
                     frontier += 1
                     continue
-                keys = tuple(r.key for r in get_leaf(source).records[:room])
+                keys = tuple(get_leaf(source).keys()[:room])
                 self._move_some_records(unit_id, source, dests[frontier], keys)
             keys = tuple(get_leaf(source).keys())
             if keys:
@@ -368,17 +366,17 @@ class UnitEngine:
         return UnitResult(unit_id, unit_type, dests[0], freed, largest, moved)
 
     def _move_some_records(
-        self, unit_id: int, source: PageId, dest: PageId, keys: tuple[int, ...]
+        self, unit_id: int, source: PageId, dest: PageId, keys: tuple[int, ...],
+        records: tuple[Record, ...] | None = None,
     ) -> None:
         """One MOVE pair for ``keys`` of the source page: org-page half
-        first, then dest-page half."""
-        careful = self.store.buffer.careful_writing
-        if careful:
+        first, then dest-page half; ``records`` given are logged as such."""
+        if records is None and self.store.buffer.careful_writing:
             # Source must not reach disk (or be freed) before dest does;
             # the MOVE records then carry keys only.
             self.store.buffer.add_write_dependency(source=source, dest=dest)
-            records: tuple[Record, ...] = ()
-        else:
+            records = ()
+        elif records is None:
             source_leaf = self.store.get_leaf(source)
             records = tuple(source_leaf.get(k) for k in keys)
         out = ReorgMoveOutRecord(
@@ -418,22 +416,16 @@ class UnitEngine:
         (b) allocated by redo of the Alloc record but never formatted (the
         crash fell between Alloc and Format), or (c) fully present.
         """
-        if self.store.free_map.is_free(dest):
-            self.store.free_map.allocate(
-                self.store.free_map.extent_for(dest), dest
-            )
-            self.store.buffer.put_new(
-                LeafPage(dest, self.store.config.leaf_capacity)
-            )
+        store = self.store
+        fresh = store.free_map.is_free(dest)
+        if fresh:
+            store.free_map.allocate(store.free_map.extent_for(dest), dest)
+        elif store.buffer.contains(dest) or store.disk.has_image(dest):
+            return
+        store.buffer.put_new(LeafPage(dest, store.config.leaf_capacity))
+        if fresh:
             self._log_structural(AllocRecord(page_id=dest, kind="leaf"))
-            self._log_structural(LeafFormatRecord(page_id=dest, records=()))
-        elif not (
-            self.store.buffer.contains(dest) or self.store.disk.has_image(dest)
-        ):
-            self.store.buffer.put_new(
-                LeafPage(dest, self.store.config.leaf_capacity)
-            )
-            self._log_structural(LeafFormatRecord(page_id=dest, records=()))
+        self._log_structural(LeafFormatRecord(page_id=dest, records=()))
 
     def _modify(
         self,
@@ -472,7 +464,7 @@ class UnitEngine:
             if index < 0:
                 continue  # already removed (recovery re-entry)
             self._modify(
-                unit_id, base_page, (base.entries[index][0], source), _NO_ENTRY
+                unit_id, base_page, (base.key_at(index), source), _NO_ENTRY
             )
         # Point the base at each destination under the right key.
         built: list[PageId] = []
@@ -486,10 +478,9 @@ class UnitEngine:
             index = base.index_of_child(dest)
             if index < 0:
                 self._modify(unit_id, base_page, _NO_ENTRY, (new_key, dest))
-            elif base.entries[index][0] != new_key:
+            elif base.key_at(index) != new_key:
                 self._modify(
-                    unit_id, base_page,
-                    (base.entries[index][0], dest), (new_key, dest),
+                    unit_id, base_page, (base.key_at(index), dest), (new_key, dest)
                 )
         return built
 
@@ -509,6 +500,15 @@ class UnitEngine:
                     break
         return places
 
+    def leaf_beside(
+        self, base: InternalPage, index: int, side: int
+    ) -> tuple[PageId, int, PageId] | None:
+        """:meth:`~repro.btree.tree.BPlusTree.leaf_neighbour`, reading a
+        step inside ``base`` from its child list."""
+        if 0 <= index + side < base.num_items:
+            return base.page_id, index + side, base.child_at(index + side)
+        return self.tree.leaf_neighbour(base.page_id, index, side)
+
     def _fix_side_pointers_around(self, bases: list[PageId], leaves: list[PageId]) -> None:
         """Recompute side pointers of ``leaves`` (children of ``bases``)
         and their key-order neighbours from the (already corrected) tree
@@ -524,23 +524,24 @@ class UnitEngine:
         kind = self.tree.side_pointers
         if kind is SidePointerKind.NONE:
             return
-        step = self.tree.leaf_neighbour
+        two_way = kind is SidePointerKind.TWO_WAY
+        get, beside = self.store.get_internal, self.leaf_beside
         pointers: dict[PageId, tuple[PageId, PageId]] = {}
         for place in self.leaf_places(bases, leaves):
-            # Two leaves either side: the neighbours' own neighbours too.
-            before, after = step(*place[:2], -1), step(*place[:2], 1)
+            # Two leaves either side: the neighbours' own neighbours too,
+            # but the one before ``before`` only feeds a TWO_WAY prev.
+            base = get(place[0])
+            before, after = beside(base, place[1], -1), beside(base, place[1], 1)
             run = [
-                before and step(*before[:2], -1), before, place,
-                after, after and step(*after[:2], 1),
+                two_way and before and beside(get(before[0]), before[1], -1),
+                before, place, after, after and beside(get(after[0]), after[1], 1),
             ]
-            ids = [NO_PAGE if at is None else at[2] for at in run]
+            ids = [at[2] if at else NO_PAGE for at in run]
             for i in (1, 2, 3):
                 if ids[i] != NO_PAGE:
-                    pointers[ids[i]] = (ids[i - 1], ids[i + 1])
+                    pointers[ids[i]] = (ids[i - 1] if two_way else NO_PAGE, ids[i + 1])
         for pid in sorted(pointers):
             prev_leaf, next_leaf = pointers[pid]
-            if kind is not SidePointerKind.TWO_WAY:
-                prev_leaf = NO_PAGE
             self._set_pointers(pid, next_leaf=next_leaf, prev_leaf=prev_leaf)
 
     def _set_pointers(self, page_id: PageId, *, next_leaf: PageId, prev_leaf: PageId) -> None:
@@ -674,9 +675,8 @@ class UnitEngine:
         """Which of the two swapped leaves belongs in the base slot: the
         one whose records fall inside the slot's key range."""
         base = self.store.get_internal(base_id)
-        entries = base.entries
-        low = entries[slot][0]
-        high = entries[slot + 1][0] if slot + 1 < len(entries) else None
+        low = base.key_at(slot)
+        high = base.key_at(slot + 1) if slot + 1 < base.num_items else None
         fitting: list[tuple[int, PageId]] = []
         for pid in candidates:
             leaf = self.store.get_leaf(pid)
@@ -848,29 +848,10 @@ class UnitEngine:
         """
         source_leaf = self.store.get_leaf(from_page)
         records = tuple(source_leaf.get(k) for k in keys if source_leaf.contains(k))
-        keys = tuple(r.key for r in records)
-        if not records:
-            return
-        self.store.buffer.remove_write_dependency(source=to_page, dest=from_page)
-        out = ReorgMoveOutRecord(
-            unit_id=unit_id,
-            org_page=from_page,
-            dest_page=to_page,
-            keys=keys,
-            records=records,
-        )
-        self._log_unit(out)
-        apply_record(self.store, out, stash=self._stash)
-        into = ReorgMoveInRecord(
-            unit_id=unit_id,
-            org_page=from_page,
-            dest_page=to_page,
-            keys=keys,
-            records=records,
-            move_out_lsn=out.lsn,
-        )
-        self._log_unit(into)
-        apply_record(self.store, into, stash=self._stash)
+        if records:
+            self.store.buffer.remove_write_dependency(source=to_page, dest=from_page)
+            keys = tuple(r.key for r in records)
+            self._move_some_records(unit_id, from_page, to_page, keys, records)
 
     # -- helpers -----------------------------------------------------------------
 

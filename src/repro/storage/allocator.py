@@ -81,25 +81,24 @@ class FreeSpaceMap:
             self._extents[name] = extent
             self._free[name] = list(range(extent.start, extent.end))
             self._head[name] = 0
-        #: Extent starts, sorted, with the owning name at the same index:
-        #: extent_for bisects here instead of scanning every extent.
+        #: Extent bounds, sorted, and the names in the same order: a page id
+        #: lies in an extent exactly when it bisects to an odd index of
+        #: ``_bounds``, and half that index is the extent's.
         by_start = sorted(
-            (extent.start, name) for name, extent in self._extents.items()
+            (extent.start, extent.end, name) for name, extent in self._extents.items()
         )
-        self._starts = [start for start, _ in by_start]
-        self._names_by_start = [name for _, name in by_start]
+        self._bounds = [bound for start, end, _ in by_start for bound in (start, end)]
+        self._names_by_start = [name for _, _, name in by_start]
         #: Granted per-shard leases, per extent (disjoint by construction).
         self._leases: dict[str, list[ExtentLease]] = {}
 
     # -- queries ------------------------------------------------------------
 
     def extent_for(self, page_id: PageId) -> str:
-        i = bisect.bisect_right(self._starts, page_id) - 1
-        if i >= 0:
-            name = self._names_by_start[i]
-            if self._extents[name].contains(page_id):
-                return name
-        raise StorageError(f"page id {page_id} not in any managed extent")
+        at = bisect.bisect_right(self._bounds, page_id)
+        if not at & 1:
+            raise StorageError(f"page id {page_id} not in any managed extent")
+        return self._names_by_start[at >> 1]
 
     def is_free(self, page_id: PageId) -> bool:
         name = self.extent_for(page_id)

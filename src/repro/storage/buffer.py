@@ -22,7 +22,9 @@ write-ordering disciplines the paper depends on:
 :meth:`BufferPool.fetch_for_update` is the one way to a page about to
 change: the disk takes a private copy first, and :meth:`BufferPool.mark_dirty`
 on a frame that skipped it raises.  A full pool evicts its LRU unpinned
-frame (written back first if dirty, so no update is lost) and reuses it.
+frame (written back first if dirty, so no update is lost) and reuses it;
+the walk to it parks each pinned frame it passes at the MRU end, so a
+pinned frame is passed at most once per cycle of the pool.
 
 **Write-back order** is the pool's business and there is one: ascending
 page id.  ``flush_all``/``force`` drain dirty frames in one sweep of the
@@ -470,17 +472,24 @@ class BufferPool:
 
     def _evict_one(self) -> _Frame:
         """Evict the LRU unpinned frame (written back if dirty); return it."""
-        for page_id, frame in self._frames.items():
-            if frame.pins == 0:
+        frames = self._frames
+        passed = 0
+        for page_id, frame in frames.items():
+            if not frame.pins:
                 break
+            passed += 1
         else:
             raise BufferPoolError("all buffer frames are pinned; cannot evict")
+        if passed:
+            for _ in range(passed):
+                self._frames_move_to_end(next(iter(frames)))
+            self._mru_id = None
         if frame.dirty:
             self._writeback_sweep(page_id)
         if frame.prefetched:
             self.prefetch_wasted += 1
             frame.prefetched = False
-        del self._frames[page_id]
+        del frames[page_id]
         if page_id == self._mru_id:
             self._mru_id = None
         self.evictions += 1

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import bisect
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import BTreeError, DuplicateKeyError, KeyNotFoundError
 
@@ -214,39 +215,35 @@ class LeafPage(Page):
         self._keys.pop(i)
         return self._records.pop(i)
 
-    def take_all(self) -> list[Record]:
-        """Remove and return every record (used when moving page contents)."""
-        records, self._records = self._records, []
-        self._keys = []
-        return records
-
-    def take_first(self, n: int) -> list[Record]:
-        """Remove and return the ``n`` smallest records."""
-        taken = self._records[:n]
-        del self._records[:n]
-        del self._keys[:n]
+    def take_run(self, keys: Sequence[int]) -> list[Record]:
+        """Remove and return the records of ``keys``, in that order: keys
+        side by side on the page, in key order, as one slice; any others
+        one at a time by :meth:`delete` (a missing key raises there)."""
+        run = list(keys)
+        i = bisect.bisect_left(self._keys, run[0]) if run else 0
+        j = i + len(run)
+        if self._keys[i:j] != run:
+            return [self.delete(key) for key in run]
+        taken = self._records[i:j]
+        del self._records[i:j], self._keys[i:j]
         return taken
 
-    def extend(self, records: list[Record]) -> None:
-        """Append records that are all greater than the current maximum.
-
-        Used by compaction, which always moves records in ascending key
-        order; the precondition keeps the page sorted without a re-sort.
-        """
-        if not records:
-            return
-        if len(self._records) + len(records) > self._capacity:
-            raise BTreeError(f"extend would overflow leaf page {self.page_id}")
-        if self._records and records[0].key <= self._records[-1].key:
-            raise BTreeError(
-                f"extend precondition violated on page {self.page_id}: "
-                f"{records[0].key} <= current max {self._records[-1].key}"
-            )
-        for earlier, later in zip(records, records[1:]):
-            if later.key <= earlier.key:
-                raise BTreeError("extend records must be strictly ascending")
-        self._records.extend(records)
-        self._keys.extend(r.key for r in records)
+    def put_run(self, records: Sequence[Record]) -> None:
+        """Insert ``records``: a strictly ascending run that fits between two
+        neighbouring keys as one slice; any others one at a time by
+        :meth:`insert` (a duplicate or a full page raises there)."""
+        keys = [record.key for record in records]
+        page_keys = self._keys
+        if keys and len(page_keys) + len(keys) <= self._capacity:
+            i = bisect.bisect_left(page_keys, keys[0])
+            if (i == len(page_keys) or keys[-1] < page_keys[i]) and all(
+                map(operator.lt, keys, keys[1:])
+            ):
+                page_keys[i:i] = keys
+                self._records[i:i] = records
+                return
+        for record in records:
+            self.insert(record)
 
     def replace_all(self, records: list[Record]) -> None:
         """Replace the full record list (used by swaps and recovery redo)."""
@@ -345,6 +342,10 @@ class InternalPage(Page):
     def children(self) -> list[PageId]:
         return list(self._children)
 
+    def key_at(self, index: int) -> int:
+        """The ``index``-th entry key (no tuple of every entry)."""
+        return self._keys[index]
+
     def child_at(self, index: int) -> PageId:
         """The ``index``-th child, or NO_PAGE past the last (no list copy)."""
         return self._children[index] if index < len(self._children) else NO_PAGE
@@ -427,12 +428,9 @@ class InternalPage(Page):
         child id can transiently appear under two keys midway through a
         same-base swap, so matching on the child alone is ambiguous.
         """
-        i = -1
-        for index, (key, child) in enumerate(zip(self._keys, self._children)):
-            if key == old_key and child == old_child:
-                i = index
-                break
-        if i < 0:
+        keys = self._keys
+        i = bisect.bisect_left(keys, old_key)  # entry keys are unique
+        if i == len(keys) or keys[i] != old_key or self._children[i] != old_child:
             raise KeyNotFoundError(
                 f"entry ({old_key}, {old_child}) not in page {self.page_id}"
             )

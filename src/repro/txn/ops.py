@@ -23,14 +23,15 @@ Exceptions are delivered *into* the generator at the yield point:
 :class:`~repro.errors.DeadlockError` when the process is chosen as a
 deadlock victim.
 
-Ops are slotted, not frozen: a reorganization unit yields some 25 of them,
-and nothing hashes or mutates one after it is yielded.
+Ops are slotted, not frozen: a reorganization unit yields 18.5 of them on
+average (``reorg_offline``, seed 11), and nothing hashes or mutates one
+after it is yielded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.locks.modes import LockMode
 from repro.storage.page import PageId
@@ -78,6 +79,24 @@ class Release:
 
 
 @dataclass(slots=True)
+class AcquireSet:
+    """An :class:`Acquire` of ``mode`` on each page's lock, in order; resumes
+    with the pages once all are granted (an exception is thrown in here).
+    ``pages`` may be a zero-argument callable, called when performed."""
+
+    pages: Iterable[PageId] | Callable[[], Iterable[PageId]]
+    mode: LockMode
+
+
+@dataclass(slots=True)
+class ReleaseSet:
+    """Release ``mode`` on the page lock of each of ``pages``, in order."""
+
+    pages: Iterable[PageId]
+    mode: LockMode
+
+
+@dataclass(slots=True)
 class ReleaseAll:
     """Drop every lock the process holds (end of transaction)."""
 
@@ -120,4 +139,5 @@ class Call:
     fn: Callable[[], Any]
 
 
-Op = Acquire | Convert | Downgrade | Release | ReleaseAll | FetchPage | Think | Log | Call
+Op = (Acquire | AcquireSet | Convert | Downgrade | Release | ReleaseSet | ReleaseAll
+      | FetchPage | Think | Log | Call)

@@ -15,7 +15,8 @@ concurrency experiment in this repository is exactly reproducible.
 
 Timing model (configurable):
 
-* ``Acquire``/``Convert``/``Release``/``Log``/``Call`` — instantaneous.
+* ``Acquire``/``Convert``/``Release``/``Log``/``Call`` and the lock sets
+  (one ``Acquire`` or ``Release`` per page) — instantaneous.
   Blocking on a lock suspends the process until the lock manager's grant
   callback fires; the elapsed simulated time is charged to the
   transaction's ``wait_time``.
@@ -50,12 +51,14 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.locks.manager import LockManager, LockRequest, RequestState
+from repro.locks.resources import page_lock
 from repro.perf import PERF
 
 #: See storage/buffer.py: reset() clears in place, the alias stays valid.
 _COUNTERS = PERF.counters
 from repro.txn.ops import (
     Acquire,
+    AcquireSet,
     Call,
     Convert,
     Downgrade,
@@ -64,6 +67,7 @@ from repro.txn.ops import (
     Op,
     Release,
     ReleaseAll,
+    ReleaseSet,
     Think,
 )
 from repro.txn.transaction import Transaction, TxnState
@@ -99,6 +103,8 @@ class _Process:
     done: bool = False
     #: Set by Scheduler.abort_transaction; honoured at the next step.
     abort_requested: bool = False
+    #: A lock set op that waits: (its pages, its single ops still to come).
+    lock_set: tuple | None = None
 
 
 class Scheduler:
@@ -307,13 +313,18 @@ class Scheduler:
         gen = process.gen
         txn = process.txn
         lm = self.lm
+        # A lock set runs as its single ops; after a wait, the rest run on
+        # the grant before the generator resumes (a throw abandons them).
+        lock_set, process.lock_set = process.lock_set, None
         for _ in range(_MAX_ZERO_TIME_OPS):
             try:
                 if throw is not None:
-                    exc, throw = throw, None
+                    exc, throw, lock_set = throw, None, None
                     op = gen.throw(exc)
-                else:
+                elif lock_set is None:
                     op = gen.send(value)
+                elif (op := next(lock_set[1], None)) is None:
+                    op, lock_set = gen.send(lock_set[0]), None  # set done
             except StopIteration as stop:
                 self._finish(process, stop.value)
                 return
@@ -351,11 +362,17 @@ class Scheduler:
                     throw = conflict
                     continue
                 if request.state is _WAITING:
+                    process.lock_set = lock_set
                     self._suspend_on_lock(process)
                     return
                 value = request
             elif op_cls is Release:
                 lm.release(txn, op.resource, op.mode)
+            elif op_cls is AcquireSet or op_cls is ReleaseSet:
+                pages = op.pages() if callable(op.pages) else op.pages
+                single = Acquire if op_cls is AcquireSet else Release
+                ops = map(single, map(page_lock, pages), itertools.repeat(op.mode))
+                lock_set = (pages, ops)
             elif op_cls is Call:
                 try:
                     value = op.fn()
@@ -440,18 +457,18 @@ class Scheduler:
 
 #: What :func:`run_alone` skips: with nobody else running every lock is
 #: granted and no simulated time needs to pass.
-_ALONE_NO_OPS = (Acquire, Convert, Release, ReleaseAll, Think)
+_ALONE_NO_OPS = (Acquire, AcquireSet, Convert, Release, ReleaseSet, ReleaseAll, Think)
 
 
 def run_alone(gen: ProtocolGen) -> Any:
     """Drive one protocol generator to completion with nobody else running
     — how the synchronous reorganizer runs passes 1 and 2.
 
-    Every ``Call`` runs; ``Acquire`` / ``Convert`` / ``Release`` /
-    ``ReleaseAll`` / ``Think`` are no-ops, so no lock-manager request is
-    made, and any other op raises :class:`ReproError`.  An exception out of
-    a ``Call`` (a :class:`CrashPoint` too) propagates after the generator is
-    closed, so its own cleanup runs.
+    Every ``Call`` runs; the lock ops, the lock sets and ``Think`` are
+    no-ops, so no lock-manager request is made and a callable set's pages
+    are never computed; any other op raises :class:`ReproError`.  An
+    exception out of a ``Call`` (a :class:`CrashPoint` too) propagates
+    after the generator is closed, so its own cleanup runs.
     """
     send, value = gen.send, None
     try:

@@ -202,7 +202,7 @@ def _apply_move_out(
         # "present subset" would corrupt the newer incarnation, so this is
         # strictly all-or-nothing: skip entirely.
         return None
-    removed = [page.delete(key) for key in record.keys]
+    removed = page.take_run(record.keys)
     store.mark_dirty(page.page_id, record.lsn)
     if stash is not None:
         stash[record.lsn] = removed
@@ -229,7 +229,7 @@ def _apply_move_in(
     if page is None:
         return None
     if record.records:
-        moved = list(record.records)
+        moved = record.records
     else:
         if stash is None or record.move_out_lsn not in stash:
             raise LogError(
@@ -247,8 +247,7 @@ def _apply_move_in(
             store.buffer.add_write_dependency(
                 source=record.org_page, dest=record.dest_page
             )
-    for moved_record in moved:
-        page.insert(moved_record)
+    page.put_run(moved)
     store.mark_dirty(page.page_id, record.lsn)
 
 

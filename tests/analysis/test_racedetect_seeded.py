@@ -22,12 +22,14 @@ from repro.locks.resources import PAGE
 from repro.reorg.protocols import ReorgProtocol
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import Record
-from repro.txn.ops import Acquire, Release
+from repro.txn.ops import Acquire, AcquireSet, Release, ReleaseSet
 from repro.txn.scheduler import Scheduler
 
 
 def strip_page_locks(gen, mode):
-    """Swallow Acquire/Release of ``mode`` on page locks — the seeded bug.
+    """Swallow Acquire/Release of ``mode`` on page locks — the seeded bug —
+    and AcquireSet/ReleaseSet of ``mode``, whose members are all page locks
+    (a swallowed AcquireSet still answers with its pages).
 
     Everything else (Calls, Thinks, other lock modes, tree locks) is
     forwarded unchanged, so the protocol still *does* all its work — it
@@ -41,6 +43,9 @@ def strip_page_locks(gen, mode):
         except StopIteration as stop:
             return stop.value
         throw = None
+        if isinstance(op, (AcquireSet, ReleaseSet)) and op.mode is mode:
+            send = op.pages() if callable(op.pages) else op.pages
+            continue
         if (
             isinstance(op, (Acquire, Release))
             and op.mode is mode

@@ -207,3 +207,39 @@ def test_self_call_reaches_subclass_override():
     assert finding.analysis == "lock-pairing"
     assert (finding.path, finding.line) == ("fix/override_sub.py", 3)
     assert "leaky_run()" in finding.message
+
+
+SET_ESCAPE = '''\
+def lock_unit(leaves):
+    yield AcquireSet(leaves, RX)
+    yield AcquireSet(lambda: neighbours(leaves), X)
+    yield ReleaseSet(leaves, RX)
+
+
+def neighbours(leaves):
+    return []
+'''
+
+SET_CLEAN = '''\
+def lock_unit(leaves):
+    yield AcquireSet(leaves, RX)
+    found = yield AcquireSet(lambda: neighbours(leaves), X)
+    yield ReleaseSet(leaves, RX)
+    yield ReleaseSet(found, X)
+
+
+def neighbours(leaves):
+    return []
+'''
+
+
+def test_lock_set_acquired_and_never_released_is_caught():
+    # A set op is one lock on page_lock(<its pages>); a lazy set's pages
+    # are its callable's body.  The RX set is released, the X set is not.
+    report = _analyze({"fix/set_escape.py": SET_ESCAPE})
+    assert len(report.findings) == 1, [str(f) for f in report.findings]
+    (finding,) = report.findings
+    assert finding.analysis == "lock-pairing"
+    assert (finding.path, finding.line) == ("fix/set_escape.py", 3)
+    assert "X lock on page_lock(neighbours(leaves))" in finding.message
+    assert _analyze({"fix/set_clean.py": SET_CLEAN}).findings == []

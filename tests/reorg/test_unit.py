@@ -281,3 +281,46 @@ class TestSwapUnit:
         leaf_a, leaf_b = base.children()[0], base.children()[1]
         engine.swap_unit(base.page_id, leaf_a, base.page_id, leaf_b)
         tree.validate()
+
+
+class TestUndoUnit:
+    """Section 5.2 undo moves each MOVE pair's records back as one run."""
+
+    class _Stop(Exception):
+        pass
+
+    @pytest.mark.parametrize("careful", [True, False])
+    @pytest.mark.parametrize("pairs_done", [1, 2])
+    def test_undo_of_a_partly_moved_unit_restores_every_page(
+        self, careful, pairs_done
+    ):
+        db, tree = sparse_db(careful=careful)
+        engine = UnitEngine(db, tree)
+        base = tree.base_page_for(0)
+        group = base.children()[:3]
+        before = {leaf: db.store.get_leaf(leaf).keys() for leaf in group}
+        move = engine._move_some_records
+        done = []
+
+        def interrupted(*args):
+            if len(done) == pairs_done:
+                raise self._Stop
+            done.append(args)
+            move(*args)
+
+        engine._move_some_records = interrupted
+        if pairs_done < 2:
+            with pytest.raises(self._Stop):
+                engine.begin_compact(base.page_id, group, [group[0]])
+            (unit_id,) = db.progress.units_in_flight
+        else:
+            unit_id = engine.begin_compact(base.page_id, group, [group[0]])
+        # Each pair done appended its source's records to the destination.
+        assert db.store.get_leaf(group[0]).keys() == sorted(
+            key for leaf in group[: pairs_done + 1] for key in before[leaf]
+        )
+        engine._move_some_records = move
+        engine.undo_unit(unit_id)
+        assert {leaf: db.store.get_leaf(leaf).keys() for leaf in group} == before
+        assert db.progress.units_in_flight == []
+        tree.validate()

@@ -261,3 +261,19 @@ class TestCrash:
         new_leaf(pool, 1)
         pool.flush_all()
         assert disk.has_image(0) and disk.has_image(1)
+
+
+def test_eviction_parks_the_pinned_frames_it_passes_at_the_mru_end():
+    disk = SimulatedDisk([Extent("leaf", 0, 16)])
+    for pid in range(8):
+        disk.write(LeafPage(pid, 4))
+    pool = BufferPool(disk, 5)
+    for pid in range(5):
+        pool.fetch(pid, pin=pid < 3)  # pages 0, 1, 2 pinned, at the LRU head
+    pool.fetch(5)
+    # One walk evicted page 3 and left the pinned frames behind page 4, in
+    # their order: the next walk starts at an unpinned frame.
+    assert list(pool._frames) == [4, 0, 1, 2, 5]
+    pool.fetch(6)
+    assert list(pool._frames) == [0, 1, 2, 5, 6]
+    assert pool.evictions == 2

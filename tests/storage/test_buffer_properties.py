@@ -244,3 +244,102 @@ def test_dirty_index_and_sweep_match_a_scan_and_sort(steps, capacity, first):
         assert pool._dirty_ids == sorted(
             pid for pid, frame in frames.items() if frame.dirty
         )
+
+
+LRU_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["fetch", "fetch", "fetch", "pin", "pin", "unpin"]),
+        st.integers(min_value=0, max_value=5),  # page id
+    ),
+    min_size=30,
+    max_size=150,
+)
+
+
+class LRUModel:
+    """Reference LRU by use stamps: the victim is the unpinned frame with
+    the oldest stamp.  With ``park``, an eviction also counts as a use of
+    each pinned frame older than its victim — the frames the pool's walk
+    passes over and parks at the MRU end."""
+
+    def __init__(self, capacity, *, park):
+        self.capacity, self.park = capacity, park
+        self.stamps, self.pins, self.clock = {}, {}, 0
+
+    def use(self, pid):
+        self.clock += 1
+        self.stamps[pid] = self.clock
+
+    def fetch(self, pid):
+        """A fetch; returns the page it evicted, or None."""
+        victim = None
+        if pid not in self.stamps and len(self.stamps) == self.capacity:
+            unpinned = [p for p in self.stamps if not self.pins.get(p)]
+            victim = min(unpinned, key=self.stamps.__getitem__)
+            if self.park:
+                passed = [
+                    p for p in self.stamps
+                    if self.pins.get(p) and self.stamps[p] < self.stamps[victim]
+                ]
+                for p in sorted(passed, key=self.stamps.__getitem__):
+                    self.use(p)
+            del self.stamps[victim]
+        self.use(pid)
+        return victim
+
+
+def _drive_lru(steps, capacity, *, park, touch_on_unpin):
+    """Run ``steps`` on a pool and on the model; returns both victim lists."""
+    disk = SimulatedDisk([Extent("leaf", 0, 6)])
+    for pid in range(6):
+        disk.write(LeafPage(pid, 4))
+    pool = BufferPool(disk, capacity)
+    model = LRUModel(capacity, park=park)
+    pool_victims, model_victims = [], []
+
+    def fetch(pid):
+        before = set(pool._frames)
+        pool.fetch(pid)
+        pool_victims.extend(before - set(pool._frames))
+        victim = model.fetch(pid)
+        if victim is not None:
+            model_victims.append(victim)
+
+    for action, pid in steps:
+        pinned = sum(1 for count in model.pins.values() if count)
+        if action == "fetch":
+            fetch(pid)
+        elif action == "pin" and pid in model.stamps and pinned < capacity - 1:
+            pool.pin(pid)
+            model.pins[pid] = model.pins.get(pid, 0) + 1
+        elif action == "unpin" and model.pins.get(pid):
+            pool.unpin(pid)
+            model.pins[pid] -= 1
+            if touch_on_unpin:
+                fetch(pid)
+        assert set(pool._frames) == set(model.stamps)
+    return pool_victims, model_victims
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=LRU_STEPS, capacity=st.integers(min_value=2, max_value=5))
+def test_victims_match_lru_with_pinned_frames_ineligible(steps, capacity):
+    """The pool's only pinning caller (``UnitEngine.owning_tree``) fetches
+    a page again as it unpins it.  Under that contract the victims are
+    those of plain LRU in which a pinned frame is simply not eligible:
+    parking a pinned frame changes the order of no unpinned one."""
+    pool_victims, model_victims = _drive_lru(
+        steps, capacity, park=False, touch_on_unpin=True
+    )
+    assert pool_victims == model_victims
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=LRU_STEPS, capacity=st.integers(min_value=2, max_value=5))
+def test_victims_match_lru_that_parks_passed_pinned_frames(steps, capacity):
+    """Any pin/unpin order: a pinned frame an eviction passes over counts
+    as used by that eviction."""
+    pool_victims, model_victims = _drive_lru(
+        steps, capacity, park=True, touch_on_unpin=False
+    )
+    assert pool_victims == model_victims

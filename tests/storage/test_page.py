@@ -69,32 +69,82 @@ class TestLeafPage:
 
     def test_take_all_empties_page(self):
         page = make_leaf([1, 2, 3])
-        records = page.take_all()
+        records = page.take_run(page.keys())
         assert [r.key for r in records] == [1, 2, 3]
         assert page.is_empty
 
     def test_take_first(self):
         page = make_leaf([1, 2, 3, 4])
-        taken = page.take_first(2)
+        taken = page.take_run((1, 2))
         assert [r.key for r in taken] == [1, 2]
         assert page.keys() == [3, 4]
 
-    def test_extend_requires_ascending_beyond_max(self):
+    @pytest.mark.parametrize(
+        "keys, left", [((3, 4), [1, 2]), ((2, 3), [1, 4]), ((), [1, 2, 3, 4])]
+    )
+    def test_take_run_suffix_interior_and_empty(self, keys, left, monkeypatch):
+        page = make_leaf([1, 2, 3, 4])
+        # A contiguous run leaves as one slice, never record by record.
+        monkeypatch.setattr(LeafPage, "delete", None)
+        taken = page.take_run(keys)
+        assert [r.key for r in taken] == list(keys)
+        assert [r.payload for r in taken] == [f"p{k}" for k in keys]
+        assert page.keys() == left
+
+    def test_take_run_non_contiguous_keys_leave_in_the_given_order(self):
+        page = make_leaf([1, 2, 3, 4, 5])
+        assert [r.key for r in page.take_run((4, 1))] == [4, 1]
+        assert [r.key for r in page.take_run([2, 5])] == [2, 5]
+        assert page.keys() == [3]
+
+    def test_take_run_missing_key_raises_after_the_keys_before_it(self):
+        page = make_leaf([1, 2, 4])
+        with pytest.raises(KeyNotFoundError):
+            page.take_run((1, 2, 3))
+        assert page.keys() == [4]
+
+    @pytest.mark.parametrize(
+        "keys, after",
+        [((7, 8), [1, 2, 5, 7, 8]), ((0,), [0, 1, 2, 5]), ((3, 4), [1, 2, 3, 4, 5])],
+    )
+    def test_put_run_prefix_suffix_and_interior(self, keys, after, monkeypatch):
+        page = make_leaf([1, 2, 5])
+        # A run that lands between two neighbours goes in as one slice.
+        monkeypatch.setattr(LeafPage, "insert", None)
+        page.put_run([Record(k, f"q{k}") for k in keys])
+        assert page.keys() == after
+        assert page.get(keys[0]).payload == f"q{keys[0]}"
+
+    def test_put_run_appends_a_suffix_and_takes_the_run_back(self):
         page = make_leaf([1, 2])
-        page.extend([Record(5), Record(7)])
+        page.put_run((Record(5), Record(7)))
         assert page.keys() == [1, 2, 5, 7]
-        with pytest.raises(BTreeError):
-            page.extend([Record(6)])  # 6 <= current max 7
+        assert [r.key for r in page.take_run((5, 7))] == [5, 7]
+        assert page.keys() == [1, 2]
 
-    def test_extend_rejects_unsorted_batch(self):
-        page = make_leaf([1])
-        with pytest.raises(BTreeError):
-            page.extend([Record(5), Record(4)])
+    @pytest.mark.parametrize("keys", [(4, 3), (3, 7), (4, 4)])
+    def test_put_run_unsorted_or_straddling_batch_goes_in_one_by_one(self, keys):
+        page = make_leaf([1, 5])
+        if len(set(keys)) < len(keys):
+            with pytest.raises(DuplicateKeyError):
+                page.put_run([Record(k) for k in keys])
+            assert page.keys() == [1, 4, 5]
+            return
+        page.put_run([Record(k) for k in keys])
+        assert page.keys() == sorted({1, 5, *keys})
 
-    def test_extend_rejects_overflow(self):
+    def test_put_run_duplicate_of_a_page_key_raises(self):
+        page = make_leaf([1, 5])
+        with pytest.raises(DuplicateKeyError):
+            page.put_run([Record(5), Record(6)])
+        assert page.keys() == [1, 5]
+
+    def test_put_run_rejects_overflow(self):
         page = make_leaf([1, 2, 3], capacity=4)
         with pytest.raises(BTreeError):
-            page.extend([Record(5), Record(6)])
+            page.put_run([Record(5), Record(6)])
+        # As inserting one at a time: the record that fitted is in.
+        assert page.keys() == [1, 2, 3, 5]
 
     def test_replace_all_sorts_and_checks_duplicates(self):
         page = make_leaf([1])

@@ -110,7 +110,7 @@ class PageInternalsRule(Rule):
 
 
 #: Call names that acquire a lock and ones that give one back.
-_ACQUIRES = {"request", "Acquire"}
+_ACQUIRES = {"request", "Acquire", "AcquireSet"}
 _RELEASES = {
     "release",
     "release_all",
@@ -119,6 +119,7 @@ _RELEASES = {
     "convert",
     "Release",
     "ReleaseAll",
+    "ReleaseSet",
     "Downgrade",
     "Convert",
 }
@@ -640,7 +641,7 @@ class OptimisticLockFreeRule(Rule):
     )
     include = ("src/repro/btree/", "src/repro/shard/")
 
-    _ACQUIRE_CALLS = {"Acquire", "Convert", "request", "convert"}
+    _ACQUIRE_CALLS = {"Acquire", "AcquireSet", "Convert", "request", "convert"}
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
         for func in ast.walk(ctx.tree):
