@@ -66,7 +66,12 @@ from typing import Any, Generator
 from repro.btree.tree import BPlusTree
 from repro.config import SidePointerKind
 from repro.db import Database
-from repro.errors import RXConflictError, TransactionAborted
+from repro.errors import (
+    DuplicateKeyError,
+    KeyNotFoundError,
+    RXConflictError,
+    TransactionAborted,
+)
 from repro.locks.modes import LockMode
 from repro.locks.resources import (
     current_lock_name,
@@ -643,7 +648,7 @@ def _updater(db, tree_name, key, action, think):
                     yield Release(page_lock(base), S)
                 continue
             needs_structure = yield Call(
-                lambda t=tree: _needs_structural_change(db, t, key, action)
+                lambda t=tree: _needs_structural_change(db, t, leaf, action)
             )
             if not needs_structure:
                 if base is not None:
@@ -732,17 +737,15 @@ def _sidefile_switch_in_progress(db: Database, sidefile: tuple) -> bool:
     return any(X in modes for modes in holders.values())
 
 
-def _needs_structural_change(db, tree, key, action) -> bool:
+def _needs_structural_change(db, tree, leaf_id, action) -> bool:
     kind, payload = action
-    leaf = tree.leaf_for(key)
+    leaf = db.store.get_leaf(leaf_id)
     if kind == "insert":
         return leaf.is_full
     return leaf.num_items == 1 and leaf.page_id != tree.root_id
 
 
 def _apply_action(tree, action) -> bool:
-    from repro.errors import DuplicateKeyError, KeyNotFoundError
-
     kind, payload = action
     try:
         if kind == "insert":

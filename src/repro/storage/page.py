@@ -42,7 +42,7 @@ class PageKind(enum.Enum):
     INTERNAL = "internal"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Record:
     """A data record stored in a leaf page.
 
@@ -58,6 +58,8 @@ class Record:
 
 class Page:
     """Common state of both page kinds."""
+
+    __slots__ = ("page_id", "page_lsn")
 
     kind: PageKind
 
@@ -101,6 +103,8 @@ class Page:
 
 class LeafPage(Page):
     """A leaf page holding sorted records plus optional side pointers."""
+
+    __slots__ = ("_capacity", "_records", "_keys", "next_leaf", "prev_leaf")
 
     kind = PageKind.LEAF
 
@@ -284,6 +288,8 @@ class InternalPage(Page):
     mark*: the smallest key on the page when it was first created (paper
     section 7.1).  Pass 3 uses low marks to track its scan position.
     """
+
+    __slots__ = ("_capacity", "level", "_keys", "_children", "low_mark")
 
     kind = PageKind.INTERNAL
 

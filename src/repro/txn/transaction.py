@@ -21,7 +21,7 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnMetrics:
     """Per-transaction accounting the concurrency benchmarks read."""
 
@@ -46,6 +46,10 @@ class TxnMetrics:
 
 class Transaction:
     """Lock owner + metrics holder for one scheduled process."""
+
+    # ``__weakref__``: the race detector holds its owners weakly.
+    __slots__ = ("txn_id", "name", "is_reorganizer", "shard", "state",
+                 "metrics", "last_lsn", "__weakref__")
 
     def __init__(
         self,

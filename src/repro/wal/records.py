@@ -35,6 +35,10 @@ SYSTEM_TXN = 0
 
 _INT_BYTES = 8
 _HEADER_FIELDS = 3  # lsn, prev_lsn, txn/unit id
+#: Size of the common header every record's ``log_bytes`` starts from.  A
+#: module constant, not ``super().log_bytes()``: ``slots=True`` makes a new
+#: class object, and a zero-argument ``super()`` in its methods then fails.
+_HEADER_BYTES = _HEADER_FIELDS * _INT_BYTES
 
 
 def _records_bytes(records: tuple[Record, ...]) -> int:
@@ -50,7 +54,7 @@ class ReorgUnitType(enum.Enum):
     MOVE = "move"  # moving one leaf page to an empty page
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     """Base class: every record gets an LSN and a backward chain pointer."""
 
@@ -62,7 +66,7 @@ class LogRecord:
     is_reorg = False
 
     def log_bytes(self) -> int:
-        return _HEADER_FIELDS * _INT_BYTES
+        return _HEADER_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +74,14 @@ class LogRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnRecord(LogRecord):
     """Base for records belonging to a user transaction's chain."""
 
     txn_id: int = SYSTEM_TXN
 
 
-@dataclass
+@dataclass(slots=True)
 class LeafInsertRecord(TxnRecord):
     """A record was inserted into a leaf page.
 
@@ -96,7 +100,7 @@ class LeafInsertRecord(TxnRecord):
         return (_HEADER_FIELDS + 2) * _INT_BYTES + len(self.record.payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class LeafDeleteRecord(TxnRecord):
     """A record was deleted from a leaf page.  Undo: re-insert it
     (logically — see LeafInsertRecord)."""
@@ -111,7 +115,7 @@ class LeafDeleteRecord(TxnRecord):
         return (_HEADER_FIELDS + 2) * _INT_BYTES + len(self.record.payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class CompensationRecord(TxnRecord):
     """ARIES CLR: redo-only record describing one undone action.
 
@@ -128,24 +132,20 @@ class CompensationRecord(TxnRecord):
     record: Record = field(default_factory=lambda: Record(0))
 
     def log_bytes(self) -> int:
-        return (
-            super().log_bytes()
-            + 3 * _INT_BYTES
-            + _records_bytes((self.record,))
-        )
+        return _HEADER_BYTES + 3 * _INT_BYTES + _records_bytes((self.record,))
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord(TxnRecord):
     """Transaction committed; its effects must survive recovery."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AbortRecord(TxnRecord):
     """Transaction entered rollback (its updates will be compensated)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class EndRecord(TxnRecord):
     """Transaction finished (after commit or complete rollback)."""
 
@@ -155,7 +155,7 @@ class EndRecord(TxnRecord):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class LeafFormatRecord(TxnRecord):
     """Full leaf-page image: records plus side pointers.
 
@@ -169,10 +169,10 @@ class LeafFormatRecord(TxnRecord):
     prev_leaf: PageId = -1
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 3 * _INT_BYTES + _records_bytes(self.records)
+        return _HEADER_BYTES + 3 * _INT_BYTES + _records_bytes(self.records)
 
 
-@dataclass
+@dataclass(slots=True)
 class InternalFormatRecord(TxnRecord):
     """Full internal-page image: entries, level, low mark."""
 
@@ -183,13 +183,13 @@ class InternalFormatRecord(TxnRecord):
 
     def log_bytes(self) -> int:
         return (
-            super().log_bytes()
+            _HEADER_BYTES
             + 3 * _INT_BYTES
             + 2 * _INT_BYTES * len(self.entries)
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class BaseEntryInsertRecord(TxnRecord):
     """A (key, child) entry was added to an internal page (e.g. by a split)."""
 
@@ -198,10 +198,10 @@ class BaseEntryInsertRecord(TxnRecord):
     child: PageId = 0
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 3 * _INT_BYTES
+        return _HEADER_BYTES + 3 * _INT_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class BaseEntryUpdateRecord(TxnRecord):
     """One (key, child) entry of an internal page was rewritten in place.
 
@@ -218,10 +218,10 @@ class BaseEntryUpdateRecord(TxnRecord):
     new_child: PageId = 0
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 5 * _INT_BYTES
+        return _HEADER_BYTES + 5 * _INT_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class BaseEntryDeleteRecord(TxnRecord):
     """A (key, child) entry was removed (free-at-empty deallocation)."""
 
@@ -230,10 +230,10 @@ class BaseEntryDeleteRecord(TxnRecord):
     child: PageId = 0
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 3 * _INT_BYTES
+        return _HEADER_BYTES + 3 * _INT_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class SidePointerRecord(TxnRecord):
     """A leaf's side pointers changed (section 4.3)."""
 
@@ -242,10 +242,10 @@ class SidePointerRecord(TxnRecord):
     prev_leaf: PageId = -1
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 3 * _INT_BYTES
+        return _HEADER_BYTES + 3 * _INT_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocRecord(TxnRecord):
     """A page was allocated.  Section 7.3: space allocation is logged so
     that pages allocated after the most recent stable point can be
@@ -256,17 +256,17 @@ class AllocRecord(TxnRecord):
     level: int = 0
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 2 * _INT_BYTES + len(self.kind)
+        return _HEADER_BYTES + 2 * _INT_BYTES + len(self.kind)
 
 
-@dataclass
+@dataclass(slots=True)
 class FreeRecord(TxnRecord):
     """A page was deallocated (free-at-empty, or old-tree discard)."""
 
     page_id: PageId = 0
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + _INT_BYTES
+        return _HEADER_BYTES + _INT_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ class FreeRecord(TxnRecord):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgRecord(LogRecord):
     """Base for records in a reorganization unit's chain."""
 
@@ -283,7 +283,7 @@ class ReorgRecord(LogRecord):
     is_reorg = True
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgBeginRecord(ReorgRecord):
     """(BEGIN, Unit m, Type, base pages..., leaf pages...).
 
@@ -307,14 +307,14 @@ class ReorgBeginRecord(ReorgRecord):
 
     def log_bytes(self) -> int:
         return (
-            super().log_bytes()
+            _HEADER_BYTES
             + 2 * _INT_BYTES
             + _INT_BYTES
             * (len(self.base_pages) + len(self.leaf_pages) + len(self.dest_pages))
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgMoveOutRecord(ReorgRecord):
     """(MOVE, record contents, org page, dest page) — the org-page half.
 
@@ -336,10 +336,10 @@ class ReorgMoveOutRecord(ReorgRecord):
         body = _records_bytes(self.records) if self.records else (
             _INT_BYTES * len(self.keys)
         )
-        return super().log_bytes() + 2 * _INT_BYTES + body
+        return _HEADER_BYTES + 2 * _INT_BYTES + body
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgMoveInRecord(ReorgRecord):
     """(MOVE, ...) — the dest-page half of a record move."""
 
@@ -355,10 +355,10 @@ class ReorgMoveInRecord(ReorgRecord):
         body = _records_bytes(self.records) if self.records else (
             _INT_BYTES * len(self.keys)
         )
-        return super().log_bytes() + 3 * _INT_BYTES + body
+        return _HEADER_BYTES + 3 * _INT_BYTES + body
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgSwapRecord(ReorgRecord):
     """Swap of the contents of two leaf pages.
 
@@ -383,14 +383,14 @@ class ReorgSwapRecord(ReorgRecord):
             else _INT_BYTES * len(self.keys_b)
         )
         return (
-            super().log_bytes()
+            _HEADER_BYTES
             + 2 * _INT_BYTES
             + _records_bytes(self.records_a)
             + b_side
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgModifyRecord(ReorgRecord):
     """(MODIFY, base page, org key, org pointer, new key, new pointer).
 
@@ -407,17 +407,17 @@ class ReorgModifyRecord(ReorgRecord):
     new_child: PageId = -1
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 5 * _INT_BYTES
+        return _HEADER_BYTES + 5 * _INT_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgEndRecord(ReorgRecord):
     """(END, Unit m) plus LK, the largest key the unit finished."""
 
     largest_key: int = 0
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + _INT_BYTES
+        return _HEADER_BYTES + _INT_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ class ReorgEndRecord(ReorgRecord):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SideFileInsertRecord(TxnRecord):
     """A user transaction appended an entry to the side file (section 7.2).
 
@@ -438,10 +438,10 @@ class SideFileInsertRecord(TxnRecord):
     tree_name: str = "primary"
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 2 * _INT_BYTES + len(self.op)
+        return _HEADER_BYTES + 2 * _INT_BYTES + len(self.op)
 
 
-@dataclass
+@dataclass(slots=True)
 class SideFileApplyRecord(ReorgRecord):
     """The reorganizer applied (and removed) one side-file entry.
 
@@ -456,10 +456,10 @@ class SideFileApplyRecord(ReorgRecord):
     tree_name: str = "primary"
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 3 * _INT_BYTES + len(self.op)
+        return _HEADER_BYTES + 3 * _INT_BYTES + len(self.op)
 
 
-@dataclass
+@dataclass(slots=True)
 class StableKeyRecord(ReorgRecord):
     """A pass-3 stable point: the new tree is durable up to this key.
 
@@ -478,13 +478,13 @@ class StableKeyRecord(ReorgRecord):
 
     def log_bytes(self) -> int:
         return (
-            super().log_bytes()
+            _HEADER_BYTES
             + 2 * _INT_BYTES
             + 2 * _INT_BYTES * len(self.built_entries)
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeSwitchRecord(ReorgRecord):
     """The switch is about to flip the root (section 7.4).
 
@@ -500,10 +500,10 @@ class TreeSwitchRecord(ReorgRecord):
     tree_name: str = "primary"
 
     def log_bytes(self) -> int:
-        return super().log_bytes() + 2 * _INT_BYTES + len(self.old_lock_name)
+        return _HEADER_BYTES + 2 * _INT_BYTES + len(self.old_lock_name)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorgDoneRecord(ReorgRecord):
     """Internal-page reorganization fully completed: the old upper levels
     were discarded and the reorganization bit cleared."""
@@ -511,7 +511,7 @@ class ReorgDoneRecord(ReorgRecord):
     tree_name: str = "primary"
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckpointRecord(LogRecord):
     """A sharp checkpoint: all dirty pages were flushed before appending.
 
@@ -534,7 +534,7 @@ class CheckpointRecord(LogRecord):
 
     def log_bytes(self) -> int:
         return (
-            super().log_bytes()
+            _HEADER_BYTES
             + 2 * _INT_BYTES * len(self.active_txns)
             + 3 * _INT_BYTES
             + sum(

@@ -1,0 +1,86 @@
+"""Bytes the library retains per record and per logged change.
+
+``peak_rss_mb`` on ``point_fit`` is dominated by two populations: the
+data records of the tree and the in-memory WAL, which keeps every record
+it logs.  These tests measure both with ``tracemalloc`` (exact allocation
+sizes, independent of the host's load) and bound them at the slotted
+layout's own figure plus 20 %.  A ``__dict__`` back on :class:`Record` or
+on the leaf insert/delete log records pushes them past the bound:
+
+===============================  ========  =======  =====
+figure (CPython 3.11)            dict      slotted  bound
+===============================  ========  =======  =====
+per built ``Record``             128.7 B   88.7 B   106 B
+per logged insert or delete      225.7 B   176.7 B  212 B
+===============================  ========  =======  =====
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+from repro.config import TreeConfig
+from repro.db import Database
+from repro.storage.page import Record
+
+N_RECORDS = 20_000
+N_PAIRS = 2_000
+#: Far above the small-int cache, so every key is an int object of its own.
+KEY_BASE = 10**6
+
+
+def _retained(work) -> tuple[int, object]:
+    """Bytes still allocated after ``work()`` returns, and its result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_bytes_per_record():
+    """One ``Record`` with an empty payload, its key int and its slot in
+    the list a bulk load takes."""
+    keys = range(KEY_BASE, KEY_BASE + N_RECORDS)
+    retained, records = _retained(lambda: [Record(k) for k in keys])
+    assert len(records) == N_RECORDS  # type: ignore[arg-type]
+    per_record = retained / N_RECORDS
+    assert per_record < 106, f"{per_record:.1f} B per record"
+
+
+def test_bytes_per_logged_insert_and_delete():
+    """An insert of a new key and a delete of a live one on a 20 k-record
+    tree, as ``point_fit`` runs them: the log records, page growth and
+    splits they leave behind (the records themselves are built first)."""
+    db = Database(
+        TreeConfig(
+            leaf_capacity=32,
+            internal_capacity=32,
+            leaf_extent_pages=2048,
+            internal_extent_pages=256,
+            buffer_pool_pages=2048,
+        )
+    )
+    tree = db.bulk_load_tree(
+        [Record(2 * k, f"v{2 * k}") for k in range(N_RECORDS)], leaf_fill=0.7
+    )
+    db.flush()
+    step = N_RECORDS // N_PAIRS
+    inserts = [Record(2 * k + 1, f"v{2 * k + 1}") for k in range(0, N_RECORDS, step)]
+    deletes = [2 * k for k in range(1, N_RECORDS, step)]
+    lsn_before = db.log.last_lsn
+
+    def work() -> None:
+        for record, key in zip(inserts, deletes):
+            tree.insert(record)
+            tree.delete(key)
+
+    retained, _ = _retained(work)
+    assert db.log.last_lsn - lsn_before >= 2 * N_PAIRS  # plus any splits
+    per_op = retained / (2 * N_PAIRS)
+    assert per_op < 212, f"{per_op:.1f} B per logged op"
