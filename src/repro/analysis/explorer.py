@@ -509,17 +509,6 @@ class Explorer:
                 trace=format_trace(recorder.choices),
                 scenario=scenario.name,
             )
-        finally:
-            # Close abandoned generators now (crashed or violating runs
-            # leave processes mid-flight).  Their ``finally: yield
-            # ReleaseAll()`` blocks would otherwise fire "generator ignored
-            # GeneratorExit" warnings at GC time.
-            for process in world.scheduler._processes.values():
-                if not process.done:
-                    try:
-                        process.gen.close()
-                    except RuntimeError:
-                        pass
         if strict and violation is None and len(script) > len(recorder.choices):
             raise TraceError(
                 f"trace has {len(script)} choices but the run met only "

@@ -162,6 +162,26 @@ def _s_couple_to_base(db: Database, tree: BPlusTree, key: int):
     return held, leaf
 
 
+def _rx_back_off(base: PageId | None):
+    """Section 4.1.2's answer to an RX lock on the leaf page:
+
+    "If it can't get an S lock on the leaf page, and the conflicting lock
+    is RX: release the S lock on the base page, request an unconditional
+    instant-duration RS lock on the parent base page, then re-request S on
+    the base page and proceed."
+
+    The caller then restarts its descent from the root, so the re-granted
+    S is released again here.  ``base`` is None when the root is the leaf:
+    no base page lock is held and the caller simply retries.
+    """
+    if base is None:
+        return
+    yield Release(page_lock(base), S)
+    yield Acquire(page_lock(base), RS, instant=True)
+    yield Acquire(page_lock(base), S)
+    yield Release(page_lock(base), S)
+
+
 def reader_search(
     db: Database,
     tree_name: str,
@@ -192,34 +212,24 @@ def _locked_reader_search(
     """Point lookup under the section 4.1.2 protocol; returns the record."""
     name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IS)
-    result: Record | None = None
-    try:
-        for _ in range(_MAX_RESTARTS):
-            tree = db.tree(tree_name)
-            base, leaf = yield from _s_couple_to_base(db, tree, key)
-            try:
-                yield Acquire(page_lock(leaf), S)
-            except RXConflictError:
-                # The conflicting lock is RX: forgo, release the base-page
-                # S lock, wait via an instant-duration RS on the base page,
-                # then re-request S on the base page and retry the read.
-                if base is not None:
-                    yield Release(page_lock(base), S)
-                    yield Acquire(page_lock(base), RS, instant=True)
-                    yield Acquire(page_lock(base), S)
-                    yield Release(page_lock(base), S)
-                continue
-            if base is not None:
-                yield Release(page_lock(base), S)
-            page = yield FetchPage(leaf)
-            if think:
-                yield Think(think)
-            result = page.get(key) if page.contains(key) else None
-            break
-        else:
-            raise TransactionAborted(f"reader for key {key} starved")
-    finally:
-        yield ReleaseAll()
+    for _ in range(_MAX_RESTARTS):
+        tree = db.tree(tree_name)
+        base, leaf = yield from _s_couple_to_base(db, tree, key)
+        try:
+            yield Acquire(page_lock(leaf), S)
+        except RXConflictError:
+            yield from _rx_back_off(base)
+            continue
+        if base is not None:
+            yield Release(page_lock(base), S)
+        page = yield FetchPage(leaf)
+        if think:
+            yield Think(think)
+        result = page.get(key) if page.contains(key) else None
+        break
+    else:
+        raise TransactionAborted(f"reader for key {key} starved")
+    yield ReleaseAll()
     return result
 
 
@@ -238,37 +248,30 @@ def reader_search_record_locking(
     """
     name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IS)
-    result: Record | None = None
-    try:
-        for _ in range(_MAX_RESTARTS):
-            tree = db.tree(tree_name)
-            base, leaf = yield from _s_couple_to_base(db, tree, key)
-            try:
-                yield Acquire(page_lock(leaf), S)
-            except RXConflictError:
-                if base is not None:
-                    yield Release(page_lock(base), S)
-                    yield Acquire(page_lock(base), RS, instant=True)
-                    yield Acquire(page_lock(base), S)
-                    yield Release(page_lock(base), S)
-                continue
-            if base is not None:
-                yield Release(page_lock(base), S)
-            page = yield FetchPage(leaf)
-            result = page.get(key) if page.contains(key) else None
-            if result is not None:
-                # Hold the record S to end of transaction; shrink the page
-                # lock to IS so concurrent record-level updaters of *other*
-                # records on the page can proceed.
-                yield Acquire(record_lock(key), S)
-                yield Downgrade(page_lock(leaf), S, LockMode.IS)
-            if think:
-                yield Think(think)
-            break
-        else:
-            raise TransactionAborted(f"reader for key {key} starved")
-    finally:
-        yield ReleaseAll()
+    for _ in range(_MAX_RESTARTS):
+        tree = db.tree(tree_name)
+        base, leaf = yield from _s_couple_to_base(db, tree, key)
+        try:
+            yield Acquire(page_lock(leaf), S)
+        except RXConflictError:
+            yield from _rx_back_off(base)
+            continue
+        if base is not None:
+            yield Release(page_lock(base), S)
+        page = yield FetchPage(leaf)
+        result = page.get(key) if page.contains(key) else None
+        if result is not None:
+            # Hold the record S to end of transaction; shrink the page
+            # lock to IS so concurrent record-level updaters of *other*
+            # records on the page can proceed.
+            yield Acquire(record_lock(key), S)
+            yield Downgrade(page_lock(leaf), S, LockMode.IS)
+        if think:
+            yield Think(think)
+        break
+    else:
+        raise TransactionAborted(f"reader for key {key} starved")
+    yield ReleaseAll()
     return result
 
 
@@ -308,53 +311,51 @@ def _locked_reader_range_scan(
     name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IS)
     out: list[Record] = []
-    try:
-        for _ in range(_MAX_RESTARTS):
-            out.clear()
-            tree = db.tree(tree_name)
-            base, leaf = yield from _s_couple_to_base(db, tree, low)
-            restart = False
-            passed = -1
-            while True:
-                try:
-                    yield Acquire(page_lock(leaf), S)
-                except RXConflictError:
-                    if base is not None:
-                        yield Release(page_lock(base), S)
-                        yield Acquire(page_lock(base), RS, instant=True)
-                    restart = True
-                    break
+    for _ in range(_MAX_RESTARTS):
+        out.clear()
+        tree = db.tree(tree_name)
+        base, leaf = yield from _s_couple_to_base(db, tree, low)
+        restart = False
+        passed = -1
+        while True:
+            try:
+                yield Acquire(page_lock(leaf), S)
+            except RXConflictError:
                 if base is not None:
                     yield Release(page_lock(base), S)
-                    base = None
-                page = yield FetchPage(leaf)
-                if think_per_page:
-                    yield Think(think_per_page)
-                done = False
-                returned = len(out)
-                for record in page.iter_from(low):
-                    if record.key > high:
-                        done = True
-                        break
-                    out.append(record)
-                if done:
-                    break
-                passed = 0 if len(out) > returned else passed + 1
-                probe = out[-1].key if out else low
-                next_leaf = yield Call(
-                    lambda leaf_id=leaf, probe=probe, passed=passed: (
-                        _successor_leaf(db, tree_name, leaf_id, probe, passed)
-                    )
-                )
-                if next_leaf is None:
-                    break
-                leaf = next_leaf
-            if not restart:
+                    yield Acquire(page_lock(base), RS, instant=True)
+                restart = True
                 break
-        else:
-            raise TransactionAborted("range scan starved")
-    finally:
-        yield ReleaseAll()
+            if base is not None:
+                yield Release(page_lock(base), S)
+                base = None
+            page = yield FetchPage(leaf)
+            if think_per_page:
+                yield Think(think_per_page)
+            done = False
+            returned = len(out)
+            for record in page.iter_from(low):
+                if record.key > high:
+                    done = True
+                    break
+                out.append(record)
+            if done:
+                break
+            passed = 0 if len(out) > returned else passed + 1
+            probe = out[-1].key if out else low
+            next_leaf = yield Call(
+                lambda leaf_id=leaf, probe=probe, passed=passed: (
+                    _successor_leaf(db, tree_name, leaf_id, probe, passed)
+                )
+            )
+            if next_leaf is None:
+                break
+            leaf = next_leaf
+        if not restart:
+            break
+    else:
+        raise TransactionAborted("range scan starved")
+    yield ReleaseAll()
     return out
 
 
@@ -417,52 +418,37 @@ def _optimistic_reader_search(
     store = db.store
     locks = db.locks
     OPTIMISTIC_STATS.searches += 1
-    result: Record | None = None
-    try:
-        for _ in range(_MAX_RESTARTS):
-            tree = db.tree(tree_name)
-            pid = tree.root_id
-            restart = False
-            while True:
+    for _ in range(_MAX_RESTARTS):
+        tree = db.tree(tree_name)
+        pid = tree.root_id
+        while True:
+            if locks.rx_is_held(page_lock(pid)):
+                return (yield from _optimistic_downgrade(
+                    db, tree_name, _locked_reader_search, key, think=think
+                ))
+            ver = store.version_of(pid)
+            page = yield FetchPage(pid)
+            OPTIMISTIC_STATS.validations += 1
+            if store.version_of(pid) != ver:
+                OPTIMISTIC_STATS.restarts += 1
                 if locks.rx_is_held(page_lock(pid)):
-                    result = yield from _optimistic_downgrade(
+                    return (yield from _optimistic_downgrade(
                         db, tree_name, _locked_reader_search, key, think=think
-                    )
-                    return result
-                ver = store.version_of(pid)
-                page = yield FetchPage(pid)
-                OPTIMISTIC_STATS.validations += 1
-                if store.version_of(pid) != ver:
-                    OPTIMISTIC_STATS.restarts += 1
-                    if locks.rx_is_held(page_lock(pid)):
-                        result = yield from _optimistic_downgrade(
-                            db, tree_name, _locked_reader_search, key,
-                            think=think,
-                        )
-                        return result
-                    restart = True
-                    break
-                step = tree.descend_step(page, key)
-                if step is None:
-                    # Reached the leaf.  A think pause re-opens the race
-                    # window, so re-validate before the read; the read
-                    # itself is atomic with the validation.
-                    if think:
-                        yield Think(think)
-                        if store.version_of(pid) != ver:
-                            OPTIMISTIC_STATS.restarts += 1
-                            restart = True
-                            break
-                    result = page.get(key) if page.contains(key) else None
-                    return result
-                pid = step
-            if not restart:
-                break
-        else:
-            raise TransactionAborted(f"optimistic reader for key {key} starved")
-    finally:
-        yield ReleaseAll()
-    return result
+                    ))
+                break  # restart the descent
+            step = tree.descend_step(page, key)
+            if step is None:
+                # Reached the leaf.  A think pause re-opens the race
+                # window, so re-validate before the read; the read
+                # itself is atomic with the validation.
+                if think:
+                    yield Think(think)
+                    if store.version_of(pid) != ver:
+                        OPTIMISTIC_STATS.restarts += 1
+                        break
+                return page.get(key) if page.contains(key) else None
+            pid = step
+    raise TransactionAborted(f"optimistic reader for key {key} starved")
 
 
 def _optimistic_reader_range_scan(
@@ -489,102 +475,94 @@ def _optimistic_reader_range_scan(
     locks = db.locks
     OPTIMISTIC_STATS.scans += 1
     out: list[Record] = []
-    try:
-        for _ in range(_MAX_RESTARTS):
-            out.clear()
-            tree = db.tree(tree_name)
-            pid = tree.root_id
-            restart = False
-            page = None
-            ver = 0
-            # Descent to the leaf containing `low`.
-            while True:
+    for _ in range(_MAX_RESTARTS):
+        out.clear()
+        tree = db.tree(tree_name)
+        pid = tree.root_id
+        restart = False
+        page = None
+        ver = 0
+        # Descent to the leaf containing `low`.
+        while True:
+            if locks.rx_is_held(page_lock(pid)):
+                return (yield from _optimistic_downgrade(
+                    db, tree_name, _locked_reader_range_scan, low, high,
+                    think_per_page=think_per_page,
+                ))
+            ver = store.version_of(pid)
+            page = yield FetchPage(pid)
+            OPTIMISTIC_STATS.validations += 1
+            if store.version_of(pid) != ver:
+                OPTIMISTIC_STATS.restarts += 1
                 if locks.rx_is_held(page_lock(pid)):
-                    out = yield from _optimistic_downgrade(
-                        db, tree_name, _locked_reader_range_scan, low, high,
-                        think_per_page=think_per_page,
-                    )
-                    return out
-                ver = store.version_of(pid)
-                page = yield FetchPage(pid)
-                OPTIMISTIC_STATS.validations += 1
-                if store.version_of(pid) != ver:
+                    return (yield from _optimistic_downgrade(
+                        db, tree_name, _locked_reader_range_scan, low,
+                        high, think_per_page=think_per_page,
+                    ))
+                restart = True
+                break
+            step = tree.descend_step(page, low)
+            if step is None:
+                break
+            pid = step
+        if restart:
+            continue
+        # Leaf-chain walk; `visited` is the optimistic read set.
+        visited: list[tuple[PageId, int]] = [(pid, ver)]
+        passed = -1
+        while True:
+            if think_per_page:
+                yield Think(think_per_page)
+                if not _versions_current(store, visited):
                     OPTIMISTIC_STATS.restarts += 1
-                    if locks.rx_is_held(page_lock(pid)):
-                        out = yield from _optimistic_downgrade(
-                            db, tree_name, _locked_reader_range_scan, low,
-                            high, think_per_page=think_per_page,
-                        )
-                        return out
                     restart = True
                     break
-                step = tree.descend_step(page, low)
-                if step is None:
+            done = False
+            returned = len(out)
+            for record in page.iter_from(low):
+                if record.key > high:
+                    done = True
                     break
-                pid = step
-            if restart:
-                continue
-            # Leaf-chain walk; `visited` is the optimistic read set.
-            visited: list[tuple[PageId, int]] = [(pid, ver)]
-            passed = -1
-            while True:
-                if think_per_page:
-                    yield Think(think_per_page)
-                    if not _versions_current(store, visited):
-                        OPTIMISTIC_STATS.restarts += 1
-                        restart = True
-                        break
-                done = False
-                returned = len(out)
-                for record in page.iter_from(low):
-                    if record.key > high:
-                        done = True
-                        break
-                    out.append(record)
-                if done:
-                    break
-                passed = 0 if len(out) > returned else passed + 1
-                probe = out[-1].key if out else low
-                next_leaf = yield Call(
-                    lambda leaf_id=pid, read_set=tuple(visited), probe=probe, passed=passed: (
-                        _validated_successor(
-                            db, tree_name, leaf_id, read_set, probe, passed
-                        )
+                out.append(record)
+            if done:
+                break
+            passed = 0 if len(out) > returned else passed + 1
+            probe = out[-1].key if out else low
+            next_leaf = yield Call(
+                lambda leaf_id=pid, read_set=tuple(visited), probe=probe, passed=passed: (
+                    _validated_successor(
+                        db, tree_name, leaf_id, read_set, probe, passed
                     )
                 )
-                if next_leaf is _CONFLICT:
-                    OPTIMISTIC_STATS.restarts += 1
-                    restart = True
-                    break
-                if next_leaf is None:
-                    break
-                pid = next_leaf
-                if locks.rx_is_held(page_lock(pid)):
-                    out = yield from _optimistic_downgrade(
-                        db, tree_name, _locked_reader_range_scan, low, high,
-                        think_per_page=think_per_page,
-                    )
-                    return out
-                ver = store.version_of(pid)
-                page = yield FetchPage(pid)
-                OPTIMISTIC_STATS.validations += 1
-                if store.version_of(pid) != ver:
-                    OPTIMISTIC_STATS.restarts += 1
-                    restart = True
-                    break
-                visited.append((pid, ver))
-            if restart:
-                continue
-            # Final whole-set validation: no yield between this check and
-            # returning `out`, so the scan linearizes here.
-            if _versions_current(store, visited):
+            )
+            if next_leaf is _CONFLICT:
+                OPTIMISTIC_STATS.restarts += 1
+                restart = True
                 break
-            OPTIMISTIC_STATS.restarts += 1
-        else:
-            raise TransactionAborted("optimistic range scan starved")
-    finally:
-        yield ReleaseAll()
-    return out
+            if next_leaf is None:
+                break
+            pid = next_leaf
+            if locks.rx_is_held(page_lock(pid)):
+                return (yield from _optimistic_downgrade(
+                    db, tree_name, _locked_reader_range_scan, low, high,
+                    think_per_page=think_per_page,
+                ))
+            ver = store.version_of(pid)
+            page = yield FetchPage(pid)
+            OPTIMISTIC_STATS.validations += 1
+            if store.version_of(pid) != ver:
+                OPTIMISTIC_STATS.restarts += 1
+                restart = True
+                break
+            visited.append((pid, ver))
+        if restart:
+            continue
+        # Final whole-set validation: no yield between this check and
+        # returning `out`, so the scan linearizes here.
+        if _versions_current(store, visited):
+            return out
+        OPTIMISTIC_STATS.restarts += 1
+    raise TransactionAborted("optimistic range scan starved")
 
 
 def _versions_current(store, visited) -> bool:
@@ -632,46 +610,38 @@ def updater_delete(
 def _updater(db, tree_name, key, action, think):
     name = current_lock_name(db, tree_name)
     yield Acquire(tree_lock(name), IX)
-    success = False
-    try:
-        for _ in range(_MAX_RESTARTS):
-            tree = db.tree(tree_name)
-            base, leaf = yield from _s_couple_to_base(db, tree, key)
-            try:
-                yield Acquire(page_lock(leaf), X)
-            except RXConflictError:
-                # Same back-off as the reader, via an instant RS.
-                if base is not None:
-                    yield Release(page_lock(base), S)
-                    yield Acquire(page_lock(base), RS, instant=True)
-                    yield Acquire(page_lock(base), S)
-                    yield Release(page_lock(base), S)
-                continue
-            needs_structure = yield Call(
-                lambda t=tree: _needs_structural_change(db, t, leaf, action)
-            )
-            if not needs_structure:
-                if base is not None:
-                    yield Release(page_lock(base), S)
-                if think:
-                    yield Think(think)
-                success = yield Call(lambda t=tree: _apply_action(t, action))
-                break
-            # Bayer-Schkolnick: release all page locks and restart with
-            # X lock-coupling down to the base page; "this will wait for a
-            # reorganizer when it attempts to get an X-lock on a base page".
-            yield Release(page_lock(leaf), X)
+    for _ in range(_MAX_RESTARTS):
+        tree = db.tree(tree_name)
+        base, leaf = yield from _s_couple_to_base(db, tree, key)
+        try:
+            yield Acquire(page_lock(leaf), X)
+        except RXConflictError:
+            yield from _rx_back_off(base)
+            continue
+        needs_structure = yield Call(
+            lambda t=tree: _needs_structural_change(db, t, leaf, action)
+        )
+        if not needs_structure:
             if base is not None:
                 yield Release(page_lock(base), S)
-            outcome = yield from _structural_update(db, tree_name, key, action, think)
-            if outcome is False:
-                continue  # switch invalidated the path; retry descent
-            success = bool(outcome)
+            if think:
+                yield Think(think)
+            success = yield Call(lambda t=tree: _apply_action(t, action))
             break
-        else:
-            raise TransactionAborted(f"updater for key {key} starved")
-    finally:
-        yield ReleaseAll()
+        # Bayer-Schkolnick: release all page locks and restart with
+        # X lock-coupling down to the base page; "this will wait for a
+        # reorganizer when it attempts to get an X-lock on a base page".
+        yield Release(page_lock(leaf), X)
+        if base is not None:
+            yield Release(page_lock(base), S)
+        outcome = yield from _structural_update(db, tree_name, key, action, think)
+        if outcome is False:
+            continue  # switch invalidated the path; retry descent
+        success = bool(outcome)
+        break
+    else:
+        raise TransactionAborted(f"updater for key {key} starved")
+    yield ReleaseAll()
     return success
 
 

@@ -15,13 +15,19 @@ line::
         ...
         page = yield FetchPage(leaf_id)
         yield Think(0.1)          # record processing
-        yield ReleaseAll()
+        yield ReleaseAll()        # the caller may go on in this transaction
 
 Exceptions are delivered *into* the generator at the yield point:
 :class:`~repro.errors.RXConflictError` when a request hits a held RX lock
 (the paper's forgo-and-back-off signal) and
 :class:`~repro.errors.DeadlockError` when the process is chosen as a
 deadlock victim.
+
+A protocol owns no cleanup: the scheduler releases a transaction's locks
+when its process returns or aborts, and when any other exception escapes it
+adds a note naming the process and closes every live one.  A protocol yields
+:class:`ReleaseAll` only before it returns to a caller that goes on (the
+cross-shard scan, the reorganizer's passes).
 
 Ops are slotted, not frozen: a reorganization unit yields 18.5 of them on
 average (``reorg_offline``, seed 11), and nothing hashes or mutates one
@@ -98,7 +104,8 @@ class ReleaseSet:
 
 @dataclass(slots=True)
 class ReleaseAll:
-    """Drop every lock the process holds (end of transaction)."""
+    """Drop every lock the process holds, before returning to a caller that
+    goes on (the scheduler releases at the end and on abort by itself)."""
 
 
 @dataclass(slots=True)

@@ -27,12 +27,16 @@ Timing model (configurable):
 Exception delivery: an :class:`~repro.errors.RXConflictError` from the lock
 manager and a :class:`~repro.errors.DeadlockError` for deadlock victims are
 thrown *into* the generator, which implements the paper's reaction (back
-off and RS-wait; or abort/retry).  An exception that escapes the generator
-aborts the process: its locks are released and the failure is recorded in
-:attr:`Scheduler.failed`.
-
-A :class:`~repro.errors.CrashPoint` escaping any process is different: it
-propagates out of :meth:`Scheduler.run` so the crash harness can take over.
+off and RS-wait; or abort/retry).  An abort that escapes the generator ends
+the process: the failure is recorded in :attr:`Scheduler.failed`.  The
+scheduler releases a transaction's locks when its process returns and when
+it aborts; a protocol yields ``ReleaseAll`` only to release before it
+returns to a caller that goes on (the cross-shard scan, the reorganizer's
+passes).  Any other exception propagates out of :meth:`Scheduler.run` with
+a note naming the process, the op just performed, ``now`` and its held
+locks, after every live process is closed; the lock table is left as it
+was.  A :class:`~repro.errors.CrashPoint` propagates as is, with no process
+closed, so the crash harness can take over.
 """
 
 from __future__ import annotations
@@ -105,6 +109,8 @@ class _Process:
     abort_requested: bool = False
     #: A lock set op that waits: (its pages, its single ops still to come).
     lock_set: tuple | None = None
+    #: The op the process is suspended on (named if its resumption fails).
+    op: Op | None = None
 
 
 class Scheduler:
@@ -185,12 +191,12 @@ class Scheduler:
         traces (``repro.analysis.explorer``) replay identically across runs
         and Python versions.
         """
-        if self.pick_next is not None:
-            return self._run_explored(until=until, max_events=max_events)
         events = 0
         heap = self._heap
         step = self._step
         try:
+            if self.pick_next is not None:
+                return self._run_explored(until=until, max_events=max_events)
             while heap:
                 if self._crash is not None:
                     raise self._crash
@@ -205,9 +211,14 @@ class Scheduler:
                 events += 1
                 if events > max_events:
                     raise SchedulerStall(f"exceeded {max_events} events")
+            self._check_drained()
+        except CrashPoint:
+            raise
+        except Exception:
+            self._close_live()
+            raise
         finally:
             _COUNTERS.des_events += events
-        self._check_drained()
 
     def _run_explored(self, *, until: float | None, max_events: int) -> None:
         """Policy-driven twin of :meth:`run` for schedule exploration.
@@ -249,6 +260,13 @@ class Scheduler:
             if events > max_events:
                 raise SchedulerStall(f"exceeded {max_events} events")
         self._check_drained()
+
+    def _close_live(self) -> None:
+        """Close every process still in flight when an exception ends a run."""
+        for process in self._processes.values():
+            if not process.done:
+                process.done = True
+                process.gen.close()
 
     def _check_drained(self) -> None:
         if self._crash is not None:
@@ -316,118 +334,132 @@ class Scheduler:
         # A lock set runs as its single ops; after a wait, the rest run on
         # the grant before the generator resumes (a throw abandons them).
         lock_set, process.lock_set = process.lock_set, None
-        for _ in range(_MAX_ZERO_TIME_OPS):
-            try:
-                if throw is not None:
-                    exc, throw, lock_set = throw, None, None
-                    op = gen.throw(exc)
-                elif lock_set is None:
-                    op = gen.send(value)
-                elif (op := next(lock_set[1], None)) is None:
-                    op, lock_set = gen.send(lock_set[0]), None  # set done
-            except StopIteration as stop:
-                self._finish(process, stop.value)
-                return
-            except CrashPoint as crash:
-                # A crash takes the whole system down, not one process.
-                self._crash = crash
-                return
-            except (
-                DeadlockError,
-                TransactionAborted,
-                RXConflictError,
-                SwitchTimeoutError,  # an expected switch-policy outcome
-            ) as abort:
-                self._fail(process, abort)
-                return
-            value = None
-
-            # Op kinds are tested by identity (op classes are final), the
-            # most frequent first: acquires, releases, calls and fetches
-            # dominate the op mix in every experiment.
-            op_cls = op.__class__
-            if op_cls is Acquire:
-                txn.metrics.lock_requests += 1
+        op = process.op
+        try:
+            for _ in range(_MAX_ZERO_TIME_OPS):
                 try:
-                    request = lm.request(
-                        txn,
-                        op.resource,
-                        op.mode,
-                        instant=op.instant,
-                        on_grant=self._on_grant,
-                        on_deadlock=self._on_deadlock,
-                    )
-                except RXConflictError as conflict:
-                    txn.metrics.rx_backoffs += 1
-                    throw = conflict
-                    continue
-                if request.state is _WAITING:
-                    process.lock_set = lock_set
-                    self._suspend_on_lock(process)
+                    if throw is not None:
+                        exc, throw, lock_set = throw, None, None
+                        op = gen.throw(exc)
+                    elif lock_set is None:
+                        op = gen.send(value)
+                    elif (op := next(lock_set[1], None)) is None:
+                        op, lock_set = gen.send(lock_set[0]), None  # set done
+                except StopIteration as stop:
+                    self._finish(process, stop.value)
                     return
-                value = request
-            elif op_cls is Release:
-                lm.release(txn, op.resource, op.mode)
-            elif op_cls is AcquireSet or op_cls is ReleaseSet:
-                pages = op.pages() if callable(op.pages) else op.pages
-                single = Acquire if op_cls is AcquireSet else Release
-                ops = map(single, map(page_lock, pages), itertools.repeat(op.mode))
-                lock_set = (pages, ops)
-            elif op_cls is Call:
-                try:
-                    value = op.fn()
                 except CrashPoint as crash:
+                    # A crash takes the whole system down, not one process.
                     self._crash = crash
                     return
-            elif op_cls is FetchPage:
-                txn.metrics.pages_read += 1
-                contains = self._buffer_contains
-                if contains is not None:
-                    cost = self.hit_time if contains(op.page_id) else self.io_time
-                    page = self.store.get(op.page_id)
-                else:
-                    cost = self.io_time
-                    page = None
-                heappush(
-                    self._heap, (self.now + cost, next(self._seq), process, page, None)
-                )
-                return
-            elif op_cls is Think:
-                heappush(
-                    self._heap,
-                    (self.now + op.duration, next(self._seq), process, None, None),
-                )
-                return
-            elif op_cls is Convert:
-                txn.metrics.lock_requests += 1
-                try:
-                    request = lm.convert(
-                        txn,
-                        op.resource,
-                        op.mode,
-                        on_grant=self._on_grant,
-                        on_deadlock=self._on_deadlock,
-                    )
-                except RXConflictError as conflict:
-                    txn.metrics.rx_backoffs += 1
-                    throw = conflict
-                    continue
-                if request.state is _WAITING:
-                    self._suspend_on_lock(process)
+                except (
+                    DeadlockError,
+                    TransactionAborted,
+                    RXConflictError,
+                    SwitchTimeoutError,  # an expected switch-policy outcome
+                ) as abort:
+                    self._fail(process, abort)
                     return
-                value = request
-            elif op_cls is Downgrade:
-                lm.downgrade(txn, op.resource, op.from_mode, op.to_mode)
-            elif op_cls is ReleaseAll:
-                lm.release_all(txn)
-            elif op_cls is Log:
-                value = 0 if self.log is None else self.log.append(op.record)
-            else:  # pragma: no cover - defensive
-                raise ReproError(f"unknown op {op!r}")
-        raise SchedulerStall(
-            f"process {txn.name} executed {_MAX_ZERO_TIME_OPS} ops without "
-            f"consuming simulated time"
-        )
+                value = None
+
+                # Op kinds are tested by identity (op classes are final), the
+                # most frequent first: acquires, releases, calls and fetches
+                # dominate the op mix in every experiment.
+                op_cls = op.__class__
+                if op_cls is Acquire:
+                    txn.metrics.lock_requests += 1
+                    try:
+                        request = lm.request(
+                            txn,
+                            op.resource,
+                            op.mode,
+                            instant=op.instant,
+                            on_grant=self._on_grant,
+                            on_deadlock=self._on_deadlock,
+                        )
+                    except RXConflictError as conflict:
+                        txn.metrics.rx_backoffs += 1
+                        throw = conflict
+                        continue
+                    if request.state is _WAITING:
+                        process.op, process.lock_set = op, lock_set
+                        self._suspend_on_lock(process)
+                        return
+                    value = request
+                elif op_cls is Release:
+                    lm.release(txn, op.resource, op.mode)
+                elif op_cls is AcquireSet or op_cls is ReleaseSet:
+                    pages = op.pages() if callable(op.pages) else op.pages
+                    single = Acquire if op_cls is AcquireSet else Release
+                    ops = map(single, map(page_lock, pages), itertools.repeat(op.mode))
+                    lock_set = (pages, ops)
+                elif op_cls is Call:
+                    try:
+                        value = op.fn()
+                    except CrashPoint as crash:
+                        self._crash = crash
+                        return
+                elif op_cls is FetchPage:
+                    txn.metrics.pages_read += 1
+                    contains = self._buffer_contains
+                    if contains is not None:
+                        cost = self.hit_time if contains(op.page_id) else self.io_time
+                        page = self.store.get(op.page_id)
+                    else:
+                        cost = self.io_time
+                        page = None
+                    heappush(
+                        self._heap, (self.now + cost, next(self._seq), process, page, None)
+                    )
+                    process.op = op
+                    return
+                elif op_cls is Think:
+                    heappush(
+                        self._heap,
+                        (self.now + op.duration, next(self._seq), process, None, None),
+                    )
+                    process.op = op
+                    return
+                elif op_cls is Convert:
+                    txn.metrics.lock_requests += 1
+                    try:
+                        request = lm.convert(
+                            txn,
+                            op.resource,
+                            op.mode,
+                            on_grant=self._on_grant,
+                            on_deadlock=self._on_deadlock,
+                        )
+                    except RXConflictError as conflict:
+                        txn.metrics.rx_backoffs += 1
+                        throw = conflict
+                        continue
+                    if request.state is _WAITING:
+                        process.op = op
+                        self._suspend_on_lock(process)
+                        return
+                    value = request
+                elif op_cls is Downgrade:
+                    lm.downgrade(txn, op.resource, op.from_mode, op.to_mode)
+                elif op_cls is ReleaseAll:
+                    lm.release_all(txn)
+                elif op_cls is Log:
+                    value = 0 if self.log is None else self.log.append(op.record)
+                else:  # pragma: no cover - defensive
+                    raise ReproError(f"unknown op {op!r}")
+            raise SchedulerStall(
+                f"process {txn.name} executed {_MAX_ZERO_TIME_OPS} ops without "
+                f"consuming simulated time"
+            )
+        except CrashPoint:
+            raise
+        except Exception as exc:  # a bug, not an abort: name where it struck
+            done = f"the lock set on pages {lock_set[0]!r}" if lock_set else repr(op)
+            exc.add_note(
+                f"in DES process {txn.name!r} at t={self.now:g} after {done}; "
+                f"it holds {lm.owned_resources(txn)!r}"
+            )
+            raise
 
     def _suspend_on_lock(self, process: _Process) -> None:
         process.txn.metrics.blocks += 1

@@ -1,8 +1,14 @@
 """Unit tests for the discrete-event scheduler."""
 
+import gc
+import sys
+
 import pytest
 
+from repro.btree.protocols import reader_search
+from repro.db import Database
 from repro.errors import (
+    BTreeError,
     CrashPoint,
     DeadlockError,
     ReproError,
@@ -12,10 +18,12 @@ from repro.errors import (
 from repro.locks.manager import LockManager
 from repro.locks.modes import LockMode
 from repro.locks.resources import page_lock
+from repro.sim.workload import build_sparse_tree
 from repro.storage.store import StorageManager
 from repro.config import TreeConfig
 from repro.txn.ops import (
     Acquire,
+    AcquireSet,
     Call,
     Convert,
     FetchPage,
@@ -283,6 +291,87 @@ class TestLocking:
         sched.spawn(proc())
         sched.run()
         assert len(sched.failed) == 1
+
+
+class TestUnexpectedException:
+    def test_failing_process_is_named_and_the_others_are_closed(self):
+        db = Database(TreeConfig(leaf_capacity=8, internal_capacity=8))
+        build_sparse_tree(db, n_records=200, fill_after=0.5)
+        sched = Scheduler(db.locks, store=db.store, log=db.log)
+        readers = [
+            reader_search(db, "primary", key, think=100.0) for key in range(5)
+        ]
+        reader_txns = [
+            sched.spawn(gen, name=f"reader-{index}")
+            for index, gen in enumerate(readers)
+        ]
+        held = page_lock(10**6)
+
+        def corrupt():
+            raise BTreeError("page 8 has no stable image on disk")
+
+        def broken():
+            yield Acquire(held, X)
+            yield Think(5.0)
+            yield Call(corrupt)
+
+        txn = sched.spawn(broken(), name="broken")
+        with pytest.raises(BTreeError, match="no stable image") as info:
+            sched.run()
+        (note,) = info.value.__notes__
+        assert "DES process 'broken'" in note
+        assert "Call(fn=" in note and "corrupt" in note
+        assert "t=5 " in note
+        assert repr([held]) in note
+        # The lock table is left as it was at the failure: each reader
+        # still holds its tree IS and leaf S, in the middle of its Think.
+        assert db.locks.owned_resources(txn) == [held]
+        assert [len(db.locks.owned_resources(t)) for t in reader_txns] == [2] * 5
+        assert all(gen.gi_frame is None for gen in readers)
+
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            del readers, sched, info
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert unraisable == []
+
+    def test_a_failure_right_after_a_lock_set_names_the_set(self):
+        sched = make_scheduler()
+
+        def proc():
+            yield AcquireSet([1, 2], S)
+            raise BTreeError("bad page")
+
+        sched.spawn(proc(), name="setter")
+        with pytest.raises(BTreeError) as info:
+            sched.run()
+        (note,) = info.value.__notes__
+        assert "'setter'" in note and "the lock set on pages [1, 2]" in note
+        assert repr(A) in note and repr(B) in note
+
+    def test_a_crash_point_leaves_the_other_processes_to_the_harness(self):
+        sched = make_scheduler()
+
+        def power_fails():
+            raise CrashPoint("power")
+
+        def crasher():
+            yield Think(1.0)
+            yield Call(power_fails)
+
+        def sleeper():
+            yield Think(100.0)
+
+        other = sleeper()
+        sched.spawn(other)
+        sched.spawn(crasher())
+        with pytest.raises(CrashPoint) as info:
+            sched.run()
+        assert not hasattr(info.value, "__notes__")
+        assert other.gi_frame is not None
 
 
 class TestStallDetection:
