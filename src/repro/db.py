@@ -52,6 +52,11 @@ class Pass3State:
     allocs_after_stable: list[PageId] = field(default_factory=list)
     #: ... and a logged switch's (old root, new root, old lock name).
     switch_pending: tuple[PageId, PageId, str] | None = None
+    #: LSN of this tree's last ``StableKeyRecord`` (0 before the first):
+    #: a checkpoint keeps the log from here, and recovery replays from it.
+    #: Not in the repr, which shows the state a restart resumes; this only
+    #: says where the log holds it.
+    stable_lsn: int = field(default=0, repr=False)
 
     def checkpointed(self) -> tuple:
         """What a checkpoint carries (section 7.3), in field order."""
@@ -61,7 +66,7 @@ class Pass3State:
     def clear(self) -> None:
         "Back to idle in place: the side file and the shrinker share the lists."
         self.reorg_bit, self.stable_key, self.new_root = False, None, -1
-        self.switch_pending = None
+        self.switch_pending, self.stable_lsn = None, 0
         for entries in (self.side_file_entries, self.built_entries, self.allocs_after_stable):
             entries.clear()
 
@@ -157,14 +162,36 @@ class Database:
     # -- durability -----------------------------------------------------------
 
     def checkpoint(self, active_txns: dict[int, int] | None = None) -> int:
-        """Take a sharp checkpoint including all paper-mandated state."""
-        return take_checkpoint(
+        """Take a sharp checkpoint including all paper-mandated state, then
+        cut the log below the section 5 low-water mark; returns the
+        checkpoint's LSN.
+
+        ``active_txns`` maps each active transaction to its last LSN.  The
+        mark is the lowest LSN a recovery from this checkpoint reads:
+
+        * the checkpoint itself, where redo starts;
+        * each active transaction's *first* LSN: undo walks the whole
+          prev-LSN chain, and the checkpoint carries only the last LSN;
+        * every in-flight unit's BEGIN LSN (the progress table's, one per
+          unit with the parallel extension): recovery rebuilds the unit's
+          chain from it and forward recovery finishes the unit;
+        * each running pass 3's last stable point: recovery replays the
+          built base pages and the allocations since it (section 7.3).
+        """
+        lsn = take_checkpoint(
             self.store,
             self.log,
             active_txns=active_txns,
             progress=self.progress,
             pass3=self.pass3_states,
         )
+        txn_low_water = min(
+            [lsn] + [record.lsn for last in (active_txns or {}).values()
+                     for record in self.log.walk_chain(last)]
+        )
+        stable_lsns = [s.stable_lsn for s in self.pass3_states.values() if s.stable_lsn]
+        self.log.truncate(min([self.progress.low_water_lsn(txn_low_water), *stable_lsns]))
+        return lsn
 
     def flush(self) -> None:
         """Force log and all dirty pages to stable storage."""

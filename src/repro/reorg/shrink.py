@@ -318,7 +318,7 @@ class TreeShrinker:
             built_entries=tuple(self.built_entries),
             tree_name=self.tree.name,
         )
-        self.db.log.append(record)
+        self.state.stable_lsn = self.db.log.append(record)
         self.db.log.flush()
         self.state.stable_key = record.stable_key
         self._pages_since_stable = 0
@@ -366,7 +366,7 @@ class TreeShrinker:
             built_entries=tuple(self.built_entries),
             tree_name=self.tree.name,
         )
-        self.db.log.append(final)
+        self.state.stable_lsn = self.db.log.append(final)
         self.db.log.flush()
         self.state.stable_key = SCAN_DONE_KEY
         self.state.new_root = self.new_root

@@ -210,7 +210,8 @@ class ShardedDatabase:
     # -- durability ----------------------------------------------------------
 
     def checkpoint(self, active_txns: dict[int, int] | None = None) -> int:
-        """Sharp checkpoint carrying every shard tree's pass-3 state."""
+        """Sharp checkpoint carrying every shard tree's pass-3 state; cuts
+        the shared log below the low-water mark of :meth:`Database.checkpoint`."""
         return self._db.checkpoint(active_txns)
 
     def flush(self) -> None:

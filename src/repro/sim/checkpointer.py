@@ -4,7 +4,9 @@ Takes sharp checkpoints at a fixed simulated-time cadence while the
 workload and the reorganizer run.  Checkpoints capture the paper's system
 state — the reorg progress table (section 5), the pass-3 stable key, side
 file and reorganization bit (sections 7.2-7.3) — so a crash at any moment
-bounds redo to the last checkpoint interval.
+bounds redo to the last checkpoint interval.  Each checkpoint also cuts
+the log below the section 5 low-water mark, which is how a long run
+bounds the log it keeps.
 """
 
 from __future__ import annotations

@@ -3,9 +3,16 @@
 A standard WAL split into a *stable prefix* (survives crashes) and a
 *volatile tail* (lost on crash).  ``append`` assigns monotonically increasing
 LSNs starting at 1; ``flush`` advances the stable boundary; ``crash``
-truncates the tail.  The buffer pool calls :meth:`LogManager.flush` before
+drops the tail.  The buffer pool calls :meth:`LogManager.flush` before
 page writes (write-ahead rule) via the :class:`repro.storage.buffer.WALHook`
 protocol.
+
+The log keeps the records from a *base* LSN on (:attr:`LogManager.first_lsn`)
+in one list, so LSN ``n`` sits at index ``n - first_lsn``.
+:meth:`LogManager.truncate` reclaims the prefix below the section 5
+low-water mark, which :meth:`repro.db.Database.checkpoint` computes, by
+deleting it and advancing the base; reading an LSN below the base raises
+:class:`~repro.errors.LogCorruptionError`.
 
 Byte accounting feeds benchmark E4: every append adds the record's simulated
 size (see :meth:`repro.wal.records.LogRecord.log_bytes`) to per-category
@@ -18,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import LogError
+from repro.errors import LogCorruptionError, LogError
 from repro.metrics import StatsDeltaMixin
 from repro.wal.records import (
     CheckpointRecord,
     LogRecord,
+    ReorgEndRecord,
     ReorgMoveInRecord,
     ReorgMoveOutRecord,
     ReorgRecord,
@@ -38,6 +46,9 @@ class LogStats(StatsDeltaMixin):
     ``absorbed_flushes`` counts flush requests that found their target LSN
     already stable because an earlier group-commit flush over-advanced the
     boundary (see :class:`LogManager`'s ``group_commit_window``).
+    ``records_truncated`` counts records reclaimed below the low-water
+    mark, and ``units_ended`` the reorganization units' END records
+    appended: both survive truncation, which erases the records themselves.
     """
 
     records_appended: int = 0
@@ -48,6 +59,8 @@ class LogStats(StatsDeltaMixin):
     swap_bytes: int = 0
     flushes: int = 0
     absorbed_flushes: int = 0
+    records_truncated: int = 0
+    units_ended: int = 0
 
 
 class LogManager:
@@ -66,7 +79,9 @@ class LogManager:
     def __init__(self, *, group_commit_window: int = 0):
         if group_commit_window < 0:
             raise LogError("group_commit_window must be >= 0")
+        #: The kept records; ``_records[i]`` has LSN ``_base + i``.
         self._records: list[LogRecord] = []
+        self._base: int = 1
         self._flushed_upto: int = 0  # LSN of last stable record
         self._last_checkpoint_lsn: int = 0
         self._group_window = group_commit_window
@@ -76,11 +91,17 @@ class LogManager:
 
     @property
     def next_lsn(self) -> int:
-        return len(self._records) + 1
+        return self._base + len(self._records)
 
     @property
     def last_lsn(self) -> int:
-        return len(self._records)
+        return self._base + len(self._records) - 1
+
+    @property
+    def first_lsn(self) -> int:
+        """The lowest LSN still kept (``next_lsn`` when nothing is):
+        ``last_lsn - first_lsn + 1`` records are held."""
+        return self._base
 
     @property
     def flushed_lsn(self) -> int:
@@ -98,7 +119,7 @@ class LogManager:
 
     def append(self, record: LogRecord) -> int:
         """Assign the next LSN to ``record`` and append it (volatile)."""
-        record.lsn = lsn = len(self._records) + 1
+        record.lsn = lsn = self._base + len(self._records)
         self._records.append(record)
         size = record.log_bytes()
         stats = self.stats
@@ -112,6 +133,8 @@ class LogManager:
                 stats.move_bytes += size
             elif record_type is ReorgSwapRecord:
                 stats.swap_bytes += size
+            elif record_type is ReorgEndRecord:
+                stats.units_ended += 1
         elif type(record) is CheckpointRecord:
             self._last_checkpoint_lsn = lsn
         return lsn
@@ -139,7 +162,7 @@ class LogManager:
 
     def crash(self) -> None:
         """Drop the volatile tail; only flushed records survive."""
-        del self._records[self._flushed_upto :]
+        del self._records[self._flushed_upto + 1 - self._base :]
         # A checkpoint that never reached the disk is gone too.
         if self._last_checkpoint_lsn > self._flushed_upto:
             self._last_checkpoint_lsn = self._find_last_checkpoint()
@@ -151,7 +174,8 @@ class LogManager:
         return 0
 
     def truncate(self, before_lsn: int) -> int:
-        """Discard records with LSN < ``before_lsn`` (log reclamation).
+        """Discard the stable records with LSN < ``before_lsn`` (log
+        reclamation); :meth:`repro.db.Database.checkpoint` is the caller.
 
         Section 5: the reorg progress table's BEGIN LSN, "together with the
         transaction low-water mark [GR93], can be used to calculate the
@@ -159,39 +183,38 @@ class LogManager:
         be kept available for recovery."  Truncating up to that mark is
         safe; truncating past it makes recovery fail loudly
         (:class:`~repro.errors.LogCorruptionError`) instead of silently.
+        The volatile tail is never cut.
 
-        Returns the number of records discarded.
+        One prefix ``del``: the cut records are released and the kept ones
+        are not visited.  Returns the number of records discarded.
         """
-        cutoff = min(before_lsn, self.last_lsn + 1)
-        discarded = 0
-        for index in range(cutoff - 1):
-            if self._records[index] is not None:
-                self._records[index] = None
-                discarded += 1
-        return discarded
+        cut = min(before_lsn, self._flushed_upto + 1) - self._base
+        if cut <= 0:
+            return 0
+        del self._records[:cut]
+        self._base += cut
+        self.stats.records_truncated += cut
+        return cut
 
     def get(self, lsn: int) -> LogRecord:
         """Fetch one record by LSN."""
-        if not 1 <= lsn <= self.last_lsn:
+        index = lsn - self._base
+        if not 0 <= index < len(self._records):
+            if 1 <= lsn < self._base:
+                raise LogCorruptionError(
+                    f"LSN {lsn} was truncated away (below the low-water "
+                    f"mark {self._base})"
+                )
             raise LogError(f"LSN {lsn} out of range [1, {self.last_lsn}]")
-        record = self._records[lsn - 1]
-        if record is None:
-            from repro.errors import LogCorruptionError
-
-            raise LogCorruptionError(
-                f"LSN {lsn} was truncated away (below the low-water mark?)"
-            )
+        record = self._records[index]
         if record.lsn != lsn:
             raise LogError(f"log integrity failure at LSN {lsn}")
         return record
 
     def records_from(self, lsn: int) -> Iterator[LogRecord]:
-        """Yield records with LSN >= ``lsn`` in log order (skipping
-        truncated positions)."""
-        start = max(lsn, 1)
-        for record in self._records[start - 1 :]:
-            if record is not None:
-                yield record
+        """Yield the kept records with LSN >= ``lsn`` in log order (from
+        :attr:`first_lsn` when ``lsn`` is below it)."""
+        yield from self._records[max(lsn - self._base, 0) :]
 
     def walk_chain(self, lsn: int) -> Iterator[LogRecord]:
         """Follow the prev_lsn chain backwards starting at ``lsn``."""
@@ -202,4 +225,5 @@ class LogManager:
             cursor = record.prev_lsn
 
     def __len__(self) -> int:
-        return len(self._records)
+        """LSNs assigned so far, truncated ones included."""
+        return self.last_lsn

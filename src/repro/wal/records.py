@@ -531,6 +531,9 @@ class CheckpointRecord(LogRecord):
     #: bit, stable key, new root, side-file (key, child, op) triples, new
     #: base pages closed so far as (low key, page id)).
     pass3: tuple[tuple, ...] = ()
+    #: (tree name, LSN of its last stable point) for each tree of ``pass3``
+    #: that has one: recovery rolls that tree back to it (section 7.3).
+    stable_lsns: tuple[tuple[str, int], ...] = ()
 
     def log_bytes(self) -> int:
         return (
@@ -544,4 +547,5 @@ class CheckpointRecord(LogRecord):
                 + 2 * _INT_BYTES * len(built)
                 for name, _bit, _sk, _nr, side, built in self.pass3
             )
+            + sum(len(name) + _INT_BYTES for name, _lsn in self.stable_lsns)
         )

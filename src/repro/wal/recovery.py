@@ -23,7 +23,9 @@ carries the reorg progress table (section 5), the active-transaction
 table and, per tree name, the pass-3 state: stable key and new-root
 location (section 7.3) and side-file contents (section 7.2).  Every pass-3
 record names its tree, so analysis replays the log tail into the same
-per-tree map the checkpoint seeds.
+per-tree map the checkpoint seeds.  A pass 3 checkpointed between stable
+points is rolled back to its last one by replaying the log from that
+stable point, which the checkpoint's low-water mark keeps.
 """
 
 from __future__ import annotations
@@ -137,6 +139,8 @@ def take_checkpoint(
         if progress is not None
         else ProgressSnapshot(NO_KEY_YET, 0, 0)
     )
+    running = [(name, state) for name, state in sorted((pass3 or {}).items())
+               if not state.idle]
     record = CheckpointRecord(
         active_txns=tuple((active_txns or {}).items()),
         progress=(
@@ -145,10 +149,9 @@ def take_checkpoint(
             snapshot.recent_lsn,
         ),
         progress_units=snapshot.units,
-        pass3=tuple(
-            (name, *state.checkpointed())
-            for name, state in sorted((pass3 or {}).items())
-            if not state.idle
+        pass3=tuple((name, *state.checkpointed()) for name, state in running),
+        stable_lsns=tuple(
+            (name, state.stable_lsn) for name, state in running if state.stable_lsn
         ),
     )
     lsn = log.append(record)
@@ -188,6 +191,8 @@ class RecoveryManager:
                 report.pass3[name] = self.new_state(
                     bit, stable_key, new_root, list(side), list(built)
                 )
+            for name, stable_lsn in checkpoint.stable_lsns:
+                self._replay_since_stable(analysis, name, stable_lsn, checkpoint.lsn)
             for _uid, unit_begin, unit_recent in checkpoint.progress_units:
                 unit = self._reconstruct_unit_from(unit_begin, unit_recent)
                 units[unit.unit_id] = unit
@@ -246,6 +251,28 @@ class RecoveryManager:
         record = self.log.get(lsn)
         assert isinstance(record, CheckpointRecord)
         return record
+
+    def _replay_since_stable(
+        self, analysis: _Analysis, name: str, stable_lsn: int, checkpoint_lsn: int
+    ) -> None:
+        """Roll a checkpointed pass 3 back to its last stable point.
+
+        The checkpoint carries the live pass-3 state, but a restart resumes
+        at the stable point (section 7.3).  It needs the base pages built by
+        then, not those closed since, which the restarted scan emits again;
+        every internal page allocated since, to free the orphans; and a
+        switch logged since.  All three are in the log between the stable
+        point and the checkpoint, which the checkpoint's low-water mark kept.
+        """
+        analysis.stable_key(self.log.get(stable_lsn))
+        state = analysis.state(name)
+        for lsn in range(stable_lsn + 1, checkpoint_lsn):
+            record = self.log.get(lsn)
+            cls = record.__class__
+            if cls is AllocRecord and record.kind == "internal":
+                state.allocs_after_stable.append(record.page_id)
+            elif cls is TreeSwitchRecord and record.tree_name == name:
+                analysis.tree_switch(record)
 
     def _reconstruct_unit_from(
         self, begin_lsn: int, recent_lsn: int
@@ -426,6 +453,7 @@ class _Analysis:
         state.new_root = record.new_root
         state.built_entries = list(record.built_entries)
         state.allocs_after_stable.clear()
+        state.stable_lsn = record.lsn
 
     def tree_switch(self, record: TreeSwitchRecord) -> None:
         self.state(record.tree_name).switch_pending = (

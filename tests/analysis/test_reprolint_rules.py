@@ -677,6 +677,58 @@ class TestShardRouterOnly:
         assert found == []
 
 
+# -- truncate-via-checkpoint --------------------------------------------------
+
+
+class TestTruncateViaCheckpoint:
+    def test_fires_on_truncate_outside_the_checkpoint(self):
+        found = findings_for(
+            "src/repro/sim/seeded.py",
+            """
+            def reclaim(db, lsn):
+                db.log.truncate(lsn)
+            """,
+            "truncate-via-checkpoint",
+        )
+        assert rule_names(found) == {"truncate-via-checkpoint"}
+
+    def test_fires_on_a_bare_log_receiver(self):
+        found = findings_for(
+            "src/repro/reorg/seeded.py",
+            """
+            def reclaim(log):
+                return log.truncate(log.last_checkpoint_lsn)
+            """,
+            "truncate-via-checkpoint",
+        )
+        assert rule_names(found) == {"truncate-via-checkpoint"}
+
+    def test_quiet_in_the_checkpoint_and_the_wal_package(self):
+        source = """
+        def checkpoint(self, lsn):
+            self.log.truncate(lsn)
+        """
+        for path in ("src/repro/db.py", "src/repro/wal/log.py", "tests/wal/seeded.py"):
+            assert findings_for(path, source, "truncate-via-checkpoint") == []
+
+    def test_quiet_on_other_truncates(self):
+        found = findings_for(
+            "src/repro/sim/seeded.py",
+            """
+            def rewind(handle):
+                handle.truncate(0)
+            """,
+            "truncate-via-checkpoint",
+        )
+        assert found == []
+
+    def test_src_tree_is_clean(self):
+        from reprolint.engine import lint_paths
+
+        found = lint_paths(["src"], root=REPO_ROOT, rules=["truncate-via-checkpoint"])
+        assert found == []
+
+
 # -- optimistic-lock-free -----------------------------------------------------
 
 

@@ -2,10 +2,11 @@
 
 ``peak_rss_mb`` on ``point_fit`` is dominated by two populations: the
 data records of the tree and the in-memory WAL, which keeps every record
-it logs.  These tests measure both with ``tracemalloc`` (exact allocation
-sizes, independent of the host's load) and bound them at the slotted
-layout's own figure plus 20 %.  A ``__dict__`` back on :class:`Record` or
-on the leaf insert/delete log records pushes them past the bound:
+it logs until a checkpoint cuts it.  These tests measure both with
+``tracemalloc`` (exact allocation sizes, independent of the host's load)
+and bound them at the slotted layout's own figure plus 20 %.  A
+``__dict__`` back on :class:`Record` or on the leaf insert/delete log
+records pushes them past the bound:
 
 ===============================  ========  =======  =====
 figure (CPython 3.11)            dict      slotted  bound
@@ -13,6 +14,10 @@ figure (CPython 3.11)            dict      slotted  bound
 per built ``Record``             128.7 B   88.7 B   106 B
 per logged insert or delete      225.7 B   176.7 B  212 B
 ===============================  ========  =======  =====
+
+Of the 176.7 B per logged op, 116.5 B are the log's and 60.2 B the
+pages' growth.  A checkpoint that did not truncate kept all 176.7 B; the
+one that cuts the log below itself leaves 60.2 B, bound at 80 B.
 """
 
 from __future__ import annotations
@@ -53,10 +58,9 @@ def test_bytes_per_record():
     assert per_record < 106, f"{per_record:.1f} B per record"
 
 
-def test_bytes_per_logged_insert_and_delete():
-    """An insert of a new key and a delete of a live one on a 20 k-record
-    tree, as ``point_fit`` runs them: the log records, page growth and
-    splits they leave behind (the records themselves are built first)."""
+def _logged_ops():
+    """A 20 k-record tree and the work ``point_fit`` does on it: inserts of
+    new keys and deletes of live ones (the records are built first)."""
     db = Database(
         TreeConfig(
             leaf_capacity=32,
@@ -73,14 +77,46 @@ def test_bytes_per_logged_insert_and_delete():
     step = N_RECORDS // N_PAIRS
     inserts = [Record(2 * k + 1, f"v{2 * k + 1}") for k in range(0, N_RECORDS, step)]
     deletes = [2 * k for k in range(1, N_RECORDS, step)]
-    lsn_before = db.log.last_lsn
 
     def work() -> None:
         for record, key in zip(inserts, deletes):
             tree.insert(record)
             tree.delete(key)
 
+    return db, work
+
+
+def test_bytes_per_logged_insert_and_delete():
+    """An insert of a new key and a delete of a live one on a 20 k-record
+    tree, as ``point_fit`` runs them: the log records, page growth and
+    splits they leave behind."""
+    db, work = _logged_ops()
+    lsn_before = db.log.last_lsn
     retained, _ = _retained(work)
     assert db.log.last_lsn - lsn_before >= 2 * N_PAIRS  # plus any splits
     per_op = retained / (2 * N_PAIRS)
     assert per_op < 212, f"{per_op:.1f} B per logged op"
+
+
+def test_bytes_per_logged_op_after_a_checkpoint():
+    """The same work followed by a checkpoint, which cuts the log below
+    itself: the log records go and the pages' growth stays.  The
+    checkpoint's flush also leaves a disk copy of every page the work
+    changed; a flush just before the checkpoint makes those copies, and
+    they are not counted."""
+    db, work = _logged_ops()
+    db.checkpoint()  # the bulk load's records go before the measurement
+
+    def work_then_checkpoint() -> int:
+        work()
+        gc.collect()
+        worked = tracemalloc.get_traced_memory()[0]
+        db.flush()
+        copies = tracemalloc.get_traced_memory()[0] - worked
+        db.checkpoint()
+        return copies
+
+    retained, copies = _retained(work_then_checkpoint)
+    assert db.log.first_lsn == db.log.last_checkpoint_lsn
+    per_op = (retained - copies) / (2 * N_PAIRS)  # type: ignore[operator]
+    assert per_op < 80, f"{per_op:.1f} B per logged op"

@@ -8,11 +8,11 @@ from repro.db import Database
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.sim.checkpointer import checkpointer
-from repro.sim.crash import crash_recover
+from repro.sim.crash import count_completed_units, crash_recover
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import Record
 from repro.txn.scheduler import Scheduler
-from repro.wal.records import CheckpointRecord
+from repro.wal.records import ReorgEndRecord
 
 
 def make_db():
@@ -43,15 +43,44 @@ def test_checkpoints_taken_at_cadence():
     ckpt_txn = sched.spawn(
         checkpointer(db, interval=3.0, rounds=5), name="checkpointer"
     )
+    truncated = db.log.stats.records_truncated
     sched.run()
     assert sched.failed == []
     taken = next(r for t, r in sched.completed if t is ckpt_txn)
     assert taken == 5
-    checkpoints = [
-        r for r in db.log.records_from(1) if isinstance(r, CheckpointRecord)
-    ]
-    assert len(checkpoints) >= 6  # setup checkpoint + 5 cadence ones
+    # Each checkpoint cut the log below its low-water mark: the last one
+    # and what followed it are kept.
+    assert db.log.stats.records_truncated > truncated
+    assert db.log.stats.records_truncated == db.log.first_lsn - 1
+    assert db.log.first_lsn <= db.log.last_checkpoint_lsn
     db.tree().validate()
+
+
+def test_completed_units_are_counted_across_truncation():
+    """``count_completed_units`` counts the END records appended, which the
+    checkpoints cut from the log during the run."""
+
+    def reorganize(db, checkpoint_every=None):
+        sched = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.02)
+        protocol = ReorgProtocol(
+            db, "primary", ReorgConfig(), unit_pause=0.05, op_duration=0.2
+        )
+        sched.spawn(full_reorganization(protocol), name="reorg", is_reorganizer=True)
+        if checkpoint_every is not None:
+            sched.spawn(checkpointer(db, interval=checkpoint_every, rounds=20), name="ckpt")
+        sched.run()
+        assert sched.failed == []
+
+    def ends_kept(db):
+        return sum(isinstance(r, ReorgEndRecord) for r in db.log.records_from(1))
+
+    plain, truncated = make_db(), make_db()
+    reorganize(plain)
+    reorganize(truncated, checkpoint_every=0.5)
+    units = count_completed_units(plain.log)
+    assert units == ends_kept(plain) > 0
+    assert count_completed_units(truncated.log) == units
+    assert ends_kept(truncated) < units
 
 
 def test_checkpoint_bounds_redo_after_mid_run_crash():

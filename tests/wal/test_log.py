@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import LogError
+from repro.errors import LogCorruptionError, LogError
 from repro.storage.page import Record
 from repro.wal.log import LogManager
 from repro.wal.records import (
@@ -134,6 +134,35 @@ class TestCrash:
         log.crash()
         lsn = log.append(CommitRecord(txn_id=3))
         assert lsn == 2  # reuses the truncated position
+
+
+class TestTruncate:
+    def test_base_moves_and_the_volatile_tail_is_never_cut(self):
+        log = LogManager()
+        for txn in range(1, 11):
+            log.append(CommitRecord(txn_id=txn))
+        log.flush(6)
+        assert log.truncate(9) == 6  # only the stable records 1..6
+        assert (log.first_lsn, log.last_lsn) == (7, 10)
+        assert log.stats.records_truncated == 6
+        assert [r.lsn for r in log.records_from(1)] == [7, 8, 9, 10]
+        assert log.get(7).txn_id == 7
+        with pytest.raises(LogCorruptionError):
+            log.get(6)
+        with pytest.raises(LogError):
+            log.get(11)
+
+    def test_lsns_continue_after_a_crash_that_empties_the_kept_log(self):
+        log = LogManager()
+        for txn in range(1, 5):
+            log.append(CommitRecord(txn_id=txn))
+        log.flush(2)
+        log.truncate(3)
+        log.crash()
+        assert (log.first_lsn, log.last_lsn, len(log)) == (3, 2, 2)
+        assert list(log.records_from(1)) == []
+        assert log.append(CommitRecord(txn_id=5)) == 3
+        assert log.get(3).txn_id == 5
 
 
 class TestScan:

@@ -40,12 +40,12 @@ class TestTruncation:
         tree = db.tree()
         for key in range(1000, 1020):
             tree.insert(Record(key))
+        truncated = db.log.stats.records_truncated
         checkpoint_lsn = db.checkpoint()
         # No unit in flight and no active txns: the low-water mark is the
         # checkpoint itself.
-        low_water = db.progress.low_water_lsn(txn_low_water=checkpoint_lsn)
-        discarded = db.log.truncate(low_water)
-        assert discarded > 0
+        assert db.log.first_lsn == checkpoint_lsn
+        assert db.log.stats.records_truncated - truncated >= 20
         db.log.flush()
         db.crash()
         db.recover()
@@ -99,15 +99,20 @@ class TestTruncation:
 
     def test_truncate_counts_and_is_idempotent(self):
         db = sparse_db()
-        first = db.log.truncate(10)
-        second = db.log.truncate(10)
-        assert first == 9
-        assert second == 0
+        checkpoint_lsn = db.log.last_checkpoint_lsn
+        assert db.log.first_lsn == checkpoint_lsn
+        truncated = db.log.stats.records_truncated
+        assert truncated == checkpoint_lsn - 1
+        assert db.log.truncate(checkpoint_lsn) == 0
+        assert db.log.truncate(10) == 0
+        assert db.log.stats.records_truncated == truncated
 
     def test_scan_skips_truncated_prefix(self):
         db = sparse_db()
-        db.log.truncate(20)
+        base = db.log.first_lsn
         lsns = [r.lsn for r in db.log.records_from(1)]
-        assert lsns[0] == 20
+        assert lsns[0] == base == db.log.last_checkpoint_lsn
+        with pytest.raises(LogCorruptionError):
+            db.log.get(base - 1)
         with pytest.raises(LogCorruptionError):
             db.log.get(5)

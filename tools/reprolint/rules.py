@@ -610,6 +610,47 @@ class ShardRouterOnlyRule(Rule):
                 )
 
 
+@register
+class TruncateViaCheckpointRule(Rule):
+    """The log is cut below one mark only: the section 5 low-water mark
+    that :meth:`repro.db.Database.checkpoint` computes from the checkpoint,
+    the active transactions' first LSNs, the in-flight units' BEGIN LSNs
+    and the running pass 3's stable points.  A ``truncate`` anywhere else
+    picks its own mark, and one that misses a term loses records recovery
+    still reads — which surfaces only at the next crash."""
+
+    name = "truncate-via-checkpoint"
+    description = (
+        "LogManager.truncate is called only from repro/db.py (the "
+        "checkpoint's low-water mark) and the WAL package"
+    )
+    include = ("src/",)
+    exclude = ("src/repro/db.py", "src/repro/wal/")
+
+    #: Receiver spellings that denote a LogManager.
+    _LOG_NAMES = {"log", "_log", "wal", "_wal"}
+
+    def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not isinstance(func, ast.Attribute) or func.attr != "truncate":
+                continue
+            receiver = func.value
+            name = receiver.id if isinstance(receiver, ast.Name) else (
+                receiver.attr if isinstance(receiver, ast.Attribute) else None
+            )
+            if name in self._LOG_NAMES:
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    "log.truncate(...) outside the checkpoint; the log is "
+                    "cut only at the low-water mark Database.checkpoint "
+                    "computes (section 5)",
+                )
+
+
 def _walk_in_function(node: ast.AST) -> Iterator[ast.AST]:
     """Walk a function's own body: lambdas are entered (they execute inline
     in the generator's step), nested ``def``/``class`` are not (they are
