@@ -2,7 +2,7 @@
 
 The other files here reproduce the paper's artifacts.  These cells
 measure the mechanisms built on top of it — vEB placement, the sharded
-forest, optimistic reads, gapped leaves with the auto-reorg daemon — each
+forest, gapped leaves with the auto-reorg daemon — each
 against the same cell with the mechanism off, on the simulated clock and
 the cost model only, so every number is deterministic.  The floors are the
 ones each headline was first stated with.  Readahead's headline is a cell
@@ -11,7 +11,6 @@ of test_bench_e6_range_scan.py.
 
 import random
 
-from repro.btree.protocols import reader_range_scan, reader_search
 from repro.btree.stats import measure_descent, measure_range_scan
 from repro.config import (
     DaemonConfig,
@@ -24,7 +23,6 @@ from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.shard import ParallelReorganizer, ShardedDatabase
 from repro.sim.churn import ChurnSetup, run_churn_experiment
-from repro.sim.workload import build_sparse_tree
 from repro.storage.page import Record
 from repro.txn.scheduler import Scheduler
 
@@ -125,44 +123,6 @@ def test_sharding_cuts_reorganization_makespan():
     for sdb in forests.values():
         sdb.validate()
         assert sdb.range_scan(0, N_RECORDS) == records
-
-
-def read_mostly_cell(optimistic):
-    """Seeded point reads and range scans racing a full three-pass
-    reorganization on the DES; (reader results by name, lock requests)."""
-    db = make_db(
-        leaf_extent_pages=1024, internal_extent_pages=256, optimistic_reads=optimistic
-    )
-    build_sparse_tree(db, n_records=800, fill_after=0.45, seed=31)
-    db.flush()
-    db.checkpoint()
-    alive = [r.key for r in db.tree().items()]
-    sched = Scheduler(
-        db.locks, store=db.store, log=db.log, io_time=0.2, hit_time=0.01
-    )
-    spawn_reorganizer(sched, db, unit_pause=0.05, scan_pause=0.02, op_duration=0.3)
-    rng = random.Random(97)
-    for i in range(600):
-        read = reader_search(db, "primary", rng.choice(alive), think=0.02)
-        sched.spawn(read, name=f"read-{i}", at=rng.uniform(0.0, 60.0))
-    for i in range(4):
-        low, high = alive[i * len(alive) // 4], alive[(i + 1) * len(alive) // 4 - 1]
-        scan = reader_range_scan(db, "primary", low, high, think_per_page=0.01)
-        sched.spawn(scan, name=f"scan-{i}", at=rng.uniform(0.0, 60.0))
-    sched.run()
-    assert sched.failed == []
-    results = {t.name: r for t, r in sched.completed if not t.is_reorganizer}
-    return results, db.locks.stats.requests
-
-
-def test_optimistic_reads_leave_the_lock_manager():
-    locked, locked_requests = read_mostly_cell(optimistic=False)
-    optimistic, optimistic_requests = read_mostly_cell(optimistic=True)
-    ratio = locked_requests / optimistic_requests
-    banner("Read-mostly cell — lock-manager requests")
-    print(f"  locked {locked_requests}, optimistic {optimistic_requests}")
-    assert optimistic == locked and len(locked) == 604
-    assert ratio >= 5.0
 
 
 def test_gapped_leaves_and_daemon_hold_scan_cost():

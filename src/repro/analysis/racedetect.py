@@ -17,11 +17,7 @@ and maintains two complementary views of every page-frame access:
     concurrent updater's clock and mask its unlocked writes),
   - scheduler *spawn/join* (a process spawned from inside a step inherits
     the spawner's clock; every process joins the finish clocks of the
-    transactions that completed before it started), and
-  - optimistic *version validation*: a successful ``version_of``
-    validation joins the page's write clock into the reader — PR 6's
-    lock-free readers are benign — while a read that commits without
-    validating is reported as an ``unvalidated-read``.
+    transactions that completed before it started).
 
 * **Eraser lockset state machines** per page
   (virgin -> exclusive -> shared -> shared-modified) fed by the live
@@ -37,21 +33,22 @@ and maintains two complementary views of every page-frame access:
 A pair of accesses is reported as a race only when it is **both**
 vector-clock-unordered **and** unprotected — the hybrid rule.  Reads
 performed while holding no lock on the page are *pending* until they are
-either validated (optimistic path), covered by a later lock acquire on the
-same page by the same owner (the fetch-then-lock-couple navigation idiom),
-or finalized at transaction end, where a conflicting unordered write turns
-them into an ``unvalidated-read`` report.  Reports carry both access
-sites, the Eraser state, the surviving candidate lockset and the
-vector-clock evidence.
+either covered by a later lock acquire on the same page by the same owner
+(the fetch-then-lock-couple navigation idiom), or finalized at transaction
+end, where a conflicting unordered write turns them into an
+``unvalidated-read`` report: a read that no lock ever covered.  Reports
+carry both access sites, the Eraser state, the surviving candidate lockset
+and the vector-clock evidence.
 
 Like the sanitizer, every patch is class-level and opt-in: when not
 installed the hot paths are byte-for-byte the original functions (enforced
 by ``tests/analysis/test_import_patches_nothing.py``).  Enable via
 :func:`install`, the ``REPRO_RACE=1`` pytest fixture,
 or ``python -m reprorace`` (which race-checks every schedule reprocheck
-explores).  Install *before* building the database: the optimistic-window
-hook rides on the instance-bound ``version_of`` shortcut that
-``StorageManager.__init__`` / ``ShardStore.__init__`` create.  When the
+explores).  Install *before* building the database: ``StorageManager`` and
+``ShardStore`` bind ``BufferPool.fetch`` and ``mark_dirty`` to instance
+shortcuts at construction, so a store built earlier bypasses the hooks.
+When the
 sanitizer is also wanted, install it first and uninstall it last (LIFO),
 as ``tests/conftest.py`` does.
 """
@@ -93,12 +90,10 @@ class AccessSite:
     site: str  #: file:line in function (innermost generator frame)
     clock: int  #: accessor's own vector-clock component at access time
     locks: tuple[str, ...]  #: protective resources held at access time
-    validated: bool = False  #: read was version-validated
 
     def __str__(self) -> str:
         held = ", ".join(self.locks) if self.locks else "no locks"
-        extra = ", version-validated" if self.validated else ""
-        return f"{self.op} by {self.owner} at {self.site} ({held}{extra})"
+        return f"{self.op} by {self.owner} at {self.site} ({held})"
 
 
 @dataclass(frozen=True)
@@ -243,9 +238,7 @@ _FINISH_CLOCKS: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDictiona
 _SPAWN_JOIN = _OwnerTable()
 #: BufferPool -> {page_id: _PageState}.
 _PAGE_STATES: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDictionary()
-#: Transaction -> {page_id: captured version} (open optimistic windows).
-_WINDOWS = _OwnerTable()
-#: Transaction -> {page_id: _PendingRead} (reads awaiting validation/lock).
+#: Transaction -> {page_id: _PendingRead} (reads awaiting a lock).
 _PENDING = _OwnerTable()
 
 
@@ -348,7 +341,6 @@ class _PageState:
         "first_owner",
         "candidate",
         "last_write",
-        "write_clock",
         "reads",
     )
 
@@ -361,9 +353,7 @@ class _PageState:
         self.candidate: set | None = None
         #: (owner, clock, AccessSite, write-protective frozenset) | None
         self.last_write: tuple | None = None
-        #: Join of every writer's clock (optimistic validation edge).
-        self.write_clock: dict = {}
-        #: owner -> (clock, AccessSite, read-protective frozenset, validated)
+        #: owner -> (clock, AccessSite, read-protective frozenset)
         self.reads: dict = {}
 
     def advance(self, owner: Any, *, write: bool, prot: frozenset) -> None:
@@ -384,7 +374,7 @@ class _PageState:
 
 class _PendingRead:
     """A page read performed while holding no lock on the page — in limbo
-    until validated, covered by a later lock acquire, or finalized."""
+    until covered by a later lock acquire, or finalized."""
 
     __slots__ = ("pool", "clock", "site", "snapshot", "rprot", "conflicts")
 
@@ -398,7 +388,7 @@ class _PendingRead:
         #: was pending — noted at write time (a later write, e.g. the
         #: reorganizer's own side-file apply, would overwrite last_write
         #: and hide them from the finalize check), judged at discharge:
-        #: dropped if the read gets validated or lock-coupled, reported if
+        #: dropped if the read gets lock-coupled, reported if
         #: the transaction commits the read as-is.
         self.conflicts: list = []
 
@@ -432,7 +422,6 @@ def _record_read(
     owner: Any,
     *,
     rprot: frozenset,
-    validated: bool,
     site: str | None = None,
 ) -> None:
     st = _page_state(pool, page_id)
@@ -443,7 +432,6 @@ def _record_read(
         site=site or _site(),
         clock=vc[owner],
         locks=_res_reprs(rprot),
-        validated=validated,
     )
     det.checks["read-check"] += 1
     lw = st.last_write
@@ -452,7 +440,6 @@ def _record_read(
         if (
             w_owner is not owner
             and vc.get(w_owner, 0) < w_clock
-            and not validated
             and not (rprot & w_prot)
         ):
             st.advance(owner, write=False, prot=rprot)
@@ -465,10 +452,10 @@ def _record_read(
                 later=here,
                 evidence=_evidence(owner, w_owner, w_clock),
             )
-            st.reads[owner] = (vc[owner], here, rprot, validated)
+            st.reads[owner] = (vc[owner], here, rprot)
             return
     st.advance(owner, write=False, prot=rprot)
-    st.reads[owner] = (vc[owner], here, rprot, validated)
+    st.reads[owner] = (vc[owner], here, rprot)
 
 
 def _record_write(det: RaceDetector, pool: Any, page_id: Any, owner: Any) -> None:
@@ -505,15 +492,12 @@ def _record_write(det: RaceDetector, pool: Any, page_id: Any, owner: Any) -> Non
                 later=here,
                 evidence=_evidence(owner, w_owner, w_clock),
             )
-    for r_owner, (r_clock, r_site, r_rprot, r_validated) in st.reads.items():
+    for r_owner, (r_clock, r_site, r_rprot) in st.reads.items():
         if r_owner is owner:
             continue
         if vc.get(r_owner, 0) >= r_clock:
             continue
-        # A version-validated read is linearized at its validation point:
-        # the version stamp is its lock, so a later unordered write is the
-        # benign race PR 6 designed for.  Never applies to write pairs.
-        if r_validated or (r_rprot & wprot):
+        if r_rprot & wprot:
             continue
         det.report(
             kind="read-write",
@@ -547,7 +531,6 @@ def _record_write(det: RaceDetector, pool: Any, page_id: Any, owner: Any) -> Non
             ):
                 p.conflicts.append((lw_site, lw_owner))
     st.last_write = (owner, vc[owner], here, wprot)
-    _merge(st.write_clock, vc)
 
 
 def _discharge_pending_with_lock(det: RaceDetector, owner: Any, page_id: Any) -> None:
@@ -569,14 +552,13 @@ def _discharge_pending_with_lock(det: RaceDetector, owner: Any, page_id: Any) ->
         page_id,
         owner,
         rprot=rprot,
-        validated=False,
         site=f"{p.site} (lock-coupled after fetch)",
     )
 
 
 def _finalize_pending(det: RaceDetector, owner: Any) -> None:
     """Transaction end (or mid-protocol ReleaseAll): any read still
-    pending was never validated nor locked.  A conflicting write that is
+    pending was never locked.  A conflicting write that is
     unordered w.r.t. the *fetch-time* clock snapshot is a race — checking
     against the snapshot matters, because by now drain/switch edges may
     have ordered the writer after the reader's current clock."""
@@ -605,7 +587,7 @@ def _finalize_pending(det: RaceDetector, owner: Any) -> None:
                 evidence=(
                     f"VC evidence: the write was not ordered after the "
                     f"read (writer's VC missed clock {p.clock}); the read "
-                    f"was never version-validated nor locked"
+                    f"was never locked"
                 ),
             )
         if p.conflicts:
@@ -630,85 +612,20 @@ def _finalize_pending(det: RaceDetector, owner: Any) -> None:
                         evidence=(
                             f"VC evidence: snapshot[{w_owner!r}] = "
                             f"{p.snapshot.get(w_owner, 0)} < {w_clock}; the "
-                            f"read was never version-validated nor locked"
+                            f"read was never locked"
                         ),
                     )
                     continue
             st.advance(owner, write=False, prot=p.rprot)
-            st.reads[owner] = (p.clock, here, p.rprot, False)
+            st.reads[owner] = (p.clock, here, p.rprot)
     pend.clear()
 
 
 def _discard_owner(owner: Any) -> None:
     """An aborted transaction never used its reads: drop them silently."""
-    for table in (_PENDING, _WINDOWS):
-        d = table.get(owner)
-        if d:
-            d.clear()
-
-
-# -- optimistic windows (version_of instance hook) -----------------------------
-
-
-def _on_version_of(
-    det: RaceDetector, pool: Any, owner: Any, page_id: Any, version: int
-) -> None:
-    windows = _WINDOWS.get(owner)
-    if windows is None:
-        windows = _WINDOWS[owner] = {}
-    captured = windows.get(page_id)
-    if captured is None:
-        windows[page_id] = version
-        det.checks["window-capture"] += 1
-        return
-    if version == captured:
-        # Successful validation: a read-acquire edge.  The reader is
-        # ordered after every write the stamp covers, and the pending
-        # read (if any) is discharged as validated.
-        det.checks["validation"] += 1
-        states = _PAGE_STATES.get(pool)
-        st = states.get(page_id) if states else None
-        if st is not None and st.write_clock:
-            _merge(_vc(owner), st.write_clock)
-        pend = _PENDING.get(owner)
-        p = pend.pop(page_id, None) if pend else None
-        _record_read(
-            det,
-            pool,
-            page_id,
-            owner,
-            rprot=frozenset(),
-            validated=True,
-            site=p.site if p is not None else None,
-        )
-    else:
-        # Mismatch: the protocol restarts — a benign race by design.
-        det.checks["window-restart"] += 1
-        windows.pop(page_id, None)
-        pend = _PENDING.get(owner)
-        if pend:
-            pend.pop(page_id, None)
-
-
-def _wrap_version_of(store: Any) -> None:
-    """Wrap the *instance-bound* ``version_of`` shortcut.  Patching the
-    BufferPool method instead would also intercept the sanitizer's
-    internal stamp reads and open spurious windows."""
-    inner = store.version_of
-    if getattr(inner, "__race_hook__", False):
-        return
-    pool = store.buffer
-
-    @functools.wraps(inner)
-    def version_of(page_id: Any) -> int:
-        version = inner(page_id)
-        det = _ACTIVE
-        if not _skip(det) and _RCTX.owner is not None:
-            _on_version_of(det, pool, _RCTX.owner, page_id, version)
-        return version
-
-    version_of.__race_hook__ = True
-    store.version_of = version_of
+    pend = _PENDING.get(owner)
+    if pend:
+        pend.clear()
 
 
 # -- side-file hand-off --------------------------------------------------------
@@ -982,9 +899,6 @@ def _patch_lock_manager() -> None:
             original(self, owner)
             if not _skip(det):
                 _finalize_pending(det, owner)
-                windows = _WINDOWS.get(owner)
-                if windows:
-                    windows.clear()
 
         return wrapper
 
@@ -1011,12 +925,10 @@ def _patch_buffer_pool() -> None:
             owner = _RCTX.owner
             rprot, _ = _protective(_RCTX.lock_manager, owner)
             if page_lock(page_id) in rprot:
-                _record_read(
-                    det, self, page_id, owner, rprot=rprot, validated=False
-                )
+                _record_read(det, self, page_id, owner, rprot=rprot)
             else:
                 # No lock on this page: the read is pending until it is
-                # validated, lock-coupled, or the transaction ends.
+                # lock-coupled or the transaction ends.
                 det.checks["pending-read"] += 1
                 vc = _vc(owner)
                 pend = _PENDING.get(owner)
@@ -1136,32 +1048,14 @@ def _patch_wal() -> None:
     _patch(LogManager, "flush", wrap_flush)
 
 
-# -- store patches (optimistic window hook) -----------------------------------
-
-
-def _patch_stores() -> None:
-    from repro.shard.store import ShardStore
-    from repro.storage.store import StorageManager
-
-    def wrap_init(original: Any) -> Any:
-        def wrapper(self: Any, *args: Any, **kw: Any) -> None:
-            original(self, *args, **kw)
-            _wrap_version_of(self)
-
-        return wrapper
-
-    _patch(StorageManager, "__init__", wrap_init)
-    _patch(ShardStore, "__init__", wrap_init)
-
-
 # -- install / uninstall -------------------------------------------------------
 
 
 def install(*, strict: bool = False) -> RaceDetector:
     """Install the race detector (idempotent); returns the active
-    instance.  Install *before* constructing the database so the
-    instance-bound ``version_of`` shortcut gets the optimistic-window
-    hook; when combining with the sanitizer, install it after and remove
+    instance.  Install *before* constructing the database so the stores'
+    instance-bound ``get`` / ``mark_dirty`` shortcuts bind the hooked
+    methods; when combining with the sanitizer, install it after and remove
     it first (LIFO), or the class patches unwind to the wrong originals.
     """
     global _ACTIVE
@@ -1172,7 +1066,6 @@ def install(*, strict: bool = False) -> RaceDetector:
     _patch_lock_manager()
     _patch_buffer_pool()
     _patch_wal()
-    _patch_stores()
     return _ACTIVE
 
 
@@ -1193,7 +1086,6 @@ def uninstall() -> RaceDetector | None:
         _FINISH_CLOCKS,
         _SPAWN_JOIN,
         _PAGE_STATES,
-        _WINDOWS,
         _PENDING,
     ):
         table.clear()
@@ -1213,7 +1105,7 @@ class RaceExplorer:
     schedule runs under the detector and a race surfaces as a
     ``data-race`` violation with the schedule's replay trace attached.
     The detector is installed before the world is built (the recorder
-    and the version_of shortcut must capture patched methods) and only
+    and the stores' instance shortcuts must capture patched methods) and only
     uninstalled if this explorer installed it.
     """
 

@@ -18,10 +18,10 @@ When installed, the sanitizer patches four classes with shadow checks:
   compatible with nothing — conflicting requesters must forgo and back
   off, not touch the page), and a *dirty* page fetched by a transaction
   holding no lock on it while others do is recorded as a warning.
-  Pin/unpin pairs carry the optimistic read path's contract: a frame
-  whose page LSN advanced while pinned (it was mutated) must have had its
-  version stamp bumped before the unpin — otherwise lock-free readers
-  would validate stale reads as current.
+  Pin/unpin pairs carry the version-stamp contract: a frame whose page
+  LSN advanced while pinned (it was mutated) must have had its version
+  stamp bumped before the unpin — otherwise a waiter comparing stamps
+  (ROADMAP item 1(a)) would take a changed page for unchanged.
 * :class:`~repro.storage.disk.SimulatedDisk` — ``write`` enforces the
   write-ahead rule end to end: a page image may not reach the disk while
   its ``page_lsn`` is beyond the log's ``flushed_lsn``.
@@ -81,8 +81,8 @@ class VictimPolicyViolation(SanitizerError):
 
 class VersionStampViolation(SanitizerError):
     """A mutated buffer frame was unpinned without its version stamp
-    having been bumped — the optimistic read path would validate stale
-    reads as current."""
+    having been bumped — a waiter comparing stamps would take the changed
+    page for unchanged."""
 
 
 @dataclass(frozen=True)
@@ -351,8 +351,8 @@ def _check_unpin(san: Sanitizer, pool: Any, page_id: Any) -> None:
 
     Runs *before* the pin count drops: if the page LSN advanced while the
     frame was pinned (it was mutated through the WAL funnel) but the
-    version stamp is unchanged, an optimistic reader that captured the
-    stamp before the mutation would validate its stale read as current.
+    version stamp is unchanged, a waiter that captured the stamp before
+    the mutation would take the changed page for unchanged.
     """
     snaps = _PIN_SNAPSHOTS.get(pool)
     if not snaps or page_id not in snaps:
@@ -368,8 +368,7 @@ def _check_unpin(san: Sanitizer, pool: Any, page_id: Any) -> None:
             "version-stamp",
             f"page {page_id} unpinned after mutation (page LSN "
             f"{snap_lsn} -> {frame.page.page_lsn}) without a version-stamp "
-            f"bump; optimistic readers would validate stale reads of it "
-            f"as current",
+            f"bump; a waiter comparing stamps would take it for unchanged",
             VersionStampViolation,
         )
     if frame.pins <= 1:

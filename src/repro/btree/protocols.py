@@ -35,27 +35,6 @@ Updater (section 4.1.3)::
 
 Both protocols re-resolve the tree's *lock name* at (re)start: after the
 switch, new transactions lock the new tree's name (section 7.4).
-
-Optimistic read path (``TreeConfig(optimistic_reads=True)``)::
-
-    Descend from the root without any locks.  Before each page visit,
-    probe the lock manager for a held RX lock (a reorganization pass is
-    working on that page): if present, *downgrade* — abandon the optimistic
-    attempt and run the full Table-1 locked protocol via the single
-    fallback helper, preserving the paper's give-up / instant-RS semantics
-    exactly where reader and reorganizer actually collide.  Otherwise
-    capture the page's buffer-pool version stamp, pay the simulated fetch,
-    and validate the stamp after resuming; a mismatch restarts the descent
-    (bounded by the same ``_MAX_RESTARTS``).  Range scans validate the
-    whole visited-leaf set at every successor step and once more when the
-    scan completes, so the result equals a locked scan of the tree at the
-    final validation instant.  See ``docs/optimistic_reads.md`` for the
-    correctness argument.
-
-    The only lock-manager traffic the optimistic path generates is the
-    ``rx_is_held`` probe, which is not an acquire call — hence the large
-    lock-traffic reduction on read-mostly workloads
-    (``benchmarks/test_bench_features.py``).
 """
 
 from __future__ import annotations
@@ -99,43 +78,6 @@ IS, IX, S, X, RS = (
 #: Retries before a protocol gives up (defensive; the paper's protocols
 #: always make progress, but a pathological schedule should fail loudly).
 _MAX_RESTARTS = 200
-
-
-class OptimisticStats:
-    """Counters for the optimistic read path.
-
-    Kept apart from :class:`repro.perf.PerfCounters`, which counts the
-    four hot subsystems; :data:`OPTIMISTIC_STATS` is what the auto-reorg
-    daemon's optimistic-burst deferral reads.
-    """
-
-    __slots__ = ("searches", "scans", "restarts", "downgrades", "validations")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.searches = 0
-        self.scans = 0
-        self.restarts = 0
-        self.downgrades = 0
-        self.validations = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-#: Process-wide accounting for optimistic descents/scans (reset per bench).
-OPTIMISTIC_STATS = OptimisticStats()
-
-#: Sentinel returned by the scan's validated-successor step when a visited
-#: leaf changed under the scan (distinct from None = end of chain).
-_CONFLICT = object()
-
-
-def _optimistic_enabled(db) -> bool:
-    config = getattr(db, "config", None)
-    return config is not None and getattr(config, "optimistic_reads", False)
 
 
 def _s_couple_to_base(db: Database, tree: BPlusTree, key: int):
@@ -183,26 +125,6 @@ def _rx_back_off(base: PageId | None):
 
 
 def reader_search(
-    db: Database,
-    tree_name: str,
-    key: int,
-    *,
-    think: float = 0.0,
-) -> Generator[Any, Any, Record | None]:
-    """Point lookup; returns the record (or None).
-
-    Dispatches on ``TreeConfig.optimistic_reads``: off (the default) runs
-    the section 4.1.2 locked protocol byte-identically to the historical
-    code; on, the latch-free validated descent.
-    """
-    if _optimistic_enabled(db):
-        return (
-            yield from _optimistic_reader_search(db, tree_name, key, think=think)
-        )
-    return (yield from _locked_reader_search(db, tree_name, key, think=think))
-
-
-def _locked_reader_search(
     db: Database,
     tree_name: str,
     key: int,
@@ -283,28 +205,6 @@ def reader_range_scan(
     *,
     think_per_page: float = 0.0,
 ) -> Generator[Any, Any, list[Record]]:
-    """Range scan [low, high]; dispatches like :func:`reader_search`."""
-    if _optimistic_enabled(db):
-        return (
-            yield from _optimistic_reader_range_scan(
-                db, tree_name, low, high, think_per_page=think_per_page
-            )
-        )
-    return (
-        yield from _locked_reader_range_scan(
-            db, tree_name, low, high, think_per_page=think_per_page
-        )
-    )
-
-
-def _locked_reader_range_scan(
-    db: Database,
-    tree_name: str,
-    low: int,
-    high: int,
-    *,
-    think_per_page: float = 0.0,
-) -> Generator[Any, Any, list[Record]]:
     """Range scan: S lock-couple to the first leaf, then walk successors,
     S locking each leaf before reading it (locks held to end of scan to
     keep the read set stable)."""
@@ -368,8 +268,8 @@ def _successor_leaf(
     any), and ``passed`` counts the leaves it visited after the leaf
     ``probe`` routes to.  Without side pointers an empty leaf has no key
     to descend by, so its successor is the (``passed`` + 1)-th leaf after
-    that one on the leaf cursor.  Sound because every leaf in between is
-    S-locked (locked scan) or in the validated read set (optimistic scan).
+    that one on the leaf cursor.  Sound because the scan holds an S lock
+    on every leaf in between.
     """
     tree = db.tree(tree_name)
     leaf = db.store.get_leaf(leaf_id)
@@ -379,208 +279,6 @@ def _successor_leaf(
     else:
         next_id = tree.successor_leaf_id(leaf)
     return next_id if next_id >= 0 else None
-
-
-# -- optimistic read path ---------------------------------------------------
-
-
-def _optimistic_downgrade(db, tree_name, locked_protocol, *args, **kwargs):
-    """The single Table-1 fallback site of the optimistic read path.
-
-    When a validating reader observes a page under RX — a pass-1 group
-    move or the pass-3 switch in flight — it abandons the lock-free
-    attempt and runs the full locked protocol, whose give-up / instant-RS
-    handling then applies unchanged.  Every locked fallback MUST go
-    through this helper (enforced by the ``optimistic-lock-free``
-    reprolint rule); optimistic code never touches the lock manager
-    directly except for the read-only ``rx_is_held`` probe.
-    """
-    OPTIMISTIC_STATS.downgrades += 1
-    return (yield from locked_protocol(db, tree_name, *args, **kwargs))
-
-
-def _optimistic_reader_search(
-    db: Database,
-    tree_name: str,
-    key: int,
-    *,
-    think: float = 0.0,
-) -> Generator[Any, Any, Record | None]:
-    """Latch-free point lookup: validated descent, no lock acquisition.
-
-    DES atomicity makes the validation airtight: the RX probe, the version
-    capture and the page fetch of a ``FetchPage`` all execute in the same
-    scheduler step, so the only window a mutation can slip into is the
-    simulated fetch delay — exactly what the post-resume validation
-    covers.  The child-pointer read after a successful validation is
-    likewise atomic with the next capture.
-    """
-    store = db.store
-    locks = db.locks
-    OPTIMISTIC_STATS.searches += 1
-    for _ in range(_MAX_RESTARTS):
-        tree = db.tree(tree_name)
-        pid = tree.root_id
-        while True:
-            if locks.rx_is_held(page_lock(pid)):
-                return (yield from _optimistic_downgrade(
-                    db, tree_name, _locked_reader_search, key, think=think
-                ))
-            ver = store.version_of(pid)
-            page = yield FetchPage(pid)
-            OPTIMISTIC_STATS.validations += 1
-            if store.version_of(pid) != ver:
-                OPTIMISTIC_STATS.restarts += 1
-                if locks.rx_is_held(page_lock(pid)):
-                    return (yield from _optimistic_downgrade(
-                        db, tree_name, _locked_reader_search, key, think=think
-                    ))
-                break  # restart the descent
-            step = tree.descend_step(page, key)
-            if step is None:
-                # Reached the leaf.  A think pause re-opens the race
-                # window, so re-validate before the read; the read
-                # itself is atomic with the validation.
-                if think:
-                    yield Think(think)
-                    if store.version_of(pid) != ver:
-                        OPTIMISTIC_STATS.restarts += 1
-                        break
-                return page.get(key) if page.contains(key) else None
-            pid = step
-    raise TransactionAborted(f"optimistic reader for key {key} starved")
-
-
-def _optimistic_reader_range_scan(
-    db: Database,
-    tree_name: str,
-    low: int,
-    high: int,
-    *,
-    think_per_page: float = 0.0,
-) -> Generator[Any, Any, list[Record]]:
-    """Latch-free range scan over the leaf chain.
-
-    The locked scan keeps its read set stable by holding every visited
-    leaf's S lock to the end of the scan; the optimistic scan gets the
-    same guarantee by *re-validating the whole visited-leaf set* — at
-    every successor step (inside the synchronous ``Call``, atomic with
-    the successor computation) and once more when the chain walk
-    completes.  If every visited leaf still carries the version it was
-    read at, the collected records equal a locked scan of the tree at
-    that final instant; any interleaved mutation of a visited leaf bumps
-    its stamp and restarts the scan from scratch.
-    """
-    store = db.store
-    locks = db.locks
-    OPTIMISTIC_STATS.scans += 1
-    out: list[Record] = []
-    for _ in range(_MAX_RESTARTS):
-        out.clear()
-        tree = db.tree(tree_name)
-        pid = tree.root_id
-        restart = False
-        page = None
-        ver = 0
-        # Descent to the leaf containing `low`.
-        while True:
-            if locks.rx_is_held(page_lock(pid)):
-                return (yield from _optimistic_downgrade(
-                    db, tree_name, _locked_reader_range_scan, low, high,
-                    think_per_page=think_per_page,
-                ))
-            ver = store.version_of(pid)
-            page = yield FetchPage(pid)
-            OPTIMISTIC_STATS.validations += 1
-            if store.version_of(pid) != ver:
-                OPTIMISTIC_STATS.restarts += 1
-                if locks.rx_is_held(page_lock(pid)):
-                    return (yield from _optimistic_downgrade(
-                        db, tree_name, _locked_reader_range_scan, low,
-                        high, think_per_page=think_per_page,
-                    ))
-                restart = True
-                break
-            step = tree.descend_step(page, low)
-            if step is None:
-                break
-            pid = step
-        if restart:
-            continue
-        # Leaf-chain walk; `visited` is the optimistic read set.
-        visited: list[tuple[PageId, int]] = [(pid, ver)]
-        passed = -1
-        while True:
-            if think_per_page:
-                yield Think(think_per_page)
-                if not _versions_current(store, visited):
-                    OPTIMISTIC_STATS.restarts += 1
-                    restart = True
-                    break
-            done = False
-            returned = len(out)
-            for record in page.iter_from(low):
-                if record.key > high:
-                    done = True
-                    break
-                out.append(record)
-            if done:
-                break
-            passed = 0 if len(out) > returned else passed + 1
-            probe = out[-1].key if out else low
-            next_leaf = yield Call(
-                lambda leaf_id=pid, read_set=tuple(visited), probe=probe, passed=passed: (
-                    _validated_successor(
-                        db, tree_name, leaf_id, read_set, probe, passed
-                    )
-                )
-            )
-            if next_leaf is _CONFLICT:
-                OPTIMISTIC_STATS.restarts += 1
-                restart = True
-                break
-            if next_leaf is None:
-                break
-            pid = next_leaf
-            if locks.rx_is_held(page_lock(pid)):
-                return (yield from _optimistic_downgrade(
-                    db, tree_name, _locked_reader_range_scan, low, high,
-                    think_per_page=think_per_page,
-                ))
-            ver = store.version_of(pid)
-            page = yield FetchPage(pid)
-            OPTIMISTIC_STATS.validations += 1
-            if store.version_of(pid) != ver:
-                OPTIMISTIC_STATS.restarts += 1
-                restart = True
-                break
-            visited.append((pid, ver))
-        if restart:
-            continue
-        # Final whole-set validation: no yield between this check and
-        # returning `out`, so the scan linearizes here.
-        if _versions_current(store, visited):
-            return out
-        OPTIMISTIC_STATS.restarts += 1
-    raise TransactionAborted("optimistic range scan starved")
-
-
-def _versions_current(store, visited) -> bool:
-    version_of = store.version_of
-    return all(version_of(pid) == ver for pid, ver in visited)
-
-
-def _validated_successor(db, tree_name, leaf_id, read_set, probe, passed):
-    """Successor leaf id (:func:`_successor_leaf`), atomically validated
-    against the scan's read set.
-
-    Runs synchronously inside a ``Call`` — one scheduler step — so the
-    whole-set validation and the successor computation cannot interleave
-    with a mutation.  Returns ``_CONFLICT`` when any visited leaf changed.
-    """
-    if not _versions_current(db.store, read_set):
-        return _CONFLICT
-    return _successor_leaf(db, tree_name, leaf_id, probe, passed)
 
 
 def updater_insert(

@@ -180,20 +180,6 @@ class BPlusTree:
             page = get(page.child_for(key))  # type: ignore[union-attr]
         return page  # type: ignore[return-value]
 
-    @staticmethod
-    def descend_step(page: Page, key: int) -> PageId | None:
-        """One descent step: the child page id to follow for ``key``, or
-        ``None`` when ``page`` is a leaf.
-
-        Shared by the locked and the optimistic DES protocols — the
-        optimistic reader needs the step isolated because the pointer read
-        must happen *after* the page's version stamp validated, atomically
-        with the next stamp capture (see
-        :mod:`repro.btree.protocols`)."""
-        if page.kind is PageKind.LEAF:
-            return None
-        return page.child_for(key)  # type: ignore[union-attr]
-
     def base_page_for(self, key: int) -> InternalPage | None:
         """The parent-of-leaf ("base") page responsible for ``key``, or
         None when the root itself is a leaf."""

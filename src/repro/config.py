@@ -80,12 +80,6 @@ class TreeConfig:
             (paper section 5, citing [LT95]).
         seek_cost: simulated cost of a non-sequential page read, used by the
             range-scan cost model.  A sequential read costs 1.0.
-        group_commit_window: group-commit absorb window of the log manager,
-            in LSNs.  A flush request for LSN L makes records up to
-            L + window stable in one boundary advance, so nearby flush
-            requests are absorbed by the group instead of each paying a
-            device flush.  0 disables group commit (every flush advances
-            exactly to its requested LSN — the historical behaviour).
         readahead_pages: maximum pages per multi-page batch read
             (``SimulatedDisk.read_batch``).  Range scans and the reorg
             passes prefetch upcoming pages in batches of at most this many;
@@ -100,17 +94,6 @@ class TreeConfig:
             the log volume changes along with the I/O pattern.  Key order
             stays the default: the paper's §6.1 claim (the pass-1 free-page
             heuristic saves pass-2 swaps, E1) is about that schedule.
-        optimistic_reads: route DES point reads and range scans through the
-            latch-free optimistic protocol (:mod:`repro.btree.protocols`):
-            readers descend without locks, validating the buffer pool's
-            per-page version stamps after every page visit and restarting
-            (bounded) on conflict.  A reader that observes an RX lock —
-            a reorganization pass working on that page — downgrades to the
-            Table-1 locked protocol via the single fallback helper, so the
-            paper's give-up / instant-RS semantics are preserved exactly
-            where readers and the reorganizer actually collide.  Updaters
-            and the reorganizer are unaffected.  Off, the read path is
-            byte-identical to the historical locked protocol.
         placement_policy: which :class:`PlacementPolicyKind` passes 2 and 3
             use to choose target page ids.  ``KEY_ORDER`` (the default) is
             byte-identical to the historical behaviour.
@@ -136,10 +119,8 @@ class TreeConfig:
     buffer_pool_pages: int = 256
     careful_writing: bool = True
     seek_cost: float = 10.0
-    group_commit_window: int = 0
     readahead_pages: int = 0
     seek_aware_pass2: bool = False
-    optimistic_reads: bool = False
     placement_policy: PlacementPolicyKind = PlacementPolicyKind.KEY_ORDER
     leaf_gap_fraction: float = 0.0
 
@@ -157,8 +138,6 @@ class TreeConfig:
             raise ValueError("buffer pool must hold at least 4 pages")
         if self.seek_cost < 1.0:
             raise ValueError("seek_cost must be >= 1.0 (sequential cost is 1.0)")
-        if self.group_commit_window < 0:
-            raise ValueError("group_commit_window must be >= 0 (0 disables)")
         if self.readahead_pages < 0:
             raise ValueError("readahead_pages must be >= 0 (0 disables)")
         if not 0.0 <= self.leaf_gap_fraction < 1.0:
@@ -222,29 +201,21 @@ class ShardConfig:
         n_shards: number of range partitions.  1 degenerates to a single
             tree whose layout is byte-identical to an unsharded database
             built from the same records.
-        tree_prefix: shard tree names are ``f"{tree_prefix}{i}"``.
         separators: optional explicit partition bounds — ``n_shards - 1``
             strictly increasing keys; shard ``i`` owns keys in
             ``[separators[i-1], separators[i])`` (open-ended at both ends).
             When empty, :meth:`repro.shard.ShardedDatabase.bulk_load`
             derives equi-populated separators from the loaded records.
-        placement_policy: optional override of
-            :attr:`TreeConfig.placement_policy` for the whole forest.  The
-            per-shard reorganizers then place pass-2/3 targets with this
-            policy inside their own extent leases.  ``None`` inherits the
-            tree config's policy.
+
+    Shard ``i``'s tree is named ``f"shard{i}"``.
     """
 
     n_shards: int = 1
-    tree_prefix: str = "shard"
     separators: tuple[int, ...] = ()
-    placement_policy: PlacementPolicyKind | None = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if not self.tree_prefix:
-            raise ValueError("tree_prefix must be non-empty")
         if self.separators:
             if len(self.separators) != self.n_shards - 1:
                 raise ValueError(
@@ -325,12 +296,6 @@ class DaemonConfig:
             split count is the live proxy for *disk-order scatter* — the
             component of range-scan degradation that fill factor cannot
             see.  0 disables the split path (fill-threshold only).
-        optimistic_burst_threshold: defer a shard's reorg for one poll
-            when more than this many optimistic reads
-            (:data:`repro.btree.protocols.OPTIMISTIC_STATS` searches +
-            scans) completed since the previous poll — a reorg in the
-            middle of a read-heavy burst converts every latch-free read
-            into a locked fallback.  0 disables the deferral.
         max_triggers: stop triggering after this many daemon-initiated
             reorgs in total (0 = unbounded); the poll loop keeps
             sampling metrics either way.
@@ -342,7 +307,6 @@ class DaemonConfig:
     cooldown: float = 20.0
     min_leaves: int = 2
     split_trigger: int = 0
-    optimistic_burst_threshold: int = 0
     max_triggers: int = 0
 
     def __post_init__(self) -> None:
@@ -358,8 +322,6 @@ class DaemonConfig:
             raise ValueError("min_leaves must be >= 1")
         if self.split_trigger < 0:
             raise ValueError("split_trigger must be >= 0 (0 disables)")
-        if self.optimistic_burst_threshold < 0:
-            raise ValueError("optimistic_burst_threshold must be >= 0")
         if self.max_triggers < 0:
             raise ValueError("max_triggers must be >= 0 (0 = unbounded)")
 

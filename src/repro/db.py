@@ -82,9 +82,7 @@ class Database:
     def __init__(self, config: TreeConfig | None = None):
         self.config = config or TreeConfig()
         self.store = StorageManager(self.config)
-        self.log = LogManager(
-            group_commit_window=self.config.group_commit_window
-        )
+        self.log = LogManager()
         self.store.set_wal(self.log)
         self.locks = LockManager()
         self.progress = ReorgProgressTable()

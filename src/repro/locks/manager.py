@@ -161,19 +161,6 @@ class LockManager:
             for owner, counts in held.items()
         }
 
-    def rx_is_held(self, resource: Resource) -> bool:
-        """Cheap probe: is any RX lock held on ``resource``?
-
-        The optimistic read path calls this before every lock-free page
-        visit to decide whether to downgrade to the Table-1 locked
-        protocol, so it must not touch ``stats`` (it is not a lock-manager
-        acquire call) and must not build the ``holders_of`` dicts.
-        """
-        held = self._holders.get(resource)
-        if not held:
-            return False
-        return any(RX in counts for counts in held.values())
-
     def held_modes(self, owner: Owner, resource: Resource) -> list[LockMode]:
         counts = self._holders.get(resource, {}).get(owner)
         return sorted(counts, key=lambda m: m.value) if counts else []

@@ -19,7 +19,7 @@ the process (the simulator is single-threaded); ``PERF.reset()`` between
 measured phases scopes the numbers.
 
 Counters that describe one object's behaviour live on that object instead
-(``IOStats.batch_reads``/``write_cost``, ``LogStats.absorbed_flushes``,
+(``IOStats.batch_reads``/``write_cost``, ``LogStats.units_ended``,
 ``BufferPool.prefetch_hits``, :class:`repro.metrics.ShardStats`, ...), so
 each is scoped to the database that owns it rather than to the process.
 """

@@ -22,11 +22,7 @@ Trigger policy (all knobs on :class:`~repro.config.DaemonConfig`):
 * **cooldown** — at least ``cooldown`` simulated time between triggers
   of the same shard, independent of hysteresis;
 * **deferral** — a tree whose pass-3 reorg bit is already set (a
-  manual reorganizer owns it) is skipped for this poll, as is every
-  shard when the process-wide optimistic-read counters moved more than
-  ``optimistic_burst_threshold`` since the previous poll (a reorg in the
-  middle of a latch-free read burst turns every read into a locked
-  fallback).
+  manual reorganizer owns it) is skipped for this poll.
 
 The daemon is deliberately *one* process even over a sharded forest: it
 reorganizes crossed shards one after another inside its own transaction,
@@ -39,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
-from repro.btree.protocols import OPTIMISTIC_STATS
 from repro.config import DaemonConfig, ReorgConfig
 from repro.metrics import FragmentationStats
 from repro.reorg.parallel import _SharedUnitIds
@@ -74,6 +69,9 @@ class DaemonStats:
     hysteresis_holds: int = 0
     deferred_manual: int = 0
     deferred_cooldown: int = 0
+    #: Always 0: the deferral it counted is gone.  Kept because the bench
+    #: runner sums it into its deferral count; drop it with the next
+    #: benchmark change.
     deferred_optimistic: int = 0
     skipped_small: int = 0
 
@@ -109,13 +107,12 @@ class ReorgDaemon:
         self.stats = DaemonStats()
         #: (simulated time, tree name, action) per per-target poll step;
         #: actions: idle / hold-hysteresis / skip-small / defer-manual /
-        #: defer-cooldown / defer-optimistic / trigger.
+        #: defer-cooldown / trigger.
         self.history: list[tuple[float, str, str]] = []
         #: Pass stats of every triggered reorg, per tree name in order.
         self.results: dict[str, list[dict]] = {t.tree_name: [] for t in targets}
         self._state = {t.tree_name: _TargetState() for t in targets}
         self._unit_ids = _SharedUnitIds()
-        self._last_optimistic: int | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -175,9 +172,8 @@ class ReorgDaemon:
         while scheduler.now + poll <= horizon + 1e-9:
             yield Think(poll)
             self.stats.polls += 1
-            burst = self._optimistic_burst()
             for target in self.targets:
-                action = self._decide(target, scheduler.now, burst)
+                action = self._decide(target, scheduler.now)
                 self.history.append((scheduler.now, target.tree_name, action))
                 if action == "trigger":
                     yield from self._reorganize(target, scheduler)
@@ -185,16 +181,7 @@ class ReorgDaemon:
 
     # -- decision logic ------------------------------------------------------
 
-    def _optimistic_burst(self) -> bool:
-        """True when optimistic reads since the previous poll exceed the
-        configured burst threshold (0 disables the deferral)."""
-        current = OPTIMISTIC_STATS.searches + OPTIMISTIC_STATS.scans
-        previous, self._last_optimistic = self._last_optimistic, current
-        if self.config.optimistic_burst_threshold <= 0 or previous is None:
-            return False
-        return current - previous > self.config.optimistic_burst_threshold
-
-    def _decide(self, target: DaemonTarget, now: float, burst: bool) -> str:
+    def _decide(self, target: DaemonTarget, now: float) -> str:
         cfg = self.config
         state = self._state[target.tree_name]
         frag = target.frag
@@ -227,9 +214,6 @@ class ReorgDaemon:
         ):
             self.stats.deferred_cooldown += 1
             return "defer-cooldown"
-        if burst:
-            self.stats.deferred_optimistic += 1
-            return "defer-optimistic"
         return "trigger"
 
     # -- the reorg itself ----------------------------------------------------

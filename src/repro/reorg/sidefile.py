@@ -16,11 +16,10 @@ The entry list is shared with the tree's :class:`repro.db.Pass3State`, so
 checkpoints capture it automatically, and every record names the tree, so
 recovery replays it into that tree's state alone.
 
-Version-stamp coverage (optimistic read path): the side file itself is a
-memory-resident table, invisible to readers; what matters is that applying
-an entry to the new tree mutates base pages through log-apply ->
-``BufferPool.mark_dirty``, which bumps their version stamps, so lock-free
-readers racing the final catch-up of the switch validate correctly.
+Version-stamp coverage (the waiter's test of ROADMAP item 1(a)): the side
+file itself is a memory-resident table, invisible to readers; what matters
+is that applying an entry to the new tree mutates base pages through
+log-apply -> ``BufferPool.mark_dirty``, which bumps their version stamps.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ DES schedules among users and
 Benchmark E1 counts the swaps the pass needs under each pass-1 empty-page
 policy.
 
-Version-stamp coverage (optimistic read path): every move and swap funnels
-through log-apply -> ``BufferPool.mark_dirty`` for *both* pages of the
-unit, so a lock-free reader that validated either page before the unit
-restarts afterwards; no extra bumping is needed here.
+Version-stamp coverage (the waiter's test of ROADMAP item 1(a)): every move
+and swap funnels through log-apply -> ``BufferPool.mark_dirty`` for *both*
+pages of the unit, so a stamp captured on either page before the unit no
+longer matches afterwards; no extra bumping is needed here.
 """
 
 from __future__ import annotations

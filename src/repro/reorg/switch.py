@@ -99,12 +99,11 @@ class Switcher:
         if self.tree.root_id == self.stats.old_root:
             bump_lock_name(self.db, self.tree.name)
             self.tree.set_root(self.stats.new_root)
-            # Invalidate in-flight optimistic descents anchored at the old
-            # root: bump its version stamp so their next validation fails
-            # and they restart against the new access path.  (An internal
-            # old root is bumped again by the discard below; a *leaf* old
-            # root is shared with the new tree and would otherwise never
-            # change, leaving lock-free readers pinned to the old route.)
+            # Bump the old root's version stamp, so a waiter that captured
+            # it (ROADMAP item 1(a)) sees the access path moved.  (An
+            # internal old root is bumped again by the discard below; a
+            # *leaf* old root is shared with the new tree and would
+            # otherwise never change.)
             self.db.store.buffer.bump_version(self.stats.old_root)
         self.db.store.disk.del_meta(f"root:{self.tree.name}.new")
 

@@ -18,8 +18,6 @@ after a full reorganization by ``benchmarks/test_bench_features.py``).
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.config import ShardConfig, TreeConfig
 from repro.db import Database
 from repro.shard.handle import ShardHandle
@@ -56,14 +54,6 @@ class ShardedDatabase:
         base = self._db.store
         n = self.shard_config.n_shards
         free_map = base.free_map
-        # A forest-wide placement override replaces the tree config each
-        # handle sees; per-shard reorganizers then resolve their placement
-        # policy from their own handle, window-clamped by their leases.
-        handle_config = self.config
-        if self.shard_config.placement_policy is not None:
-            handle_config = dataclasses.replace(
-                self.config, placement_policy=self.shard_config.placement_policy
-            )
         for i in range(n):
             leaf = self._slice(base.disk.extent(LEAF_EXTENT), i, n)
             internal = self._slice(base.disk.extent(INTERNAL_EXTENT), i, n)
@@ -74,8 +64,8 @@ class ShardedDatabase:
             )
             handle = ShardHandle(
                 index=i,
-                tree_name=f"{self.shard_config.tree_prefix}{i}",
-                config=handle_config,
+                tree_name=f"shard{i}",
+                config=self.config,
                 store=store,
                 db=self._db,
             )

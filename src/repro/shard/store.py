@@ -39,12 +39,9 @@ class ShardStore:
         self.buffer = base.buffer
         self.leaf_lease = leaf_lease
         self.internal_lease = internal_lease
-        # Same hot-path shadowing as StorageManager: reads are unrestricted,
-        # and version stamps live on the one shared buffer pool, so
-        # optimistic readers validate identically through either facade.
+        # Same hot-path shadowing as StorageManager; reads are unrestricted.
         self.get = base.buffer.fetch
         self.mark_dirty = base.buffer.mark_dirty
-        self.version_of = base.buffer.version_of
 
     # -- allocation (lease-constrained) --------------------------------------
 

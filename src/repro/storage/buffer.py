@@ -114,7 +114,6 @@ class BufferPool:
         self._disk = disk
         self._capacity = capacity
         self._wal: WALHook = wal if wal is not None else _NullWAL()
-        self._wal_absorbs = bool(getattr(self._wal, "absorbs_flushes", False))
         self._careful_writing = careful_writing
         #: LRU order: oldest first.  Maps page id -> frame.
         self._frames: OrderedDict[PageId, _Frame] = OrderedDict()
@@ -133,13 +132,14 @@ class BufferPool:
         self.contains = self._frames.__contains__
         self._frames_get = self._frames.get
         self._frames_move_to_end = self._frames.move_to_end
-        #: Per-page version stamps for the optimistic read path.  Bumped on
-        #: every mutation funnel — `mark_dirty` (all log-applied changes:
-        #: insert, split, swap, side-file apply), `put_new` (allocation) and
+        #: Per-page version stamps: the waiter's "did it change while I
+        #: slept" test of ROADMAP item 1(a).  Bumped on every mutation
+        #: funnel — `mark_dirty` (all log-applied changes: insert, split,
+        #: swap, side-file apply), `put_new` (allocation) and
         #: `drop` (deallocation, including the pass-3 switch discarding the
         #: old internal levels).  Entries survive `drop` on purpose: keeping
         #: the stamp monotonic across free/realloc defeats ABA, where a
-        #: reader validates against a *new* page that reused the id.
+        #: waiter compares against a *new* page that reused the id.
         self._versions: dict[PageId, int] = {}
         self._versions_get = self._versions.get
         #: source page id -> set of destination page ids that must be
@@ -163,7 +163,6 @@ class BufferPool:
     def set_wal(self, wal: WALHook) -> None:
         """Attach the log manager after construction (breaks an init cycle)."""
         self._wal = wal
-        self._wal_absorbs = bool(getattr(wal, "absorbs_flushes", False))
 
     @property
     def careful_writing(self) -> bool:
@@ -289,17 +288,17 @@ class BufferPool:
         """Current version stamp of a page (0 if never mutated).
 
         Valid for resident and non-resident pages alike: stamps track
-        logical mutations, not residency, so an optimistic reader can
-        capture a stamp, pay the simulated fetch delay, and re-validate
-        even if the frame was evicted in between.
+        logical mutations, not residency, so a waiter can capture a stamp,
+        sleep, and compare (ROADMAP item 1(a)) even if the frame was
+        evicted in between.
         """
         return self._versions_get(page_id, 0)
 
     def bump_version(self, page_id: PageId) -> None:
-        """Invalidate optimistic readers of ``page_id`` without a content
-        mutation.  The pass-3 switch uses this on the old root after the
-        flip so in-flight lock-free descents anchored there restart and
-        pick up the new access path instead of lingering on the old tree.
+        """Change ``page_id``'s stamp without a content mutation.  The
+        pass-3 switch uses this on the old root after the flip, so a waiter
+        that captured the old root's stamp (ROADMAP item 1(a)) sees that the
+        access path moved to the new tree.
         """
         self._versions[page_id] = self._versions_get(page_id, 0) + 1
 
@@ -387,12 +386,6 @@ class BufferPool:
             in_progress.discard(page_id)
         if frame.page.page_lsn <= self._wal.flushed_lsn:
             _COUNTERS.wal_flush_skips += 1
-            # With group commit on, a request already covered by the stable
-            # boundary is exactly an "absorbed" flush and must still reach
-            # the log manager to be counted; otherwise it would be a no-op
-            # there and the call is skipped entirely.
-            if self._wal_absorbs:
-                self._wal.flush(frame.page.page_lsn)
         else:
             self._wal.flush(frame.page.page_lsn)
         self._disk.write(frame.page)
@@ -436,8 +429,8 @@ class BufferPool:
             del self._frames[page_id]
             if page_id == self._mru_id:
                 self._mru_id = None
-        # Deallocation is a mutation from a reader's point of view: any
-        # optimistic validation spanning it must fail (and the bumped-not-
+        # Deallocation is a mutation from a reader's point of view: a stamp
+        # captured before it must no longer match (and the bumped-not-
         # deleted entry makes a later reallocation of this id visible too).
         self._versions[page_id] = self._versions_get(page_id, 0) + 1
 

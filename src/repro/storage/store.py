@@ -42,12 +42,10 @@ class StorageManager:
             careful_writing=self.config.careful_writing,
         )
         # The hottest calls in every workload are the pool's own bound
-        # methods, with no wrapper frame: `get` (BufferPool.fetch),
-        # `mark_dirty` (one per applied log record) and `version_of` (twice
-        # per lock-free page visit, capture + validate).
+        # methods, with no wrapper frame: `get` (BufferPool.fetch) and
+        # `mark_dirty` (one per applied log record).
         self.get = self.buffer.fetch
         self.mark_dirty = self.buffer.mark_dirty
-        self.version_of = self.buffer.version_of
 
     # -- wiring ---------------------------------------------------------------
 

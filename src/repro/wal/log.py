@@ -42,10 +42,10 @@ from repro.wal.records import (
 class LogStats(StatsDeltaMixin):
     """Byte and record counters, by category.
 
-    ``flushes`` counts stable-boundary advances (device flushes);
-    ``absorbed_flushes`` counts flush requests that found their target LSN
-    already stable because an earlier group-commit flush over-advanced the
-    boundary (see :class:`LogManager`'s ``group_commit_window``).
+    ``flushes`` counts stable-boundary advances (device flushes).
+    ``absorbed_flushes`` always reads 0: it counted the flush requests a
+    group-commit window absorbed, and that window is gone.  The bench
+    report still reads it; drop it with the next benchmark change.
     ``records_truncated`` counts records reclaimed below the low-water
     mark, and ``units_ended`` the reorganization units' END records
     appended: both survive truncation, which erases the records themselves.
@@ -64,27 +64,14 @@ class LogStats(StatsDeltaMixin):
 
 
 class LogManager:
-    """Append-only simulated write-ahead log.
+    """Append-only simulated write-ahead log."""
 
-    ``group_commit_window`` > 0 enables group commit: a flush request for
-    LSN L advances the stable boundary to ``min(last_lsn, L + window)``,
-    deliberately over-flushing so the next few requests find their records
-    already stable and are *absorbed* instead of paying another device
-    flush.  Flushing more than requested is always legal — extra records
-    surviving a crash can only help recovery — so the window is purely a
-    cost/latency trade, never a correctness one.  0 keeps the historical
-    exact-boundary behaviour.
-    """
-
-    def __init__(self, *, group_commit_window: int = 0):
-        if group_commit_window < 0:
-            raise LogError("group_commit_window must be >= 0")
+    def __init__(self) -> None:
         #: The kept records; ``_records[i]`` has LSN ``_base + i``.
         self._records: list[LogRecord] = []
         self._base: int = 1
         self._flushed_upto: int = 0  # LSN of last stable record
         self._last_checkpoint_lsn: int = 0
-        self._group_window = group_commit_window
         self.stats = LogStats()
 
     # -- append/flush -------------------------------------------------------
@@ -106,12 +93,6 @@ class LogManager:
     @property
     def flushed_lsn(self) -> int:
         return self._flushed_upto
-
-    @property
-    def absorbs_flushes(self) -> bool:
-        """True when group commit is on and flush requests for already-stable
-        LSNs must still reach :meth:`flush` to be counted as absorbed."""
-        return self._group_window > 0
 
     @property
     def last_checkpoint_lsn(self) -> int:
@@ -140,21 +121,10 @@ class LogManager:
         return lsn
 
     def flush(self, up_to_lsn: int | None = None) -> None:
-        """Make records with LSN <= ``up_to_lsn`` stable (default: all).
-
-        With group commit on, the boundary advances ``group_commit_window``
-        LSNs past the request (capped at the log end); a request already
-        covered by an earlier over-advance is counted as absorbed.
-        """
+        """Make records with LSN <= ``up_to_lsn`` stable (default: all)."""
         target = self.last_lsn if up_to_lsn is None else min(up_to_lsn, self.last_lsn)
         if target <= self._flushed_upto:
-            # ``target > 0`` keeps vacuous requests (a never-logged page's
-            # page_lsn of 0) out of the absorption count.
-            if self._group_window and up_to_lsn is not None and target > 0:
-                self.stats.absorbed_flushes += 1
             return
-        if self._group_window:
-            target = min(self.last_lsn, target + self._group_window)
         self._flushed_upto = target
         self.stats.flushes += 1
 

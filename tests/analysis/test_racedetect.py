@@ -2,8 +2,8 @@
 
 The seeded-bug end-to-end proofs live in ``test_racedetect_seeded.py``;
 this file covers the machinery: install/uninstall hygiene, the Eraser
-page-state machine, release→acquire ordering, optimistic-window
-validation, and the explorer hook that turns a race into a violation.
+page-state machine, release→acquire ordering, pending unlocked reads,
+and the explorer hook that turns a race into a violation.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def detector():
     uninstall()
 
 
-def _tiny_db(*, optimistic: bool = False) -> Database:
+def _tiny_db() -> Database:
     db = Database(
         TreeConfig(
             leaf_capacity=4,
@@ -57,7 +57,6 @@ def _tiny_db(*, optimistic: bool = False) -> Database:
             leaf_extent_pages=64,
             internal_extent_pages=32,
             buffer_pool_pages=64,
-            optimistic_reads=optimistic,
         )
     )
     db.bulk_load_tree([Record(k, f"v{k}") for k in range(0, 40, 2)], leaf_fill=0.5)
@@ -223,23 +222,7 @@ def test_finish_edge_orders_later_transactions(detector):
     assert detector.reports == []
 
 
-# -- optimistic windows --------------------------------------------------------
-
-
-def test_validated_optimistic_reads_are_benign(detector):
-    db = _tiny_db(optimistic=True)
-    sched = _scheduler(db)
-    sched.spawn(reader_search(db, "primary", 10, think=0.05), name="r1")
-    sched.spawn(
-        updater_insert(db, "primary", Record(11, "w"), think=0.05),
-        name="u1", at=0.05,
-    )
-    sched.spawn(reader_search(db, "primary", 30, think=0.05), name="r2", at=0.1)
-    sched.run()
-    assert not sched.failed
-    assert detector.reports == []
-    assert detector.checks["window-capture"] > 0, "optimistic path was exercised"
-    assert detector.checks["validation"] > 0
+# -- pending unlocked reads ----------------------------------------------------
 
 
 def test_unvalidated_unlocked_read_is_reported(detector):
@@ -248,7 +231,7 @@ def test_unvalidated_unlocked_read_is_reported(detector):
     root = db.tree().root_id
 
     def sniffer():
-        # Reads the page frame, never validates, never locks.
+        # Reads the page frame and never locks it.
         yield Call(lambda: db.store.buffer.fetch(root))
         yield Think(0.5)
 

@@ -23,7 +23,6 @@ from repro.txn.transaction import Transaction
 
 _TABLES = {
     "_VCS": racedetect._VCS,
-    "_WINDOWS": racedetect._WINDOWS,
     "_PENDING": racedetect._PENDING,
     "_SPAWN_JOIN": racedetect._SPAWN_JOIN,
 }
@@ -48,8 +47,7 @@ def _strong_transactions() -> dict[str, list]:
     }
 
 
-@pytest.mark.parametrize("optimistic", [False, True], ids=["locked", "optimistic"])
-def test_des_transactions_stay_in_the_weak_half(detector, optimistic):
+def test_des_transactions_stay_in_the_weak_half(detector):
     db = Database(
         TreeConfig(
             leaf_capacity=4,
@@ -57,7 +55,6 @@ def test_des_transactions_stay_in_the_weak_half(detector, optimistic):
             leaf_extent_pages=64,
             internal_extent_pages=32,
             buffer_pool_pages=64,
-            optimistic_reads=optimistic,
         )
     )
     db.bulk_load_tree([Record(k, f"v{k}") for k in range(0, 40, 2)], leaf_fill=0.5)

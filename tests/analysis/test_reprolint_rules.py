@@ -729,83 +729,6 @@ class TestTruncateViaCheckpoint:
         assert found == []
 
 
-# -- optimistic-lock-free -----------------------------------------------------
-
-
-class TestOptimisticLockFree:
-    def test_fires_on_acquire_op_in_optimistic_function(self):
-        found = findings_for(
-            "src/repro/btree/seeded.py",
-            """
-            def _optimistic_sneaky_search(db, tree_name, key):
-                yield Acquire(page_lock(1), LockMode.S)
-            """,
-            "optimistic-lock-free",
-        )
-        assert rule_names(found) == {"optimistic-lock-free"}
-
-    def test_fires_on_synchronous_lock_request(self):
-        found = findings_for(
-            "src/repro/btree/seeded.py",
-            """
-            def _optimistic_probe(db, resource, mode):
-                db.locks.request(db.txn, resource, mode)
-            """,
-            "optimistic-lock-free",
-        )
-        assert rule_names(found) == {"optimistic-lock-free"}
-
-    def test_fires_on_direct_locked_protocol_call(self):
-        found = findings_for(
-            "src/repro/btree/seeded.py",
-            """
-            def _optimistic_reader(db, tree_name, key):
-                return (yield from _locked_reader_search(db, tree_name, key))
-            """,
-            "optimistic-lock-free",
-        )
-        assert rule_names(found) == {"optimistic-lock-free"}
-
-    def test_quiet_on_downgrade_helper_and_validation(self):
-        found = findings_for(
-            "src/repro/btree/seeded.py",
-            """
-            def _optimistic_reader(db, tree_name, key):
-                if db.locks.rx_is_held(page_lock(1)):
-                    return (
-                        yield from _optimistic_downgrade(
-                            db, tree_name, _locked_reader_search, key
-                        )
-                    )
-                yield FetchPage(1)
-
-            def _optimistic_downgrade(db, tree_name, locked_protocol, *args):
-                return (yield from locked_protocol(db, tree_name, *args))
-            """,
-            "optimistic-lock-free",
-        )
-        assert found == []
-
-    def test_quiet_outside_read_path_modules(self):
-        source = """
-        def _optimistic_thing(lm, owner, resource, mode):
-            lm.request(owner, resource, mode)
-            lm.release(owner, resource, mode)
-        """
-        for path in ("src/repro/reorg/seeded.py", "tests/btree/seeded.py"):
-            assert findings_for(path, source, "optimistic-lock-free") == []
-
-    def test_read_path_modules_are_clean(self):
-        from reprolint.engine import lint_paths
-
-        found = lint_paths(
-            ["src/repro/btree", "src/repro/shard"],
-            root=REPO_ROOT,
-            rules=["optimistic-lock-free"],
-        )
-        assert found == []
-
-
 # -- engine behaviour ---------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """The ``python -m reprorace`` front end: argument handling, exit codes,
 JSON report shape (including the ``data_races`` count), and the
-acceptance-critical zero-race scenarios (optimistic readers and the
+acceptance-critical zero-race scenarios (the auto-reorg daemon and the
 sharded reorganizer under exploration)."""
 
 import json
@@ -49,12 +49,12 @@ def test_seed_trace_replay_race_checks_one_schedule(capsys):
     assert "race-checked" in capsys.readouterr().out
 
 
-def test_optimistic_readers_and_shard_reorg_report_zero_races(capsys, tmp_path):
-    """The unmodified tree — PR 6 lock-free readers and the sharded
+def test_daemon_and_shard_reorg_report_zero_races(capsys, tmp_path):
+    """The unmodified tree — the auto-reorg daemon and the sharded
     ParallelReorganizer included — is race-free on every explored schedule."""
     output = tmp_path / "report.json"
     code = main([
-        "optimistic-reader-vs-reorg",
+        "daemon-vs-readers",
         "shard-reorg-scan",
         "--max-schedules", "4",
         "--json",
@@ -65,7 +65,7 @@ def test_optimistic_readers_and_shard_reorg_report_zero_races(capsys, tmp_path):
     written = json.loads(output.read_text())
     assert printed == written
     assert printed["ok"] is True
-    for name in ("optimistic-reader-vs-reorg", "shard-reorg-scan"):
+    for name in ("daemon-vs-readers", "shard-reorg-scan"):
         summary = printed["scenarios"][name]
         assert summary["data_races"] == 0
         assert summary["violations"] == []

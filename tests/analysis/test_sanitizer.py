@@ -211,8 +211,7 @@ class TestFetchCoverage:
 
 def _seed_stamp_skip_bug(buffer, page_id):
     """Mutate a frame the way a buggy ``mark_dirty`` would: dirty it and
-    advance its page LSN, but 'forget' the version-stamp bump the
-    optimistic read path depends on."""
+    advance its page LSN, but 'forget' the version-stamp bump."""
     frame = buffer._frames[page_id]
     frame.dirty = True
     frame.page.page_lsn += 1

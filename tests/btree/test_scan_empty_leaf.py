@@ -9,10 +9,7 @@ the DES ``reader_range_scan`` returned 8 of 36 records.
 
 import pytest
 
-from repro.btree.protocols import (
-    _locked_reader_range_scan,
-    _optimistic_reader_range_scan,
-)
+from repro.btree.protocols import reader_range_scan
 from repro.config import SidePointerKind, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint
@@ -76,16 +73,12 @@ DES_CASES = {
 
 
 @pytest.mark.parametrize("side", list(SidePointerKind), ids=lambda s: s.value)
-@pytest.mark.parametrize(
-    "scan", [_locked_reader_range_scan, _optimistic_reader_range_scan],
-    ids=["locked", "optimistic"],
-)
 @pytest.mark.parametrize("case", sorted(DES_CASES))
-def test_des_scans_walk_past_an_empty_leaf(case, scan, side):
+def test_des_scans_walk_past_an_empty_leaf(case, side):
     first_keys, low = DES_CASES[case]
     db, live = db_with_empty_leaves(side, first_keys)
     scheduler = Scheduler(db.locks, store=db.store, log=db.log, io_time=0.1, hit_time=0.01)
-    scheduler.spawn(scan(db, "primary", low, N - 1, think_per_page=0.01))
+    scheduler.spawn(reader_range_scan(db, "primary", low, N - 1, think_per_page=0.01))
     scheduler.run()
     assert not scheduler.failed
     (_, records), = scheduler.completed

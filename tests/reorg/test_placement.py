@@ -471,8 +471,9 @@ class TestShardedVebPlacement:
                     leaf_extent_pages=1024,
                     internal_extent_pages=256,
                     side_pointers=SidePointerKind.ONE_WAY,
+                    placement_policy=kind,
                 ),
-                ShardConfig(n_shards=2, placement_policy=kind),
+                ShardConfig(n_shards=2),
             )
             records = [Record(k, "v" * 4) for k in range(1200)]
             sdb.bulk_load(records, leaf_fill=1.0, internal_fill=0.6)

@@ -100,5 +100,4 @@ class TestShardConfig:
             ShardConfig(n_shards=2, separators=(1, 2))
         with pytest.raises(ValueError):
             ShardConfig(n_shards=3, separators=(5, 5))
-        cfg = ShardConfig(n_shards=3, separators=(5, 9))
-        assert cfg.tree_prefix == "shard"
+        ShardConfig(n_shards=3, separators=(5, 9))

@@ -10,7 +10,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.btree.protocols import OPTIMISTIC_STATS
 from repro.btree.stats import collect_stats
 from repro.config import DaemonConfig, ReorgConfig, TreeConfig
 from repro.db import Database
@@ -44,21 +43,21 @@ def make_daemon(config=CFG, *, fill=0.5, reorg_bit=False):
 class TestThreshold:
     def test_crossing_triggers(self):
         daemon, target = make_daemon(fill=0.5)  # frag 0.5 >= 0.35
-        assert daemon._decide(target, now=1.0, burst=False) == "trigger"
+        assert daemon._decide(target, now=1.0) == "trigger"
 
     def test_exactly_at_threshold_triggers(self):
         daemon, target = make_daemon(fill=0.65)  # frag 0.35 == frag_high
         assert target.frag.fragmentation == pytest.approx(0.35)
-        assert daemon._decide(target, now=1.0, burst=False) == "trigger"
+        assert daemon._decide(target, now=1.0) == "trigger"
 
     def test_just_below_threshold_idles(self):
         daemon, target = make_daemon(fill=0.66)  # frag 0.34 < 0.35
-        assert daemon._decide(target, now=1.0, burst=False) == "idle"
+        assert daemon._decide(target, now=1.0) == "idle"
 
     def test_small_tree_is_skipped(self):
         daemon, target = make_daemon(fill=0.5)
         target.frag.leaves = 1  # below min_leaves=2
-        assert daemon._decide(target, now=1.0, burst=False) == "skip-small"
+        assert daemon._decide(target, now=1.0) == "skip-small"
         assert daemon.stats.skipped_small == 1
 
     def test_max_triggers_caps_the_daemon(self):
@@ -66,7 +65,7 @@ class TestThreshold:
             DaemonConfig(poll_interval=1.0, max_triggers=1), fill=0.3
         )
         daemon.stats.triggers = 1
-        assert daemon._decide(target, now=1.0, burst=False) == "idle"
+        assert daemon._decide(target, now=1.0) == "idle"
 
 
 class TestHysteresis:
@@ -74,26 +73,23 @@ class TestHysteresis:
         daemon, target = make_daemon(fill=0.5)
         state = daemon._state["t"]
         state.armed = False  # as _reorganize leaves it
-        assert (
-            daemon._decide(target, now=20.0, burst=False)
-            == "hold-hysteresis"
-        )
+        assert daemon._decide(target, now=20.0) == "hold-hysteresis"
         assert daemon.stats.hysteresis_holds == 1
 
     def test_between_low_and_high_is_plain_idle(self):
         daemon, target = make_daemon(fill=0.75)  # frag 0.25, in the band
         daemon._state["t"].armed = False
-        assert daemon._decide(target, now=20.0, burst=False) == "idle"
+        assert daemon._decide(target, now=20.0) == "idle"
         assert not daemon._state["t"].armed  # still disarmed
 
     def test_dropping_to_frag_low_rearms(self):
         daemon, target = make_daemon(fill=0.9)  # frag 0.10 <= frag_low
         daemon._state["t"].armed = False
-        assert daemon._decide(target, now=20.0, burst=False) == "idle"
+        assert daemon._decide(target, now=20.0) == "idle"
         assert daemon._state["t"].armed
         # and the next crossing fires again
         target.frag.records = int(0.5 * 10 * 10)
-        assert daemon._decide(target, now=21.0, burst=False) == "trigger"
+        assert daemon._decide(target, now=21.0) == "trigger"
 
     def test_split_trigger_path_ignores_hysteresis(self):
         config = DaemonConfig(
@@ -106,46 +102,22 @@ class TestHysteresis:
         daemon, target = make_daemon(config, fill=1.0)  # fill says healthy
         daemon._state["t"].armed = False
         target.frag.leaf_splits = 3  # 3 splits since sync: scattered
-        assert daemon._decide(target, now=20.0, burst=False) == "trigger"
+        assert daemon._decide(target, now=20.0) == "trigger"
 
 
 class TestDeferrals:
     def test_cooldown_defers_a_hot_shard(self):
         daemon, target = make_daemon(fill=0.5)
         daemon._state["t"].last_trigger = 15.0
-        assert (
-            daemon._decide(target, now=20.0, burst=False)
-            == "defer-cooldown"
-        )
+        assert daemon._decide(target, now=20.0) == "defer-cooldown"
         assert daemon.stats.deferred_cooldown == 1
         # past the cooldown the same state fires
-        assert daemon._decide(target, now=26.0, burst=False) == "trigger"
+        assert daemon._decide(target, now=26.0) == "trigger"
 
     def test_manual_reorg_bit_defers(self):
         daemon, target = make_daemon(fill=0.5, reorg_bit=True)
-        assert (
-            daemon._decide(target, now=1.0, burst=False) == "defer-manual"
-        )
+        assert daemon._decide(target, now=1.0) == "defer-manual"
         assert daemon.stats.deferred_manual == 1
-
-    def test_optimistic_burst_defers(self):
-        daemon, target = make_daemon(fill=0.5)
-        assert daemon._decide(target, now=1.0, burst=True) == "defer-optimistic"
-        assert daemon.stats.deferred_optimistic == 1
-
-    def test_burst_detection_uses_poll_over_poll_delta(self):
-        config = DaemonConfig(
-            poll_interval=1.0, optimistic_burst_threshold=5
-        )
-        daemon, _ = make_daemon(config)
-        before = OPTIMISTIC_STATS.searches
-        try:
-            assert daemon._optimistic_burst() is False  # no previous poll
-            OPTIMISTIC_STATS.searches += 10
-            assert daemon._optimistic_burst() is True
-            assert daemon._optimistic_burst() is False  # delta settled
-        finally:
-            OPTIMISTIC_STATS.searches = before
 
 
 def fragmented_db(gap=0.0, n=200):

@@ -146,13 +146,9 @@ class TestWAL:
         new_leaf(pool, 1)  # evicts page 0
         assert 7 in wal.calls
 
-    @pytest.mark.parametrize("window", [0, 8])
-    def test_stable_page_flush_reaches_the_log_only_under_group_commit(
-        self, window
-    ):
-        """A page whose LSN is already stable needs no log flush; only
-        group commit wants the request, to count it as absorbed."""
-        log = LogManager(group_commit_window=window)
+    def test_stable_page_flush_skips_the_log(self):
+        """A page whose LSN is already stable needs no log flush."""
+        log = LogManager()
         _, pool = make_pool(wal=log)
         new_leaf(pool, 0)
         pool.mark_dirty(0, log.append(LeafFormatRecord(page_id=0)))
@@ -161,8 +157,7 @@ class TestWAL:
         real_flush = log.flush
         log.flush = lambda up_to=None: (calls.append(up_to), real_flush(up_to))[1]
         pool.flush_page(0)
-        assert len(calls) == (1 if window else 0)
-        assert log.stats.absorbed_flushes == (1 if window else 0)
+        assert calls == []
 
     def test_clean_page_flush_is_noop(self):
         wal = RecordingWAL()

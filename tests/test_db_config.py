@@ -4,7 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
+from repro.config import (
+    DaemonConfig,
+    FreeSpacePolicy,
+    ReorgConfig,
+    ShardConfig,
+    SidePointerKind,
+    TreeConfig,
+)
 from repro.db import Database
 from repro.errors import BTreeError, ReproError
 from repro.storage.page import Record
@@ -49,13 +56,19 @@ class TestTreeConfigValidation:
         with pytest.raises(AttributeError):
             config.leaf_capacity = 99
 
-    def test_tree_config_does_not_grow_knobs(self):
-        names = [field.name for field in dataclasses.fields(TreeConfig)]
-        assert len(names) <= 14, (
-            f"TreeConfig has {len(names)} fields ({', '.join(names)}); "
-            "ROADMAP aim 2 caps it at 14: every on/off knob doubles the "
-            "configurations to test, so make the new behaviour the default "
-            "or a constant, or delete a knob in the same change"
+    @pytest.mark.parametrize(
+        "config_class, cap",
+        [(TreeConfig, 12), (ReorgConfig, 8), (ShardConfig, 2), (DaemonConfig, 7)],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_configs_do_not_grow_knobs(self, config_class, cap):
+        names = [field.name for field in dataclasses.fields(config_class)]
+        assert len(names) <= cap, (
+            f"{config_class.__name__} has {len(names)} fields "
+            f"({', '.join(names)}); ROADMAP aim 2 caps it at {cap}: every "
+            "on/off knob doubles the configurations to test, so make the new "
+            "behaviour the default or a constant, or delete a knob in the "
+            "same change"
         )
 
     def test_enums_round_trip(self):

@@ -48,63 +48,7 @@ class TestAppendFlush:
         log.flush(2)
         log.flush(1)  # no-op backwards
         assert log.flushed_lsn == 2
-
-
-class TestGroupCommit:
-    def _fill(self, log, n):
-        for i in range(n):
-            log.append(CommitRecord(txn_id=i))
-
-    def test_window_overadvances_the_boundary(self):
-        log = LogManager(group_commit_window=4)
-        self._fill(log, 10)
-        log.flush(2)
-        assert log.flushed_lsn == 6  # request + window
         assert log.stats.flushes == 1
-
-    def test_window_clamps_at_log_end(self):
-        log = LogManager(group_commit_window=100)
-        self._fill(log, 3)
-        log.flush(1)
-        assert log.flushed_lsn == 3
-
-    def test_covered_request_is_absorbed(self):
-        log = LogManager(group_commit_window=4)
-        self._fill(log, 10)
-        log.flush(2)  # stable through 6
-        log.flush(5)
-        log.flush(6)
-        assert log.stats.flushes == 1
-        assert log.stats.absorbed_flushes == 2
-        log.flush(7)  # outside the group: a real flush
-        assert log.stats.flushes == 2
-        assert log.flushed_lsn == 10  # clamped 7 + 4
-
-    def test_vacuous_request_not_counted_absorbed(self):
-        log = LogManager(group_commit_window=4)
-        self._fill(log, 2)
-        log.flush(0)  # a never-logged page's page_lsn
-        assert log.stats.absorbed_flushes == 0
-
-    def test_window_off_counts_nothing(self):
-        log = LogManager()
-        self._fill(log, 4)
-        log.flush(2)
-        log.flush(1)  # covered, but no group window -> plain no-op
-        assert log.stats.flushes == 1
-        assert log.stats.absorbed_flushes == 0
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(LogError):
-            LogManager(group_commit_window=-1)
-
-    def test_crash_keeps_overadvanced_records(self):
-        """Group commit makes MORE records durable, never fewer."""
-        log = LogManager(group_commit_window=4)
-        self._fill(log, 10)
-        log.flush(2)
-        log.crash()
-        assert log.last_lsn == 6
 
 
 class TestCrash:

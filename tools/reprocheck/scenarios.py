@@ -20,8 +20,6 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.btree.protocols import (
-    _locked_reader_range_scan,
-    _optimistic_reader_range_scan,
     reader_range_scan,
     reader_search,
     updater_delete,
@@ -312,8 +310,8 @@ def _build_scan_vs_pass1() -> World:
 
 
 def _build_scan_vs_empty_leaf() -> World:
-    """A locked and an optimistic range scan cover an empty leaf while an
-    inserter puts a key into it and pass 1 drains it.  The leaf is what a
+    """Two range scans cover an empty leaf while an inserter puts a key
+    into it and pass 1 drains it.  The leaf is what a
     crash between the delete that empties a leaf and its free-at-empty
     records leaves behind after recovery; without side pointers it has no
     key to find its successor by."""
@@ -332,12 +330,12 @@ def _build_scan_vs_empty_leaf() -> World:
         op_duration=0.3, unit_pause=0.05,
     )
     scheduler.spawn(
-        _locked_reader_range_scan(db, "primary", 2, 12, think_per_page=0.02),
-        name="scan-locked", at=0.0,
+        reader_range_scan(db, "primary", 2, 12, think_per_page=0.02),
+        name="scan-0", at=0.0,
     )
     scheduler.spawn(
-        _optimistic_reader_range_scan(db, "primary", 6, 15, think_per_page=0.02),
-        name="scan-optimistic", at=0.1,
+        reader_range_scan(db, "primary", 6, 15, think_per_page=0.02),
+        name="scan-1", at=0.1,
     )
     scheduler.spawn(
         updater_insert(db, "primary", Record(7, "w"), think=0.05),
@@ -346,7 +344,7 @@ def _build_scan_vs_empty_leaf() -> World:
     scheduler.spawn(protocol.pass1(), name="reorganizer", is_reorganizer=True, at=0.5)
     return World(
         db=db, scheduler=scheduler, initial_keys=initial,
-        scans={"scan-locked": (2, 12), "scan-optimistic": (6, 15)},
+        scans={"scan-0": (2, 12), "scan-1": (6, 15)},
         writes={"insert-0": ("insert", 7)},
         expected_failures=_EXPECTED,
     )
@@ -418,90 +416,26 @@ def _build_shard_reorg_scan() -> World:
     )
 
 
-# -- optimistic-reader-vs-reorg -----------------------------------------------------
-
-
-def _build_optimistic_reader_vs_reorg() -> World:
-    """Optimistic (latch-free) readers race a full three-pass
-    reorganization: version-validated point descents and a leaf-chain scan
-    run against pass-1 group moves and the pass-3 switch.  Readers that
-    observe an RX holder downgrade to the Table-1 locked protocol; the
-    rest never touch the lock manager, so read-linearizability here checks
-    that version-stamp validation alone keeps their results admissible,
-    and switch-safety that the root bump re-anchors in-flight descents.
-    Restricted to those two invariants: the structure / side-file
-    invariants assume locked readers' quiescent states."""
-    config = TreeConfig(
-        leaf_capacity=4,
-        internal_capacity=4,
-        leaf_extent_pages=64,
-        internal_extent_pages=32,
-        buffer_pool_pages=16,
-        optimistic_reads=True,
-    )
-    db = Database(config)
-    build_sparse_tree(db, n_records=24, fill_after=0.45, seed=17)
-    db.flush()
-    db.checkpoint()
-    initial = frozenset(record.key for record in db.tree().items())
-    scheduler = _scheduler(db)
-    protocol = ReorgProtocol(
-        db, "primary",
-        ReorgConfig(do_swap_pass=False, stable_point_interval=3),
-        op_duration=0.3, unit_pause=0.05,
-    )
-    scheduler.spawn(
-        full_reorganization(protocol), name="reorganizer", is_reorganizer=True
-    )
-    keys = sorted(initial)
-    reads: dict[str, int] = {}
-    for index, key in enumerate((keys[1], keys[len(keys) // 2], keys[-2])):
-        name = f"reader-{index}"
-        scheduler.spawn(
-            reader_search(db, "primary", key, think=0.05),
-            name=name, at=0.3 + 0.4 * index,
-        )
-        reads[name] = key
-    scheduler.spawn(
-        reader_range_scan(db, "primary", keys[0], keys[-1], think_per_page=0.02),
-        name="scan-0", at=0.5,
-    )
-    return World(
-        db=db, scheduler=scheduler, initial_keys=initial, reads=reads,
-        expected_failures=_EXPECTED,
-    )
-
-
 # -- daemon-vs-readers --------------------------------------------------------------
 
 
 def _build_daemon_vs_readers() -> World:
     """The fragmentation-aware auto-reorg daemon — not a manually spawned
     reorganizer — decides from the live fill-factor metrics to run the
-    three-pass reorganization over a two-shard forest while latch-free
-    optimistic readers and a cross-shard range scan traverse it.  Both
+    three-pass reorganization over a two-shard forest while point readers
+    and a cross-shard range scan traverse it.  Both
     pre-fragmented shards cross ``frag_high`` on the daemon's first poll,
     so the daemon reorganizes them back-to-back inside its own transaction
     with readers in flight.  Restricted to read-linearizability and
-    switch-safety for the same reasons as ``shard-reorg-scan`` (a forest
-    breaks the whole-tree invariants' assumptions) and
-    ``optimistic-reader-vs-reorg`` (latch-free readers have no locked
-    quiescent states)."""
+    switch-safety for the same reason as ``shard-reorg-scan``: a forest
+    breaks the whole-tree invariants' assumptions."""
     import random
 
     from repro.config import DaemonConfig, ShardConfig
     from repro.reorg.daemon import ReorgDaemon
     from repro.shard import ShardedDatabase
 
-    config = TreeConfig(
-        leaf_capacity=4,
-        internal_capacity=4,
-        leaf_extent_pages=64,
-        internal_extent_pages=32,
-        buffer_pool_pages=16,
-        optimistic_reads=True,
-    )
-    sdb = ShardedDatabase(config, ShardConfig(n_shards=2))
+    sdb = ShardedDatabase(_tiny_config(), ShardConfig(n_shards=2))
     keys = list(range(32))
     sdb.bulk_load([Record(k, "v") for k in keys])
     for key in random.Random(23).sample(keys, 16):
@@ -642,9 +576,9 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="scan-vs-empty-leaf",
-            description="a locked and an optimistic range scan cover an "
-            "empty leaf left by a crash while an insert fills it and pass 1 "
-            "drains it (no side pointers)",
+            description="two range scans cover an empty leaf left by a "
+            "crash while an insert fills it and pass 1 drains it (no side "
+            "pointers)",
             build=_build_scan_vs_empty_leaf,
             invariants=("read-linearizability", "btree-structure"),
         ),
@@ -656,18 +590,10 @@ SCENARIOS: dict[str, Scenario] = {
             invariants=("read-linearizability", "switch-safety"),
         ),
         Scenario(
-            name="optimistic-reader-vs-reorg",
-            description="latch-free version-validated readers and a scan "
-            "race a full three-pass reorganization (RX downgrade, restart "
-            "on stamp mismatch, root bump at the switch)",
-            build=_build_optimistic_reader_vs_reorg,
-            invariants=("read-linearizability", "switch-safety"),
-        ),
-        Scenario(
             name="daemon-vs-readers",
             description="the auto-reorg daemon triggers per-shard reorgs "
-            "from live fragmentation metrics while optimistic readers and "
-            "a cross-shard scan race the passes and switches",
+            "from live fragmentation metrics while point readers and a "
+            "cross-shard scan race the passes and switches",
             build=_build_daemon_vs_readers,
             invariants=("read-linearizability", "switch-safety"),
         ),

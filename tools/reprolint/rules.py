@@ -665,57 +665,6 @@ def _walk_in_function(node: ast.AST) -> Iterator[ast.AST]:
 
 
 @register
-class OptimisticLockFreeRule(Rule):
-    """The optimistic read path is lock-free *by contract*: a descent or
-    scan function on it may not acquire locks (no ``Acquire``/``Convert``
-    ops, no synchronous ``.request()``/``.convert()``), and when it must
-    fall back to the Table-1 locked protocol — an RX holder was observed —
-    it may only do so through the single ``_optimistic_downgrade`` helper,
-    never by calling a ``_locked_*`` protocol directly.  Funnelling every
-    fallback through one site is what keeps the downgrade accounting
-    honest and the give-up / instant-RS semantics in exactly one place."""
-
-    name = "optimistic-lock-free"
-    description = (
-        "functions on the optimistic read path acquire no locks and reach "
-        "the locked protocol only via _optimistic_downgrade"
-    )
-    include = ("src/repro/btree/", "src/repro/shard/")
-
-    _ACQUIRE_CALLS = {"Acquire", "AcquireSet", "Convert", "request", "convert"}
-
-    def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if "optimistic" not in func.name:
-                continue
-            if func.name == "_optimistic_downgrade":
-                continue  # the one sanctioned bridge to the locked path
-            for node in _walk_in_function(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = _call_name(node.func)
-                if callee in self._ACQUIRE_CALLS:
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"lock acquisition {callee!r} inside optimistic "
-                        f"read-path function {func.name!r}; the lock-free "
-                        f"path must not touch the lock manager — downgrade "
-                        f"via _optimistic_downgrade instead",
-                    )
-                elif callee is not None and callee.startswith("_locked_"):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"direct call to {callee!r} from {func.name!r}; the "
-                        f"Table-1 fallback must go through the single "
-                        f"_optimistic_downgrade helper",
-                    )
-
-
-@register
 class ChoicePointRegisteredRule(Rule):
     """The reorganizer blocks *through the scheduler*, and only there.
 

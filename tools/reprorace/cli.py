@@ -25,7 +25,7 @@ def _print_list() -> None:
         print(f"  {scenario.name:26s} {scenario.description}")
     print(
         "races reported: write-write, read-write, unvalidated-read "
-        "(version-validated optimistic reads are benign by design)"
+        "(an unlocked read that no later lock covered)"
     )
 
 
