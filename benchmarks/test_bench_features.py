@@ -1,8 +1,8 @@
 """Feature headlines: what each extension buys, as a ratio with a floor.
 
 The other files here reproduce the paper's artifacts.  These cells
-measure the mechanisms built on top of it — vEB placement, the sharded
-forest, gapped leaves with the auto-reorg daemon — each
+measure the mechanisms built on top of it — the sharded forest, gapped
+leaves with the auto-reorg daemon — each
 against the same cell with the mechanism off, on the simulated clock and
 the cost model only, so every number is deterministic.  The floors are the
 ones each headline was first stated with.  Readahead's headline is a cell
@@ -11,16 +11,13 @@ of test_bench_e6_range_scan.py.
 
 import random
 
-from repro.btree.stats import measure_descent, measure_range_scan
 from repro.config import (
     DaemonConfig,
-    PlacementPolicyKind,
     ReorgConfig,
     ShardConfig,
     SidePointerKind,
 )
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
-from repro.reorg.reorganizer import Reorganizer
 from repro.shard import ParallelReorganizer, ShardedDatabase
 from repro.sim.churn import ChurnSetup, run_churn_experiment
 from repro.storage.page import Record
@@ -61,43 +58,6 @@ def sparse_forest(n_shards):
     sdb.flush()
     sdb.checkpoint()
     return sdb
-
-
-def test_veb_placement_cuts_cold_descent_cost():
-    cells = {}
-    for kind in PlacementPolicyKind:
-        db = make_db(**SPARSE, placement_policy=kind)
-        tree = degrade_uniform(db, N_RECORDS, 0.3, internal_fill=0.6)
-        probes = random.Random(17).sample([r.key for r in tree.items()], 120)
-        report = Reorganizer(db, tree, REORG).run()
-        final = db.tree()
-        final.validate()
-        db.flush()
-        cells[kind] = dict(
-            descent=measure_descent(final, probes),
-            scan=measure_range_scan(final, 0, N_RECORDS),
-            records=final.range_scan(0, N_RECORDS),
-            layout=leaf_layout(db.store, final),
-            pass2_ops=report.pass2.operations if report.pass2 else 0,
-        )
-    banner("Placement policies — cold-descent and cold-scan read cost")
-    for kind, cell in cells.items():
-        descent, scan = cell["descent"], cell["scan"]
-        print(f"  {kind.value:>9}: {descent.read_cost:6.0f} {scan.read_cost:5.0f}")
-    key_order, veb, none = (
-        cells[PlacementPolicyKind.KEY_ORDER],
-        cells[PlacementPolicyKind.VEB],
-        cells[PlacementPolicyKind.NONE],
-    )
-    # vEB makes parent-to-first-child hops sequential; key order never does.
-    assert veb["descent"].read_cost < key_order["descent"].read_cost
-    assert veb["descent"].sequential_reads > 0 == key_order["descent"].sequential_reads
-    # ... and costs nothing on scans: vEB restricted to the leaves is key order.
-    assert veb["layout"] == key_order["layout"]
-    assert veb["scan"] == key_order["scan"]
-    assert key_order["records"] == veb["records"] == none["records"]
-    assert none["pass2_ops"] == 0 < veb["pass2_ops"]
-    assert none["scan"].read_cost > key_order["scan"].read_cost
 
 
 def test_sharding_cuts_reorganization_makespan():

@@ -20,11 +20,9 @@ See README.md for a tour and DESIGN.md for the system inventory.
 """
 
 from repro.btree.stats import (
-    DescentCost,
     ScanCost,
     TreeStats,
     collect_stats,
-    measure_descent,
     measure_range_scan,
 )
 from repro.btree.tree import BPlusTree
@@ -32,7 +30,6 @@ from repro.config import (
     DEFAULT_REORG_CONFIG,
     DEFAULT_TREE_CONFIG,
     FreeSpacePolicy,
-    PlacementPolicyKind,
     ReorgConfig,
     SidePointerKind,
     TreeConfig,
@@ -50,10 +47,8 @@ __all__ = [
     "DEFAULT_REORG_CONFIG",
     "DEFAULT_TREE_CONFIG",
     "Database",
-    "DescentCost",
     "FreeSpacePolicy",
     "LockMode",
-    "PlacementPolicyKind",
     "Record",
     "ReorgConfig",
     "ReorgReport",
@@ -64,7 +59,6 @@ __all__ = [
     "TreeConfig",
     "TreeStats",
     "collect_stats",
-    "measure_descent",
     "measure_range_scan",
     "__version__",
 ]

@@ -31,7 +31,6 @@ from repro.db import Database
 from repro.errors import ReorgError
 from repro.locks.modes import LockMode
 from repro.locks.resources import current_lock_name, tree_lock
-from repro.reorg.placement import KeyOrderPolicy
 from repro.reorg.swap import KeyOrderCursor
 from repro.reorg.unit import UnitEngine, UnitResult
 from repro.storage.page import PageId, PageKind
@@ -75,7 +74,7 @@ class Smith90Reorganizer:
         self.engine = UnitEngine(db, tree)
         self.stats = Smith90Stats()
         #: Ordering plans leaf i to page i of the leaf extent.
-        self.cursor = KeyOrderCursor(tree, KeyOrderPolicy())
+        self.cursor = KeyOrderCursor(tree)
 
     # -- planning ----------------------------------------------------------------
 

@@ -2,24 +2,20 @@
 
 from repro.btree.bulkload import build_leaf_level, build_upper_levels, bulk_load
 from repro.btree.stats import (
-    DescentCost,
     ScanCost,
     TreeStats,
     collect_stats,
-    measure_descent,
     measure_range_scan,
 )
 from repro.btree.tree import BPlusTree
 
 __all__ = [
     "BPlusTree",
-    "DescentCost",
     "ScanCost",
     "TreeStats",
     "build_leaf_level",
     "build_upper_levels",
     "bulk_load",
     "collect_stats",
-    "measure_descent",
     "measure_range_scan",
 ]

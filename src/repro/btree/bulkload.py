@@ -120,9 +120,6 @@ class LevelBuilder:
     per_page: int
     #: (low key, page id) of each page formatted: the level above's entries.
     closed: list[tuple[int, PageId]] = field(default_factory=list)
-    #: ``place(level, index)`` may name a free page for the level's
-    #: ``index``-th page; None (per call or overall) is first-fit.
-    place: Callable[[int, int], PageId | None] | None = None
     #: Called with each formatted page's id.
     on_close: Callable[[PageId], None] | None = None
     _page_id: PageId | None = field(default=None, init=False)
@@ -130,10 +127,7 @@ class LevelBuilder:
 
     def add(self, key: int, child: PageId) -> None:
         if self._page_id is None:
-            page = self.store.allocate_internal(
-                level=self.level,
-                page_id=self.place(self.level, len(self.closed)) if self.place else None,
-            )
+            page = self.store.allocate_internal(level=self.level)
             _log_apply(
                 self.store, self.log,
                 AllocRecord(page_id=page.page_id, kind="internal", level=self.level),
@@ -169,22 +163,21 @@ def build_upper_levels(
     fill: float,
     on_page_built: Callable[[PageId], None] | None = None,
     start_level: int = 1,
-    place: Callable[[int, int], PageId | None] | None = None,
 ) -> PageId:
     """Build internal levels over (key, child) entries; returns the root id.
 
     One :class:`LevelBuilder` per level, each fed the pages the one below
     closed, until a level is a single page.  ``start_level`` is the level
     of the first level built: 1 when the children are leaves, 2 when they
-    are pass 3's new base pages.  ``place`` (pass 3's vEB layout) and
-    ``on_page_built`` are each builder's ``place`` and ``on_close``.
+    are pass 3's new base pages.  ``on_page_built`` is each builder's
+    ``on_close``.
     """
     if not entries:
         raise BTreeError("cannot build upper levels over zero entries")
     per_page = fill_count(store.config.internal_capacity, fill)
     level = start_level
     while True:
-        builder = LevelBuilder(store, log, level, per_page, place=place, on_close=on_page_built)
+        builder = LevelBuilder(store, log, level, per_page, on_close=on_page_built)
         for key, child in entries:
             builder.add(key, child)
         builder.close()

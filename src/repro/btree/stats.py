@@ -71,48 +71,6 @@ class ScanCost:
     records_returned: int
 
 
-@dataclass(frozen=True)
-class DescentCost:
-    """I/O accounting of a batch of cold root-to-leaf descents."""
-
-    lookups: int
-    pages_read: int
-    sequential_reads: int
-    seeks: int
-    read_cost: float
-
-
-def measure_descent(tree: BPlusTree, keys: list[int]) -> DescentCost:
-    """Run cold point lookups and report their descent I/O cost.
-
-    The placement-policy counterpart of :func:`measure_range_scan`: every
-    page of each root-to-leaf path is read straight from the simulated
-    disk, billed through the shared disk head, with nothing cached between
-    lookups (a buffer pool would quickly pin the upper levels and hide the
-    layout entirely).  What the number isolates is how the *placement* of
-    the internal levels interacts with the head: under key-order placement
-    no hop of a descent is sequential, while a van Emde Boas layout makes
-    parent-to-first-child hops adjacent.  The tree walk that resolves each
-    path goes through the buffer pool first and is not charged.
-    """
-    disk = tree.store.disk
-    paths = [tree.path_to_leaf(key) for key in keys]
-    before = disk.stats.snapshot()
-    disk.reset_read_position()
-    for path in paths:
-        for page_id in path:
-            if disk.has_image(page_id):
-                disk.read(page_id)  # reprolint: disable=buffer-bypass,no-raw-disk-write -- read-only I/O cost model; counts raw disk reads on purpose
-    spent = disk.stats.delta(before)
-    return DescentCost(
-        lookups=len(paths),
-        pages_read=spent["reads"],
-        sequential_reads=spent["sequential_reads"],
-        seeks=spent["seeks"],
-        read_cost=spent["read_cost"],
-    )
-
-
 def measure_range_scan(tree: BPlusTree, low: int, high: int) -> ScanCost:
     """Run a range scan against cold storage and report its I/O cost.
 

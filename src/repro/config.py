@@ -1,14 +1,18 @@
 """Configuration objects shared across the library.
 
-Two dataclasses collect the tunables of the system:
+Four dataclasses collect the tunables of the system:
 
 * :class:`TreeConfig` — shape of the B+-tree and its storage substrate.
 * :class:`ReorgConfig` — parameters of the three-pass reorganization
   algorithm (target fill factor, swap pass on/off, empty-page policy,
   stable-point interval, ...).
+* :class:`ShardConfig` — the shard count and partition bounds of a
+  range-partitioned forest.
+* :class:`DaemonConfig` — when the background reorganization daemon
+  triggers.
 
-Both are immutable so a configuration can be shared between a tree, the
-reorganizer, and a benchmark harness without aliasing surprises.
+All four are immutable so a configuration can be shared between a tree,
+the reorganizer, and a benchmark harness without aliasing surprises.
 """
 
 from __future__ import annotations
@@ -24,26 +28,6 @@ class SidePointerKind(enum.Enum):
     NONE = "none"
     ONE_WAY = "one_way"
     TWO_WAY = "two_way"
-
-
-class PlacementPolicyKind(enum.Enum):
-    """Where pass 2 puts each leaf and pass 3 puts each new internal page.
-
-    ``KEY_ORDER`` is the paper's placement: leaf ``i`` is driven to the
-    ``i``-th slot of the leaf extent (or shard lease) and pass-3 internal
-    pages take the first free page — range scans become sequential.
-    ``VEB`` keeps the same leaf placement (a van Emde Boas layout restricted
-    to one level *is* left-to-right key order) but lays the rebuilt upper
-    levels out in cache-oblivious vEB order inside one contiguous window,
-    so root-to-leaf descents touch nearby pages.  ``NONE`` disables
-    placement entirely: pass 2 is skipped and pass 3 allocates first-fit,
-    which isolates the cost of compaction alone.  See
-    :mod:`repro.reorg.placement` and ``docs/placement.md``.
-    """
-
-    KEY_ORDER = "key_order"
-    VEB = "veb"
-    NONE = "none"
 
 
 class FreeSpacePolicy(enum.Enum):
@@ -94,9 +78,6 @@ class TreeConfig:
             the log volume changes along with the I/O pattern.  Key order
             stays the default: the paper's §6.1 claim (the pass-1 free-page
             heuristic saves pass-2 swaps, E1) is about that schedule.
-        placement_policy: which :class:`PlacementPolicyKind` passes 2 and 3
-            use to choose target page ids.  ``KEY_ORDER`` (the default) is
-            byte-identical to the historical behaviour.
         leaf_gap_fraction: fraction of each leaf's capacity that bulk load
             and the pass-1/2/3 rebuilds leave *empty* as an in-page gap
             (BS-tree, arXiv:2505.01180): subsequent inserts land in the
@@ -121,7 +102,6 @@ class TreeConfig:
     seek_cost: float = 10.0
     readahead_pages: int = 0
     seek_aware_pass2: bool = False
-    placement_policy: PlacementPolicyKind = PlacementPolicyKind.KEY_ORDER
     leaf_gap_fraction: float = 0.0
 
     def __post_init__(self) -> None:
@@ -233,8 +213,7 @@ def fill_count(capacity: int, fill: float) -> int:
 
     The one canonical form of the "how many entries does a rebuilt page
     hold" computation, shared by the bottom-up level builder (bulk loading
-    and pass 3) and the shape prediction of
-    :mod:`repro.reorg.placement`, which re-exports it.
+    and pass 3).
     """
     return max(1, math.floor(capacity * fill + 1e-9))
 

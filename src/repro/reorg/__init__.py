@@ -11,17 +11,7 @@ from repro.reorg.parallel import (
     build_parallel_pass1,
     partition_base_pages,
 )
-from repro.reorg.freespace import find_free_page, resolve_preference
-from repro.reorg.placement import (
-    PlacementPolicy,
-    TreeShape,
-    bfs_to_veb,
-    fill_count,
-    gapped_leaf_fill_count,
-    make_policy,
-    post_reorg_shape,
-    veb_order,
-)
+from repro.reorg.freespace import find_free_page
 from repro.reorg.reorganizer import Reorganizer, ReorgReport
 from repro.reorg.shrink import Pass3Stats, SCAN_DONE_KEY, TreeShrinker
 from repro.reorg.sidefile import SideFile
@@ -35,7 +25,6 @@ __all__ = [
     "LeafCompactor",
     "ReorgDaemon",
     "ParallelReorgProtocol",
-    "PlacementPolicy",
     "Pass1Stats",
     "Pass2Stats",
     "Pass3Stats",
@@ -45,18 +34,10 @@ __all__ = [
     "SideFile",
     "SwitchStats",
     "Switcher",
-    "TreeShape",
     "TreeShrinker",
     "UnitEngine",
     "UnitResult",
     "build_parallel_pass1",
-    "bfs_to_veb",
-    "fill_count",
-    "gapped_leaf_fill_count",
     "find_free_page",
-    "make_policy",
-    "post_reorg_shape",
-    "resolve_preference",
-    "veb_order",
     "partition_base_pages",
 ]

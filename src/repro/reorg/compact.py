@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.btree.tree import BPlusTree
-from repro.config import ReorgConfig
+from repro.config import ReorgConfig, gapped_leaf_fill
 from repro.db import Database
 from repro.reorg.freespace import find_free_page
-from repro.reorg.placement import gapped_leaf_fill_count, make_policy
 from repro.reorg.unit import UnitResult
 from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
@@ -57,10 +56,6 @@ class LeafCompactor:
         self.db = db
         self.tree = tree
         self.config = config
-        #: Placement policy: may express a Find-Free-Space preference per
-        #: unit (all built-in policies leave pass 1 to the free-space
-        #: policy, so pass-1 behaviour is identical across them).
-        self.placement = make_policy(db.config.placement_policy)
         lease = getattr(db.store, "leaf_lease", None)
         if lease is not None:
             start = lease.start
@@ -91,9 +86,7 @@ class LeafCompactor:
     def _target_records_per_page(self) -> int:
         # Gap-aware: rebuilt leaves keep the configured slack free even
         # when target_fill asks for more (identical when the gap is 0).
-        return gapped_leaf_fill_count(
-            self.db.store.config, self.config.target_fill
-        )
+        return gapped_leaf_fill(self.db.store.config, self.config.target_fill)
 
     def _plan_groups(self, base_id: PageId, target: int) -> list[list[PageId]]:
         """Greedy grouping of a base page's children by record count.
@@ -140,10 +133,6 @@ class LeafCompactor:
         """
         needed = self.outputs_needed(group, target)
         current = min(group)
-        # A placement policy's preferred page stands in for the first pick.
-        preference = self.placement.pass1_preference(
-            largest_finished=self.largest_finished, current=current
-        )
         picks: list[PageId] = []
         for _ in range(needed):
             page = find_free_page(
@@ -151,7 +140,6 @@ class LeafCompactor:
                 self.config.free_space_policy,
                 largest_finished=self.largest_finished,
                 current=current,
-                preference=preference,
                 above=picks[-1] if picks else NO_PAGE,
             )
             if page is None:
@@ -160,7 +148,6 @@ class LeafCompactor:
                 beyond = [pid for pid in group if pid > self.largest_finished]
                 return [min(beyond) if beyond else min(group)]
             picks.append(page)
-            preference = None
         return picks
 
     def chunk_by_records(

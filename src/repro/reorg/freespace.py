@@ -18,31 +18,8 @@ NONE (in-place only) and measures the pass-2 swaps each needs.
 from __future__ import annotations
 
 from repro.config import FreeSpacePolicy
-from repro.storage.allocator import ExtentLease, FreeSpaceMap
 from repro.storage.page import NO_PAGE, PageId
 from repro.storage.store import LEAF_EXTENT, StorageManager
-
-
-def resolve_preference(
-    free_map: FreeSpaceMap,
-    extent_name: str,
-    preference: PageId,
-    *,
-    lease: ExtentLease | None = None,
-) -> PageId | None:
-    """Resolve a placement preference to an actually-free page.
-
-    Returns the preferred page itself when it is free (and inside the
-    lease, if any), else the nearest free page in the lease — distance
-    ties break toward the smaller id.  None only when the lease/extent has
-    no free pages at all.
-    """
-    return free_map.nearest_free(
-        extent_name,
-        preference,
-        after=lease.start - 1 if lease is not None else None,
-        before=lease.end if lease is not None else None,
-    )
 
 
 def find_free_page(
@@ -51,7 +28,6 @@ def find_free_page(
     *,
     largest_finished: PageId,
     current: PageId,
-    preference: PageId | None = None,
     above: PageId = NO_PAGE,
 ) -> PageId | None:
     """Pick an empty leaf-extent page for a new-place operation, or None.
@@ -62,11 +38,6 @@ def find_free_page(
         largest_finished: L — the largest page id holding an already
             reorganized leaf (pass the extent start - 1 when none yet).
         current: C — the page id of the leaf about to be reorganized.
-        preference: a placement-policy-provided target page.  When given it
-            overrides the configured policy: the exact page is taken if
-            free, else the nearest free in-lease page.  All built-in
-            placement policies pass None, which preserves the historical
-            selection byte for byte.
         above: the previous destination picked for the same multi-output
             unit.  Only larger page ids qualify, under every policy, so a
             unit's destinations are distinct and ascending.
@@ -75,14 +46,6 @@ def find_free_page(
     caller falls back to In-Place-Reorg (Figure 2).
     """
     lease = getattr(store, "leaf_lease", None)
-    if preference is not None:
-        resolved = resolve_preference(
-            store.free_map, LEAF_EXTENT, preference, lease=lease
-        )
-        if resolved is not None:
-            return resolved
-        # Lease exhausted: fall through to the configured policy, which
-        # reports the same exhaustion in its own terms.
     if policy is FreeSpacePolicy.NONE:
         return None
     if policy is FreeSpacePolicy.FIRST_FIT:

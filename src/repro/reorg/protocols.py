@@ -55,7 +55,6 @@ from repro.errors import DeadlockError, ReorgError, SwitchTimeoutError
 from repro.locks.modes import LockMode
 from repro.locks.resources import current_lock_name, page_lock, sidefile_lock, tree_lock
 from repro.reorg.compact import LeafCompactor
-from repro.reorg.placement import make_policy
 from repro.reorg.shrink import TreeShrinker
 from repro.reorg.swap import KeyOrderCursor, SeekAwareCursor
 from repro.reorg.switch import Switcher
@@ -119,11 +118,6 @@ class ReorgProtocol:
         self.config = config or ReorgConfig()
         self.tree = db.tree(tree_name)
         self.engine = UnitEngine(db, self.tree)
-        #: Placement policy deciding pass-2 leaf targets (and, through the
-        #: shrinker, pass-3 internal targets).  Shard handles carry a
-        #: possibly-overridden config, so each shard reorganizer resolves
-        #: its own policy against its own leases.
-        self.placement = make_policy(db.config.placement_policy)
         #: Simulated time consumed between units / between scanned base
         #: pages — models the background pacing of the reorganizer.
         self.unit_pause = unit_pause
@@ -349,11 +343,8 @@ class ReorgProtocol:
         yield Acquire(tree_lock(self._lock_name()), IX)
         stats = {"swaps": 0, "moves": 0, "already_placed": 0, "skipped": [],
                  "retries": 0, "undone": 0}
-        if not self.placement.places_leaves:
-            yield ReleaseAll()
-            return stats
         planner = SeekAwareCursor if self.db.config.seek_aware_pass2 else KeyOrderCursor
-        cursor = planner(self.tree, self.placement)
+        cursor = planner(self.tree)
         plan = yield Call(cursor.next_misplaced)
         leaves = cursor.leaves
         for _step in range(4 * leaves + 8):

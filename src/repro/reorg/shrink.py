@@ -49,16 +49,9 @@ from dataclasses import dataclass
 
 from repro.btree.bulkload import LevelBuilder, build_upper_levels
 from repro.btree.tree import BPlusTree
-from repro.config import ReorgConfig
+from repro.config import ReorgConfig, fill_count
 from repro.db import Database
 from repro.errors import ReorgError
-from repro.reorg.placement import (
-    TreeShape,
-    fill_count,
-    make_policy,
-    post_reorg_shape,
-    predict_base_width,
-)
 from repro.reorg.sidefile import SideFile
 from repro.storage.page import InternalPage, PageId, PageKind
 from repro.storage.store import StorageManager
@@ -133,46 +126,11 @@ class TreeShrinker:
         #: A resumed scan's first page: entries below this were emitted before.
         self._first_page_floor: int | None = None
         self.new_root: PageId = -1
-        #: Placement policy for the new internal pages.  Only a policy that
-        #: plans internals (vEB) pays for the shape prediction and window
-        #: reservation; the default first-fit path does no extra work, so
-        #: key-order runs stay byte-identical to the historical behaviour.
-        self.placement = make_policy(db.config.placement_policy)
-        self._plan = None
-        if self.placement.plans_internals:
-            self._plan = self.placement.pass3_plan(db.store, self._predicted_shape())
         #: The new base level, streamed across :meth:`scan_base` calls.
         self._base = LevelBuilder(
             db.store, db.log, 1, self._per_page(), closed=self.built_entries,
-            place=self._place_internal, on_close=self._base_page_closed,
+            on_close=self._base_page_closed,
         )
-
-    def _predicted_shape(self) -> TreeShape:
-        """Shape of the tree this pass is about to build.
-
-        The upper levels are perfect-fill chunked, but the base level must
-        account for stable points closing the open page early — so its
-        width is simulated from the old base level's entry counts
-        (:func:`predict_base_width`).  The walk reads only pages pass 3 is
-        about to scan anyway; it runs once, and only for policies that plan
-        internals.  Concurrent updates during the scan can still grow the
-        tree past the prediction — those nodes fall outside the plan and
-        take the default allocation.
-        """
-        per_page = self._per_page()
-        n_leaves = len(self.tree.leaf_ids_in_key_order())
-        root = self.db.store.get(self.tree.root_id)
-        if root.kind is PageKind.LEAF:
-            return post_reorg_shape(n_leaves, per_page)
-        entry_counts: list[int] = []
-        base = self.tree.base_page_for(self._smallest_key())
-        while base is not None:
-            entry_counts.append(base.num_items)
-            base = self.tree.next_base_page_after(base.key_at(-1))
-        base_width = predict_base_width(
-            entry_counts, per_page, self.config.stable_point_interval
-        )
-        return post_reorg_shape(n_leaves, per_page, base_width=base_width)
 
     # -- the paper's utilities ---------------------------------------------------
 
@@ -290,13 +248,6 @@ class TreeShrinker:
             self.db.store.config.internal_capacity, self.config.internal_fill
         )
 
-    def _place_internal(self, level: int, index: int) -> PageId | None:
-        """Policy-preferred free page for internal node (level, index), or
-        None for the store's default (first-fit) allocation."""
-        if self._plan is None:
-            return None
-        return self._plan.resolve(self.db.store, level=level, index=index)
-
     def _base_page_closed(self, page_id: PageId) -> None:
         self._unforced_pages.append(page_id)
         self._pages_since_stable += 1
@@ -352,7 +303,6 @@ class TreeShrinker:
                 fill=self.config.internal_fill,
                 start_level=2,
                 on_page_built=built.append,
-                place=self._place_internal,
             )
             self.stats.new_internal_pages += len(built)
             self._unforced_pages.extend(built)

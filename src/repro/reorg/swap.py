@@ -5,11 +5,8 @@ contiguous in the key order."  The pass is optional — "the user can decide
 not to do swapping"; "One scenario we envision is choosing to do swapping
 only when range query performance falls below some acceptable level."
 
-The pass drives every leaf to the target slot assigned by the configured
-placement policy (:mod:`repro.reorg.placement`; under the default
-``key_order`` policy the i-th leaf belongs at the i-th page of the leaf
-extent, and every built-in policy either keeps that assignment or skips the
-pass):
+The pass drives every leaf to its key-order slot: the i-th leaf belongs at
+the i-th page of the leaf extent (or of the shard's leased slice of it):
 
 * target slot free           -> **Moving** (a MOVE unit, new-place; cheaper:
   one base page, and careful writing keeps the log small);
@@ -37,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.btree.tree import BPlusTree
-from repro.reorg.placement import PlacementPolicy
 from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.storage.store import LEAF_EXTENT
 
@@ -61,8 +57,8 @@ class _Planner:
     the tree's leaf-order counter shows (always on a bare tree, which has
     none): their own units change no base page's child count."""
 
-    def __init__(self, tree: BPlusTree, placement: PlacementPolicy):
-        self.tree, self.placement = tree, placement
+    def __init__(self, tree: BPlusTree):
+        self.tree = tree
         self._order: int | None = None
         #: Leaves whose slot holds a page that is not a later leaf.
         self.skipped: set[PageId] = set()
@@ -71,8 +67,8 @@ class _Planner:
 
     def _restart(self) -> list[PageId] | None:
         """The target slot per leaf rank when a restart is due, else None;
-        ``[]`` when the leaves stay put or the root is the one leaf.  Slots
-        lie in the tree's shard lease when it has one, else in the leaf
+        ``[]`` when the root is the one leaf.  Leaf ``i``'s slot is page
+        ``i`` of the tree's shard lease when it has one, else of the leaf
         extent."""
         tree = self.tree
         order = tree.leaf_order()
@@ -85,7 +81,7 @@ class _Planner:
             return []
         lease = getattr(tree.store, "leaf_lease", None)
         window = lease if lease is not None else tree.store.disk.extent(LEAF_EXTENT)
-        return self.placement.leaf_slots(self.leaves, window.start) or []
+        return list(range(window.start, window.start + self.leaves))
 
 
 class KeyOrderCursor(_Planner):
@@ -103,8 +99,8 @@ class KeyOrderCursor(_Planner):
     is a later leaf exactly when it is not skipped.
     """
 
-    def __init__(self, tree: BPlusTree, placement: PlacementPolicy):
-        super().__init__(tree, placement)
+    def __init__(self, tree: BPlusTree):
+        super().__init__(tree)
         self._slots: list[PageId] = []
         self._rank = 0
         self._place: tuple[PageId, int] | None = None  # of the leaf at _rank
@@ -144,7 +140,7 @@ class SeekAwareCursor(_Planner):
     The key-order schedule jumps the disk head around — leaf ``i`` may live
     anywhere in the extent, so consecutive units touch distant pages.  This
     planner keeps the *placement* invariant (leaf ``i`` ends at its
-    policy-assigned slot) but orders the units to sweep ascending over the
+    ``i``-th slot) but orders the units to sweep ascending over the
     **source** page ids:
 
     1. repeatedly sweep the still-misplaced leaves in ascending order of
@@ -164,8 +160,8 @@ class SeekAwareCursor(_Planner):
     that is not a misplaced leaf is *skipped*.
     """
 
-    def __init__(self, tree: BPlusTree, placement: PlacementPolicy):
-        super().__init__(tree, placement)
+    def __init__(self, tree: BPlusTree):
+        super().__init__(tree)
         #: page holding a misplaced leaf -> (the leaf's rank, its target).
         self._pending: dict[PageId, tuple[int, PageId]] = {}
         self._sweep: Iterator[PageId] = iter(())

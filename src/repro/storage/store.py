@@ -65,11 +65,8 @@ class StorageManager:
     def allocate_internal(
         self, level: int, page_id: PageId | None = None
     ) -> InternalPage:
-        """Allocate an internal page (optionally a specific free id).
-
-        Explicit ids come from placement policies (vEB upper levels); the
-        default remains first-fit.
-        """
+        """Allocate an internal page (optionally a specific free id), by
+        default the first free page of the internal extent."""
         pid = self.free_map.allocate(INTERNAL_EXTENT, page_id)
         page = InternalPage(pid, self.config.internal_capacity, level=level)
         self.buffer.put_new(page)

@@ -944,62 +944,6 @@ class TestCLI:
 # -- pin-guard ----------------------------------------------------------------
 
 
-class TestPlacementViaPolicy:
-    def test_fires_on_boundary_arithmetic_in_pass2(self):
-        found = findings_for(
-            "src/repro/reorg/swap.py",
-            """
-            def target_for(self, extent, index):
-                return extent.start + index
-            """,
-            "placement-via-policy",
-        )
-        assert rule_names(found) == {"placement-via-policy"}
-
-    def test_fires_on_lease_end_arithmetic_in_pass3(self):
-        found = findings_for(
-            "src/repro/reorg/shrink.py",
-            """
-            def last_slot(self, lease):
-                return lease.end - 1
-            """,
-            "placement-via-policy",
-        )
-        assert rule_names(found) == {"placement-via-policy"}
-
-    def test_quiet_on_boundary_reads_without_arithmetic(self):
-        found = findings_for(
-            "src/repro/reorg/swap.py",
-            """
-            def window_start(self, lease, extent):
-                return lease.start if lease is not None else extent.start
-            """,
-            "placement-via-policy",
-        )
-        assert found == []
-
-    def test_quiet_outside_pass_files(self):
-        source = """
-        def rank_to_page(self, window_start, rank, lease):
-            del window_start, rank
-            return lease.start + 1
-        """
-        for path in (
-            "src/repro/reorg/placement.py",  # the policy implementation
-            "src/repro/reorg/freespace.py",  # lease clamping for resolution
-            "src/repro/storage/allocator.py",
-        ):
-            assert findings_for(path, source, "placement-via-policy") == []
-
-    def test_pass_files_are_clean(self):
-        from reprolint.engine import lint_paths
-
-        found = lint_paths(
-            ["src/repro/reorg"], root=REPO_ROOT, rules=["placement-via-policy"]
-        )
-        assert found == []
-
-
 class TestPinGuard:
     def test_fires_on_unguarded_pinned_fetch(self):
         found = findings_for(

@@ -18,7 +18,6 @@ from repro.config import (
 )
 from repro.db import Database
 from repro.perf import PERF
-from repro.reorg.placement import gapped_leaf_fill_count
 from repro.reorg.reorganizer import Reorganizer
 from repro.storage.page import Record
 
@@ -59,12 +58,6 @@ class TestConfigHelpers:
         config = gap_config(0.0, cap=16)
         for fill in (1.0, 0.9, 0.5, 0.01):
             assert gapped_leaf_fill(config, fill) == max(1, int(16 * fill))
-
-    def test_placement_reexport_matches(self):
-        config = gap_config(0.25, cap=16)
-        assert gapped_leaf_fill_count(config, 0.9) == gapped_leaf_fill(
-            config, 0.9
-        )
 
     def test_validation_rejects_bad_fractions(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,13 @@ import random
 import pytest
 
 from repro.btree.protocols import updater_delete, updater_insert
-from repro.config import FreeSpacePolicy, ReorgConfig, SidePointerKind, TreeConfig
+from repro.config import (
+    FreeSpacePolicy,
+    ReorgConfig,
+    ShardConfig,
+    SidePointerKind,
+    TreeConfig,
+)
 from repro.db import Database
 from repro.errors import CrashPoint, DeadlockError, ReorgError
 from repro.locks.modes import LockMode
@@ -26,6 +32,7 @@ from repro.locks.resources import tree_lock
 from repro.reorg.protocols import ReorgProtocol, full_reorganization
 from repro.reorg.reorganizer import Reorganizer
 from repro.reorg.swap import KeyOrderCursor
+from repro.shard import ShardedDatabase
 from repro.sim.crash import LogCrashInjector, crash_recover
 from repro.sim.workload import build_sparse_tree
 from repro.storage.page import PageKind, Record
@@ -271,6 +278,22 @@ def test_retried_swap_reads_a_neighbour_split_it_did_not_patch():
     final = db.tree()
     final.validate()  # every side pointer, the split's new leaf's included
     assert {r.key: r.payload for r in final.items()} == oracle
+
+
+def test_key_order_slots_are_contiguous_from_the_window_start():
+    """Leaf ``i`` belongs at the ``i``-th page of the leaf extent, or of the
+    shard's leased slice of it."""
+    db = make_db()
+    tree = db.tree()
+    start = db.store.disk.extent(LEAF_EXTENT).start
+    slots = KeyOrderCursor(tree)._restart()
+    assert slots == list(range(start, start + tree.leaf_count()))
+    sdb = ShardedDatabase(db.config, ShardConfig(n_shards=2))
+    sdb.bulk_load([Record(k, "v") for k in range(600)], leaf_fill=0.5)
+    for handle in sdb.handles:
+        lease, tree = handle.store.leaf_lease, handle.tree()
+        slots = KeyOrderCursor(tree)._restart()
+        assert slots == list(range(lease.start, lease.start + tree.leaf_count()))
 
 
 def test_pass2_that_cannot_converge_fails_loudly():

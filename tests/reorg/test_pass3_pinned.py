@@ -3,8 +3,8 @@ each had a synchronous ordering of its own, and bulk loading logs what it
 logged before the bottom-up level builder was shared.
 
 Each cell reorganizes the same sparse tree under one combination of
-placement policy, side pointers and stable-point interval, after passes 1
-and 2.  Two digests are pinned per cell: (a) every record pass 3 and the
+side pointers and stable-point interval, after pass 1 and with or without
+pass 2.  Two digests are pinned per cell: (a) every record pass 3 and the
 switch log — type, pages, keys, LSN fields aside — and (b) the disk
 statistics after the pass.  The crash cells crash at each stable point, or
 right after the switch record, recover and forward-recover; their digests
@@ -17,7 +17,7 @@ import itertools
 import pytest
 
 from repro.btree.bulkload import bulk_load
-from repro.config import PlacementPolicyKind, ReorgConfig, SidePointerKind, TreeConfig
+from repro.config import ReorgConfig, SidePointerKind, TreeConfig
 from repro.db import Database
 from repro.errors import CrashPoint
 from repro.reorg.reorganizer import Reorganizer
@@ -32,15 +32,16 @@ DEFAULT_INTERVAL = ReorgConfig().stable_point_interval
 
 CELLS = list(
     itertools.product(
-        (PlacementPolicyKind.KEY_ORDER, PlacementPolicyKind.VEB, PlacementPolicyKind.NONE),
+        (True, False),
         (SidePointerKind.NONE, SidePointerKind.TWO_WAY),
         (1, DEFAULT_INTERVAL),
     )
 )
 
 
-def post_pass2_db(policy, side, interval):
-    """A sparse tree with sparse internals, after passes 1 and 2."""
+def post_pass2_db(swap, side, interval):
+    """A sparse tree with sparse internals, after pass 1 and, when ``swap``,
+    pass 2."""
     db = Database(
         TreeConfig(
             leaf_capacity=8,
@@ -49,7 +50,6 @@ def post_pass2_db(policy, side, interval):
             internal_extent_pages=512,
             buffer_pool_pages=64,
             side_pointers=side,
-            placement_policy=policy,
         )
     )
     tree = db.bulk_load_tree(
@@ -60,9 +60,12 @@ def post_pass2_db(policy, side, interval):
             tree.delete(k)
     db.flush()
     db.checkpoint()
-    reorg = Reorganizer(db, tree, ReorgConfig(stable_point_interval=interval))
+    reorg = Reorganizer(
+        db, tree, ReorgConfig(do_swap_pass=swap, stable_point_interval=interval)
+    )
     reorg.run_pass1()
-    reorg.run_pass2()
+    if swap:
+        reorg.run_pass2()
     db.log.flush()
     return db, reorg
 
@@ -80,17 +83,17 @@ def _digests(db, mark):
     return log_digest, disk_digest, rows
 
 
-def pass3_digests(policy, side, interval):
-    db, reorg = post_pass2_db(policy, side, interval)
+def pass3_digests(swap, side, interval):
+    db, reorg = post_pass2_db(swap, side, interval)
     mark = db.log.last_lsn
     reorg.run_pass3()
     return _digests(db, mark)
 
 
-def crash_digests(policy, side, interval, crash_at):
+def crash_digests(swap, side, interval, crash_at):
     """Crash right after each record ``crash_at`` picks from a rehearsal's
     pass-3 log, recover and forward-recover; one digest over all of them."""
-    rehearsal, reorg = post_pass2_db(policy, side, interval)
+    rehearsal, reorg = post_pass2_db(swap, side, interval)
     mark = rehearsal.log.last_lsn
     reorg.run_pass3()
     logged = list(rehearsal.log.records_from(mark + 1))
@@ -98,7 +101,7 @@ def crash_digests(policy, side, interval, crash_at):
     assert points
     logs, disks = [], []
     for after in points:
-        db, reorg = post_pass2_db(policy, side, interval)
+        db, reorg = post_pass2_db(swap, side, interval)
         mark = db.log.last_lsn
         with pytest.raises(CrashPoint):
             with LogCrashInjector(db.log, after_records=after):
@@ -116,8 +119,8 @@ def crash_digests(policy, side, interval, crash_at):
 
 
 def _cell_id(cell):
-    policy, side, interval = cell
-    return f"{policy.value}-{side.value}-sp{interval}"
+    swap, side, interval = cell
+    return f"{'key_order' if swap else 'no_pass2'}-{side.value}-sp{interval}"
 
 
 #: cell -> (log rows of pass 3 + switch, disk stats after the pass).  The
@@ -134,20 +137,18 @@ def _cell_id(cell):
 #: which read base pages this 64-page pool cannot keep pinned (the index
 #: has 95 pages): 47 more reads per leaf count before pass 3
 #: (key_order-none-sp1: 855 -> 949, none-none-sp1: 684 -> 731), while pass
-#: 3 reads its 161 pages as before.
+#: 3 reads its 161 pages as before.  The ``no_pass2`` cells were pinned
+#: as a placement policy that skipped pass 2; skipping it with
+#: ``do_swap_pass=False`` reproduces their digests unchanged.
 PINNED = {
     "key_order-none-sp1": ("b60d706a969abac7", "f2be42afbdfca590"),
     "key_order-none-sp5": ("69bdeb6e98acf953", "617c0bd0ed445b9b"),
     "key_order-two_way-sp1": ("b60d706a969abac7", "5a7045b7c9ea4cb5"),
     "key_order-two_way-sp5": ("69bdeb6e98acf953", "7e2b25a16469d94c"),
-    "veb-none-sp1": ("a10a00f7547ca43e", "f2e01e40d4162362"),
-    "veb-none-sp5": ("e85e535e28e6d252", "dc7bd4e34cd0c1f9"),
-    "veb-two_way-sp1": ("a10a00f7547ca43e", "804b89e007f2de15"),
-    "veb-two_way-sp5": ("e85e535e28e6d252", "a6f29249c91945be"),
-    "none-none-sp1": ("e1ad47f6e5d85a50", "cee5a1c1f2a50d06"),
-    "none-none-sp5": ("d45aee724949a76e", "5691b827fd566aa8"),
-    "none-two_way-sp1": ("e1ad47f6e5d85a50", "1c02ac5f9404b1fb"),
-    "none-two_way-sp5": ("d45aee724949a76e", "442921c3e22b378d"),
+    "no_pass2-none-sp1": ("e1ad47f6e5d85a50", "cee5a1c1f2a50d06"),
+    "no_pass2-none-sp5": ("d45aee724949a76e", "5691b827fd566aa8"),
+    "no_pass2-two_way-sp1": ("e1ad47f6e5d85a50", "1c02ac5f9404b1fb"),
+    "no_pass2-two_way-sp5": ("d45aee724949a76e", "442921c3e22b378d"),
 }
 
 #: crash cell -> (log rows incl. recovery, disk stats, crash points).  The
@@ -155,18 +156,21 @@ PINNED = {
 #: "stable-points" moved in its last crash point alone, the final stable
 #: point (new root 607): the restart keeps the forced upper levels instead
 #: of building a second set, so it logs 13 fewer records and leaks no root.
+#: "stable-points" ran under the deleted vEB placement until that left; it
+#: runs under key order now, pinned at the digest the cell gave under key
+#: order before the deletion.
 PINNED_CRASH = {
-    "stable-points": ("132b25cf32a17fc0", "ab2f875bdd0858ae", 14),
+    "stable-points": ("8c2ad0988e730ce8", "bbf6171cedaeba87", 14),
     "switch-record": ("2d38fdd57d579dd4", "738bacf27a0af945", 1),
 }
 
 CRASH_CELLS = {
     "stable-points": (
-        (PlacementPolicyKind.VEB, SidePointerKind.TWO_WAY, 2),
+        (True, SidePointerKind.TWO_WAY, 2),
         lambda record: isinstance(record, StableKeyRecord),
     ),
     "switch-record": (
-        (PlacementPolicyKind.KEY_ORDER, SidePointerKind.NONE, 2),
+        (True, SidePointerKind.NONE, 2),
         lambda record: isinstance(record, TreeSwitchRecord),
     ),
 }

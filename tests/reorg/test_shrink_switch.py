@@ -282,6 +282,43 @@ class TestFullReorganization:
         assert report.pass2 is None
         db.tree().validate()
 
+    def test_pass2_places_leaves_records_unchanged(self):
+        """Pass 2 changes where the leaves lie, never what a scan returns:
+        without it the compacted leaves stay scattered."""
+        runs = {}
+        for swap in (True, False):
+            db, tree = tall_sparse_db()
+            report = Reorganizer(
+                db, tree, ReorgConfig(target_fill=0.9, do_swap_pass=swap)
+            ).run()
+            final = db.tree()
+            final.validate()
+            runs[swap] = (
+                [(r.key, r.payload) for r in final.range_scan(0, 10_000)],
+                final.leaf_ids_in_key_order(),
+                report.pass2.operations if report.pass2 else 0,
+            )
+        (scan, leaves, ops), (scan_skipped, leaves_skipped, _) = runs[True], runs[False]
+        assert scan == scan_skipped
+        assert ops > 0
+        assert leaves == sorted(leaves) and leaves_skipped != leaves
+
+    def test_inserts_between_passes_survive(self):
+        """Leaves split after pass 1 reach pass 3 through the ordinary scan
+        and the rebuilt tree validates."""
+        db, tree = tall_sparse_db()
+        reorg = Reorganizer(db, tree, ReorgConfig(target_fill=0.9))
+        reorg.run_pass1()
+        for k in range(10_000, 10_300):
+            tree.insert(Record(k, "new"))
+        reorg.run_pass2()
+        reorg.run_pass3()
+        final = db.tree()
+        final.validate()
+        assert [r.key for r in final.range_scan(10_000, 10_299)] == list(
+            range(10_000, 10_300)
+        )
+
     def test_tree_usable_after_full_reorg(self):
         db, tree = tall_sparse_db()
         Reorganizer(db, tree, ReorgConfig()).run()

@@ -103,12 +103,12 @@ class _KeyOrderWalks(ast.NodeVisitor):
 
 def test_the_reorganizer_steps_the_leaf_cursor_instead_of_walking():
     """Pass 2's planners and the side-pointer fix-up find neighbouring
-    leaves by the tree's leaf cursor; the one key-order walk left under
-    the reorganizer is pass 3's leaf count for the shape it predicts."""
+    leaves by the tree's leaf cursor; no key-order walk is left under the
+    reorganizer."""
     found = []
     for package in ("reorg", "baseline"):
         for path in sorted((SRC / package).rglob("*.py")):
             visitor = _KeyOrderWalks()
             visitor.visit(ast.parse(path.read_text(), filename=str(path)))
             found += [f"{path.relative_to(SRC).as_posix()}:{scope}" for scope in visitor.found]
-    assert found == ["reorg/shrink.py:TreeShrinker._predicted_shape"]
+    assert found == []

@@ -7,7 +7,7 @@ import pytest
 from repro.config import ReorgConfig, ShardConfig, SidePointerKind, TreeConfig
 from repro.db import Database
 from repro.shard import ParallelReorganizer, ShardedDatabase
-from repro.storage.page import Record
+from repro.storage.page import PageKind, Record
 
 
 def tiny_config() -> TreeConfig:
@@ -196,6 +196,26 @@ class TestParallelReorgOutcome:
         assert set(reorg.results) == {h.tree_name for h in sdb4.handles}
         assert all(h.stats.reorg_units > 0 for h in sdb4.handles)
         assert all(h.stats.reorg_makespan <= m4 for h in sdb4.handles)
+
+    def test_rebuilt_internals_stay_in_lease(self):
+        sdb, alive = load_sharded(2)
+        sdb.flush()
+        sdb.checkpoint()
+        ParallelReorganizer(sdb, ReorgConfig(target_fill=0.9)).run()
+        sdb.validate()
+        assert [r.key for r in sdb.range_scan(0, 1199)] == alive
+        for handle in sdb.handles:
+            lease, tree = handle.store.internal_lease, handle.tree()
+            internal, stack = [], [tree.root_id]
+            while stack:
+                page = handle.store.get(stack.pop())
+                if page.kind is PageKind.INTERNAL:
+                    internal.append(page.page_id)
+                    stack.extend(page.children())
+            assert internal
+            assert all(lease.start <= pid < lease.end for pid in internal), (
+                f"shard {handle.index} rebuilt internal pages outside its lease"
+            )
 
     def test_unit_ids_globally_unique_across_shards(self):
         from repro.wal.records import ReorgBeginRecord

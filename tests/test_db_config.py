@@ -58,7 +58,7 @@ class TestTreeConfigValidation:
 
     @pytest.mark.parametrize(
         "config_class, cap",
-        [(TreeConfig, 12), (ReorgConfig, 8), (ShardConfig, 2), (DaemonConfig, 7)],
+        [(TreeConfig, 11), (ReorgConfig, 8), (ShardConfig, 2), (DaemonConfig, 7)],
         ids=lambda value: getattr(value, "__name__", str(value)),
     )
     def test_configs_do_not_grow_knobs(self, config_class, cap):

@@ -727,57 +727,10 @@ class ChoicePointRegisteredRule(Rule):
 
 
 @register
-class PlacementViaPolicyRule(Rule):
-    """Pass 2 and pass 3 decide *what* moves; the placement policy decides
-    *where to*.  Target page ids are produced only by the
-    :class:`~repro.reorg.placement.PlacementPolicy` hooks (``leaf_slots``,
-    ``pass3_plan``/``resolve``) so that swapping policies — key-order vs
-    vEB vs none — can never change the move machinery itself.  Arithmetic
-    on a window boundary (``lease.start + i``, ``extent.start + rank``)
-    inside the pass implementations is a placement decision smuggled past
-    the interface; reading a boundary (to *name* the window for the
-    policy) is fine."""
-
-    name = "placement-via-policy"
-    description = (
-        "pass 2/3 code computes no target page ids from window boundaries "
-        "(.start/.end arithmetic); placement flows through PlacementPolicy"
-    )
-    include = (
-        "src/repro/reorg/swap.py",
-        "src/repro/reorg/shrink.py",
-        "src/repro/reorg/protocols.py",
-        "src/repro/reorg/compact.py",
-    )
-
-    _BOUNDS = {"start", "end"}
-
-    def check(self, ctx: LintContext) -> Iterator[tuple[int, int, str]]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.BinOp):
-                continue
-            for operand in (node.left, node.right):
-                if (
-                    isinstance(operand, ast.Attribute)
-                    and operand.attr in self._BOUNDS
-                ):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"arithmetic on window boundary "
-                        f"'.{operand.attr}' computes a target page id in "
-                        f"pass 2/3 code; ask the PlacementPolicy "
-                        f"(repro/reorg/placement.py) instead",
-                    )
-                    break
-
-
-@register
 class GapViaConfigRule(Rule):
     """Leaf gap sizing has exactly one home: the
     :func:`repro.config.leaf_gap_slots` / :func:`repro.config.gapped_leaf_fill`
-    helpers (re-exported for rebuild code as
-    :func:`repro.reorg.placement.gapped_leaf_fill_count`).  The builders
+    helpers.  The builders
     that lay leaves out — bulk load and the pass 2/3 rebuild paths — must
     route every per-leaf record count through those helpers, never
     open-code slack arithmetic: two call sites each computing
@@ -825,8 +778,7 @@ class GapViaConfigRule(Rule):
                             "arithmetic on 'leaf_capacity' in a layout "
                             "builder is an open-coded fill/gap computation; "
                             "route it through gapped_leaf_fill() "
-                            "(repro/config.py) or placement."
-                            "gapped_leaf_fill_count()",
+                            "(repro/config.py)",
                         )
                         break
 
